@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import linalg, surfaces
 from .errors import ConsistencyError
 from .mapping_torus import WangData
@@ -133,7 +131,7 @@ def lefschetz_pairing(
     spec: EulerClassSpec,
     invariant_basis=None,
     cup=None,
-) -> tuple[np.ndarray, tuple[str, ...]]:
+) -> tuple[linalg.Matrix, tuple[str, ...]]:
     """Assemble the skew pairing (x, y) -> integral of x cup y cup omega.
 
     Basis order: theta, the lifted fixed classes, then eta when the Euler
@@ -146,15 +144,17 @@ def lefschetz_pairing(
         else data.invariant_matrix
     )
     pairing = cup if cup is not None else surfaces.cup_form(data.genus)
-    block = basis @ pairing @ basis.T if basis.shape[0] else linalg.zeros(0, 0)
-    m = block.shape[0]
+    m = len(basis)
     size = 1 + m + (1 if spec.is_zero else 0)
     q = linalg.zeros(size, size)
-    q[1:1 + m, 1:1 + m] = block
+    if m:
+        block = linalg.matmul(linalg.matmul(basis, pairing), linalg.transpose(basis))
+        for i, row in enumerate(block):
+            q[1 + i][1:1 + m] = row
     labels = ("theta",) + data.h1_tags[1:1 + m]
     if spec.is_zero:
-        q[0, size - 1] = 1
-        q[size - 1, 0] = -1
+        q[0][size - 1] = 1
+        q[size - 1][0] = -1
         labels = labels + ("eta",)
     return q, labels
 
@@ -162,7 +162,7 @@ def lefschetz_pairing(
 def degeneracy_oracle(q, b1: int) -> int:
     """Degeneracy as the rank defect of the assembled pairing matrix."""
     mat = linalg.to_matrix(q)
-    if not (mat.T == -mat).all():
+    if linalg.transpose(mat) != [[-x for x in row] for row in mat]:
         raise ValueError("pairing matrix must be skew-symmetric")
     return b1 - linalg.rank(mat)
 
@@ -208,8 +208,8 @@ class BundleCohomology:
     nullity: int
 
     @property
-    def pairing_matrix(self) -> np.ndarray:
-        return linalg.to_matrix(self.pairing) if self.pairing else linalg.zeros(0, 0)
+    def pairing_matrix(self) -> linalg.Matrix:
+        return [list(row) for row in self.pairing]
 
 
 def bundle_cohomology(
@@ -224,10 +224,10 @@ def bundle_cohomology(
     spec = validate_euler_class(data, spec, d, k)
     b1 = bundle_b1(data, spec)
     q, labels = lefschetz_pairing(data, spec)
-    q_rank = linalg.rank(q)
+    oracle = degeneracy_oracle(q, b1)
+    q_rank = b1 - oracle
     if q_rank % 2 != 0:
         raise ConsistencyError(f"pairing rank {q_rank} is odd for ({d}, {k}, e={spec.tag})")
-    oracle = degeneracy_oracle(q, b1)
     closed = degeneracy_closed_form(d, k, spec.tag)
     if oracle != closed:
         raise ConsistencyError(
@@ -241,7 +241,7 @@ def bundle_cohomology(
         )
     return BundleCohomology(
         b1=b1,
-        pairing=tuple(tuple(int(x) for x in row) for row in q),
+        pairing=tuple(map(tuple, q)),
         labels=labels,
         degeneracy=oracle,
         nullity=nullity,

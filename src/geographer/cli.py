@@ -1,7 +1,8 @@
 """Command line front end: realize, invariants, enumerate, verify.
 
 Exit codes are stable contracts: 0 success, 1 verification failure,
-2 inadmissible input, 3 open problem (null mode only), 64 usage error.
+2 inadmissible input, 3 open problem (null mode only), 64 usage error,
+74 output could not be written (sysexits EX_IOERR).
 Output goes to stdout unless --out is given; JSON documents carry a
 schema_version and per-field justification strings so certificates are
 self-documenting.
@@ -33,6 +34,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INADMISSIBLE = 2
 EXIT_OPEN = 3
 EXIT_USAGE = 64
+EXIT_IO_ERROR = 74
 
 GENUS_ENV = "GEOGRAPHER_GENUS_DEFAULT"
 
@@ -196,12 +198,20 @@ def recipe_tsv_row(recipe: Recipe) -> str:
     return _tsv_row(recipe.triple, recipe.kind, recipe.label, recipe.family, recipe.certificate)
 
 
+class _OutputError(Exception):
+    """Writing the output failed; the message names the target and the cause."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        target = out_path or "stdout"
+        raise _OutputError(f"cannot write output to {target}: {exc}") from exc
 
 
 def _genus_floor(args) -> int | None:
@@ -274,7 +284,11 @@ def cmd_enumerate(args) -> int:
     if args.sigma_min > 0 or args.b1_max < 0:
         print("region must satisfy sigma-min <= 0 and b1-max >= 0", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    genus = _genus_floor(args)
+    try:
+        genus = _genus_floor(args)
+    except InadmissibleError as exc:
+        print(f"invalid genus floor: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     recipes = list(geography.enumerate_region(args.sigma_min, args.b1_max, genus=genus))
     if args.format == "json":
         docs = [recipe_document(r) for r in recipes]
@@ -353,7 +367,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except _OutputError as exc:
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
 
 
 if __name__ == "__main__":

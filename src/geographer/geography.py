@@ -32,8 +32,15 @@ RecipeSpec = Union[BundleManifoldSpec, FiberSumSpec, EllipticSurface, DolgachevS
 DEFAULT_DOLGACHEV = (2, 3)
 
 
+def _all_ints(*values) -> bool:
+    """Exactly ``int``: floats, bools and other number types are refused."""
+    return all(type(x) is int for x in values)
+
+
 def is_admissible(a: int, b: int, c: int) -> bool:
     """Exact admissibility predicate for degeneracy triples."""
+    if not _all_ints(a, b, c):
+        return False
     if a > 0 or a % 8 != 0:
         return False
     if not 0 <= c <= b:
@@ -49,6 +56,8 @@ def is_null_admissible(a: int, b: int, c: int) -> bool:
     A manifold with nullity b1 - 1 would leave a single cup-nontrivial
     line in H^1, contradicting skewness of the cup square.
     """
+    if not _all_ints(a, b, c):
+        return False
     if a > 0 or a % 8 != 0:
         return False
     if not 0 <= c <= b:
@@ -184,7 +193,12 @@ def _realize_signature_zero(b: int, c: int, genus: int | None) -> Recipe:
     )
 
 
+_NON_INTEGER_FAILURE = "triple entries must be integers (int, not bool or float)"
+
+
 def _admissibility_failure(a: int, b: int, c: int) -> str:
+    if not _all_ints(a, b, c):
+        return _NON_INTEGER_FAILURE
     if a > 0 or a % 8 != 0:
         return "signature must be a non-positive multiple of 8"
     if not 0 <= c <= b:
@@ -195,6 +209,8 @@ def _admissibility_failure(a: int, b: int, c: int) -> str:
 
 
 def _null_admissibility_failure(a: int, b: int, c: int) -> str:
+    if not _all_ints(a, b, c):
+        return _NON_INTEGER_FAILURE
     if c == b - 1 and 0 <= c <= b:
         return "nullity b - 1 is impossible: one class would have a nonzero cup square"
     if a > 0 or a % 8 != 0:
@@ -273,6 +289,8 @@ def enumerate_region(
     Deterministic order: a descending from 0, then b ascending, then c
     ascending; every yielded recipe is certificate-checked.
     """
+    if not _all_ints(sigma_min, b1_max):
+        raise InadmissibleError("region bounds must be integers (int, not bool or float)")
     if sigma_min > 0:
         raise InadmissibleError("sigma lower bound must be non-positive")
     if b1_max < 0:

@@ -1,47 +1,124 @@
 """Exact linear algebra over the integers.
 
-Small dense matrices only. Matrices are numpy arrays with ``dtype=object``
-holding Python ints, so arithmetic is arbitrary precision and never touches
-floating point. Ranks, kernels, cokernels and torsion are read off an
-integer Smith decomposition; :func:`rational_rank` is an independent
+Small dense matrices only. A matrix is a list of rows, each a list of
+Python ints, so arithmetic is arbitrary precision and never touches
+floating point; functions that return a matrix return fresh rows the
+caller may mutate. Ranks and determinants come from fraction-free
+(Bareiss) elimination; kernels, cokernels and torsion are read off an
+integer Smith decomposition. :func:`rational_rank` is an independent
 Fraction-based elimination used to cross-check ranks in the test suite.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+Matrix = list[list[int]]
 
 
-def to_matrix(data) -> np.ndarray:
-    """Copy ``data`` into a rectangular object array of Python ints."""
-    arr = np.array(data, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2d matrix, got ndim={arr.ndim}")
-    out = np.empty(arr.shape, dtype=object)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            x = arr[i, j]
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise ValueError(f"non-integer entry {x!r} at ({i}, {j})")
-            out[i, j] = int(x)
-    return out
+def to_matrix(data) -> Matrix:
+    """Copy ``data`` into a rectangular list of rows of Python ints."""
+    try:
+        rows = [list(row) for row in data]
+    except TypeError:
+        raise ValueError("expected a 2d matrix given as a sequence of rows") from None
+    if not rows:
+        raise ValueError("expected a 2d matrix, got no rows")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"ragged matrix: row {i} has {len(row)} entries, not {width}")
+        if not set(map(type, row)) <= {int}:
+            for j, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                    raise ValueError(f"non-integer entry {x!r} at ({i}, {j})")
+                row[j] = int(x)
+    return rows
 
 
-def zeros(m: int, n: int) -> np.ndarray:
-    out = np.empty((m, n), dtype=object)
-    out[:, :] = 0
-    return out
+def zeros(m: int, n: int) -> Matrix:
+    return [[0] * n for _ in range(m)]
 
 
-def identity(n: int) -> np.ndarray:
+def identity(n: int) -> Matrix:
     out = zeros(n, n)
     for i in range(n):
-        out[i, i] = 1
+        out[i][i] = 1
     return out
+
+
+def transpose(a) -> Matrix:
+    return [list(col) for col in zip(*to_matrix(a))]
+
+
+def matmul(a, b) -> Matrix:
+    """Exact product A @ B.
+
+    Each output row is a combination of rows of B; zero coefficients are
+    skipped, which pays off on the sparse, mostly unit-vector bases used
+    throughout the package.
+    """
+    left, right = to_matrix(a), to_matrix(b)
+    if len(left[0]) != len(right):
+        raise ValueError(
+            f"cannot multiply {len(left)}x{len(left[0])} by {len(right)}x{len(right[0])}"
+        )
+    width = len(right[0])
+    out = []
+    for row in left:
+        acc = [0] * width
+        for x, other in zip(row, right):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, other)]
+        out.append(acc)
+    return out
+
+
+class FrozenMatrix:
+    """An immutable int matrix that iterates as tuples of int rows.
+
+    For matrices that are kept, not computed with. The entries are packed
+    into one array of the narrowest signed machine int (1 to 8 bytes) that
+    holds them all, against 28 or more bytes for a Python int object, and
+    are kept as one flat tuple of Python ints when they do not fit in 64
+    bits. It equals any sequence of rows with the same entries.
+    """
+
+    __slots__ = ("_flat", "_rows")
+
+    def __init__(self, rows):
+        mat = to_matrix(rows)
+        self._rows = len(mat)
+        flat = [x for row in mat for x in row]
+        # x fits a signed k-bit int exactly when max(x, ~x) has under k bits
+        bits = max(max(x, ~x) for x in flat).bit_length() if flat else 0
+        code = next((c for c in "bhiq" if bits < 8 * array(c).itemsize), None)
+        self._flat = tuple(flat) if code is None else array(code, flat)
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        width = len(self._flat) // self._rows
+        start = range(self._rows)[i] * width
+        return tuple(self._flat[start:start + width])
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+    def __eq__(self, other) -> bool:
+        try:
+            return tuple(self) == tuple(map(tuple, other))
+        except TypeError:
+            return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FrozenMatrix({tuple(self)!r})"
 
 
 def to_vector(data) -> tuple[int, ...]:
@@ -58,41 +135,66 @@ def is_primitive(v) -> bool:
     return gcd_vector(v) == 1
 
 
+def _bareiss(m: Matrix) -> tuple[int, int, int]:
+    """Fraction-free row echelon elimination of ``m`` in place.
+
+    Returns (rank, sign of the row permutation, last pivot). Every entry
+    stays a minor of the input (Bareiss, Math. Comp. 22, 1968), so each
+    division is exact and intermediate sizes are bounded by Hadamard's
+    inequality. Columns without a pivot are skipped.
+    """
+    nrows, ncols = len(m), len(m[0])
+    rank_ = 0
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank_, nrows) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank_:
+            m[rank_], m[pivot_row] = m[pivot_row], m[rank_]
+            sign = -sign
+        top = m[rank_]
+        p = top[col]
+        for r in range(rank_ + 1, nrows):
+            row = m[r]
+            x = row[col]
+            if x == 0 and p == prev:
+                continue
+            # Both rows are zero left of col, so the update zeroes row[col].
+            m[r] = [(p * y - x * z) // prev for y, z in zip(row, top)]
+        prev = p
+        rank_ += 1
+        if rank_ == nrows:
+            break
+    return rank_, sign, prev
+
+
 def det(a) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     m = to_matrix(a)
-    n, n2 = m.shape
-    if n != n2:
+    n = len(m)
+    if len(m[0]) != n:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if m[t, t] == 0:
-            pivot_row = next((r for r in range(t + 1, n) if m[r, t] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[[t, pivot_row], :] = m[[pivot_row, t], :]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                m[i, j] = (m[i, j] * m[t, t] - m[i, t] * m[t, j]) // prev
-            m[i, t] = 0
-        prev = m[t, t]
-    return sign * int(m[n - 1, n - 1])
+    rank_, sign, last = _bareiss(m)
+    return sign * last if rank_ == n else 0
+
+
+def rank(a) -> int:
+    """Rank by fraction-free (Bareiss) elimination; no transforms are kept."""
+    return _bareiss(to_matrix(a))[0]
 
 
 def rational_rank(a) -> int:
     """Rank by Gaussian elimination over the rationals.
 
-    Kept deliberately independent of :func:`smith_form` so the two can be
-    played against each other as exact oracles.
+    Kept deliberately independent of :func:`rank` and :func:`smith_form`
+    so they can be played against each other as exact oracles.
     """
     m = to_matrix(a)
-    rows = [[Fraction(int(x)) for x in row] for row in m]
+    rows = [[Fraction(x) for x in row] for row in m]
     nrows = len(rows)
-    ncols = m.shape[1]
+    ncols = len(m[0])
     rank_ = 0
     for col in range(ncols):
         pivot = next((r for r in range(rank_, nrows) if rows[r][col] != 0), None)
@@ -117,20 +219,37 @@ class SmithForm:
     `t_inv` are the exact integer inverses of the transforms.
     """
 
-    d: np.ndarray
-    s: np.ndarray
-    t: np.ndarray
-    s_inv: np.ndarray
-    t_inv: np.ndarray
+    d: Matrix
+    s: Matrix
+    t: Matrix
+    s_inv: Matrix
+    t_inv: Matrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        k = min(self.d.shape)
-        return tuple(int(self.d[i, i]) for i in range(k))
+        k = min(len(self.d), len(self.d[0]))
+        return tuple(self.d[i][i] for i in range(k))
 
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
+
+    @property
+    def elementary_divisors(self) -> tuple[int, ...]:
+        """Nontrivial invariant factors (entries different from 0 and 1)."""
+        return tuple(x for x in self.diagonal if x not in (0, 1))
+
+    def _free(self, size: int) -> list[int]:
+        diag = self.diagonal
+        return [i for i in range(size) if i >= len(diag) or diag[i] == 0]
+
+    def kernel_basis(self) -> Matrix:
+        """Columns of T^-1 over the zero diagonal: a saturated basis of ker A."""
+        return [[row[j] for row in self.t_inv] for j in self._free(len(self.t))]
+
+    def cokernel_free_basis(self) -> Matrix:
+        """Columns of S over the zero diagonal: a basis of the free cokernel."""
+        return [[row[i] for row in self.s] for i in self._free(len(self.s))]
 
 
 def smith_form(a) -> SmithForm:
@@ -140,145 +259,137 @@ def smith_form(a) -> SmithForm:
     position, shrink it to the gcd of its row and column by Euclidean
     steps, then absorb any entry of the remaining block it fails to
     divide. Row operations are mirrored on S / s_inv, column operations
-    on T / t_inv, so ``a == S @ D @ T`` holds throughout.
+    on T / t_inv, so ``a == S @ D @ T`` holds throughout. S and t_inv
+    are held transposed while the algorithm runs, so that every
+    transform update is a row operation and every swap a swap of row
+    references.
     """
     d = to_matrix(a)
-    m, n = d.shape
-    s, s_inv = identity(m), identity(m)
-    t, t_inv = identity(n), identity(n)
+    m, n = len(d), len(d[0])
+    s_tr, s_inv = identity(m), identity(m)
+    t, t_inv_tr = identity(n), identity(n)
 
     def row_op(i, j, q):
         # row_i -= q * row_j
-        d[i, :] -= q * d[j, :]
-        s[:, j] += q * s[:, i]
-        s_inv[i, :] -= q * s_inv[j, :]
+        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        s_tr[j] = [x + q * y for x, y in zip(s_tr[j], s_tr[i])]
+        s_inv[i] = [x - q * y for x, y in zip(s_inv[i], s_inv[j])]
 
     def col_op(i, j, q):
         # col_i -= q * col_j
-        d[:, i] -= q * d[:, j]
-        t[j, :] += q * t[i, :]
-        t_inv[:, i] -= q * t_inv[:, j]
+        for row in d:
+            if row[j]:
+                row[i] -= q * row[j]
+        t[j] = [x + q * y for x, y in zip(t[j], t[i])]
+        t_inv_tr[i] = [x - q * y for x, y in zip(t_inv_tr[i], t_inv_tr[j])]
 
     def swap_rows(i, j):
-        d[[i, j], :] = d[[j, i], :]
-        s[:, [i, j]] = s[:, [j, i]]
-        s_inv[[i, j], :] = s_inv[[j, i], :]
+        d[i], d[j] = d[j], d[i]
+        s_tr[i], s_tr[j] = s_tr[j], s_tr[i]
+        s_inv[i], s_inv[j] = s_inv[j], s_inv[i]
 
     def swap_cols(i, j):
-        d[:, [i, j]] = d[:, [j, i]]
-        t[[i, j], :] = t[[j, i], :]
-        t_inv[:, [i, j]] = t_inv[:, [j, i]]
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        t[i], t[j] = t[j], t[i]
+        t_inv_tr[i], t_inv_tr[j] = t_inv_tr[j], t_inv_tr[i]
 
     def negate_row(i):
-        d[i, :] = -d[i, :]
-        s[:, i] = -s[:, i]
-        s_inv[i, :] = -s_inv[i, :]
+        d[i] = [-x for x in d[i]]
+        s_tr[i] = [-x for x in s_tr[i]]
+        s_inv[i] = [-x for x in s_inv[i]]
 
     for pivot in range(min(m, n)):
-        found = next(
-            ((i, j) for i in range(pivot, m) for j in range(pivot, n) if d[i, j] != 0),
-            None,
-        )
+        # the first nonzero entry of the remaining block, in row-major order
+        found = next((i for i in range(pivot, m) if any(d[i][pivot:])), None)
         if found is None:
             break
-        swap_rows(pivot, found[0])
-        swap_cols(pivot, found[1])
+        swap_rows(pivot, found)
+        swap_cols(pivot, next(j for j in range(pivot, n) if d[pivot][j]))
         while True:
-            if d[pivot, pivot] < 0:
+            if d[pivot][pivot] < 0:
                 negate_row(pivot)
-            p = d[pivot, pivot]
-            r = next((i for i in range(pivot + 1, m) if d[i, pivot] != 0), None)
+            p = d[pivot][pivot]
+            r = next((i for i in range(pivot + 1, m) if d[i][pivot] != 0), None)
             if r is not None:
-                q = d[r, pivot] // p
+                q = d[r][pivot] // p
                 if q:
                     row_op(r, pivot, q)
-                if d[r, pivot] != 0:
+                if d[r][pivot] != 0:
                     swap_rows(pivot, r)
                 continue
-            c = next((j for j in range(pivot + 1, n) if d[pivot, j] != 0), None)
+            c = next((j for j in range(pivot + 1, n) if d[pivot][j] != 0), None)
             if c is not None:
-                q = d[pivot, c] // p
+                q = d[pivot][c] // p
                 if q:
                     col_op(c, pivot, q)
-                if d[pivot, c] != 0:
+                if d[pivot][c] != 0:
                     swap_cols(pivot, c)
                 continue
+            if p == 1:
+                break  # 1 divides every entry of the remaining block
             stray = next(
-                ((i, j) for i in range(pivot + 1, m) for j in range(pivot + 1, n)
-                 if d[i, j] % p != 0),
+                (i for i in range(pivot + 1, m) if any(x % p for x in d[i][pivot + 1:])),
                 None,
             )
             if stray is None:
                 break
-            row_op(pivot, stray[0], -1)
-    return SmithForm(d=d, s=s, t=t, s_inv=s_inv, t_inv=t_inv)
-
-
-def rank(a) -> int:
-    return smith_form(a).rank
+            row_op(pivot, stray, -1)
+    return SmithForm(
+        d=d,
+        s=[list(col) for col in zip(*s_tr)],
+        t=t,
+        s_inv=s_inv,
+        t_inv=[list(col) for col in zip(*t_inv_tr)],
+    )
 
 
 def elementary_divisors(a) -> tuple[int, ...]:
     """Nontrivial invariant factors (entries different from 0 and 1)."""
-    return tuple(x for x in smith_form(a).diagonal if x not in (0, 1))
+    return smith_form(a).elementary_divisors
 
 
-def kernel_basis(a) -> np.ndarray:
+def kernel_basis(a) -> Matrix:
     """Rows form a basis of the lattice of integer solutions of A x = 0.
 
     The lattice is saturated (it is the intersection of a rational
     subspace with the integer lattice), so every row is primitive.
     """
-    mat = to_matrix(a)
-    m, n = mat.shape
-    sf = smith_form(mat)
-    diag = sf.diagonal
-    free = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-    basis = zeros(len(free), n)
-    for row, j in enumerate(free):
-        basis[row, :] = sf.t_inv[:, j]
-    return basis
+    return smith_form(a).kernel_basis()
 
 
-def cokernel_free_basis(a) -> np.ndarray:
+def cokernel_free_basis(a) -> Matrix:
     """Rows represent a basis of the free part of Z^m / (image of A)."""
-    mat = to_matrix(a)
-    m, n = mat.shape
-    sf = smith_form(mat)
-    diag = sf.diagonal
-    free = [i for i in range(m) if i >= len(diag) or diag[i] == 0]
-    basis = zeros(len(free), m)
-    for row, i in enumerate(free):
-        basis[row, :] = sf.s[:, i]
-    return basis
+    return smith_form(a).cokernel_free_basis()
 
 
-def cokernel_free_coordinates(sf: SmithForm, vectors) -> np.ndarray:
+def cokernel_free_coordinates(sf: SmithForm, vectors) -> Matrix:
     """Coordinates of row vectors in the free part of the cokernel of A.
 
     ``sf`` must be the Smith decomposition of A (an m x n matrix); the
     vectors live in Z^m. Column i of the result is the image of vector i.
     """
     vecs = to_matrix(vectors)
-    m = sf.s.shape[0]
-    if vecs.shape[1] != m:
-        raise ValueError(f"vectors of length {vecs.shape[1]} do not live in Z^{m}")
-    diag = sf.diagonal
-    free = [i for i in range(m) if i >= len(diag) or diag[i] == 0]
-    coords = sf.s_inv @ vecs.T
-    return coords[free, :]
+    m = len(sf.s)
+    if len(vecs[0]) != m:
+        raise ValueError(f"vectors of length {len(vecs[0])} do not live in Z^{m}")
+    free = sf._free(m)
+    if not free:
+        return []
+    # S^-1 restricted to the free rows, times the vectors as columns
+    return transpose(matmul(vecs, transpose([sf.s_inv[i] for i in free])))
 
 
 def is_unimodular(a) -> bool:
     mat = to_matrix(a)
-    return mat.shape[0] == mat.shape[1] and det(mat) in (1, -1)
+    return len(mat) == len(mat[0]) and det(mat) in (1, -1)
 
 
-def unimodular_inverse(a) -> np.ndarray:
+def unimodular_inverse(a) -> Matrix:
     """Exact integer inverse of a matrix with determinant +-1."""
     mat = to_matrix(a)
     sf = smith_form(mat)
-    if any(x != 1 for x in sf.diagonal) or mat.shape[0] != mat.shape[1]:
+    if any(x != 1 for x in sf.diagonal) or len(mat) != len(mat[0]):
         raise ValueError("matrix is not unimodular")
     # a = s @ t, so the inverse is t_inv @ s_inv.
-    return sf.t_inv @ sf.s_inv
+    return matmul(sf.t_inv, sf.s_inv)

@@ -7,15 +7,15 @@ volume class together with lifts of the fixed classes of phi^*, and the
 connecting map mu identifies H^2(Y) modulo the fiber class with the free
 part of the cokernel of A. Degeneracy and nullity downstream are real
 ranks, so all bases here are rational-rank data; the integral torsion of A
-is computed and reported as a diagnostic only.
+is computed and reported as a diagnostic only. Ranks, bases and torsion
+are all read off one Smith decomposition of A, held as rows of Python
+ints; the monodromy itself is an immutable, packed int matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
 
 from . import linalg, surfaces
 from .errors import ConsistencyError
@@ -33,13 +33,12 @@ class MappingTorus:
         return self.word.genus
 
     @cached_property
-    def monodromy(self) -> np.ndarray:
-        m = surfaces.compose_word(self.word)
-        m.setflags(write=False)
-        return m
+    def monodromy(self) -> linalg.FrozenMatrix:
+        """The pullback action on H^1, kept packed for the torus's lifetime."""
+        return linalg.FrozenMatrix(surfaces.compose_word(self.word))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WangData:
     """Ranks and tagged bases of H^1(Y) and H^2(Y).
 
@@ -68,9 +67,9 @@ class WangData:
             raise ConsistencyError("mu image must have rank b2(Y) - 1")
 
     @property
-    def invariant_matrix(self) -> np.ndarray:
-        return linalg.to_matrix(self.invariant_basis) if self.invariant_basis \
-            else linalg.zeros(0, 2 * self.genus)
+    def invariant_matrix(self) -> linalg.Matrix:
+        """The invariant basis as fresh int rows (no rows when it is empty)."""
+        return [list(row) for row in self.invariant_basis]
 
 
 def _wedge_tag(vector, genus: int) -> str:
@@ -86,56 +85,61 @@ def wang_cohomology(
 ) -> WangData:
     """Wang-sequence cohomology data of a mapping torus.
 
-    Optional preferred bases replace the generically computed ones after
-    being verified exactly: a preferred invariant basis must be a saturated
-    spanning set of ker(phi^* - 1), and a preferred mu basis must map to a
-    lattice basis of the free part of coker(phi^* - 1). A failed check
-    raises :class:`ConsistencyError`.
+    One Smith decomposition of phi^* - 1 yields the rank, the generic
+    kernel and free cokernel bases, and the torsion. Optional preferred
+    bases replace the generic ones after being verified exactly: a
+    preferred invariant basis must be a saturated spanning set of
+    ker(phi^* - 1), and a preferred mu basis must map to a lattice basis
+    of the free part of coker(phi^* - 1). A failed check raises
+    :class:`ConsistencyError`.
     """
     g = torus.genus
     n = 2 * g
-    a = torus.monodromy - linalg.identity(n)
+    a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(torus.monodromy)]
     sf = linalg.smith_form(a)
     fixed_rank = n - sf.rank
 
     if invariant_basis is None:
-        inv = linalg.kernel_basis(a)
+        inv = sf.kernel_basis()
     else:
-        inv = linalg.to_matrix(invariant_basis) if len(invariant_basis) else linalg.zeros(0, n)
-        if inv.shape != (fixed_rank, n):
-            raise ConsistencyError(
-                f"invariant basis has shape {inv.shape}, expected ({fixed_rank}, {n})"
-            )
-        if fixed_rank and not (a @ inv.T == 0).all():
+        inv = _preferred_rows(invariant_basis, "invariant", fixed_rank, n)
+        if inv and any(map(any, linalg.matmul(inv, linalg.transpose(a)))):
             raise ConsistencyError("invariant basis vector not fixed by the monodromy")
         if fixed_rank and linalg.elementary_divisors(inv):
             raise ConsistencyError("invariant basis does not span a saturated lattice")
 
     if mu_basis is None:
-        mu = linalg.cokernel_free_basis(a)
+        mu = sf.cokernel_free_basis()
     else:
-        mu = linalg.to_matrix(mu_basis) if len(mu_basis) else linalg.zeros(0, n)
-        if mu.shape != (fixed_rank, n):
-            raise ConsistencyError(
-                f"mu basis has shape {mu.shape}, expected ({fixed_rank}, {n})"
-            )
+        mu = _preferred_rows(mu_basis, "mu", fixed_rank, n)
         if fixed_rank:
             coords = linalg.cokernel_free_coordinates(sf, mu)
             if not linalg.is_unimodular(coords):
                 raise ConsistencyError("mu basis is not a lattice basis of the free cokernel")
 
-    inv_rows = tuple(tuple(int(x) for x in row) for row in inv)
-    mu_rows = tuple(tuple(int(x) for x in row) for row in mu)
+    inv_rows = tuple(map(tuple, inv))
+    mu_rows = tuple(map(tuple, mu))
     return WangData(
         genus=g,
         b1=fixed_rank + 1,
         b2=fixed_rank + 1,
         invariant_basis=inv_rows,
         mu_basis=mu_rows,
-        torsion=linalg.elementary_divisors(a),
+        torsion=sf.elementary_divisors,
         h1_tags=("theta",) + tuple(surfaces.class_symbol(r, g) for r in inv_rows),
         h2_tags=("Omega",) + tuple(_wedge_tag(r, g) for r in mu_rows),
     )
+
+
+def _preferred_rows(basis, name: str, fixed_rank: int, n: int) -> linalg.Matrix:
+    """A preferred basis as int rows, which must number ``fixed_rank``, of length n."""
+    rows = linalg.to_matrix(basis) if len(basis) else []
+    shape = (len(rows), len(rows[0]) if rows else n)
+    if shape != (fixed_rank, n):
+        raise ConsistencyError(
+            f"{name} basis has shape {shape}, expected ({fixed_rank}, {n})"
+        )
+    return rows
 
 
 def mu_image(torus: MappingTorus) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:

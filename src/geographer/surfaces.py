@@ -4,18 +4,22 @@ A genus ``g`` surface carries the symplectic basis a1, b1, ..., ag, bg of
 H_1 with a_i . b_i = +1, and the dual basis alpha_1, beta_1, ... of H^1.
 A Dehn twist along a simple closed curve acts on these lattices by an
 integral transvection; words of twists compose to integral symplectic
-matrices. Everything here is a pure function of integer data.
+matrices, returned as immutable tuples of int rows. Each letter is
+applied as a rank-one update, so a word of L letters costs O(L g^2).
+Everything here is a pure function of integer data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from . import linalg
 
+IntRows = tuple[tuple[int, ...], ...]
 
+
+@lru_cache(maxsize=64)
 def basis_labels(genus: int) -> tuple[str, ...]:
     """Symbols of the homology basis, in the order a1, b1, ..., ag, bg."""
     labels = []
@@ -27,22 +31,24 @@ def basis_labels(genus: int) -> tuple[str, ...]:
 
 def a_curve(i: int, genus: int) -> tuple[int, ...]:
     """Coefficient vector of the class a_i."""
-    _check_handle(i, genus)
-    return tuple(1 if j == 2 * (i - 1) else 0 for j in range(2 * genus))
+    return _handle_vector(i, genus, 0)
 
 
 def b_curve(i: int, genus: int) -> tuple[int, ...]:
     """Coefficient vector of the class b_i."""
-    _check_handle(i, genus)
-    return tuple(1 if j == 2 * i - 1 else 0 for j in range(2 * genus))
+    return _handle_vector(i, genus, 1)
 
 
-def _check_handle(i: int, genus: int) -> None:
+def _handle_vector(i: int, genus: int, offset: int) -> tuple[int, ...]:
+    """Unit vector of a_i (offset 0) or b_i (offset 1)."""
     if not 1 <= i <= genus:
         raise ValueError(f"handle index {i} out of range for genus {genus}")
+    vec = [0] * (2 * genus)
+    vec[2 * i - 2 + offset] = 1
+    return tuple(vec)
 
 
-def intersection_form(genus: int) -> np.ndarray:
+def intersection_form(genus: int) -> linalg.Matrix:
     """Block diagonal skew form J with J(a_i, b_i) = +1.
 
     The same matrix also represents the cup-product pairing of H^1 in the
@@ -53,8 +59,8 @@ def intersection_form(genus: int) -> np.ndarray:
         raise ValueError("genus must be positive")
     j = linalg.zeros(2 * genus, 2 * genus)
     for i in range(genus):
-        j[2 * i, 2 * i + 1] = 1
-        j[2 * i + 1, 2 * i] = -1
+        j[2 * i][2 * i + 1] = 1
+        j[2 * i + 1][2 * i] = -1
     return j
 
 
@@ -103,7 +109,24 @@ class TwistWord:
         return TwistWord(self.genus, tuple(l.inverse() for l in reversed(self.letters)))
 
 
-def twist_transvection(curve, genus: int, power: int = 1) -> np.ndarray:
+def _twist_in_place(m: linalg.Matrix, letter: Twist) -> None:
+    """M <- T M for the transvection T = I - p (J c) c^T of one letter.
+
+    T M = M - p (J c)(c^T M): one combination of the rows of M over the
+    support of c, subtracted from the rows where J c is nonzero.
+    """
+    c = letter.curve
+    support = [(x, m[i]) for i, x in enumerate(c) if x]
+    combo = [sum(x * row[col] for x, row in support) for col in range(len(c))]
+    for i in range(0, len(c), 2):
+        # (J c) pairs a_i with b_i: (J c)_{2i} = c_{2i+1}, (J c)_{2i+1} = -c_{2i}
+        for target, jc in ((i, c[i + 1]), (i + 1, -c[i])):
+            if jc:
+                scale = letter.power * jc
+                m[target] = [x - scale * y for x, y in zip(m[target], combo)]
+
+
+def twist_transvection(curve, genus: int, power: int = 1) -> IntRows:
     """Action on H^1 of the ``power``-fold twist along ``curve``.
 
     With c the coefficient column of the curve and J the intersection
@@ -115,14 +138,12 @@ def twist_transvection(curve, genus: int, power: int = 1) -> np.ndarray:
     letter = Twist(tuple(curve), power)
     if len(letter.curve) != 2 * genus:
         raise ValueError(f"curve of length {len(letter.curve)} for genus {genus}")
-    j = intersection_form(genus)
-    c = linalg.zeros(2 * genus, 1)
-    for i, x in enumerate(letter.curve):
-        c[i, 0] = x
-    return linalg.identity(2 * genus) - letter.power * ((j @ c) @ c.T)
+    m = linalg.identity(2 * genus)
+    _twist_in_place(m, letter)
+    return tuple(map(tuple, m))
 
 
-def compose_word(word: TwistWord) -> np.ndarray:
+def compose_word(word: TwistWord) -> IntRows:
     """Pullback action on H^1 of the whole word.
 
     Pullbacks compose in the opposite order of the diffeomorphisms, so the
@@ -130,23 +151,24 @@ def compose_word(word: TwistWord) -> np.ndarray:
     """
     m = linalg.identity(2 * word.genus)
     for letter in word.letters:
-        m = twist_transvection(letter.curve, word.genus, letter.power) @ m
-    return m
+        _twist_in_place(m, letter)
+    return tuple(map(tuple, m))
 
 
-def homology_action(m: np.ndarray) -> np.ndarray:
+def homology_action(m) -> linalg.Matrix:
     """Induced map on H_1, the adjoint of the H^1 action under evaluation."""
-    return m.T.copy()
+    return linalg.transpose(m)
 
 
 def is_symplectic(m) -> bool:
     """M^T J M = J together with det M = 1."""
     mat = linalg.to_matrix(m)
-    n = mat.shape[0]
-    if mat.shape[1] != n or n % 2 != 0 or n == 0:
+    n = len(mat)
+    if len(mat[0]) != n or n % 2 != 0:
         return False
     j = intersection_form(n // 2)
-    return bool((mat.T @ j @ mat == j).all()) and linalg.det(mat) == 1
+    return linalg.matmul(linalg.transpose(mat), linalg.matmul(j, mat)) == j \
+        and linalg.det(mat) == 1
 
 
 def bundle_monodromy_word(d: int, k: int, g: int) -> TwistWord:
@@ -174,12 +196,14 @@ def _check_weights(d: int, k: int, g: int) -> None:
         raise ValueError(f"weights must satisfy 0 <= d <= k <= g, got ({d}, {k}, {g})")
 
 
-def invariant_subspace(m) -> np.ndarray:
+def invariant_subspace(m) -> linalg.Matrix:
     """Saturated integral basis (rows) of the fixed subspace ker(M - I)."""
     mat = linalg.to_matrix(m)
-    if mat.shape[0] != mat.shape[1]:
+    if len(mat) != len(mat[0]):
         raise ValueError("monodromy matrix must be square")
-    return linalg.kernel_basis(mat - linalg.identity(mat.shape[0]))
+    return linalg.kernel_basis(
+        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+    )
 
 
 def class_symbol(vector, genus: int) -> str:

@@ -10,13 +10,29 @@ from geographer.surfaces import Twist, TwistWord
 small_ints = st.integers(min_value=-9, max_value=9)
 
 
+def shape(matrix, width=None):
+    """(rows, columns) of a matrix given as rows; None when the rows are ragged.
+
+    ``width`` is the column count reported for a matrix with no rows.
+    """
+    widths = {len(row) for row in matrix}
+    if len(widths) > 1:
+        return None
+    return (len(matrix), widths.pop() if widths else width)
+
+
+def minus_identity(matrix):
+    """M - I for a square matrix given as rows."""
+    return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+
+
 @st.composite
-def integer_matrices(draw, min_dim=1, max_dim=5, square=False):
+def integer_matrices(draw, min_dim=1, max_dim=5, square=False, entries=small_ints):
     m = draw(st.integers(min_dim, max_dim))
     n = m if square else draw(st.integers(min_dim, max_dim))
     rows = draw(
         st.lists(
-            st.lists(small_ints, min_size=n, max_size=n),
+            st.lists(entries, min_size=n, max_size=n),
             min_size=m,
             max_size=m,
         )
@@ -57,9 +73,10 @@ def unimodular_matrices(draw, n, max_ops=8):
         i = draw(st.integers(0, n - 1))
         j = draw(st.integers(0, n - 1))
         if kind == "add" and i != j:
-            mat[i, :] += draw(st.integers(-3, 3)) * mat[j, :]
+            q = draw(st.integers(-3, 3))
+            mat[i] = [x + q * y for x, y in zip(mat[i], mat[j])]
         elif kind == "swap" and i != j:
-            mat[[i, j], :] = mat[[j, i], :]
+            mat[i], mat[j] = mat[j], mat[i]
         elif kind == "negate":
-            mat[i, :] = -mat[i, :]
+            mat[i] = [-x for x in mat[i]]
     return mat

@@ -37,6 +37,7 @@ from geographer.surfaces import (
     intersection_form,
     is_symplectic,
 )
+from strategies import minus_identity
 
 
 def weight_grid(bound):
@@ -114,14 +115,14 @@ def test_monodromy_fixed_blocks_and_ranks():
         m = compose_word(bundle_monodromy_word(d, k, g))
         eye2 = linalg.identity(2)
         for i in range(1, g + 1):
-            block = m[2 * i - 2:2 * i, 2 * i - 2:2 * i]
+            block = [list(row[2 * i - 2:2 * i]) for row in m[2 * i - 2:2 * i]]
             if i <= d:
-                assert block.tolist() == [[1, 0], [1, 1]], (d, k, g, i)
+                assert block == [[1, 0], [1, 1]], (d, k, g, i)
             elif i <= k:
-                assert (block == eye2).all(), (d, k, g, i)
+                assert block == eye2, (d, k, g, i)
             else:
-                assert linalg.rank(block - eye2) == 2, (d, k, g, i)
-        a = m - linalg.identity(2 * g)
+                assert linalg.rank(minus_identity(block)) == 2, (d, k, g, i)
+        a = minus_identity(m)
         assert 2 * g - linalg.rank(a) == 2 * k - d, (d, k, g)
         assert 2 * g - linalg.rational_rank(a) == 2 * k - d, (d, k, g)
         cases += 1
@@ -216,7 +217,7 @@ def test_property_suites():
         m = compose_word(TwistWord(genus, tuple(letters)))
         assert is_symplectic(m)
         j = intersection_form(genus)
-        assert (m.T @ j @ m == j).all()
+        assert linalg.matmul(linalg.matmul(linalg.transpose(m), j), m) == j
         words_checked += 1
 
     bounds_checked = 0

@@ -1,9 +1,24 @@
 """Command line contracts: exit codes, emitters, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from geographer import circle_bundle, linalg
-from geographer.cli import EXIT_INADMISSIBLE, EXIT_OK, EXIT_OPEN, EXIT_USAGE, main
+from geographer.cli import (
+    EXIT_INADMISSIBLE,
+    EXIT_IO_ERROR,
+    EXIT_OK,
+    EXIT_OPEN,
+    EXIT_USAGE,
+    main,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -172,7 +187,7 @@ def test_verify_catches_injected_pairing_fault(capsys, monkeypatch):
 
     def corrupted(data, spec, invariant_basis=None, cup=None):
         q, labels = original(data, spec, invariant_basis=invariant_basis, cup=cup)
-        return linalg.zeros(*q.shape), labels  # kill the pairing entirely
+        return linalg.zeros(len(q), len(q[0])), labels  # kill the pairing entirely
 
     monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
     code, out, _ = run(capsys, "verify", "--grid-max", "2")
@@ -212,3 +227,40 @@ def test_genus_environment_must_be_integer(capsys, monkeypatch):
     code, _, err = run(capsys, "realize", "0", "2", "0")
     assert code == EXIT_INADMISSIBLE
     assert "GEOGRAPHER_GENUS_DEFAULT" in err
+
+
+def test_enumerate_genus_environment_must_be_integer(capsys, monkeypatch):
+    monkeypatch.setenv("GEOGRAPHER_GENUS_DEFAULT", "tall")
+    code, out, err = run(capsys, "enumerate", "--sigma-min", "-8", "--b1-max", "2")
+    assert code == EXIT_INADMISSIBLE
+    assert out == ""
+    assert "GEOGRAPHER_GENUS_DEFAULT" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("realize", "0", "4", "4"),
+        ("enumerate", "--sigma-min", "-8", "--b1-max", "2"),
+        ("verify", "--grid-max", "1"),
+    ],
+)
+def test_unwritable_out_exits_74(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == EXIT_IO_ERROR == 74
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert str(target) in err
+    assert not target.exists()
+
+
+def test_cli_import_does_not_load_numpy():
+    probe = "import sys, geographer.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -85,6 +85,32 @@ def test_realize_rejects_inadmissible():
         realize(0, 1, 1)
 
 
+NON_INTEGER_TRIPLES = [
+    (-8.0, 2, 0),
+    (0, 4.0, 4),
+    (0, 3, 1.0),
+    (True, 2, 0),
+    (0, True, True),
+    (0, 2, False),
+]
+
+
+@pytest.mark.parametrize("triple", NON_INTEGER_TRIPLES)
+def test_non_integer_triples_are_inadmissible(triple):
+    assert not is_admissible(*triple)
+    assert not is_null_admissible(*triple)
+    with pytest.raises(InadmissibleError, match="integers"):
+        realize(*triple)
+    with pytest.raises(InadmissibleError, match="integers"):
+        realize_null(*triple)
+
+
+@pytest.mark.parametrize("bounds", [(-8.0, 2), (-8, 2.0), (False, 2), (0, True)])
+def test_enumerate_rejects_non_integer_bounds(bounds):
+    with pytest.raises(InadmissibleError, match="integers"):
+        list(enumerate_region(*bounds))
+
+
 def test_realize_soundness_region():
     for a in range(0, -25, -8):
         for b in range(0, 7):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geographer import linalg
-from strategies import integer_matrices, small_ints
+from strategies import integer_matrices, shape, small_ints
 
 
 def fraction_det(rows):
@@ -40,11 +40,47 @@ def test_to_matrix_rejects_bad_input():
         linalg.to_matrix([[True]])
 
 
+def test_to_matrix_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        linalg.to_matrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        linalg.to_matrix([[1], 2])
+
+
+def test_matmul_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        linalg.matmul([[1, 2]], [[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, -2], [3, 4]],
+        [[127, -128], [128, -129]],  # the edges of the one-byte packing
+        [[2**63 - 1, -(2**63)], [0, 1]],  # the edges of the widest packing
+        [[2**63, 0], [0, -(2**70)]],  # too wide to pack
+    ],
+)
+def test_frozen_matrix_keeps_entries_exactly(rows):
+    frozen = linalg.FrozenMatrix(rows)
+    assert len(frozen) == 2
+    assert list(frozen) == [tuple(row) for row in rows]
+    assert frozen[-1] == tuple(rows[-1])
+    assert frozen == rows and rows == frozen
+    assert frozen != [[x + 1 for x in row] for row in rows]
+    assert all(type(x) is int for row in frozen for x in row)
+
+
+def test_frozen_matrix_rejects_non_integers():
+    with pytest.raises(ValueError):
+        linalg.FrozenMatrix([[1.5]])
+
+
 def test_identity_and_zeros_hold_python_ints():
     eye = linalg.identity(3)
-    assert eye.dtype == object and type(eye[0, 0]) is int
-    assert (eye @ eye == eye).all()
-    assert linalg.zeros(2, 3).shape == (2, 3)
+    assert all(type(x) is int for row in eye for x in row)
+    assert linalg.matmul(eye, eye) == eye
+    assert shape(linalg.zeros(2, 3)) == (2, 3)
 
 
 @given(integer_matrices(square=True))
@@ -62,9 +98,9 @@ def test_det_frozen_values():
 def test_smith_decomposition_properties(rows):
     a = linalg.to_matrix(rows)
     sf = linalg.smith_form(a)
-    assert (sf.s @ sf.d @ sf.t == a).all()
-    assert (sf.s @ sf.s_inv == linalg.identity(a.shape[0])).all()
-    assert (sf.t @ sf.t_inv == linalg.identity(a.shape[1])).all()
+    assert linalg.matmul(linalg.matmul(sf.s, sf.d), sf.t) == a
+    assert linalg.matmul(sf.s, sf.s_inv) == linalg.identity(len(a))
+    assert linalg.matmul(sf.t, sf.t_inv) == linalg.identity(len(a[0]))
     assert linalg.det(sf.s) in (1, -1)
     assert linalg.det(sf.t) in (1, -1)
     diag = sf.diagonal
@@ -76,9 +112,9 @@ def test_smith_decomposition_properties(rows):
         if previous == 0:
             assert current == 0
     off_diagonal = [
-        sf.d[i, j]
-        for i in range(a.shape[0])
-        for j in range(a.shape[1])
+        sf.d[i][j]
+        for i in range(len(a))
+        for j in range(len(a[0]))
         if i != j
     ]
     assert all(x == 0 for x in off_diagonal)
@@ -89,13 +125,28 @@ def test_rank_agrees_with_rational_elimination(rows):
     assert linalg.rank(rows) == linalg.rational_rank(rows)
 
 
+@given(integer_matrices(max_dim=12, entries=st.integers(-50, 50)))
+def test_bareiss_rank_matches_rational_and_smith_rank(rows):
+    # the three ranks come from three independent eliminations
+    assert linalg.rank(rows) == linalg.rational_rank(rows) == linalg.smith_form(rows).rank
+
+
+@given(integer_matrices(max_dim=12, entries=st.integers(-50, 50)))
+def test_bareiss_rank_of_rank_deficient_products(rows):
+    # A B B^T has rank at most 3 for the fixed 3-column B below, so the
+    # elimination meets pivotless columns at the large sizes too
+    b = [[(i * 7 + j * 3) % 5 - 2 for j in range(3)] for i in range(len(rows[0]))]
+    product = linalg.matmul(linalg.matmul(rows, b), linalg.transpose(b))
+    assert linalg.rank(product) == linalg.rational_rank(product) <= 3
+
+
 @given(integer_matrices())
 def test_kernel_is_saturated_and_annihilates(rows):
     a = linalg.to_matrix(rows)
     kernel = linalg.kernel_basis(a)
-    assert kernel.shape == (a.shape[1] - linalg.rank(a), a.shape[1])
-    if kernel.shape[0]:
-        assert (a @ kernel.T == 0).all()
+    assert shape(kernel, len(a[0])) == (len(a[0]) - linalg.rank(a), len(a[0]))
+    if kernel:
+        assert linalg.matmul(a, linalg.transpose(kernel)) == linalg.zeros(len(a), len(kernel))
         # a saturated basis has unit invariant factors and primitive rows
         assert linalg.elementary_divisors(kernel) == ()
         assert all(linalg.is_primitive(row) for row in kernel)
@@ -105,8 +156,8 @@ def test_kernel_is_saturated_and_annihilates(rows):
 def test_cokernel_free_basis_size(rows):
     a = linalg.to_matrix(rows)
     basis = linalg.cokernel_free_basis(a)
-    assert basis.shape == (a.shape[0] - linalg.rank(a), a.shape[0])
-    if basis.shape[0]:
+    assert shape(basis, len(a)) == (len(a) - linalg.rank(a), len(a))
+    if basis:
         coords = linalg.cokernel_free_coordinates(linalg.smith_form(a), basis)
         assert linalg.is_unimodular(coords)
 
@@ -129,7 +180,7 @@ def test_unimodular_inverse_round_trip(rows):
     a = linalg.to_matrix(rows)
     if linalg.det(a) in (1, -1):
         inv = linalg.unimodular_inverse(a)
-        assert (a @ inv == linalg.identity(a.shape[0])).all()
+        assert linalg.matmul(a, inv) == linalg.identity(len(a))
     else:
         with pytest.raises(ValueError):
             linalg.unimodular_inverse(a)
