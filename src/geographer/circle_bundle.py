@@ -138,17 +138,16 @@ def lefschetz_pairing(
     class vanishes. ``invariant_basis`` and ``cup`` may be overridden to
     exercise basis independence; defaults come from the Wang data.
     """
-    basis = (
-        linalg.to_matrix(invariant_basis)
-        if invariant_basis is not None
-        else data.invariant_matrix
-    )
-    pairing = cup if cup is not None else surfaces.cup_form(data.genus)
+    if invariant_basis is not None:
+        basis = linalg.to_matrix(invariant_basis)
+    else:
+        basis = linalg.to_matrix(data.invariant_basis) if data.invariant_basis else []
+    pairing = linalg.to_matrix(cup) if cup is not None else surfaces.cup_form(data.genus)
     m = len(basis)
     size = 1 + m + (1 if spec.is_zero else 0)
     q = linalg.zeros(size, size)
     if m:
-        block = linalg.matmul(linalg.matmul(basis, pairing), linalg.transpose(basis))
+        block = linalg._matmul(linalg._matmul(basis, pairing), linalg._transpose(basis))
         for i, row in enumerate(block):
             q[1 + i][1:1 + m] = row
     labels = ("theta",) + data.h1_tags[1:1 + m]
@@ -162,7 +161,9 @@ def lefschetz_pairing(
 def degeneracy_oracle(q, b1: int) -> int:
     """Degeneracy as the rank defect of the assembled pairing matrix."""
     mat = linalg.to_matrix(q)
-    if linalg.transpose(mat) != [[-x for x in row] for row in mat]:
+    if len(mat) != len(mat[0]) or any(
+        list(col) != [-x for x in row] for row, col in zip(mat, zip(*mat))
+    ):
         raise ValueError("pairing matrix must be skew-symmetric")
     return b1 - linalg.rank(mat)
 

@@ -289,7 +289,9 @@ def cmd_enumerate(args) -> int:
     except InadmissibleError as exc:
         print(f"invalid genus floor: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    recipes = list(geography.enumerate_region(args.sigma_min, args.b1_max, genus=genus))
+    # rows are rendered as the recipes stream in; a failing recipe raises
+    # before anything is written
+    recipes = geography.enumerate_region(args.sigma_min, args.b1_max, genus=genus)
     if args.format == "json":
         docs = [recipe_document(r) for r in recipes]
         _emit(json.dumps(docs, indent=2) + "\n", args.out)

@@ -7,6 +7,16 @@ caller may mutate. Ranks and determinants come from fraction-free
 (Bareiss) elimination; kernels, cokernels and torsion are read off an
 integer Smith decomposition. :func:`rational_rank` is an independent
 Fraction-based elimination used to cross-check ranks in the test suite.
+
+Most matrices here are sparse with entries in {-1, 0, 1}, and the
+kernels cost in proportion to their nonzeros where they can. Bareiss
+elimination makes every pivot positive by negating its row, so a row
+with a zero in the pivot column is skipped whenever the pivot equals
+the previous one; on the pairings and unit-vector bases of the bundle
+path every pivot is 1. Arguments are validated once, by
+:func:`to_matrix`, at the public boundary. Compositions inside the
+package hand rows they have already validated or built to the private
+kernels :func:`_matmul` and :func:`_transpose`, which trust their input.
 """
 
 from __future__ import annotations
@@ -52,7 +62,11 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(a) -> Matrix:
-    return [list(col) for col in zip(*to_matrix(a))]
+    return _transpose(to_matrix(a))
+
+
+def _transpose(rows) -> Matrix:
+    return [list(col) for col in zip(*rows)]
 
 
 def matmul(a, b) -> Matrix:
@@ -62,7 +76,11 @@ def matmul(a, b) -> Matrix:
     skipped, which pays off on the sparse, mostly unit-vector bases used
     throughout the package.
     """
-    left, right = to_matrix(a), to_matrix(b)
+    return _matmul(to_matrix(a), to_matrix(b))
+
+
+def _matmul(left, right) -> Matrix:
+    """:func:`matmul` on validated rows; the shapes are still checked."""
     if len(left[0]) != len(right):
         raise ValueError(
             f"cannot multiply {len(left)}x{len(left[0])} by {len(right)}x{len(right[0])}"
@@ -95,7 +113,7 @@ class FrozenMatrix:
         self._rows = len(mat)
         flat = [x for row in mat for x in row]
         # x fits a signed k-bit int exactly when max(x, ~x) has under k bits
-        bits = max(max(x, ~x) for x in flat).bit_length() if flat else 0
+        bits = max(max(flat), ~min(flat)).bit_length() if flat else 0
         code = next((c for c in "bhiq" if bits < 8 * array(c).itemsize), None)
         self._flat = tuple(flat) if code is None else array(code, flat)
 
@@ -138,10 +156,16 @@ def is_primitive(v) -> bool:
 def _bareiss(m: Matrix) -> tuple[int, int, int]:
     """Fraction-free row echelon elimination of ``m`` in place.
 
-    Returns (rank, sign of the row permutation, last pivot). Every entry
-    stays a minor of the input (Bareiss, Math. Comp. 22, 1968), so each
-    division is exact and intermediate sizes are bounded by Hadamard's
-    inequality. Columns without a pivot are skipped.
+    Returns (rank, sign, last pivot), where sign is that of the row
+    permutation times -1 for every negated row. Every entry stays a minor
+    of the input (Bareiss, Math. Comp. 22, 1968), so each division is
+    exact and intermediate sizes are bounded by Hadamard's inequality.
+    Columns without a pivot are skipped. A negative pivot row is negated:
+    that is elimination of the input with that row negated, whose later
+    minors all contain the row and so only change sign. With positive
+    pivots a row with a zero in the pivot column needs no update whenever
+    the pivot equals the previous one, which on {-1, 0, 1} matrices is
+    the common case.
     """
     nrows, ncols = len(m), len(m[0])
     rank_ = 0
@@ -156,6 +180,10 @@ def _bareiss(m: Matrix) -> tuple[int, int, int]:
             sign = -sign
         top = m[rank_]
         p = top[col]
+        if p < 0:
+            top = m[rank_] = [-x for x in top]
+            p = -p
+            sign = -sign
         for r in range(rank_ + 1, nrows):
             row = m[r]
             x = row[col]
@@ -189,24 +217,24 @@ def rational_rank(a) -> int:
     """Rank by Gaussian elimination over the rationals.
 
     Kept deliberately independent of :func:`rank` and :func:`smith_form`
-    so they can be played against each other as exact oracles.
+    so they can be played against each other as exact oracles. Entries
+    start as ints and become Fractions only where an update reaches them;
+    zero entries of the pivot row are skipped, so sparse matrices of the
+    sizes the CLI accepts stay cheap.
     """
-    m = to_matrix(a)
-    rows = [[Fraction(x) for x in row] for row in m]
-    nrows = len(rows)
-    ncols = len(m[0])
+    rows = to_matrix(a)
+    nrows, ncols = len(rows), len(rows[0])
     rank_ = 0
     for col in range(ncols):
         pivot = next((r for r in range(rank_, nrows) if rows[r][col] != 0), None)
         if pivot is None:
             continue
         rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
-        inv = 1 / rows[rank_][col]
-        rows[rank_] = [x * inv for x in rows[rank_]]
-        for r in range(nrows):
-            if r != rank_ and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank_])]
+        top = rows[rank_]
+        for r in range(rank_ + 1, nrows):
+            if rows[r][col] != 0:
+                factor = Fraction(rows[r][col]) / top[col]
+                rows[r] = [x - factor * y if y else x for x, y in zip(rows[r], top)]
         rank_ += 1
     return rank_
 
@@ -377,7 +405,7 @@ def cokernel_free_coordinates(sf: SmithForm, vectors) -> Matrix:
     if not free:
         return []
     # S^-1 restricted to the free rows, times the vectors as columns
-    return transpose(matmul(vecs, transpose([sf.s_inv[i] for i in free])))
+    return _transpose(_matmul(vecs, _transpose([sf.s_inv[i] for i in free])))
 
 
 def is_unimodular(a) -> bool:
@@ -387,9 +415,8 @@ def is_unimodular(a) -> bool:
 
 def unimodular_inverse(a) -> Matrix:
     """Exact integer inverse of a matrix with determinant +-1."""
-    mat = to_matrix(a)
-    sf = smith_form(mat)
-    if any(x != 1 for x in sf.diagonal) or len(mat) != len(mat[0]):
+    sf = smith_form(a)
+    if any(x != 1 for x in sf.diagonal) or len(sf.s) != len(sf.t):
         raise ValueError("matrix is not unimodular")
     # a = s @ t, so the inverse is t_inv @ s_inv.
-    return matmul(sf.t_inv, sf.s_inv)
+    return _matmul(sf.t_inv, sf.s_inv)

@@ -88,14 +88,17 @@ def wang_cohomology(
     One Smith decomposition of phi^* - 1 yields the rank, the generic
     kernel and free cokernel bases, and the torsion. Optional preferred
     bases replace the generic ones after being verified exactly: a
-    preferred invariant basis must be a saturated spanning set of
-    ker(phi^* - 1), and a preferred mu basis must map to a lattice basis
-    of the free part of coker(phi^* - 1). A failed check raises
+    preferred invariant basis must consist of fixed vectors, independent
+    and spanning a saturated lattice, so that it is a lattice basis of
+    ker(phi^* - 1); a preferred mu basis must map to a lattice basis of
+    the free part of coker(phi^* - 1). A failed check raises
     :class:`ConsistencyError`.
     """
     g = torus.genus
     n = 2 * g
-    a = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(torus.monodromy)]
+    a = [list(row) for row in torus.monodromy]
+    for i in range(n):
+        a[i][i] -= 1
     sf = linalg.smith_form(a)
     fixed_rank = n - sf.rank
 
@@ -103,10 +106,14 @@ def wang_cohomology(
         inv = sf.kernel_basis()
     else:
         inv = _preferred_rows(invariant_basis, "invariant", fixed_rank, n)
-        if inv and any(map(any, linalg.matmul(inv, linalg.transpose(a)))):
+        if inv and any(map(any, linalg._matmul(inv, linalg._transpose(a)))):
             raise ConsistencyError("invariant basis vector not fixed by the monodromy")
-        if fixed_rank and linalg.elementary_divisors(inv):
-            raise ConsistencyError("invariant basis does not span a saturated lattice")
+        if fixed_rank:
+            inv_sf = linalg.smith_form(inv)
+            if inv_sf.rank != fixed_rank:
+                raise ConsistencyError("invariant basis rows are linearly dependent")
+            if inv_sf.elementary_divisors:
+                raise ConsistencyError("invariant basis does not span a saturated lattice")
 
     if mu_basis is None:
         mu = sf.cokernel_free_basis()

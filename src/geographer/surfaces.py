@@ -116,8 +116,10 @@ def _twist_in_place(m: linalg.Matrix, letter: Twist) -> None:
     support of c, subtracted from the rows where J c is nonzero.
     """
     c = letter.curve
-    support = [(x, m[i]) for i, x in enumerate(c) if x]
-    combo = [sum(x * row[col] for x, row in support) for col in range(len(c))]
+    combo = [0] * len(c)
+    for x, row in zip(c, m):
+        if x:
+            combo = [u + x * v for u, v in zip(combo, row)]
     for i in range(0, len(c), 2):
         # (J c) pairs a_i with b_i: (J c)_{2i} = c_{2i+1}, (J c)_{2i+1} = -c_{2i}
         for target, jc in ((i, c[i + 1]), (i + 1, -c[i])):
@@ -167,7 +169,7 @@ def is_symplectic(m) -> bool:
     if len(mat[0]) != n or n % 2 != 0:
         return False
     j = intersection_form(n // 2)
-    return linalg.matmul(linalg.transpose(mat), linalg.matmul(j, mat)) == j \
+    return linalg._matmul(linalg._transpose(mat), linalg._matmul(j, mat)) == j \
         and linalg.det(mat) == 1
 
 

@@ -1,6 +1,8 @@
 """Shared hypothesis strategies for exact-arithmetic property tests."""
 
 import math
+import random
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -24,6 +26,46 @@ def shape(matrix, width=None):
 def minus_identity(matrix):
     """M - I for a square matrix given as rows."""
     return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+
+
+def fraction_det(rows):
+    """Independent determinant: plain fraction elimination."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    n = len(mat)
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            result = -result
+        result *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, n):
+            if mat[r][col] != 0:
+                factor = mat[r][col] * inv
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
+    assert result.denominator == 1
+    return int(result)
+
+
+@st.composite
+def sparse_sign_matrices(draw, max_dim=64, per_row=3, square=False):
+    """Matrices over {-1, 0, 1} with about ``per_row`` nonzeros a row.
+
+    Nonzero entries are -1 or +1 with equal odds, so negative pivots are
+    as common as positive ones. The entries come from a seeded generator:
+    drawing thousands of entries one by one would dominate the run.
+    """
+    m = draw(st.integers(1, max_dim))
+    n = m if square else draw(st.integers(1, max_dim))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = min(1.0, per_row / n)
+    return [
+        [rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
 
 
 @st.composite

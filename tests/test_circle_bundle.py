@@ -141,6 +141,32 @@ def test_degeneracy_oracle_equals_closed_form_on_grid():
             assert linalg.rank(q) % 2 == 0
 
 
+def test_bareiss_rank_matches_rational_rank_on_every_pairing_up_to_genus_32():
+    # The assembled pairing of (d, k, g, tag) depends on g only through
+    # g >= k, so g = k covers every pairing of the grid up to g = 32;
+    # the largest is 66 x 66, at (0, 32, 32, 0).
+    largest = 0
+    for k in range(33):
+        for d in range(k + 1):
+            data = bundle_wang_data(d, k, max(k, 1))
+            for tag in valid_tags(d, k):
+                q, _ = lefschetz_pairing(data, default_euler_class(tag, d, k))
+                assert linalg.rank(q) == linalg.rational_rank(q), (d, k, tag)
+                largest = max(largest, len(q))
+    assert largest == 66
+
+
+def test_pairing_does_not_depend_on_genus_beyond_k():
+    for d, k in [(0, 0), (1, 3), (3, 3), (0, 5)]:
+        for tag in valid_tags(d, k):
+            spec = default_euler_class(tag, d, k)
+            pairings = {
+                tuple(map(tuple, lefschetz_pairing(bundle_wang_data(d, k, g), spec)[0]))
+                for g in range(max(k, 1), 12)
+            }
+            assert len(pairings) == 1, (d, k, tag)
+
+
 def test_nullity_bounds_on_grid():
     for d, k, g in grid(8):
         for tag in valid_tags(d, k):

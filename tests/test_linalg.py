@@ -1,34 +1,19 @@
 """Exactness properties of the integer linear algebra core."""
 
-from fractions import Fraction
+from array import array
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geographer import linalg
-from strategies import integer_matrices, shape, small_ints
-
-
-def fraction_det(rows):
-    """Independent determinant: plain fraction elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    n = len(mat)
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            result = -result
-        result *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col] * inv
-            mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-    assert result.denominator == 1
-    return int(result)
+from strategies import (
+    fraction_det,
+    integer_matrices,
+    shape,
+    small_ints,
+    sparse_sign_matrices,
+)
 
 
 def test_to_matrix_rejects_bad_input():
@@ -59,10 +44,27 @@ def test_matmul_rejects_mismatched_shapes():
         [[127, -128], [128, -129]],  # the edges of the one-byte packing
         [[2**63 - 1, -(2**63)], [0, 1]],  # the edges of the widest packing
         [[2**63, 0], [0, -(2**70)]],  # too wide to pack
+        # each edge of each packing, then one past it on either side
+        [[127, -128], [0, 1]],
+        [[128, 0], [0, 1]],
+        [[0, -129], [0, 1]],
+        [[2**15 - 1, -(2**15)], [0, 1]],
+        [[2**15, 0], [0, 1]],
+        [[0, -(2**15) - 1], [0, 1]],
+        [[2**31 - 1, -(2**31)], [0, 1]],
+        [[2**31, 0], [0, 1]],
+        [[0, -(2**31) - 1], [0, 1]],
+        [[2**63, 0], [0, 1]],
+        [[0, -(2**63) - 1], [0, 1]],
     ],
 )
 def test_frozen_matrix_keeps_entries_exactly(rows):
     frozen = linalg.FrozenMatrix(rows)
+    # the narrowest signed packing whose range holds every entry, if any
+    flat = [x for row in rows for x in row]
+    limit = {c: 2 ** (8 * array(c).itemsize - 1) for c in "bhiq"}
+    code = next((c for c in "bhiq" if all(-limit[c] <= x < limit[c] for x in flat)), None)
+    assert getattr(frozen._flat, "typecode", None) == code
     assert len(frozen) == 2
     assert list(frozen) == [tuple(row) for row in rows]
     assert frozen[-1] == tuple(rows[-1])
@@ -85,6 +87,26 @@ def test_identity_and_zeros_hold_python_ints():
 
 @given(integer_matrices(square=True))
 def test_det_matches_fraction_elimination(rows):
+    assert linalg.det(rows) == fraction_det(rows)
+
+
+@given(integer_matrices(square=True, max_dim=8), st.data())
+def test_det_sign_under_row_negation_and_swaps(rows, data):
+    # a negated row and a swap each flip the sign; negating a row can make
+    # its pivot negative
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows) - 1))
+    negated = [[-x for x in row] if r == i else list(row) for r, row in enumerate(rows)]
+    swapped = [list(row) for row in rows]
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    base = linalg.det(rows)
+    assert linalg.det(negated) == fraction_det(negated) == -base
+    assert linalg.det(swapped) == fraction_det(swapped) == (base if i == j else -base)
+
+
+@settings(max_examples=40)
+@given(sparse_sign_matrices(square=True))
+def test_det_of_sparse_sign_matrices_matches_fraction_elimination(rows):
     assert linalg.det(rows) == fraction_det(rows)
 
 
@@ -138,6 +160,20 @@ def test_bareiss_rank_of_rank_deficient_products(rows):
     b = [[(i * 7 + j * 3) % 5 - 2 for j in range(3)] for i in range(len(rows[0]))]
     product = linalg.matmul(linalg.matmul(rows, b), linalg.transpose(b))
     assert linalg.rank(product) == linalg.rational_rank(product) <= 3
+
+
+@settings(max_examples=60)
+@given(sparse_sign_matrices())
+def test_bareiss_rank_of_sparse_sign_matrices_up_to_64(rows):
+    assert linalg.rank(rows) == linalg.rational_rank(rows)
+
+
+def test_bareiss_negative_pivots_frozen():
+    # every pivot of the first is negative; the second needs a swap first
+    assert linalg.det([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]) == -1
+    assert linalg.det([[0, -1], [-1, 1]]) == -1
+    assert linalg.det([[-2, 1], [1, -1]]) == 1
+    assert linalg.rank([[-1, 1, 0], [1, -1, 0], [0, 0, -1]]) == 2
 
 
 @given(integer_matrices())

@@ -90,6 +90,22 @@ def test_wrong_preferred_bases_are_rejected():
         wang_cohomology(torus, mu_basis=[(2, 0, 0, 0)])  # index two sublattice
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [(1, 0, 0, 0), (1, 0, 0, 0)],  # a repeated fixed vector
+        [(1, 0, 0, 0), (0, 0, 0, 0)],  # a zero row
+    ],
+)
+def test_dependent_invariant_basis_is_rejected(basis):
+    # the rows are fixed and have no nontrivial invariant factor, but they
+    # span a rank-one lattice inside the rank-two fixed lattice of a1, b1
+    torus = MappingTorus(bundle_monodromy_word(0, 1, 2))
+    with pytest.raises(ConsistencyError):
+        wang_cohomology(torus, invariant_basis=basis)
+    assert wang_cohomology(torus, invariant_basis=[a_curve(1, 2), b_curve(1, 2)]).b1 == 3
+
+
 def test_canonical_bases_verified_against_generic_route():
     # bundle_wang_data passes preferred bases through the generic checks
     for d, k, g in [(0, 0, 1), (1, 1, 2), (2, 3, 4), (0, 3, 3), (3, 3, 3)]:
