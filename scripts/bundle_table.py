@@ -10,10 +10,8 @@ linear algebra across the whole grid.
 
 import sys
 
-from geographer import linalg
-from geographer.bundle_manifold import BundleManifoldSpec, construct
-from geographer.circle_bundle import default_euler_class, lefschetz_pairing
-from geographer.mapping_torus import bundle_wang_data
+from geographer.bundle_manifold import BundleManifoldSpec, audit_bundle, construct
+from geographer.circle_bundle import valid_tags
 
 
 def main() -> int:
@@ -22,12 +20,11 @@ def main() -> int:
     for g in range(1, bound + 1):
         for k in range(0, g + 1):
             for d in range(0, k + 1):
-                for tag in [0] + ([1] if d else []) + ([2] if d != k else []):
-                    cert = construct(BundleManifoldSpec(d, k, g, tag))
-                    data = bundle_wang_data(d, k, g)
-                    q, _ = lefschetz_pairing(data, default_euler_class(tag, d, k))
+                for tag in valid_tags(d, k):
+                    spec = BundleManifoldSpec(d, k, g, tag)
+                    cert = construct(spec)
                     print(
-                        f"{d}\t{k}\t{g}\t{tag}\t{cert.b1}\t{linalg.rank(q)}"
+                        f"{d}\t{k}\t{g}\t{tag}\t{cert.b1}\t{audit_bundle(spec).pairing_rank}"
                         f"\t{cert.degeneracy}\t{cert.nullity}\t{cert.kappa}"
                     )
     return 0

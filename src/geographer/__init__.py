@@ -54,9 +54,6 @@ from .mapping_torus import (
     MappingTorus,
     WangData,
     bundle_wang_data,
-    fiber_restrictions,
-    mu_image,
-    restriction_to_fiber,
     wang_cohomology,
 )
 from .surfaces import (
@@ -67,9 +64,7 @@ from .surfaces import (
     bundle_monodromy_word,
     compose_word,
     cup_form,
-    homology_action,
     intersection_form,
-    invariant_subspace,
     is_symplectic,
     twist_transvection,
 )

@@ -5,7 +5,10 @@ of the standard twist word with weights (d, k, g). The total space carries
 a free circle action, which forces signature and Euler characteristic to
 vanish; the remaining invariants are computed through the Wang and Gysin
 sequences and double-checked against closed formulas before a certificate
-is issued.
+is issued. :func:`audit_bundle` is that computation, one uncached exact
+pass that records every check as a :class:`Check`; :func:`construct`
+raises on the first failed one, and the grid sweep in ``verify`` counts
+them all.
 """
 
 from __future__ import annotations
@@ -145,51 +148,129 @@ BUNDLE_CHECKS = (
     "kappa_matches_genus_dichotomy",
 )
 
+#: What ``construct`` raises when a check fails, by check name.
+_FAILURE_MESSAGES = {
+    "wang_b1_matches_formula": "Wang b1 is {observed}, formula demands {expected} for ({d}, {k}, {g})",
+    "pairing_rank_even": "pairing rank {rank} is odd for ({d}, {k}, e={e})",
+    "degeneracy_pairing_rank_matches_formula": (
+        "degeneracy mismatch for ({d}, {k}, e={e}): "
+        "pairing rank gives {observed}, formula gives {expected}"
+    ),
+    "nullity_within_degeneracy": "nullity bounds violated for ({d}, {k}, e={e})",
+    "gysin_b1_matches_formula": "Gysin b1 is {observed}, formula demands {expected}",
+    "kappa_matches_genus_dichotomy": "Kodaira dimension disagrees with the genus dichotomy",
+    "sigma_and_chi_vanish_for_free_circle_action": (
+        "(sigma, chi) is {observed}, a free circle action forces {expected}"
+    ),
+    "two_chi_plus_three_sigma_equals_K_squared": "2 chi + 3 sigma must equal K^2",
+}
+
+
+@dataclass(frozen=True, slots=True)
+class Check:
+    """One named identity: the value a formula or theorem demands, and the
+    value computed."""
+
+    name: str
+    expected: object
+    observed: object
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.observed
+
+
+@dataclass(frozen=True, slots=True)
+class BundleAudit:
+    """One exact pass over B(d, k, g; e): its invariants and every check.
+
+    ``checks`` holds one record per name of :data:`BUNDLE_CHECKS`, in the
+    order :func:`construct` enforces them.
+    """
+
+    spec: BundleManifoldSpec
+    b1: int
+    pairing_rank: int
+    degeneracy: int
+    nullity: int
+    k_dot_omega: int
+    kappa: Kodaira
+    checks: tuple[Check, ...]
+
+    def failure_message(self, check: Check) -> str:
+        spec = self.spec
+        return _FAILURE_MESSAGES[check.name].format(
+            expected=check.expected, observed=check.observed, rank=self.pairing_rank,
+            d=spec.d, k=spec.k, g=spec.g, e=spec.e,
+        )
+
+
+def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
+    """Compute B(d, k, g; e) once and compare it with every closed form.
+
+    Pipeline: Wang data on the canonical bases, Euler class validation,
+    Gysin first Betti number, assembled pairing and its Bareiss rank. The
+    result is never cached, and a failed check is recorded, not raised, so
+    a sweep sees every check of every case.
+    """
+    d, k, g, e = spec.d, spec.k, spec.g, spec.e
+    data = mapping_torus.bundle_wang_data(d, k, g)
+    h1 = circle_bundle.bundle_cohomology(
+        data, circle_bundle.default_euler_class(e, d, k), d, k
+    )
+    b1, degeneracy, nullity = h1.b1, h1.degeneracy, h1.nullity
+    rank = b1 - degeneracy
+    k_dot = canonical_class(g)
+    kappa = kodaira_classify(0, k_dot)
+    # sigma = 0 and chi = 0 are forced by the free circle action; combined
+    # they pin b_plus = b_minus = b1 - 1, the Betti numbers the certificate
+    # carries. sigma and chi are read back off those.
+    b_plus = b_minus = b1 - 1
+    sigma, chi = b_plus - b_minus, 2 - 2 * b1 + b_plus + b_minus
+    checks = (
+        Check("wang_b1_matches_formula", 2 * k - d + 1, data.b1),
+        Check("pairing_rank_even", 0, rank % 2),
+        Check(
+            "degeneracy_pairing_rank_matches_formula",
+            circle_bundle.degeneracy_closed_form(d, k, e),
+            degeneracy,
+        ),
+        Check(
+            "nullity_within_degeneracy",
+            True,
+            circle_bundle.nullity_necessary_check(d, k, e)
+            and 0 <= nullity <= degeneracy <= b1,
+        ),
+        Check("gysin_b1_matches_formula", circle_bundle.bundle_b1_formula(d, k, e), b1),
+        Check("kappa_matches_genus_dichotomy", 0 if g == 1 else 1, kappa),
+        Check("sigma_and_chi_vanish_for_free_circle_action", (0, 0), (sigma, chi)),
+        Check("two_chi_plus_three_sigma_equals_K_squared", 0, 2 * chi + 3 * sigma),
+    )
+    return BundleAudit(spec, b1, rank, degeneracy, nullity, k_dot, kappa, checks)
+
 
 @lru_cache(maxsize=None)
 def construct(spec: BundleManifoldSpec) -> InvariantCertificate:
     """Build and fully cross-check the certificate of B(d, k, g; e).
 
-    Pipeline: monodromy word, Wang data on the canonical bases, Euler
-    class validation, Gysin first Betti number, assembled pairing with the
-    rank oracle against the closed degeneracy form, nullity closed form.
-    Any mismatch raises :class:`ConsistencyError` instead of emitting.
+    The invariants and checks come from :func:`audit_bundle`; the first
+    failed check raises :class:`ConsistencyError` instead of emitting.
     """
-    d, k, g, e = spec.d, spec.k, spec.g, spec.e
-    data = mapping_torus.bundle_wang_data(d, k, g)
-    if data.b1 != 2 * k - d + 1:
-        raise ConsistencyError(
-            f"Wang b1 is {data.b1}, formula demands {2 * k - d + 1} for ({d}, {k}, {g})"
-        )
-    espec = circle_bundle.default_euler_class(e, d, k)
-    cohomology = circle_bundle.bundle_cohomology(data, espec, d, k)
-    expected_b1 = 2 * k - d + 2 if e == 0 else 2 * k - d + 1
-    if cohomology.b1 != expected_b1:
-        raise ConsistencyError(
-            f"Gysin b1 is {cohomology.b1}, formula demands {expected_b1}"
-        )
-
-    b1 = cohomology.b1
-    k_dot = canonical_class(g)
-    kappa = kodaira_classify(0, k_dot)
-    if kappa != (0 if g == 1 else 1):
-        raise ConsistencyError("Kodaira dimension disagrees with the genus dichotomy")
-    if not cohomology.nullity <= cohomology.degeneracy <= b1:
-        raise ConsistencyError("nullity <= degeneracy <= b1 failed")
-
-    # sigma = 0 and chi = 0 are forced by the free circle action; combined
-    # they pin b_plus = b_minus = b1 - 1.
+    audit = audit_bundle(spec)
+    for check in audit.checks:
+        if not check.passed:
+            raise ConsistencyError(audit.failure_message(check))
     return InvariantCertificate(
         sigma=0,
         chi=0,
-        b1=b1,
-        b_plus=b1 - 1,
-        b_minus=b1 - 1,
+        b1=audit.b1,
+        b_plus=audit.b1 - 1,
+        b_minus=audit.b1 - 1,
         k_squared=0,
-        k_dot_omega=k_dot,
-        kappa=kappa,
-        degeneracy=cohomology.degeneracy,
-        nullity=cohomology.nullity,
+        k_dot_omega=audit.k_dot_omega,
+        kappa=audit.kappa,
+        degeneracy=audit.degeneracy,
+        nullity=audit.nullity,
         minimal=True,
         minimal_reason=(
             "free-circle-action total space; Kodaira dimension read from the "

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import linalg, surfaces
-from .errors import ConsistencyError
 from .mapping_torus import WangData
 
 VALID_TAGS = (0, 1, 2)
@@ -53,15 +52,28 @@ class EulerClassSpec:
         return self.tag == 0
 
 
+_MISSING_BLOCK = {
+    1: "tag 1 requires d != 0 (no twisted a_i^theta class exists)",
+    2: "tag 2 requires d != k (the untouched block is empty)",
+}
+
+
+def valid_tags(d: int, k: int) -> tuple[int, ...]:
+    """The Euler tags that exist for weights (d, k), in increasing order.
+
+    Tag 0 always; tag 1 needs a twisted block (d != 0), tag 2 an
+    untouched one (d != k).
+    """
+    return (0,) + ((1,) if d != 0 else ()) + ((2,) if d != k else ())
+
+
 def _check_tag_parameters(d: int, k: int, tag: int) -> None:
     if tag not in VALID_TAGS:
         raise ValueError(f"Euler tag must be one of {VALID_TAGS}, got {tag}")
     if not 0 <= d <= k:
         raise ValueError(f"weights must satisfy 0 <= d <= k, got ({d}, {k})")
-    if tag == 1 and d == 0:
-        raise ValueError("tag 1 requires d != 0 (no twisted a_i^theta class exists)")
-    if tag == 2 and d == k:
-        raise ValueError("tag 2 requires d != k (the untouched block is empty)")
+    if tag not in valid_tags(d, k):
+        raise ValueError(_MISSING_BLOCK[tag])
 
 
 def default_euler_class(tag: int, d: int, k: int) -> EulerClassSpec:
@@ -116,6 +128,13 @@ def validate_euler_class(
     return spec
 
 
+def bundle_b1_formula(d: int, k: int, tag: int) -> int:
+    """Closed form for b1 of B(d, k, g; tag): 2k - d + 2 for a zero Euler
+    class, 2k - d + 1 otherwise (the base has b1 = 2k - d + 1)."""
+    _check_tag_parameters(d, k, tag)
+    return 2 * k - d + (2 if tag == 0 else 1)
+
+
 def bundle_b1(data: WangData, spec: EulerClassSpec) -> int:
     """First Betti number of the total space, from the Gysin sequence.
 
@@ -147,8 +166,7 @@ def lefschetz_pairing(
     size = 1 + m + (1 if spec.is_zero else 0)
     q = linalg.zeros(size, size)
     if m:
-        block = linalg._matmul(linalg._matmul(basis, pairing), linalg._transpose(basis))
-        for i, row in enumerate(block):
+        for i, row in enumerate(linalg._gram(basis, pairing)):
             q[1 + i][1:1 + m] = row
     labels = ("theta",) + data.h1_tags[1:1 + m]
     if spec.is_zero:
@@ -216,34 +234,21 @@ class BundleCohomology:
 def bundle_cohomology(
     data: WangData, spec: EulerClassSpec, d: int, k: int
 ) -> BundleCohomology:
-    """Full H^1 package for one bundle, with every cross-check armed.
+    """Full H^1 package for one bundle: b1, the assembled pairing and its
+    rank defect as the degeneracy, and the closed-form nullity.
 
-    Raises :class:`ConsistencyError` if the rank of the assembled pairing
-    is odd or disagrees with the closed degeneracy formula, or if the
-    nullity bounds fail. These mismatches are internal tripwires.
+    Nothing here is compared with a closed form; that is the job of
+    :func:`geographer.bundle_manifold.audit_bundle`, which checks the
+    package before :func:`geographer.bundle_manifold.construct` issues a
+    certificate. Invalid Euler classes raise ``ValueError``.
     """
     spec = validate_euler_class(data, spec, d, k)
     b1 = bundle_b1(data, spec)
     q, labels = lefschetz_pairing(data, spec)
-    oracle = degeneracy_oracle(q, b1)
-    q_rank = b1 - oracle
-    if q_rank % 2 != 0:
-        raise ConsistencyError(f"pairing rank {q_rank} is odd for ({d}, {k}, e={spec.tag})")
-    closed = degeneracy_closed_form(d, k, spec.tag)
-    if oracle != closed:
-        raise ConsistencyError(
-            f"degeneracy mismatch for ({d}, {k}, e={spec.tag}): "
-            f"pairing rank gives {oracle}, formula gives {closed}"
-        )
-    nullity = nullity_closed_form(d, k, spec.tag)
-    if not nullity_necessary_check(d, k, spec.tag):
-        raise ConsistencyError(
-            f"nullity bounds violated for ({d}, {k}, e={spec.tag})"
-        )
     return BundleCohomology(
         b1=b1,
         pairing=tuple(map(tuple, q)),
         labels=labels,
-        degeneracy=oracle,
-        nullity=nullity,
+        degeneracy=degeneracy_oracle(q, b1),
+        nullity=nullity_closed_form(d, k, spec.tag),
     )

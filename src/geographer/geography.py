@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
-from .circle_bundle import nullity_closed_form
+from .circle_bundle import VALID_TAGS, bundle_b1_formula, nullity_closed_form, valid_tags
 from .errors import ConsistencyError, InadmissibleError
 from .fiber_sum import (
     DolgachevSurface,
@@ -264,15 +264,10 @@ def realize_null(a: int, b: int, c: int, genus: int | None = None) -> Recipe | O
 
 
 def _search_bundle_nullity(b: int, c: int, genus: int | None) -> Recipe | None:
-    for tag in (0, 1, 2):
+    for tag in VALID_TAGS:
         for k in range(0, b + 1):
             for d in range(0, k + 1):
-                if tag == 1 and d == 0:
-                    continue
-                if tag == 2 and d == k:
-                    continue
-                b1 = 2 * k - d + 2 if tag == 0 else 2 * k - d + 1
-                if b1 != b:
+                if tag not in valid_tags(d, k) or bundle_b1_formula(d, k, tag) != b:
                     continue
                 if nullity_closed_form(d, k, tag) != c:
                     continue

@@ -9,14 +9,21 @@ integer Smith decomposition. :func:`rational_rank` is an independent
 Fraction-based elimination used to cross-check ranks in the test suite.
 
 Most matrices here are sparse with entries in {-1, 0, 1}, and the
-kernels cost in proportion to their nonzeros where they can. Bareiss
-elimination makes every pivot positive by negating its row, so a row
-with a zero in the pivot column is skipped whenever the pivot equals
-the previous one; on the pairings and unit-vector bases of the bundle
-path every pivot is 1. Arguments are validated once, by
-:func:`to_matrix`, at the public boundary. Compositions inside the
-package hand rows they have already validated or built to the private
-kernels :func:`_matmul` and :func:`_transpose`, which trust their input.
+kernels cost in proportion to their nonzeros where they can. Products
+find the nonzeros of a row by a C-level scan (:func:`itertools.compress`)
+instead of testing every entry in Python, and the Gram product B F B^T
+of :func:`_gram` touches only the nonzeros of B and of the rows of F they
+select. Bareiss elimination makes every pivot positive by negating its
+row, so a row with a zero in the pivot column is skipped whenever the
+pivot equals the previous one; on the pairings and unit-vector bases of
+the bundle path every pivot is 1. A basis of a kernel or of a free
+cokernel is checked against a Smith form already computed, through its
+coordinates (:func:`kernel_coordinates`, :func:`cokernel_free_coordinates`)
+and one determinant, not a second Smith form. Arguments are validated
+once, by :func:`to_matrix`, at the public boundary. Compositions inside
+the package hand rows they have already validated or built to the
+private kernels :func:`_matmul`, :func:`_gram` and :func:`_transpose`,
+which trust their input.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numbers
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 Matrix = list[list[int]]
 
@@ -73,8 +81,8 @@ def matmul(a, b) -> Matrix:
     """Exact product A @ B.
 
     Each output row is a combination of rows of B; zero coefficients are
-    skipped, which pays off on the sparse, mostly unit-vector bases used
-    throughout the package.
+    skipped by a C-level scan, which pays off on the sparse, mostly
+    unit-vector bases used throughout the package.
     """
     return _matmul(to_matrix(a), to_matrix(b))
 
@@ -86,13 +94,52 @@ def _matmul(left, right) -> Matrix:
             f"cannot multiply {len(left)}x{len(left[0])} by {len(right)}x{len(right[0])}"
         )
     width = len(right[0])
+    inner = range(len(right))
     out = []
     for row in left:
         acc = [0] * width
-        for x, other in zip(row, right):
-            if x:
-                acc = [u + x * v for u, v in zip(acc, other)]
+        for j in compress(inner, row):
+            x = row[j]
+            acc = [u + x * v for u, v in zip(acc, right[j])]
         out.append(acc)
+    return out
+
+
+def _gram(basis, form) -> Matrix:
+    """B F B^T on validated rows, at a cost that follows their nonzeros.
+
+    Each row of B F sums the rows of F that the nonzeros of a row of B
+    select, and each of its nonzero entries then meets only the nonzeros
+    of one column of B. Zeros are skipped by a C-level scan
+    (:func:`itertools.compress`), not by a Python-level test per entry.
+    """
+    n = len(basis[0])
+    if len(form) != n or len(form[0]) != n:
+        raise ValueError(
+            f"cannot pair rows of length {n} through a {len(form)}x{len(form[0])} form"
+        )
+    columns = range(n)
+    support = [list(compress(columns, row)) for row in basis]
+    by_column = [[] for _ in columns]  # (row index, entry) of each nonzero of B
+    for i, (row, cols) in enumerate(zip(basis, support)):
+        for j in cols:
+            by_column[j].append((i, row[j]))
+    form_rows = {}  # the nonzeros (column, entry) of each row of F that is used
+    out = []
+    for row, cols in zip(basis, support):
+        acc = {}  # this row of B F, by column
+        for c in cols:
+            if c not in form_rows:
+                form_rows[c] = [(j, form[c][j]) for j in compress(columns, form[c])]
+            x = row[c]
+            for j, y in form_rows[c]:
+                acc[j] = acc.get(j, 0) + x * y
+        gram_row = [0] * len(basis)
+        for j, v in acc.items():
+            if v:
+                for i, z in by_column[j]:
+                    gram_row[i] += v * z
+        out.append(gram_row)
     return out
 
 
@@ -137,11 +184,6 @@ class FrozenMatrix:
 
     def __repr__(self) -> str:
         return f"FrozenMatrix({tuple(self)!r})"
-
-
-def to_vector(data) -> tuple[int, ...]:
-    vec = tuple(int(x) for x in data)
-    return vec
 
 
 def gcd_vector(v) -> int:
@@ -406,6 +448,26 @@ def cokernel_free_coordinates(sf: SmithForm, vectors) -> Matrix:
         return []
     # S^-1 restricted to the free rows, times the vectors as columns
     return _transpose(_matmul(vecs, _transpose([sf.s_inv[i] for i in free])))
+
+
+def kernel_coordinates(sf: SmithForm, vectors) -> Matrix:
+    """Coordinates of kernel vectors over the saturated basis of ker A.
+
+    ``sf`` must be the Smith decomposition of A (an m x n matrix) and the
+    rows of ``vectors`` must lie in ker A in Z^n. Row i of the result
+    holds the coordinates of vector i over :meth:`SmithForm.kernel_basis`:
+    with A = S D T, a kernel vector v has T v supported on the zero
+    diagonal, where the kernel basis is the columns of T^-1, so the
+    coordinates are the rows of T there applied to v.
+    """
+    vecs = to_matrix(vectors)
+    n = len(sf.t)
+    if len(vecs[0]) != n:
+        raise ValueError(f"vectors of length {len(vecs[0])} do not live in Z^{n}")
+    free = sf._free(n)
+    if not free:
+        return []
+    return _matmul(vecs, _transpose([sf.t[j] for j in free]))
 
 
 def is_unimodular(a) -> bool:

@@ -9,7 +9,9 @@ part of the cokernel of A. Degeneracy and nullity downstream are real
 ranks, so all bases here are rational-rank data; the integral torsion of A
 is computed and reported as a diagnostic only. Ranks, bases and torsion
 are all read off one Smith decomposition of A, held as rows of Python
-ints; the monodromy itself is an immutable, packed int matrix.
+ints, and preferred bases are checked by their coordinates over the
+bases it gives, so a mapping torus costs one Smith form. The monodromy
+itself is an immutable, packed int matrix.
 """
 
 from __future__ import annotations
@@ -87,9 +89,11 @@ def wang_cohomology(
 
     One Smith decomposition of phi^* - 1 yields the rank, the generic
     kernel and free cokernel bases, and the torsion. Optional preferred
-    bases replace the generic ones after being verified exactly: a
-    preferred invariant basis must consist of fixed vectors, independent
-    and spanning a saturated lattice, so that it is a lattice basis of
+    bases replace the generic ones after being verified exactly against
+    the same decomposition: a preferred invariant basis must consist of
+    fixed vectors whose coordinates over the saturated kernel basis have
+    determinant +-1 (0 means dependent rows, any other value a lattice
+    that is not saturated), so that it is a lattice basis of
     ker(phi^* - 1); a preferred mu basis must map to a lattice basis of
     the free part of coker(phi^* - 1). A failed check raises
     :class:`ConsistencyError`.
@@ -109,10 +113,11 @@ def wang_cohomology(
         if inv and any(map(any, linalg._matmul(inv, linalg._transpose(a)))):
             raise ConsistencyError("invariant basis vector not fixed by the monodromy")
         if fixed_rank:
-            inv_sf = linalg.smith_form(inv)
-            if inv_sf.rank != fixed_rank:
+            # the index of the lattice the rows span in the fixed lattice
+            index = abs(linalg.det(linalg.kernel_coordinates(sf, inv)))
+            if index == 0:
                 raise ConsistencyError("invariant basis rows are linearly dependent")
-            if inv_sf.elementary_divisors:
+            if index != 1:
                 raise ConsistencyError("invariant basis does not span a saturated lattice")
 
     if mu_basis is None:
@@ -149,12 +154,6 @@ def _preferred_rows(basis, name: str, fixed_rank: int, n: int) -> linalg.Matrix:
     return rows
 
 
-def mu_image(torus: MappingTorus) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
-    """Basis of the lattice of fiber-trivial classes in H^2(Y), with tags."""
-    data = wang_cohomology(torus)
-    return data.mu_basis, data.h2_tags[1:]
-
-
 @lru_cache(maxsize=None)
 def bundle_wang_data(d: int, k: int, g: int) -> WangData:
     """Wang data of the standard bundle monodromy, on its canonical bases.
@@ -172,22 +171,3 @@ def bundle_wang_data(d: int, k: int, g: int) -> WangData:
         inv_rows.extend((surfaces.a_curve(i, g), surfaces.b_curve(i, g)))
         mu_rows.extend((surfaces.a_curve(i, g), surfaces.b_curve(i, g)))
     return wang_cohomology(torus, invariant_basis=inv_rows, mu_basis=mu_rows)
-
-
-def fiber_restrictions(data: WangData) -> tuple[int, ...]:
-    """Restriction to the fiber of each H^2(Y) basis class.
-
-    The fiber volume class restricts to 1; every mu-image class dies.
-    """
-    return (1,) + (0,) * len(data.mu_basis)
-
-
-def restriction_to_fiber(data: WangData, coefficients) -> int:
-    """Fiber restriction of an H^2(Y) class given in the tagged basis."""
-    coeffs = tuple(coefficients)
-    if len(coeffs) != data.b2:
-        raise ValueError(
-            f"H^2 coefficient vector of length {len(coeffs)}, expected {data.b2}"
-        )
-    restrictions = fiber_restrictions(data)
-    return sum(int(c) * r for c, r in zip(coeffs, restrictions))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from . import linalg
 
@@ -157,11 +158,6 @@ def compose_word(word: TwistWord) -> IntRows:
     return tuple(map(tuple, m))
 
 
-def homology_action(m) -> linalg.Matrix:
-    """Induced map on H_1, the adjoint of the H^1 action under evaluation."""
-    return linalg.transpose(m)
-
-
 def is_symplectic(m) -> bool:
     """M^T J M = J together with det M = 1."""
     mat = linalg.to_matrix(m)
@@ -198,22 +194,15 @@ def _check_weights(d: int, k: int, g: int) -> None:
         raise ValueError(f"weights must satisfy 0 <= d <= k <= g, got ({d}, {k}, {g})")
 
 
-def invariant_subspace(m) -> linalg.Matrix:
-    """Saturated integral basis (rows) of the fixed subspace ker(M - I)."""
-    mat = linalg.to_matrix(m)
-    if len(mat) != len(mat[0]):
-        raise ValueError("monodromy matrix must be square")
-    return linalg.kernel_basis(
-        [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)]
-    )
-
-
 def class_symbol(vector, genus: int) -> str:
-    """Render an H^1 coefficient vector against the a/b symbols."""
+    """Render an H^1 coefficient vector against the a/b symbols.
+
+    Only the nonzero coefficients are visited, found by a C-level scan.
+    """
     labels = basis_labels(genus)
     terms = []
-    for coeff, label in zip(vector, labels):
-        coeff = int(coeff)
+    for j in compress(range(min(len(vector), len(labels))), vector):
+        coeff, label = int(vector[j]), labels[j]
         if coeff == 0:
             continue
         if coeff == 1:

@@ -11,6 +11,9 @@ from geographer.surfaces import Twist, TwistWord
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
+#: Mostly zeros, with unit and non-unit nonzeros.
+sparse_ints = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
+
 
 def shape(matrix, width=None):
     """(rows, columns) of a matrix given as rows; None when the rows are ragged.
@@ -26,6 +29,11 @@ def shape(matrix, width=None):
 def minus_identity(matrix):
     """M - I for a square matrix given as rows."""
     return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+
+
+def invariant_subspace(matrix):
+    """Saturated integral basis (rows) of the fixed subspace ker(M - I)."""
+    return linalg.kernel_basis(minus_identity(matrix))
 
 
 def fraction_det(rows):
@@ -66,6 +74,17 @@ def sparse_sign_matrices(draw, max_dim=64, per_row=3, square=False):
         [rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
         for _ in range(m)
     ]
+
+
+@st.composite
+def mixed_rows(draw, width, min_rows=1, max_rows=8):
+    """Rows of ``width`` entries, each either dense (``small_ints``) or
+    mostly zero with unit and non-unit nonzeros (``sparse_ints``)."""
+    row = st.one_of(
+        st.lists(small_ints, min_size=width, max_size=width),
+        st.lists(sparse_ints, min_size=width, max_size=width),
+    )
+    return draw(st.lists(row, min_size=min_rows, max_size=max_rows))
 
 
 @st.composite

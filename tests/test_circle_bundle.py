@@ -18,7 +18,7 @@ from geographer.circle_bundle import (
     validate_euler_class,
 )
 from geographer.mapping_torus import bundle_wang_data
-from strategies import unimodular_matrices
+from strategies import mixed_rows, unimodular_matrices
 
 
 def grid(d_max=8):
@@ -189,6 +189,20 @@ def test_pairing_rank_invariant_under_lattice_base_change(weights, data_):
         data, spec, invariant_basis=linalg.matmul(change, base)
     )
     assert linalg.rank(q) == linalg.rank(q_changed)
+
+
+@given(st.sampled_from([(0, 1, 2), (1, 2, 3), (2, 3, 3), (0, 3, 4)]), st.data())
+def test_pairing_block_with_overridden_basis_and_cup_matches_products(weights, data_):
+    d, k, g = weights
+    data = bundle_wang_data(d, k, g)
+    m, n = len(data.invariant_basis), 2 * g
+    basis = data_.draw(mixed_rows(n, min_rows=m, max_rows=m))
+    cup = data_.draw(mixed_rows(n, min_rows=n, max_rows=n))
+    q, _ = lefschetz_pairing(
+        data, default_euler_class(0, d, k), invariant_basis=basis, cup=cup
+    )
+    block = [row[1:1 + m] for row in q[1:1 + m]]
+    assert block == linalg.matmul(linalg.matmul(basis, cup), linalg.transpose(basis))
 
 
 def test_bundle_cohomology_package():

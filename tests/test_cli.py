@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from geographer import circle_bundle, linalg
+from geographer.bundle_manifold import BundleManifoldSpec, construct
 from geographer.cli import (
     EXIT_INADMISSIBLE,
     EXIT_IO_ERROR,
@@ -194,6 +195,42 @@ def test_verify_catches_injected_pairing_fault(capsys, monkeypatch):
     assert code == 1
     assert "RESULT: FAIL" in out
     assert "FAIL (d=" in out
+
+
+def test_verify_catches_pairing_fault_after_construct_has_run(capsys, monkeypatch):
+    # every case is computed afresh: a warm construct cache hides nothing
+    for g in (1, 2):
+        for k in range(g + 1):
+            for d in range(k + 1):
+                for tag in circle_bundle.valid_tags(d, k):
+                    construct(BundleManifoldSpec(d, k, g, tag))
+    original = circle_bundle.lefschetz_pairing
+
+    def corrupted(data, spec, invariant_basis=None, cup=None):
+        q, labels = original(data, spec, invariant_basis=invariant_basis, cup=cup)
+        return linalg.zeros(len(q), len(q[0])), labels
+
+    monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
+    code, out, _ = run(capsys, "verify", "--grid-max", "2")
+    assert code == 1
+    assert "RESULT: FAIL" in out
+    assert "FAIL (d=" in out
+
+
+VERIFY_GRID_3 = """\
+bundle weight grid up to g = 3
+cases: 39
+degeneracy_pairing_rank_vs_formula: 39 checked
+gysin_b1_vs_formula: 39 checked
+pairing_rank_even: 39 checked
+nullity_bounds: 39 checked
+signature_identity: 39 checked
+RESULT: PASS
+"""
+
+
+def test_verify_output_is_pinned(capsys):
+    assert run(capsys, "verify", "--grid-max", "3") == (EXIT_OK, VERIFY_GRID_3, "")
 
 
 def test_usage_errors_exit_64(capsys):

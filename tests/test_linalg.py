@@ -10,9 +10,11 @@ from geographer import linalg
 from strategies import (
     fraction_det,
     integer_matrices,
+    mixed_rows,
     shape,
     small_ints,
     sparse_sign_matrices,
+    unimodular_matrices,
 )
 
 
@@ -202,6 +204,40 @@ def test_cokernel_coordinates_shape_mismatch():
     sf = linalg.smith_form([[2, 0], [0, 0]])
     with pytest.raises(ValueError):
         linalg.cokernel_free_coordinates(sf, [[1, 2, 3]])
+
+
+@given(integer_matrices(), st.data())
+def test_kernel_coordinates_recover_a_change_of_kernel_basis(rows, data):
+    sf = linalg.smith_form(rows)
+    basis = sf.kernel_basis()
+    if basis:
+        change = data.draw(unimodular_matrices(len(basis)))
+        assert linalg.kernel_coordinates(sf, basis) == linalg.identity(len(basis))
+        assert linalg.kernel_coordinates(sf, linalg.matmul(change, basis)) == change
+    else:
+        assert linalg.kernel_coordinates(sf, [[0] * len(rows[0])]) == []
+
+
+def test_kernel_coordinates_shape_mismatch():
+    sf = linalg.smith_form([[2, 0], [0, 0]])
+    with pytest.raises(ValueError):
+        linalg.kernel_coordinates(sf, [[1, 2, 3]])
+
+
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.tuples(mixed_rows(n, max_rows=12), mixed_rows(n, min_rows=n, max_rows=n))
+))
+def test_gram_matches_two_products(basis_and_form):
+    basis, form = basis_and_form
+    expected = linalg.matmul(linalg.matmul(basis, form), linalg.transpose(basis))
+    assert linalg._gram(basis, form) == expected
+
+
+def test_gram_rejects_a_form_of_the_wrong_shape():
+    with pytest.raises(ValueError):
+        linalg._gram([[1, 0]], [[0, 1, 0], [-1, 0, 0]])
+    with pytest.raises(ValueError):
+        linalg._gram([[1, 0]], [[0, 1, 0]])
 
 
 def test_elementary_divisors_frozen():

@@ -2,15 +2,13 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from geographer import linalg
 from geographer.errors import ConsistencyError
 from geographer.mapping_torus import (
     MappingTorus,
     bundle_wang_data,
-    fiber_restrictions,
-    mu_image,
-    restriction_to_fiber,
     wang_cohomology,
 )
 from geographer.surfaces import (
@@ -20,7 +18,7 @@ from geographer.surfaces import (
     bundle_monodromy_word,
     compose_word,
 )
-from strategies import minus_identity, twist_words
+from strategies import minus_identity, twist_words, unimodular_matrices
 
 
 def test_product_with_circle_genus_two():
@@ -84,6 +82,8 @@ def test_wrong_preferred_bases_are_rejected():
         wang_cohomology(torus, invariant_basis=[a_curve(1, 2)])  # not fixed
     with pytest.raises(ConsistencyError):
         wang_cohomology(torus, invariant_basis=[(0, 2, 0, 0)])  # not saturated
+    with pytest.raises(ConsistencyError, match="saturated"):
+        wang_cohomology(torus, invariant_basis=[(0, -2, 0, 0)])
     with pytest.raises(ConsistencyError):
         wang_cohomology(torus, mu_basis=[b_curve(1, 2)])  # dies in the cokernel
     with pytest.raises(ConsistencyError):
@@ -101,9 +101,26 @@ def test_dependent_invariant_basis_is_rejected(basis):
     # the rows are fixed and have no nontrivial invariant factor, but they
     # span a rank-one lattice inside the rank-two fixed lattice of a1, b1
     torus = MappingTorus(bundle_monodromy_word(0, 1, 2))
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="linearly dependent"):
         wang_cohomology(torus, invariant_basis=basis)
     assert wang_cohomology(torus, invariant_basis=[a_curve(1, 2), b_curve(1, 2)]).b1 == 3
+
+
+@given(st.sampled_from([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 3), (1, 4, 5)]), st.data())
+def test_unimodular_change_of_canonical_invariant_basis_is_accepted(weights, data_):
+    # the coordinates over the saturated kernel basis form a unimodular
+    # matrix exactly when the rows are another lattice basis of it
+    d, k, g = weights
+    canonical = bundle_wang_data(d, k, g)
+    torus = MappingTorus(bundle_monodromy_word(d, k, g))
+    change = data_.draw(unimodular_matrices(len(canonical.invariant_basis)))
+    rows = linalg.matmul(change, canonical.invariant_basis)
+    data = wang_cohomology(torus, invariant_basis=rows)
+    assert data.invariant_basis == tuple(map(tuple, rows))
+    assert (data.b1, data.torsion) == (canonical.b1, canonical.torsion)
+    rows[0] = [2 * x for x in rows[0]]  # an index-two sublattice
+    with pytest.raises(ConsistencyError, match="saturated"):
+        wang_cohomology(torus, invariant_basis=rows)
 
 
 def test_canonical_bases_verified_against_generic_route():
@@ -149,21 +166,7 @@ def test_torsion_invariant_under_symplectic_base_change(word, change):
     assert linalg.rank(minus_identity(m)) == linalg.rank(minus_identity(conjugated))
 
 
-def test_fiber_restriction_table():
-    data = bundle_wang_data(1, 2, 3)
-    assert fiber_restrictions(data) == (1, 0, 0, 0)
-    assert restriction_to_fiber(data, (1, 0, 0, 0)) == 1
-    assert restriction_to_fiber(data, (0, 1, 0, 0)) == 0
-    assert restriction_to_fiber(data, (3, 1, 0, -2)) == 3
-
-
-def test_fiber_restriction_rejects_malformed_vector():
-    data = bundle_wang_data(1, 2, 3)
-    with pytest.raises(ValueError):
-        restriction_to_fiber(data, (1, 0))
-
-
 def test_mu_image_operation():
-    basis, tags = mu_image(MappingTorus(bundle_monodromy_word(0, 1, 2)))
-    assert len(basis) == 2
-    assert all(tag.endswith("^theta") for tag in tags)
+    data = wang_cohomology(MappingTorus(bundle_monodromy_word(0, 1, 2)))
+    assert len(data.mu_basis) == 2
+    assert all(tag.endswith("^theta") for tag in data.h2_tags[1:])

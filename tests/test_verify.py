@@ -1,0 +1,81 @@
+"""The grid sweep: one uncached exact pass per case, tallied per check."""
+
+import pytest
+
+from geographer import circle_bundle
+from geographer.bundle_manifold import (
+    BUNDLE_CHECKS,
+    BundleManifoldSpec,
+    audit_bundle,
+    construct,
+)
+from geographer.errors import ConsistencyError
+from geographer.verify import CHECK_NAMES, verify_bundle_grid
+
+
+def test_audit_records_every_certificate_check_once():
+    for spec in [
+        BundleManifoldSpec(0, 0, 1, 0),
+        BundleManifoldSpec(1, 2, 3, 1),
+        BundleManifoldSpec(1, 2, 3, 2),
+        BundleManifoldSpec(3, 3, 4, 0),
+    ]:
+        audit = audit_bundle(spec)
+        assert sorted(check.name for check in audit.checks) == sorted(BUNDLE_CHECKS)
+        assert all(check.passed for check in audit.checks)
+        cert = construct(spec)
+        assert cert.checks == BUNDLE_CHECKS
+        assert (audit.b1, audit.degeneracy, audit.nullity, audit.kappa) == (
+            cert.b1,
+            cert.degeneracy,
+            cert.nullity,
+            cert.kappa,
+        )
+        assert audit.pairing_rank == audit.b1 - audit.degeneracy
+
+
+def test_report_lines_cover_every_certificate_check_once():
+    grouped = [name for names in CHECK_NAMES.values() for name in names]
+    assert sorted(grouped) == sorted(BUNDLE_CHECKS)
+
+
+def test_off_by_one_closed_form_is_named_for_the_affected_weights(monkeypatch):
+    original = circle_bundle.degeneracy_closed_form
+
+    def off_by_one_for_tag_two(d, k, tag):
+        return original(d, k, tag) + (1 if tag == 2 else 0)
+
+    monkeypatch.setattr(circle_bundle, "degeneracy_closed_form", off_by_one_for_tag_two)
+    report = verify_bundle_grid(2)
+    # tag 2 has closed form d + 1, so the skewed formula demands d + 2
+    assert report.failures == [
+        f"(d={d}, k={k}, g={g}, e=2) degeneracy_pairing_rank_vs_formula: "
+        f"degeneracy_pairing_rank_matches_formula expected {d + 2}, observed {d + 1}"
+        for g in (1, 2)
+        for k in range(g + 1)
+        for d in range(k)
+    ]
+    assert report.cases == 17
+    assert set(report.counts.values()) == {17}
+
+
+def test_construct_raises_the_first_failed_check(monkeypatch):
+    spec = BundleManifoldSpec(0, 1, 1, 2)
+    original = circle_bundle.degeneracy_closed_form
+    monkeypatch.setattr(
+        circle_bundle, "degeneracy_closed_form", lambda d, k, tag: original(d, k, tag) + 1
+    )
+    # construct itself, past its cache, so earlier tests cannot hide the fault
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^degeneracy mismatch for \(0, 1, e=2\): pairing rank gives 1, formula gives 2$",
+    ):
+        construct.__wrapped__(spec)
+    monkeypatch.setattr(
+        circle_bundle, "bundle_b1_formula", lambda d, k, tag: 2 * k - d + 7
+    )
+    with pytest.raises(ConsistencyError, match="^degeneracy mismatch"):
+        construct.__wrapped__(spec)  # recorded before the Gysin check
+    monkeypatch.setattr(circle_bundle, "degeneracy_closed_form", original)
+    with pytest.raises(ConsistencyError, match=r"^Gysin b1 is 3, formula demands 9$"):
+        construct.__wrapped__(spec)
