@@ -15,6 +15,11 @@ space is assembled from three exact rules:
 The rules come from fiber integration of omega = Omega + theta ^ eta and
 are validated wholesale by the grid equivalence between the rank of the
 assembled matrix and the closed degeneracy formula.
+
+Rows the package built are not validated again: the pairing reads the
+invariant basis of the Wang data as it stands, and the degeneracy oracle
+validates the assembled matrix once and eliminates those same rows. An
+overriding basis or cup form passed in by a caller is validated.
 """
 
 from __future__ import annotations
@@ -132,7 +137,21 @@ def bundle_b1_formula(d: int, k: int, tag: int) -> int:
     """Closed form for b1 of B(d, k, g; tag): 2k - d + 2 for a zero Euler
     class, 2k - d + 1 otherwise (the base has b1 = 2k - d + 1)."""
     _check_tag_parameters(d, k, tag)
-    return 2 * k - d + (2 if tag == 0 else 1)
+    return 2 * k - d + _b1_offset(tag)
+
+
+def bundle_d_for_b1(k: int, tag: int, b: int) -> int:
+    """The d for which :func:`bundle_b1_formula` gives b at this k and tag.
+
+    Unchecked: the caller keeps d only when 0 <= d <= k and the tag is
+    valid for (d, k).
+    """
+    return 2 * k + _b1_offset(tag) - b
+
+
+def _b1_offset(tag: int) -> int:
+    """b1 - (2k - d): the base's extra circle, plus eta when e = 0."""
+    return 2 if tag == 0 else 1
 
 
 def bundle_b1(data: WangData, spec: EulerClassSpec) -> int:
@@ -160,7 +179,7 @@ def lefschetz_pairing(
     if invariant_basis is not None:
         basis = linalg.to_matrix(invariant_basis)
     else:
-        basis = linalg.to_matrix(data.invariant_basis) if data.invariant_basis else []
+        basis = data.invariant_basis
     pairing = linalg.to_matrix(cup) if cup is not None else surfaces.cup_form(data.genus)
     m = len(basis)
     size = 1 + m + (1 if spec.is_zero else 0)
@@ -177,13 +196,16 @@ def lefschetz_pairing(
 
 
 def degeneracy_oracle(q, b1: int) -> int:
-    """Degeneracy as the rank defect of the assembled pairing matrix."""
+    """Degeneracy as the rank defect of the assembled pairing matrix.
+
+    The matrix is validated once; its Bareiss rank is taken on the rows
+    that validation returned.
+    """
     mat = linalg.to_matrix(q)
-    if len(mat) != len(mat[0]) or any(
-        list(col) != [-x for x in row] for row, col in zip(mat, zip(*mat))
-    ):
+    if len(mat) != len(mat[0]) or \
+            linalg._transpose(mat) != [[-x for x in row] for row in mat]:
         raise ValueError("pairing matrix must be skew-symmetric")
-    return b1 - linalg.rank(mat)
+    return b1 - linalg._bareiss(mat)[0]
 
 
 def degeneracy_closed_form(d: int, k: int, tag: int) -> int:

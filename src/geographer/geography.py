@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
-from .circle_bundle import VALID_TAGS, bundle_b1_formula, nullity_closed_form, valid_tags
+from .circle_bundle import VALID_TAGS, bundle_d_for_b1, nullity_closed_form, valid_tags
 from .errors import ConsistencyError, InadmissibleError
 from .fiber_sum import (
     DolgachevSurface,
@@ -264,15 +264,20 @@ def realize_null(a: int, b: int, c: int, genus: int | None = None) -> Recipe | O
 
 
 def _search_bundle_nullity(b: int, c: int, genus: int | None) -> Recipe | None:
+    """The first bundle with b1 = b and nullity c, in tag order, then k.
+
+    For a given tag and k the b1 formula fixes d, so each (tag, k) has at
+    most one candidate.
+    """
     for tag in VALID_TAGS:
         for k in range(0, b + 1):
-            for d in range(0, k + 1):
-                if tag not in valid_tags(d, k) or bundle_b1_formula(d, k, tag) != b:
-                    continue
-                if nullity_closed_form(d, k, tag) != c:
-                    continue
-                spec = BundleManifoldSpec(d, k, default_genus(k, genus), tag)
-                return _bundle_recipe(spec, (0, b, c), "nullity")
+            d = bundle_d_for_b1(k, tag, b)
+            if not 0 <= d <= k or tag not in valid_tags(d, k):
+                continue
+            if nullity_closed_form(d, k, tag) != c:
+                continue
+            spec = BundleManifoldSpec(d, k, default_genus(k, genus), tag)
+            return _bundle_recipe(spec, (0, b, c), "nullity")
     return None
 
 

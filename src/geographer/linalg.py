@@ -20,10 +20,11 @@ the bundle path every pivot is 1. A basis of a kernel or of a free
 cokernel is checked against a Smith form already computed, through its
 coordinates (:func:`kernel_coordinates`, :func:`cokernel_free_coordinates`)
 and one determinant, not a second Smith form. Arguments are validated
-once, by :func:`to_matrix`, at the public boundary. Compositions inside
-the package hand rows they have already validated or built to the
-private kernels :func:`_matmul`, :func:`_gram` and :func:`_transpose`,
-which trust their input.
+once, by :func:`to_matrix`, at the public boundary, and rows the package
+built itself are not validated again. Compositions inside the package
+hand such rows to the private kernels :func:`_matmul`, :func:`_gram`,
+:func:`_transpose`, :func:`_bareiss` and :func:`_det`, which trust their
+input.
 """
 
 from __future__ import annotations
@@ -243,11 +244,15 @@ def _bareiss(m: Matrix) -> tuple[int, int, int]:
 def det(a) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     m = to_matrix(a)
-    n = len(m)
-    if len(m[0]) != n:
+    if len(m[0]) != len(m):
         raise ValueError("determinant of a non-square matrix")
+    return _det(m)
+
+
+def _det(m: Matrix) -> int:
+    """:func:`det` of validated square rows, which it eliminates in place."""
     rank_, sign, last = _bareiss(m)
-    return sign * last if rank_ == n else 0
+    return sign * last if rank_ == len(m) else 0
 
 
 def rank(a) -> int:
@@ -472,7 +477,7 @@ def kernel_coordinates(sf: SmithForm, vectors) -> Matrix:
 
 def is_unimodular(a) -> bool:
     mat = to_matrix(a)
-    return len(mat) == len(mat[0]) and det(mat) in (1, -1)
+    return len(mat) == len(mat[0]) and _det(mat) in (1, -1)
 
 
 def unimodular_inverse(a) -> Matrix:

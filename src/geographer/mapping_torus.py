@@ -68,11 +68,6 @@ class WangData:
         if len(self.mu_basis) != self.b2 - 1:
             raise ConsistencyError("mu image must have rank b2(Y) - 1")
 
-    @property
-    def invariant_matrix(self) -> linalg.Matrix:
-        """The invariant basis as fresh int rows (no rows when it is empty)."""
-        return [list(row) for row in self.invariant_basis]
-
 
 def _wedge_tag(vector, genus: int) -> str:
     symbol = surfaces.class_symbol(vector, genus)
@@ -113,8 +108,9 @@ def wang_cohomology(
         if inv and any(map(any, linalg._matmul(inv, linalg._transpose(a)))):
             raise ConsistencyError("invariant basis vector not fixed by the monodromy")
         if fixed_rank:
-            # the index of the lattice the rows span in the fixed lattice
-            index = abs(linalg.det(linalg.kernel_coordinates(sf, inv)))
+            # the index of the lattice the rows span in the fixed lattice;
+            # the coordinates are fresh fixed_rank x fixed_rank rows
+            index = abs(linalg._det(linalg.kernel_coordinates(sf, inv)))
             if index == 0:
                 raise ConsistencyError("invariant basis rows are linearly dependent")
             if index != 1:

@@ -5,12 +5,17 @@ H_1 with a_i . b_i = +1, and the dual basis alpha_1, beta_1, ... of H^1.
 A Dehn twist along a simple closed curve acts on these lattices by an
 integral transvection; words of twists compose to integral symplectic
 matrices, returned as immutable tuples of int rows. Each letter is
-applied as a rank-one update, so a word of L letters costs O(L g^2).
+applied as a rank-one update that touches only the rows over the support
+of its curve and their partner rows, so a letter whose curve has s
+nonzero coefficients costs O(s g) and a word of L letters at most
+O(L g^2); the unit-vector letters of the bundle monodromies cost O(g).
+A letter whose curve is already a tuple of exact ints keeps it as it is.
 Everything here is a pure function of integer data.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -78,12 +83,15 @@ class Twist:
     power: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "curve", tuple(int(x) for x in self.curve))
+        curve = self.curve
+        if type(curve) is not tuple or not set(map(type, curve)) <= {int}:
+            curve = tuple(int(x) for x in curve)
+            object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "power", int(self.power))
         if self.power == 0:
             raise ValueError("twist power must be nonzero")
-        if not linalg.is_primitive(self.curve):
-            raise ValueError(f"twist curve {self.curve} is not primitive")
+        if math.gcd(*curve) != 1:
+            raise ValueError(f"twist curve {curve} is not primitive")
 
     def inverse(self) -> "Twist":
         return Twist(self.curve, -self.power)
@@ -114,19 +122,19 @@ def _twist_in_place(m: linalg.Matrix, letter: Twist) -> None:
     """M <- T M for the transvection T = I - p (J c) c^T of one letter.
 
     T M = M - p (J c)(c^T M): one combination of the rows of M over the
-    support of c, subtracted from the rows where J c is nonzero.
+    support of c, found by a C-level scan, subtracted from the rows where
+    J c is nonzero, which are the partners of that support. Rows are
+    replaced, never mutated, so a unit coefficient uses its row as it is.
     """
     c = letter.curve
-    combo = [0] * len(c)
-    for x, row in zip(c, m):
-        if x:
-            combo = [u + x * v for u, v in zip(combo, row)]
-    for i in range(0, len(c), 2):
+    support = list(compress(range(len(c)), c))
+    scaled = [m[j] if c[j] == 1 else [c[j] * v for v in m[j]] for j in support]
+    combo = scaled[0] if len(scaled) == 1 else [sum(col) for col in zip(*scaled)]
+    for j in support:
         # (J c) pairs a_i with b_i: (J c)_{2i} = c_{2i+1}, (J c)_{2i+1} = -c_{2i}
-        for target, jc in ((i, c[i + 1]), (i + 1, -c[i])):
-            if jc:
-                scale = letter.power * jc
-                m[target] = [x - scale * y for x, y in zip(m[target], combo)]
+        target = j ^ 1
+        scale = letter.power * (c[j] if j & 1 else -c[j])
+        m[target] = [x - scale * y for x, y in zip(m[target], combo)]
 
 
 def twist_transvection(curve, genus: int, power: int = 1) -> IntRows:

@@ -7,12 +7,17 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from geographer import linalg
+from geographer.circle_bundle import VALID_TAGS, bundle_b1_formula, nullity_closed_form, valid_tags
 from geographer.surfaces import Twist, TwistWord
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
 #: Mostly zeros, with unit and non-unit nonzeros.
 sparse_ints = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
+
+
+class Small(int):
+    """An int subclass; the package stores such values as plain ints."""
 
 
 def shape(matrix, width=None):
@@ -102,27 +107,46 @@ def integer_matrices(draw, min_dim=1, max_dim=5, square=False, entries=small_int
 
 
 @st.composite
-def primitive_curves(draw, genus):
+def primitive_curves(draw, genus, entries=st.integers(min_value=-4, max_value=4)):
     vec = draw(
-        st.lists(
-            st.integers(min_value=-4, max_value=4),
-            min_size=2 * genus,
-            max_size=2 * genus,
-        ).filter(lambda v: any(v))
+        st.lists(entries, min_size=2 * genus, max_size=2 * genus).filter(lambda v: any(v))
     )
     g = math.gcd(*vec)
     return tuple(x // g for x in vec)
 
 
 @st.composite
-def twist_words(draw, max_genus=4, max_letters=6):
+def twist_words(
+    draw,
+    max_genus=4,
+    max_letters=6,
+    entries=st.integers(min_value=-4, max_value=4),
+    powers=(-2, -1, 1, 2),
+):
     genus = draw(st.integers(1, max_genus))
     count = draw(st.integers(0, max_letters))
     letters = tuple(
-        Twist(draw(primitive_curves(genus)), draw(st.sampled_from((-2, -1, 1, 2))))
+        Twist(draw(primitive_curves(genus, entries)), draw(st.sampled_from(powers)))
         for _ in range(count)
     )
     return TwistWord(genus, letters)
+
+
+def brute_force_bundle_nullity(b):
+    """The first bundle weights (d, k, tag) with b1 = b, for each nullity.
+
+    Scans every (tag, k, d) with d <= k <= b, in tag order, then k, then
+    d, through the validating closed forms of the package, and keeps the
+    first hit for each nullity c.
+    """
+    first = {}
+    for tag in VALID_TAGS:
+        for k in range(0, b + 1):
+            for d in range(0, k + 1):
+                if tag not in valid_tags(d, k) or bundle_b1_formula(d, k, tag) != b:
+                    continue
+                first.setdefault(nullity_closed_form(d, k, tag), (d, k, tag))
+    return first
 
 
 @st.composite

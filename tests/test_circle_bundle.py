@@ -107,6 +107,52 @@ def test_degeneracy_oracle_requires_skew_input():
         degeneracy_oracle([[1, 0], [0, 1]], 2)
 
 
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        ([[0, 1, 0], [-1, 0, 0]], "skew"),
+        ([[0, 1]], "skew"),
+        ([[0, 1], [1, 0]], "skew"),
+        ([[0, 2], [-1, 0]], "skew"),
+        ([[1]], "skew"),
+        ([[0, True], [-1, 0]], "non-integer"),
+        ([[False, 1], [-1, 0]], "non-integer"),
+        ([[0, 1.0], [-1, 0]], "non-integer"),
+        ([[0, 1], [-1]], "ragged"),
+        ([], "no rows"),
+    ],
+    ids=[
+        "non-square", "one-row", "symmetric", "unbalanced", "diagonal",
+        "bool", "bool-diagonal", "float", "ragged", "empty",
+    ],
+)
+def test_degeneracy_oracle_refuses_malformed_pairings(q, message):
+    with pytest.raises(ValueError, match=message):
+        degeneracy_oracle(q, 2)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"invariant_basis": [(0, 1, 0, 0), (0, 0, 1)]},
+        {"invariant_basis": [(0, 1, 0, 0), (0, 0, 1.5, 0)]},
+        {"invariant_basis": [(0, True, 0, 0), (0, 0, 1, 0)]},
+        {"invariant_basis": []},
+        {"cup": [(0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1)]},
+        {"cup": [(0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1.0), (0, 0, -1, 0)]},
+        {"cup": [(0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, True), (0, 0, -1, 0)]},
+    ],
+    ids=[
+        "basis-ragged", "basis-float", "basis-bool", "basis-empty",
+        "cup-ragged", "cup-float", "cup-bool",
+    ],
+)
+def test_pairing_overrides_are_validated(override):
+    data = bundle_wang_data(0, 1, 2)
+    with pytest.raises(ValueError):
+        lefschetz_pairing(data, default_euler_class(0, 0, 1), **override)
+
+
 def test_degeneracy_closed_form_values():
     assert degeneracy_closed_form(1, 1, 1) == 2
     assert degeneracy_closed_form(2, 3, 0) == 2
@@ -182,7 +228,7 @@ def test_pairing_rank_invariant_under_lattice_base_change(weights, data_):
     d, k, g = weights
     data = bundle_wang_data(d, k, g)
     spec = default_euler_class(0, d, k)
-    base = data.invariant_matrix
+    base = data.invariant_basis
     change = data_.draw(unimodular_matrices(len(base)))
     q, _ = lefschetz_pairing(data, spec)
     q_changed, _ = lefschetz_pairing(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from geographer import geography
 from geographer.bundle_manifold import BundleManifoldSpec
 from geographer.errors import InadmissibleError
 from geographer.fiber_sum import DolgachevSurface, EllipticSurface
@@ -17,6 +18,7 @@ from geographer.geography import (
     realize_null,
     simply_connected_geography,
 )
+from strategies import brute_force_bundle_nullity
 
 
 def brute_force_admissible(a, b, c):
@@ -181,6 +183,24 @@ def test_realize_null_respects_verified_triples():
                 assert result.certificate.nullity == c
                 assert result.certificate.b1 == b
                 assert result.triple_kind == "nullity"
+
+
+@pytest.mark.parametrize("genus", [None, 7])
+def test_bundle_nullity_search_matches_brute_force_scan(monkeypatch, genus):
+    # the recipe is replaced by what it would certify, so that only the
+    # search is under test here
+    monkeypatch.setattr(
+        geography, "_bundle_recipe", lambda spec, triple, kind: (spec, triple, kind)
+    )
+    for b in range(0, 41):
+        first = brute_force_bundle_nullity(b)
+        for c in range(0, b + 1):
+            expected = None
+            if c in first:
+                d, k, tag = first[c]
+                spec = BundleManifoldSpec(d, k, default_genus(k, genus), tag)
+                expected = (spec, (0, b, c), "nullity")
+            assert geography._search_bundle_nullity(b, c, genus) == expected, (b, c)
 
 
 def test_realize_null_negative_signature():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from geographer import linalg
 from strategies import (
+    Small,
     fraction_det,
     integer_matrices,
     mixed_rows,
@@ -39,27 +40,27 @@ def test_matmul_rejects_mismatched_shapes():
         linalg.matmul([[1, 2]], [[1, 2]])
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[1, -2], [3, 4]],
-        [[127, -128], [128, -129]],  # the edges of the one-byte packing
-        [[2**63 - 1, -(2**63)], [0, 1]],  # the edges of the widest packing
-        [[2**63, 0], [0, -(2**70)]],  # too wide to pack
-        # each edge of each packing, then one past it on either side
-        [[127, -128], [0, 1]],
-        [[128, 0], [0, 1]],
-        [[0, -129], [0, 1]],
-        [[2**15 - 1, -(2**15)], [0, 1]],
-        [[2**15, 0], [0, 1]],
-        [[0, -(2**15) - 1], [0, 1]],
-        [[2**31 - 1, -(2**31)], [0, 1]],
-        [[2**31, 0], [0, 1]],
-        [[0, -(2**31) - 1], [0, 1]],
-        [[2**63, 0], [0, 1]],
-        [[0, -(2**63) - 1], [0, 1]],
-    ],
-)
+FROZEN_EDGE_ROWS = [
+    [[1, -2], [3, 4]],
+    [[127, -128], [128, -129]],  # the edges of the one-byte packing
+    [[2**63 - 1, -(2**63)], [0, 1]],  # the edges of the widest packing
+    [[2**63, 0], [0, -(2**70)]],  # too wide to pack
+    # each edge of each packing, then one past it on either side
+    [[127, -128], [0, 1]],
+    [[128, 0], [0, 1]],
+    [[0, -129], [0, 1]],
+    [[2**15 - 1, -(2**15)], [0, 1]],
+    [[2**15, 0], [0, 1]],
+    [[0, -(2**15) - 1], [0, 1]],
+    [[2**31 - 1, -(2**31)], [0, 1]],
+    [[2**31, 0], [0, 1]],
+    [[0, -(2**31) - 1], [0, 1]],
+    [[2**63, 0], [0, 1]],
+    [[0, -(2**63) - 1], [0, 1]],
+]
+
+
+@pytest.mark.parametrize("rows", FROZEN_EDGE_ROWS)
 def test_frozen_matrix_keeps_entries_exactly(rows):
     frozen = linalg.FrozenMatrix(rows)
     # the narrowest signed packing whose range holds every entry, if any
@@ -78,6 +79,26 @@ def test_frozen_matrix_keeps_entries_exactly(rows):
 def test_frozen_matrix_rejects_non_integers():
     with pytest.raises(ValueError):
         linalg.FrozenMatrix([[1.5]])
+
+
+@pytest.mark.parametrize("rows", FROZEN_EDGE_ROWS)
+def test_frozen_matrix_packs_tuple_rows_as_it_packs_lists(rows):
+    as_tuples = linalg.FrozenMatrix(tuple(map(tuple, rows)))
+    as_lists = linalg.FrozenMatrix(rows)
+    assert type(as_tuples._flat) is type(as_lists._flat)
+    assert getattr(as_tuples._flat, "typecode", None) == getattr(as_lists._flat, "typecode", None)
+    assert list(as_tuples._flat) == list(as_lists._flat)
+    assert as_tuples == as_lists
+
+
+def test_frozen_matrix_validates_tuple_rows():
+    for bad in [((1, 2), (3,)), ((True, 0), (0, 1)), ((1.0, 0), (0, 1)), (), ((1, 2), [3])]:
+        with pytest.raises(ValueError):
+            linalg.FrozenMatrix(bad)
+    frozen = linalg.FrozenMatrix(((Small(5), 0), (0, Small(-1))))
+    assert list(frozen) == [(5, 0), (0, -1)]
+    assert all(type(x) is int for row in frozen for x in row)
+    assert linalg.FrozenMatrix(((),)) == [[]]
 
 
 def test_identity_and_zeros_hold_python_ints():

@@ -19,7 +19,14 @@ from geographer.surfaces import (
     is_symplectic,
     twist_transvection,
 )
-from strategies import invariant_subspace, minus_identity, primitive_curves, twist_words
+from strategies import (
+    Small,
+    invariant_subspace,
+    minus_identity,
+    primitive_curves,
+    sparse_ints,
+    twist_words,
+)
 
 
 def negated(matrix):
@@ -75,6 +82,73 @@ def test_twist_rejects_bad_curves():
         twist_transvection((1, 0, 0, 0), 1)  # wrong length
     with pytest.raises(ValueError):
         Twist((1, 0), 0)  # zero power
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        (0, 1),
+        [1, 0],
+        (True, False),
+        (1.0, 0.0),
+        (Small(-1), Small(0)),
+        [0, Small(3), 1, 2.0],
+        (-2, 3, False, 0),
+    ],
+    ids=["int-tuple", "list", "bool", "float", "int-subclass", "mixed-list", "bool-entry"],
+)
+def test_twist_converts_curves_with_int(curve):
+    letter = Twist(curve, Small(2))
+    assert letter.curve == tuple(int(x) for x in curve)
+    assert type(letter.curve) is tuple
+    assert all(type(x) is int for x in letter.curve)
+    assert letter.power == 2 and type(letter.power) is int
+
+
+def test_twist_keeps_a_tuple_of_exact_ints():
+    curve = (0, 0, 1, 0)
+    assert Twist(curve).curve is curve
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [(), (0, 0), [0, 0, 0, 0], (2, 0), (2, -4, 6, 0), (2.0, 0.0), [Small(3), 0, -3, 0]],
+    ids=["empty", "zero", "zero-list", "scaled", "scaled-mixed", "scaled-float", "scaled-subclass"],
+)
+def test_twist_refuses_curves_that_are_not_primitive(curve):
+    with pytest.raises(ValueError, match="not primitive"):
+        Twist(curve)
+
+
+def test_twist_passes_on_the_errors_of_int():
+    with pytest.raises(TypeError):
+        Twist((None, 1))
+    with pytest.raises(ValueError):
+        Twist(("one", 0))
+
+
+def transvection_oracle(curve, genus, power):
+    """I - power * (J c) c^T, formed entry by entry."""
+    jc = [row[0] for row in linalg.matmul(intersection_form(genus), [[x] for x in curve])]
+    return [
+        [(i == j) - power * jc[i] * x for j, x in enumerate(curve)]
+        for i in range(2 * genus)
+    ]
+
+
+@given(twist_words(max_genus=6, max_letters=12, entries=sparse_ints, powers=(-3, -1, 1, 2)))
+def test_compose_word_with_non_unit_curves_matches_transvection_product(word):
+    # twist_transvection is checked against the formula, then composed
+    # left to right as in test_compose_word_matches_product_of_transvections
+    factors = []
+    for letter in reversed(word.letters):
+        t = twist_transvection(letter.curve, word.genus, letter.power)
+        assert [list(row) for row in t] == transvection_oracle(
+            letter.curve, word.genus, letter.power
+        )
+        factors.append(t)
+    product = functools.reduce(linalg.matmul, factors, linalg.identity(2 * word.genus))
+    assert [list(row) for row in compose_word(word)] == product
 
 
 @given(st.integers(1, 3).flatmap(lambda g: st.tuples(st.just(g), primitive_curves(g))),

@@ -1,0 +1,38 @@
+"""sympy's Smith normal form as a third, optional oracle for smith_form.
+
+sympy is not a dependency of the package; these tests are skipped when it
+is not installed. Its diagonal may carry signs, so absolute values are
+compared with the nonnegative diagonal of :func:`linalg.smith_form`.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from geographer import linalg
+from geographer.surfaces import compose_word
+from strategies import integer_matrices, minus_identity, sparse_ints, twist_words
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
+
+
+def sympy_diagonal(rows):
+    snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    return tuple(abs(int(snf[i, i])) for i in range(min(snf.shape)))
+
+
+@given(
+    st.one_of(
+        integer_matrices(max_dim=8),
+        integer_matrices(max_dim=8, entries=sparse_ints),
+    )
+)
+def test_smith_diagonal_matches_sympy_on_random_matrices(rows):
+    assert linalg.smith_form(rows).diagonal == sympy_diagonal(rows)
+
+
+@given(twist_words(max_genus=4, max_letters=8))
+def test_smith_diagonal_matches_sympy_on_twist_words(word):
+    a = minus_identity(compose_word(word))
+    assert linalg.smith_form(a).diagonal == sympy_diagonal(a)
