@@ -63,7 +63,6 @@ from .surfaces import (
     b_curve,
     bundle_monodromy_word,
     compose_word,
-    cup_form,
     intersection_form,
     is_symplectic,
     twist_transvection,

@@ -17,9 +17,11 @@ are validated wholesale by the grid equivalence between the rank of the
 assembled matrix and the closed degeneracy formula.
 
 Rows the package built are not validated again: the pairing reads the
-invariant basis of the Wang data as it stands, and the degeneracy oracle
-validates the assembled matrix once and eliminates those same rows. An
-overriding basis or cup form passed in by a caller is validated.
+invariant basis of the Wang data as it stands and the cup form of the
+fiber by the one nonzero of each of its rows, with no dense matrix built,
+and :func:`bundle_cohomology` takes the rank of the pairing it just
+assembled. An overriding basis or cup form passed in by a caller, and
+the matrix given to the public :func:`degeneracy_oracle`, are validated.
 """
 
 from __future__ import annotations
@@ -180,12 +182,16 @@ def lefschetz_pairing(
         basis = linalg.to_matrix(invariant_basis)
     else:
         basis = data.invariant_basis
-    pairing = linalg.to_matrix(cup) if cup is not None else surfaces.cup_form(data.genus)
+    form = linalg.to_matrix(cup) if cup is not None else None
     m = len(basis)
     size = 1 + m + (1 if spec.is_zero else 0)
     q = linalg.zeros(size, size)
     if m:
-        for i, row in enumerate(linalg._gram(basis, pairing)):
+        if form is None:
+            block = linalg._sparse_gram(basis, 2 * data.genus, surfaces.intersection_row)
+        else:
+            block = linalg._gram(basis, form)
+        for i, row in enumerate(block):
             q[1 + i][1:1 + m] = row
     labels = ("theta",) + data.h1_tags[1:1 + m]
     if spec.is_zero:
@@ -248,10 +254,6 @@ class BundleCohomology:
     degeneracy: int
     nullity: int
 
-    @property
-    def pairing_matrix(self) -> linalg.Matrix:
-        return [list(row) for row in self.pairing]
-
 
 def bundle_cohomology(
     data: WangData, spec: EulerClassSpec, d: int, k: int
@@ -267,10 +269,11 @@ def bundle_cohomology(
     spec = validate_euler_class(data, spec, d, k)
     b1 = bundle_b1(data, spec)
     q, labels = lefschetz_pairing(data, spec)
+    pairing = tuple(map(tuple, q))  # before the elimination reorders the rows of q
     return BundleCohomology(
         b1=b1,
-        pairing=tuple(map(tuple, q)),
+        pairing=pairing,
         labels=labels,
-        degeneracy=degeneracy_oracle(q, b1),
+        degeneracy=b1 - linalg._bareiss(q)[0],
         nullity=nullity_closed_form(d, k, spec.tag),
     )

@@ -13,18 +13,20 @@ kernels cost in proportion to their nonzeros where they can. Products
 find the nonzeros of a row by a C-level scan (:func:`itertools.compress`)
 instead of testing every entry in Python, and the Gram product B F B^T
 of :func:`_gram` touches only the nonzeros of B and of the rows of F they
-select. Bareiss elimination makes every pivot positive by negating its
-row, so a row with a zero in the pivot column is skipped whenever the
-pivot equals the previous one; on the pairings and unit-vector bases of
-the bundle path every pivot is 1. A basis of a kernel or of a free
-cokernel is checked against a Smith form already computed, through its
-coordinates (:func:`kernel_coordinates`, :func:`cokernel_free_coordinates`)
-and one determinant, not a second Smith form. Arguments are validated
-once, by :func:`to_matrix`, at the public boundary, and rows the package
-built itself are not validated again. Compositions inside the package
-hand such rows to the private kernels :func:`_matmul`, :func:`_gram`,
-:func:`_transpose`, :func:`_bareiss` and :func:`_det`, which trust their
-input.
+select; :func:`_sparse_gram` takes F by the nonzeros of its rows, so the
+cup form is never built as a dense matrix. Bareiss elimination makes
+every pivot positive by negating its row, so a row with a zero in the
+pivot column is skipped whenever the pivot equals the previous one; on
+the pairings and unit-vector bases of the bundle path every pivot is 1.
+A given basis of a kernel or of a free cokernel is certified without a
+Smith form: :func:`_echelon_pivots` reduces a matrix of full column rank
+by unimodular Euclid row steps, and the number of its pivots is the rank
+while their product is the gcd of the maximal minors. Arguments are
+validated once, by :func:`to_matrix`, at the public boundary, and rows
+the package built itself are not validated again. Compositions inside
+the package hand such rows to the private kernels :func:`_matmul`,
+:func:`_gram`, :func:`_sparse_gram`, :func:`_transpose`, :func:`_bareiss`,
+:func:`_det` and :func:`_echelon_pivots`, which trust their input.
 """
 
 from __future__ import annotations
@@ -109,10 +111,8 @@ def _matmul(left, right) -> Matrix:
 def _gram(basis, form) -> Matrix:
     """B F B^T on validated rows, at a cost that follows their nonzeros.
 
-    Each row of B F sums the rows of F that the nonzeros of a row of B
-    select, and each of its nonzero entries then meets only the nonzeros
-    of one column of B. Zeros are skipped by a C-level scan
-    (:func:`itertools.compress`), not by a Python-level test per entry.
+    The nonzeros of each row of F that is used are found by a C-level
+    scan (:func:`itertools.compress`); :func:`_sparse_gram` does the rest.
     """
     n = len(basis[0])
     if len(form) != n or len(form[0]) != n:
@@ -120,18 +120,35 @@ def _gram(basis, form) -> Matrix:
             f"cannot pair rows of length {n} through a {len(form)}x{len(form[0])} form"
         )
     columns = range(n)
+    return _sparse_gram(
+        basis, n, lambda c: [(j, form[c][j]) for j in compress(columns, form[c])]
+    )
+
+
+def _sparse_gram(basis, n: int, form_row) -> Matrix:
+    """B F B^T for an n x n form F given by its rows' nonzeros.
+
+    ``form_row(c)`` lists the nonzeros (column, entry) of row c of F; it is
+    asked once per row that the nonzeros of B select. Each row of B F sums
+    those rows, and each of its nonzero entries then meets only the
+    nonzeros of one column of B. Zeros of B are skipped by a C-level scan
+    (:func:`itertools.compress`), not by a Python-level test per entry.
+    """
+    if len(basis[0]) != n:
+        raise ValueError(f"cannot pair rows of length {len(basis[0])} through a {n}x{n} form")
+    columns = range(n)
     support = [list(compress(columns, row)) for row in basis]
     by_column = [[] for _ in columns]  # (row index, entry) of each nonzero of B
     for i, (row, cols) in enumerate(zip(basis, support)):
         for j in cols:
             by_column[j].append((i, row[j]))
-    form_rows = {}  # the nonzeros (column, entry) of each row of F that is used
+    form_rows = {}  # the nonzeros of each row of F that is used
     out = []
     for row, cols in zip(basis, support):
         acc = {}  # this row of B F, by column
         for c in cols:
             if c not in form_rows:
-                form_rows[c] = [(j, form[c][j]) for j in compress(columns, form[c])]
+                form_rows[c] = form_row(c)
             x = row[c]
             for j, y in form_rows[c]:
                 acc[j] = acc.get(j, 0) + x * y
@@ -157,7 +174,16 @@ class FrozenMatrix:
     __slots__ = ("_flat", "_rows")
 
     def __init__(self, rows):
-        mat = to_matrix(rows)
+        self._pack(to_matrix(rows))
+
+    @classmethod
+    def _from_int_rows(cls, rows) -> "FrozenMatrix":
+        """Pack rows of exact Python ints that the package built, unvalidated."""
+        frozen = cls.__new__(cls)
+        frozen._pack(rows)
+        return frozen
+
+    def _pack(self, mat) -> None:
         self._rows = len(mat)
         flat = [x for row in mat for x in row]
         # x fits a signed k-bit int exactly when max(x, ~x) has under k bits
@@ -203,7 +229,10 @@ def _bareiss(m: Matrix) -> tuple[int, int, int]:
     permutation times -1 for every negated row. Every entry stays a minor
     of the input (Bareiss, Math. Comp. 22, 1968), so each division is
     exact and intermediate sizes are bounded by Hadamard's inequality.
-    Columns without a pivot are skipped. A negative pivot row is negated:
+    Columns without a pivot are skipped. Rows are replaced, never mutated,
+    so eliminating a shallow copy of the list leaves the input rows intact.
+    The last pivot is, up to sign, a rank-size minor of the input. A
+    negative pivot row is negated:
     that is elimination of the input with that row negated, whose later
     minors all contain the row and so only change sign. With positive
     pivots a row with a zero in the pivot column needs no update whenever
@@ -239,6 +268,48 @@ def _bareiss(m: Matrix) -> tuple[int, int, int]:
         if rank_ == nrows:
             break
     return rank_, sign, prev
+
+
+def _echelon_pivots(rows) -> list[int]:
+    """Absolute pivots of an echelon form reached by unimodular row steps.
+
+    Rows are bucketed by their leading column. Where several rows lead in
+    one column, Euclid steps (a row minus an integer multiple of the row
+    with the smallest entry there) leave one of them leading with the gcd
+    of the column, and send the others on to the bucket of their new
+    leading column; rows that vanish are dropped. The rows are trusted
+    as they are and are not mutated. For a matrix of full column rank the
+    pivots number the columns and their product is the gcd of the
+    maximal minors, which unimodular row steps preserve; fewer pivots
+    mean a lower rank. Rows that already lead in distinct columns, as
+    unit vectors do, cost one C-level scan each.
+    """
+    columns = range(len(rows[0]))
+    leading = [[] for _ in columns]
+    for row in rows:
+        j = next(compress(columns, row), None)
+        if j is not None:
+            leading[j].append(row)
+    pivots = []
+    for col in columns:
+        bucket = leading[col]
+        while len(bucket) > 1:
+            top, *others = sorted(bucket, key=lambda row: abs(row[col]))
+            p = top[col]
+            kept = [top]
+            for row in others:
+                q = row[col] // p
+                row = [x - q * y for x, y in zip(row, top)]
+                if row[col]:
+                    kept.append(row)
+                else:
+                    j = next(compress(columns, row), None)
+                    if j is not None:
+                        leading[j].append(row)
+            bucket = kept
+        if bucket:
+            pivots.append(abs(bucket[0][col]))
+    return pivots
 
 
 def det(a) -> int:
@@ -436,48 +507,6 @@ def kernel_basis(a) -> Matrix:
 def cokernel_free_basis(a) -> Matrix:
     """Rows represent a basis of the free part of Z^m / (image of A)."""
     return smith_form(a).cokernel_free_basis()
-
-
-def cokernel_free_coordinates(sf: SmithForm, vectors) -> Matrix:
-    """Coordinates of row vectors in the free part of the cokernel of A.
-
-    ``sf`` must be the Smith decomposition of A (an m x n matrix); the
-    vectors live in Z^m. Column i of the result is the image of vector i.
-    """
-    vecs = to_matrix(vectors)
-    m = len(sf.s)
-    if len(vecs[0]) != m:
-        raise ValueError(f"vectors of length {len(vecs[0])} do not live in Z^{m}")
-    free = sf._free(m)
-    if not free:
-        return []
-    # S^-1 restricted to the free rows, times the vectors as columns
-    return _transpose(_matmul(vecs, _transpose([sf.s_inv[i] for i in free])))
-
-
-def kernel_coordinates(sf: SmithForm, vectors) -> Matrix:
-    """Coordinates of kernel vectors over the saturated basis of ker A.
-
-    ``sf`` must be the Smith decomposition of A (an m x n matrix) and the
-    rows of ``vectors`` must lie in ker A in Z^n. Row i of the result
-    holds the coordinates of vector i over :meth:`SmithForm.kernel_basis`:
-    with A = S D T, a kernel vector v has T v supported on the zero
-    diagonal, where the kernel basis is the columns of T^-1, so the
-    coordinates are the rows of T there applied to v.
-    """
-    vecs = to_matrix(vectors)
-    n = len(sf.t)
-    if len(vecs[0]) != n:
-        raise ValueError(f"vectors of length {len(vecs[0])} do not live in Z^{n}")
-    free = sf._free(n)
-    if not free:
-        return []
-    return _matmul(vecs, _transpose([sf.t[j] for j in free]))
-
-
-def is_unimodular(a) -> bool:
-    mat = to_matrix(a)
-    return len(mat) == len(mat[0]) and _det(mat) in (1, -1)
 
 
 def unimodular_inverse(a) -> Matrix:

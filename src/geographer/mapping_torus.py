@@ -7,15 +7,17 @@ volume class together with lifts of the fixed classes of phi^*, and the
 connecting map mu identifies H^2(Y) modulo the fiber class with the free
 part of the cokernel of A. Degeneracy and nullity downstream are real
 ranks, so all bases here are rational-rank data; the integral torsion of A
-is computed and reported as a diagnostic only. Ranks, bases and torsion
-are all read off one Smith decomposition of A, held as rows of Python
-ints, and preferred bases are checked by their coordinates over the
-bases it gives, so a mapping torus costs one Smith form. The monodromy
-itself is an immutable, packed int matrix.
+is computed and reported as a diagnostic only. Generic bases are read off
+one Smith decomposition of A, held as rows of Python ints. Preferred
+bases are certified from A itself, by pivot counts and pivot products of
+unimodular echelon forms, so the canonical bases of the bundle path cost
+one Bareiss elimination of A and no Smith form. The monodromy itself is
+an immutable, packed int matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -37,7 +39,7 @@ class MappingTorus:
     @cached_property
     def monodromy(self) -> linalg.FrozenMatrix:
         """The pullback action on H^1, kept packed for the torus's lifetime."""
-        return linalg.FrozenMatrix(surfaces.compose_word(self.word))
+        return linalg.FrozenMatrix._from_int_rows(surfaces.compose_word(self.word))
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,15 +84,24 @@ def wang_cohomology(
 ) -> WangData:
     """Wang-sequence cohomology data of a mapping torus.
 
-    One Smith decomposition of phi^* - 1 yields the rank, the generic
-    kernel and free cokernel bases, and the torsion. Optional preferred
-    bases replace the generic ones after being verified exactly against
-    the same decomposition: a preferred invariant basis must consist of
-    fixed vectors whose coordinates over the saturated kernel basis have
-    determinant +-1 (0 means dependent rows, any other value a lattice
-    that is not saturated), so that it is a lattice basis of
-    ker(phi^* - 1); a preferred mu basis must map to a lattice basis of
-    the free part of coker(phi^* - 1). A failed check raises
+    Generic bases come from one Smith decomposition of A = phi^* - 1,
+    which also gives the rank and the torsion. Optional preferred bases
+    replace the generic ones after an exact certificate from A:
+
+    * an invariant basis B must consist of fixed vectors (A v = 0), and
+      B^T must reduce by unimodular row steps to one pivot per row of B
+      (so the rows are independent) with product 1 (the gcd of the
+      maximal minors of B, so their span is saturated): then B is a
+      lattice basis of ker A;
+    * a mu basis must make [A^T; mu] reduce to 2g pivots whose product,
+      the order of Z^2g / (im A + span mu), is the order of the torsion
+      of coker A: that holds exactly when mu maps to a lattice basis of
+      the free part of coker A.
+
+    With both bases given no Smith form is computed: one Bareiss
+    elimination of A gives the rank and a rank-size minor, and a minor of
+    1 proves the torsion empty; only another minor calls for the Smith
+    form, for the torsion alone. A failed check raises
     :class:`ConsistencyError`.
     """
     g = torus.genus
@@ -98,22 +109,26 @@ def wang_cohomology(
     a = [list(row) for row in torus.monodromy]
     for i in range(n):
         a[i][i] -= 1
-    sf = linalg.smith_form(a)
-    fixed_rank = n - sf.rank
+    if invariant_basis is None or mu_basis is None:
+        sf = linalg.smith_form(a)
+        rank, torsion = sf.rank, sf.elementary_divisors
+    else:
+        rank, torsion = _rank_and_torsion(a)
+    fixed_rank = n - rank
+    if invariant_basis is not None or mu_basis is not None:
+        image = linalg._transpose(a)  # row j is A e_j
 
     if invariant_basis is None:
         inv = sf.kernel_basis()
     else:
         inv = _preferred_rows(invariant_basis, "invariant", fixed_rank, n)
-        if inv and any(map(any, linalg._matmul(inv, linalg._transpose(a)))):
+        if inv and any(map(any, linalg._matmul(inv, image))):
             raise ConsistencyError("invariant basis vector not fixed by the monodromy")
         if fixed_rank:
-            # the index of the lattice the rows span in the fixed lattice;
-            # the coordinates are fresh fixed_rank x fixed_rank rows
-            index = abs(linalg._det(linalg.kernel_coordinates(sf, inv)))
-            if index == 0:
+            pivots = linalg._echelon_pivots(linalg._transpose(inv))
+            if len(pivots) < fixed_rank:
                 raise ConsistencyError("invariant basis rows are linearly dependent")
-            if index != 1:
+            if math.prod(pivots) != 1:
                 raise ConsistencyError("invariant basis does not span a saturated lattice")
 
     if mu_basis is None:
@@ -121,8 +136,8 @@ def wang_cohomology(
     else:
         mu = _preferred_rows(mu_basis, "mu", fixed_rank, n)
         if fixed_rank:
-            coords = linalg.cokernel_free_coordinates(sf, mu)
-            if not linalg.is_unimodular(coords):
+            pivots = linalg._echelon_pivots(image + mu)
+            if len(pivots) < n or math.prod(pivots) != math.prod(torsion):
                 raise ConsistencyError("mu basis is not a lattice basis of the free cokernel")
 
     inv_rows = tuple(map(tuple, inv))
@@ -133,10 +148,23 @@ def wang_cohomology(
         b2=fixed_rank + 1,
         invariant_basis=inv_rows,
         mu_basis=mu_rows,
-        torsion=sf.elementary_divisors,
+        torsion=torsion,
         h1_tags=("theta",) + tuple(surfaces.class_symbol(r, g) for r in inv_rows),
         h2_tags=("Omega",) + tuple(_wedge_tag(r, g) for r in mu_rows),
     )
+
+
+def _rank_and_torsion(a: linalg.Matrix) -> tuple[int, tuple[int, ...]]:
+    """Rank and torsion of A, with a Smith form only when a minor leaves doubt.
+
+    The last Bareiss pivot is a rank-size minor of A. It is a multiple of
+    the product of the nonzero invariant factors, so a minor of 1 proves
+    them all 1. The elimination replaces rows and leaves those of A intact.
+    """
+    rank, _, minor = linalg._bareiss(list(a))
+    if minor == 1:
+        return rank, ()
+    return rank, linalg.smith_form(a).elementary_divisors
 
 
 def _preferred_rows(basis, name: str, fixed_rank: int, n: int) -> linalg.Matrix:
@@ -156,8 +184,8 @@ def bundle_wang_data(d: int, k: int, g: int) -> WangData:
 
     The fixed lattice is spanned by b_1 .. b_d and the untouched handles
     a_{d+1}, b_{d+1}, .., a_k, b_k; the free cokernel by a_1 .. a_d and the
-    same untouched handles. Both choices are verified against the generic
-    computation, so a wrong canonical basis cannot slip through.
+    same untouched handles. Both choices are certified exactly by
+    :func:`wang_cohomology`, so a wrong canonical basis cannot slip through.
     """
     word = surfaces.bundle_monodromy_word(d, k, g)
     torus = MappingTorus(word)

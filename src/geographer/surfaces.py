@@ -64,15 +64,15 @@ def intersection_form(genus: int) -> linalg.Matrix:
     if genus < 1:
         raise ValueError("genus must be positive")
     j = linalg.zeros(2 * genus, 2 * genus)
-    for i in range(genus):
-        j[2 * i][2 * i + 1] = 1
-        j[2 * i + 1][2 * i] = -1
+    for c in range(2 * genus):
+        ((col, entry),) = intersection_row(c)
+        j[c][col] = entry
     return j
 
 
-# The pairing induced on H^1 by the dual basis has the same matrix as the
-# intersection form on H_1.
-cup_form = intersection_form
+def intersection_row(c: int) -> tuple[tuple[int, int], ...]:
+    """The one nonzero (column, entry) of row c of J: a_i meets b_i in +1."""
+    return ((c ^ 1, -1 if c & 1 else 1),)
 
 
 @dataclass(frozen=True)

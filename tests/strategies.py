@@ -165,3 +165,73 @@ def unimodular_matrices(draw, n, max_ops=8):
         elif kind == "negate":
             mat[i] = [-x for x in mat[i]]
     return mat
+
+
+def cokernel_free_coordinates(sf, vectors):
+    """Coordinates of row vectors in the free part of the cokernel of A.
+
+    ``sf`` must be the Smith decomposition of A (an m x n matrix); the
+    vectors live in Z^m. Column i of the result is the image of vector i.
+    """
+    vecs = linalg.to_matrix(vectors)
+    m = len(sf.s)
+    if len(vecs[0]) != m:
+        raise ValueError(f"vectors of length {len(vecs[0])} do not live in Z^{m}")
+    free = sf._free(m)
+    if not free:
+        return []
+    # S^-1 restricted to the free rows, times the vectors as columns
+    return linalg._transpose(linalg._matmul(vecs, linalg._transpose([sf.s_inv[i] for i in free])))
+
+
+def kernel_coordinates(sf, vectors):
+    """Coordinates of kernel vectors over the saturated basis of ker A.
+
+    ``sf`` must be the Smith decomposition of A (an m x n matrix) and the
+    rows of ``vectors`` must lie in ker A in Z^n. Row i of the result
+    holds the coordinates of vector i over ``sf.kernel_basis()``: with
+    A = S D T, a kernel vector v has T v supported on the zero diagonal,
+    where the kernel basis is the columns of T^-1, so the coordinates are
+    the rows of T there applied to v.
+    """
+    vecs = linalg.to_matrix(vectors)
+    n = len(sf.t)
+    if len(vecs[0]) != n:
+        raise ValueError(f"vectors of length {len(vecs[0])} do not live in Z^{n}")
+    free = sf._free(n)
+    if not free:
+        return []
+    return linalg._matmul(vecs, linalg._transpose([sf.t[j] for j in free]))
+
+
+def is_unimodular(a):
+    mat = linalg.to_matrix(a)
+    return len(mat) == len(mat[0]) and linalg._det(mat) in (1, -1)
+
+
+def smith_coordinate_verdict(torus, invariant_basis, mu_basis):
+    """The message a preferred basis pair is refused with, or None.
+
+    The route the certificate of ``wang_cohomology`` replaced: both bases
+    are checked through their coordinates over the bases of one Smith
+    decomposition of A = phi^* - 1. An invariant basis must consist of
+    fixed vectors whose coordinates over the saturated kernel basis have
+    determinant +-1 (0 means dependent rows, any other value a lattice
+    that is not saturated); a mu basis must have unimodular coordinates
+    in the free cokernel. Both bases must have the shape
+    ``wang_cohomology`` demands; the checks and their messages come in the
+    order it raises them.
+    """
+    a = minus_identity(torus.monodromy)
+    sf = linalg.smith_form(a)
+    if invariant_basis and any(map(any, linalg.matmul(invariant_basis, linalg.transpose(a)))):
+        return "invariant basis vector not fixed by the monodromy"
+    if invariant_basis:
+        index = abs(linalg.det(kernel_coordinates(sf, invariant_basis)))
+        if index == 0:
+            return "invariant basis rows are linearly dependent"
+        if index != 1:
+            return "invariant basis does not span a saturated lattice"
+    if mu_basis and not is_unimodular(cokernel_free_coordinates(sf, mu_basis)):
+        return "mu basis is not a lattice basis of the free cokernel"
+    return None

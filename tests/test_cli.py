@@ -1,5 +1,6 @@
 """Command line contracts: exit codes, emitters, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -301,3 +302,30 @@ def test_cli_import_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+#: sha256 of stdout and the exit code of commands at the sizes the
+#: benchmark runs, from the release before the canonical Wang bases were
+#: certified without a Smith form; stderr is empty for each.
+BYTE_CONTRACT = [
+    (("verify", "--grid-max", "10"), 0,
+     "279ce3b223aeb8b3f2ba9f02fd70eed3e5d7412a068282f925402ba8716cf30b"),
+    (("enumerate", "--sigma-min", "-240", "--b1-max", "24"), 0,
+     "873b08fe1d739f014faeb7ee101a1ef8a8138fe72e4c4e9ef07c1627c001d6d0"),
+    (("realize", "0", "32", "32"), 0,
+     "212da161f30e1b1f114d885f0ed1fb1e679788d900ae37569cae3fb855d20c80"),
+    (("realize", "-400", "32", "0"), 0,
+     "3f143ffeff5a66784bd2f2e695edc2c563bd500fd7c84984163b0b72dc331526"),
+    (("realize", "0", "3", "1", "--null"), EXIT_OPEN,
+     "1ed33a6025102273e3d95739877caa2f959a42fc539fb2e11ec2566b84d8bef0"),
+    (("invariants", "--bundle", "0", "32", "32", "0"), 0,
+     "c8735cf8753ad0c6ef1f20d2380db8c99fc8f47bcb032f38ee6d4b7d436c811b"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest", BYTE_CONTRACT, ids=[" ".join(c[0]) for c in BYTE_CONTRACT]
+)
+def test_stdout_bytes_at_benchmark_sizes(capsys, argv, exit_code, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (exit_code, digest, "")

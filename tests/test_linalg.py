@@ -1,5 +1,7 @@
 """Exactness properties of the integer linear algebra core."""
 
+import itertools
+import math
 from array import array
 
 import pytest
@@ -9,8 +11,11 @@ from hypothesis import strategies as st
 from geographer import linalg
 from strategies import (
     Small,
+    cokernel_free_coordinates,
     fraction_det,
     integer_matrices,
+    is_unimodular,
+    kernel_coordinates,
     mixed_rows,
     shape,
     small_ints,
@@ -89,6 +94,17 @@ def test_frozen_matrix_packs_tuple_rows_as_it_packs_lists(rows):
     assert getattr(as_tuples._flat, "typecode", None) == getattr(as_lists._flat, "typecode", None)
     assert list(as_tuples._flat) == list(as_lists._flat)
     assert as_tuples == as_lists
+
+
+@pytest.mark.parametrize("rows", FROZEN_EDGE_ROWS)
+def test_frozen_matrix_packs_package_rows_as_the_validating_constructor(rows):
+    # rows of exact ints the package built take the unvalidated path
+    built = linalg.FrozenMatrix._from_int_rows(tuple(map(tuple, rows)))
+    validated = linalg.FrozenMatrix(rows)
+    assert type(built._flat) is type(validated._flat)
+    assert getattr(built._flat, "typecode", None) == getattr(validated._flat, "typecode", None)
+    assert list(built._flat) == list(validated._flat)
+    assert built == validated and len(built) == len(validated)
 
 
 def test_frozen_matrix_validates_tuple_rows():
@@ -217,14 +233,14 @@ def test_cokernel_free_basis_size(rows):
     basis = linalg.cokernel_free_basis(a)
     assert shape(basis, len(a)) == (len(a) - linalg.rank(a), len(a))
     if basis:
-        coords = linalg.cokernel_free_coordinates(linalg.smith_form(a), basis)
-        assert linalg.is_unimodular(coords)
+        coords = cokernel_free_coordinates(linalg.smith_form(a), basis)
+        assert is_unimodular(coords)
 
 
 def test_cokernel_coordinates_shape_mismatch():
     sf = linalg.smith_form([[2, 0], [0, 0]])
     with pytest.raises(ValueError):
-        linalg.cokernel_free_coordinates(sf, [[1, 2, 3]])
+        cokernel_free_coordinates(sf, [[1, 2, 3]])
 
 
 @given(integer_matrices(), st.data())
@@ -233,16 +249,56 @@ def test_kernel_coordinates_recover_a_change_of_kernel_basis(rows, data):
     basis = sf.kernel_basis()
     if basis:
         change = data.draw(unimodular_matrices(len(basis)))
-        assert linalg.kernel_coordinates(sf, basis) == linalg.identity(len(basis))
-        assert linalg.kernel_coordinates(sf, linalg.matmul(change, basis)) == change
+        assert kernel_coordinates(sf, basis) == linalg.identity(len(basis))
+        assert kernel_coordinates(sf, linalg.matmul(change, basis)) == change
     else:
-        assert linalg.kernel_coordinates(sf, [[0] * len(rows[0])]) == []
+        assert kernel_coordinates(sf, [[0] * len(rows[0])]) == []
 
 
 def test_kernel_coordinates_shape_mismatch():
     sf = linalg.smith_form([[2, 0], [0, 0]])
     with pytest.raises(ValueError):
-        linalg.kernel_coordinates(sf, [[1, 2, 3]])
+        kernel_coordinates(sf, [[1, 2, 3]])
+
+
+def maximal_minor_gcd(rows):
+    """gcd of the maximal minors of a matrix with at least as many rows as
+    columns, over every choice of rows, by fraction elimination."""
+    width = len(rows[0])
+    return math.gcd(*(fraction_det(pick) for pick in itertools.combinations(rows, width)))
+
+
+@given(integer_matrices(max_dim=6), st.data())
+def test_echelon_pivots_count_the_rank_and_multiply_to_the_minor_gcd(rows, data):
+    # stacking extra rows keeps the shape tall enough for maximal minors;
+    # a copy of a row and a multiple of one add no rank
+    extra = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+    rows = rows + [list(rows[i]) for i in extra] + [[3 * x for x in rows[0]]]
+    before = [list(row) for row in rows]
+    pivots = linalg._echelon_pivots(rows)
+    assert rows == before  # the input rows are not mutated
+    assert len(pivots) == linalg.rational_rank(rows)
+    assert all(p > 0 for p in pivots)
+    if len(pivots) == len(rows[0]):
+        assert math.prod(pivots) == maximal_minor_gcd(rows)
+
+
+@given(integer_matrices(max_dim=6), st.data())
+def test_echelon_pivots_are_invariant_under_unimodular_row_steps(rows, data):
+    # a unimodular change of the rows spans the same lattice, whose echelon
+    # pivots are determined by it
+    change = data.draw(unimodular_matrices(len(rows)))
+    changed = linalg.matmul(change, rows)
+    assert linalg._echelon_pivots(changed) == linalg._echelon_pivots(rows)
+
+
+def test_echelon_pivots_frozen():
+    assert linalg._echelon_pivots([[2, 1], [0, 3]]) == [2, 3]
+    assert linalg._echelon_pivots([[4, 0], [6, 0], [0, 1]]) == [2, 1]
+    assert linalg._echelon_pivots([[0, 0], [0, 0]]) == []
+    row = [1, 2]
+    assert linalg._echelon_pivots([row, row]) == [1]  # one object twice
+    assert linalg._echelon_pivots([[-3, 1], [0, -2]]) == [3, 2]
 
 
 @given(st.integers(1, 12).flatmap(

@@ -1,7 +1,11 @@
 """Wang-sequence data of mapping tori: ranks, tagged bases, torsion."""
 
+import math
+import random
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geographer import linalg
@@ -12,13 +16,19 @@ from geographer.mapping_torus import (
     wang_cohomology,
 )
 from geographer.surfaces import (
+    Twist,
     TwistWord,
     a_curve,
     b_curve,
     bundle_monodromy_word,
     compose_word,
 )
-from strategies import minus_identity, twist_words, unimodular_matrices
+from strategies import (
+    minus_identity,
+    smith_coordinate_verdict,
+    twist_words,
+    unimodular_matrices,
+)
 
 
 def test_product_with_circle_genus_two():
@@ -108,8 +118,8 @@ def test_dependent_invariant_basis_is_rejected(basis):
 
 @given(st.sampled_from([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 3), (1, 4, 5)]), st.data())
 def test_unimodular_change_of_canonical_invariant_basis_is_accepted(weights, data_):
-    # the coordinates over the saturated kernel basis form a unimodular
-    # matrix exactly when the rows are another lattice basis of it
+    # the rows are another lattice basis of the fixed lattice exactly when
+    # they are fixed, independent and span a saturated lattice
     d, k, g = weights
     canonical = bundle_wang_data(d, k, g)
     torus = MappingTorus(bundle_monodromy_word(d, k, g))
@@ -170,3 +180,210 @@ def test_mu_image_operation():
     data = wang_cohomology(MappingTorus(bundle_monodromy_word(0, 1, 2)))
     assert len(data.mu_basis) == 2
     assert all(tag.endswith("^theta") for tag in data.h2_tags[1:])
+
+
+def cli_size_weights():
+    """(d, k, g) at genus up to 32: the corners and inner points of each
+    weight triangle, where the twisted, untouched and paired blocks meet."""
+    for g in (8, 16, 24, 32):
+        for d, k in [(0, 0), (0, g), (g, g), (0, g // 2), (g // 2, g // 2), (g // 2, g),
+                     (1, g - 1), (g // 4, 3 * g // 4), (g - 1, g)]:
+            yield d, k, g
+
+
+@pytest.mark.parametrize("d, k, g", list(cli_size_weights()))
+def test_canonical_bases_at_cli_sizes_match_generic_route(d, k, g):
+    data = bundle_wang_data(d, k, g)
+    generic = wang_cohomology(MappingTorus(bundle_monodromy_word(d, k, g)))
+    assert (data.b1, data.torsion) == (generic.b1, generic.torsion) == (2 * k - d + 1, ())
+    assert smith_coordinate_verdict(
+        MappingTorus(bundle_monodromy_word(d, k, g)), data.invariant_basis, data.mu_basis
+    ) is None
+
+
+def test_bundle_path_computes_no_smith_form(monkeypatch):
+    def refuse(a):
+        raise AssertionError("smith_form called on the bundle path")
+
+    monkeypatch.setattr(linalg, "smith_form", refuse)
+    for g in range(1, 11):
+        for k in range(g + 1):
+            for d in range(k + 1):
+                bundle_wang_data.__wrapped__(d, k, g)
+    for d, k, g in cli_size_weights():
+        bundle_wang_data.__wrapped__(d, k, g)
+
+
+def preferred_verdict(torus, invariant_basis, mu_basis):
+    """What wang_cohomology makes of a preferred pair: (data, None) or
+    (None, the message it refuses the pair with)."""
+    try:
+        return wang_cohomology(torus, invariant_basis=invariant_basis, mu_basis=mu_basis), None
+    except ConsistencyError as exc:
+        return None, str(exc)
+
+
+MUTATIONS = (
+    "none",
+    "double_row",
+    "duplicate_row",
+    "unfixed_row",
+    "double_mu_row",
+    "duplicate_mu_row",
+    "mu_plus_image",
+)
+
+
+def candidate_bases(torus, generic, mutation, draw_change, draw_index, draw_scale):
+    """The generic bases of a torus under a unimodular change, then mutated.
+
+    ``generic`` is the torus's Wang data without preferred bases.
+    ``draw_change(r)`` gives an r x r unimodular matrix, ``draw_index(r)``
+    a row index below r and ``draw_scale()`` a nonzero multiplier.
+    """
+    inv = [list(row) for row in generic.invariant_basis]
+    mu = [list(row) for row in generic.mu_basis]
+    r = len(inv)
+    if not r:
+        return inv, mu
+    inv = linalg.matmul(draw_change(r), inv)
+    mu = linalg.matmul(draw_change(r), mu)
+    i, j = draw_index(r), draw_index(r)
+    image = linalg.transpose(minus_identity(torus.monodromy))  # row j is A e_j
+    moved = next((c for c, row in enumerate(image) if any(row)), None)  # A e_moved != 0
+    if mutation == "double_row":
+        inv[i] = [2 * x for x in inv[i]]
+    elif mutation == "duplicate_row" and r > 1:
+        inv[i] = list(inv[(i + 1) % r])
+    elif mutation == "unfixed_row" and moved is not None:
+        # e_moved is not fixed, nor is any fixed row plus it
+        inv[i] = [x + (c == moved) for c, x in enumerate(inv[i])]
+    elif mutation == "double_mu_row":
+        mu[i] = [2 * x for x in mu[i]]
+    elif mutation == "duplicate_mu_row" and r > 1:
+        mu[i] = list(mu[(i + 1) % r])
+    elif mutation == "mu_plus_image":
+        # adding an image vector of A leaves the class in the cokernel alone
+        q = draw_scale()
+        mu[i] = [x + q * y for x, y in zip(mu[i], image[j])]
+    return inv, mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    twist_words(max_genus=5, max_letters=6, powers=(-2, -1, 1, 2)),
+    st.sampled_from(MUTATIONS),
+    st.data(),
+)
+def test_certificate_agrees_with_smith_coordinate_oracle(word, mutation, data_):
+    # twists with power +-2 make torsion in coker(phi^* - 1) common
+    torus = MappingTorus(word)
+    generic = wang_cohomology(torus)
+    inv, mu = candidate_bases(
+        torus,
+        generic,
+        mutation,
+        lambda r: data_.draw(unimodular_matrices(r)),
+        lambda r: data_.draw(st.integers(0, r - 1)),
+        lambda: data_.draw(st.sampled_from((-3, -1, 1, 2))),
+    )
+    data, message = preferred_verdict(torus, inv, mu)
+    assert message == smith_coordinate_verdict(torus, inv, mu)
+    if message is None:
+        assert data.invariant_basis == tuple(map(tuple, inv))
+        assert data.mu_basis == tuple(map(tuple, mu))
+        assert (data.b1, data.torsion) == (generic.b1, generic.torsion)
+
+
+def test_certificate_with_torsion():
+    # a double twist along a1 in genus 2: coker(phi^* - 1) has torsion Z/2
+    torus = MappingTorus(TwistWord(2, (Twist(a_curve(1, 2), 2),)))
+    generic = wang_cohomology(torus)
+    assert generic.torsion == (2,)
+    inv, mu = generic.invariant_basis, generic.mu_basis
+    assert preferred_verdict(torus, inv, mu)[0].torsion == (2,)
+    doubled = [tuple(2 * x for x in mu[0])] + list(mu[1:])
+    message = "mu basis is not a lattice basis of the free cokernel"
+    assert preferred_verdict(torus, inv, doubled)[1] == message
+    assert smith_coordinate_verdict(torus, inv, doubled) == message
+
+
+def random_word(rng):
+    """A twist word of genus <= 5 with curve entries up to +-4 and powers
+    +-1 and +-2, as the property tests draw them."""
+    genus = rng.randint(1, 5)
+    letters = []
+    for _ in range(rng.randint(0, 6)):
+        curve = [0]
+        while not any(curve):
+            curve = [rng.randint(-4, 4) for _ in range(2 * genus)]
+        g = math.gcd(*curve)
+        letters.append(Twist(tuple(x // g for x in curve), rng.choice((-2, -1, 1, 2))))
+    return TwistWord(genus, tuple(letters))
+
+
+def unimodular(rng, r):
+    mat = linalg.identity(r)
+    for _ in range(8):
+        i, j = rng.randrange(r), rng.randrange(r)
+        if i != j:
+            q = rng.randint(-3, 3)
+            mat[i] = [x + q * y for x, y in zip(mat[i], mat[j])]
+    return mat
+
+
+def bits(rows):
+    return max((abs(x).bit_length() for row in rows for x in row), default=0)
+
+
+def test_echelon_intermediates_on_random_words(monkeypatch):
+    # Every row _echelon_pivots forms while it certifies the bases of 150
+    # random words, under every mutation, is traced. The generic bases come
+    # from Smith transforms and reach 1844 bits on these words themselves;
+    # the rows formed from them stay within twice the bits of the input
+    # plus one (measured: largest 1846 bits, on an input of 1844 bits).
+    # On the unit-vector bases of the bundle path they stay at one bit.
+    rng = random.Random(20261018)
+    kernel = linalg._echelon_pivots
+    calls = []
+
+    def traced(rows):
+        largest = bits(rows)
+
+        def line(frame, event, arg):
+            nonlocal largest
+            for name in ("row", "top"):
+                row = frame.f_locals.get(name)
+                if row:
+                    largest = max(largest, bits([row]))
+            return line
+
+        sys.settrace(lambda frame, event, arg: line if frame.f_code is kernel.__code__ else None)
+        try:
+            return kernel(rows)
+        finally:
+            sys.settrace(None)
+            calls.append((bits(rows), largest))
+
+    monkeypatch.setattr(linalg, "_echelon_pivots", traced)
+    for _ in range(150):
+        torus = MappingTorus(random_word(rng))
+        generic = wang_cohomology(torus)
+        for mutation in MUTATIONS:
+            inv, mu = candidate_bases(
+                torus,
+                generic,
+                mutation,
+                lambda r: unimodular(rng, r),
+                rng.randrange,
+                lambda: rng.choice((-3, -1, 1, 2)),
+            )
+            preferred_verdict(torus, inv, mu)
+    assert calls
+    assert all(largest <= 2 * start + 1 for start, largest in calls)
+    calls.clear()
+    for g in range(1, 7):
+        for k in range(g + 1):
+            for d in range(k + 1):
+                bundle_wang_data.__wrapped__(d, k, g)
+    assert calls and all(largest == 1 for _, largest in calls)

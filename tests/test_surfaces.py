@@ -16,6 +16,7 @@ from geographer.surfaces import (
     class_symbol,
     compose_word,
     intersection_form,
+    intersection_row,
     is_symplectic,
     twist_transvection,
 )
@@ -23,6 +24,7 @@ from strategies import (
     Small,
     invariant_subspace,
     minus_identity,
+    mixed_rows,
     primitive_curves,
     sparse_ints,
     twist_words,
@@ -45,6 +47,16 @@ def test_intersection_form_frozen():
     assert linalg.matmul(j2, j2) == negated(linalg.identity(4))
     assert linalg.det(j2) == 1
     assert linalg.transpose(j2) == negated(j2)
+
+
+@given(st.integers(1, 8).flatmap(lambda g: st.tuples(st.just(g), mixed_rows(2 * g, max_rows=10))))
+def test_gram_through_the_rows_of_j_matches_the_dense_form(genus_and_basis):
+    # the pairing reads J by the one nonzero of each row, never built densely
+    genus, basis = genus_and_basis
+    dense = linalg._gram(basis, intersection_form(genus))
+    assert linalg._sparse_gram(basis, 2 * genus, intersection_row) == dense
+    with pytest.raises(ValueError):
+        linalg._sparse_gram(basis, 2 * genus + 2, intersection_row)
 
 
 def test_intersection_form_rejects_genus_zero():
