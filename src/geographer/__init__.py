@@ -23,7 +23,6 @@ from .circle_bundle import (
     bundle_cohomology,
     default_euler_class,
     degeneracy_closed_form,
-    degeneracy_oracle,
     lefschetz_pairing,
     nullity_closed_form,
     nullity_necessary_check,
@@ -34,10 +33,8 @@ from .fiber_sum import (
     DolgachevSurface,
     EllipticSurface,
     FiberSumSpec,
-    TorusWitness,
     elliptic_invariants,
     fiber_sum_invariants,
-    torus_witness,
 )
 from .geography import (
     OpenProblem,
@@ -48,7 +45,6 @@ from .geography import (
     is_null_admissible,
     realize,
     realize_null,
-    simply_connected_geography,
 )
 from .mapping_torus import (
     MappingTorus,
@@ -63,9 +59,6 @@ from .surfaces import (
     b_curve,
     bundle_monodromy_word,
     compose_word,
-    intersection_form,
-    is_symplectic,
-    twist_transvection,
 )
 from .verify import VerificationReport, verify_bundle_grid
 

@@ -20,8 +20,7 @@ Rows the package built are not validated again: the pairing reads the
 invariant basis of the Wang data as it stands and the cup form of the
 fiber by the one nonzero of each of its rows, with no dense matrix built,
 and :func:`bundle_cohomology` takes the rank of the pairing it just
-assembled. An overriding basis or cup form passed in by a caller, and
-the matrix given to the public :func:`degeneracy_oracle`, are validated.
+assembled.
 """
 
 from __future__ import annotations
@@ -167,30 +166,19 @@ def bundle_b1(data: WangData, spec: EulerClassSpec) -> int:
 
 
 def lefschetz_pairing(
-    data: WangData,
-    spec: EulerClassSpec,
-    invariant_basis=None,
-    cup=None,
+    data: WangData, spec: EulerClassSpec
 ) -> tuple[linalg.Matrix, tuple[str, ...]]:
     """Assemble the skew pairing (x, y) -> integral of x cup y cup omega.
 
-    Basis order: theta, the lifted fixed classes, then eta when the Euler
-    class vanishes. ``invariant_basis`` and ``cup`` may be overridden to
-    exercise basis independence; defaults come from the Wang data.
+    Basis order: theta, the lifted fixed classes of the Wang data, then
+    eta when the Euler class vanishes.
     """
-    if invariant_basis is not None:
-        basis = linalg.to_matrix(invariant_basis)
-    else:
-        basis = data.invariant_basis
-    form = linalg.to_matrix(cup) if cup is not None else None
+    basis = data.invariant_basis
     m = len(basis)
     size = 1 + m + (1 if spec.is_zero else 0)
     q = linalg.zeros(size, size)
     if m:
-        if form is None:
-            block = linalg._sparse_gram(basis, 2 * data.genus, surfaces.intersection_row)
-        else:
-            block = linalg._gram(basis, form)
+        block = linalg._sparse_gram(basis, 2 * data.genus, surfaces.intersection_row)
         for i, row in enumerate(block):
             q[1 + i][1:1 + m] = row
     labels = ("theta",) + data.h1_tags[1:1 + m]
@@ -199,19 +187,6 @@ def lefschetz_pairing(
         q[size - 1][0] = -1
         labels = labels + ("eta",)
     return q, labels
-
-
-def degeneracy_oracle(q, b1: int) -> int:
-    """Degeneracy as the rank defect of the assembled pairing matrix.
-
-    The matrix is validated once; its Bareiss rank is taken on the rows
-    that validation returned.
-    """
-    mat = linalg.to_matrix(q)
-    if len(mat) != len(mat[0]) or \
-            linalg._transpose(mat) != [[-x for x in row] for row in mat]:
-        raise ValueError("pairing matrix must be skew-symmetric")
-    return b1 - linalg._bareiss(mat)[0]
 
 
 def degeneracy_closed_form(d: int, k: int, tag: int) -> int:

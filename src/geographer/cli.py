@@ -214,6 +214,10 @@ def _emit(text: str, out_path: str | None) -> None:
         raise _OutputError(f"cannot write output to {target}: {exc}") from exc
 
 
+class _GenusFloorError(Exception):
+    """The genus floor in the environment is not an integer."""
+
+
 def _genus_floor(args) -> int | None:
     if getattr(args, "genus", None) is not None:
         return args.genus
@@ -222,13 +226,13 @@ def _genus_floor(args) -> int | None:
         try:
             return int(env)
         except ValueError as exc:
-            raise InadmissibleError(f"{GENUS_ENV} must be an integer, got {env!r}") from exc
+            raise _GenusFloorError(f"{GENUS_ENV} must be an integer, got {env!r}") from exc
     return None
 
 
 def cmd_realize(args) -> int:
+    genus = _genus_floor(args)
     try:
-        genus = _genus_floor(args)
         if args.null:
             result = geography.realize_null(args.a, args.b, args.c, genus=genus)
         else:
@@ -284,11 +288,7 @@ def cmd_enumerate(args) -> int:
     if args.sigma_min > 0 or args.b1_max < 0:
         print("region must satisfy sigma-min <= 0 and b1-max >= 0", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    try:
-        genus = _genus_floor(args)
-    except InadmissibleError as exc:
-        print(f"invalid genus floor: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    genus = _genus_floor(args)
     # rows are rendered as the recipes stream in; a failing recipe raises
     # before anything is written
     recipes = geography.enumerate_region(args.sigma_min, args.b1_max, genus=genus)
@@ -371,6 +371,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
+    except _GenusFloorError as exc:
+        print(f"invalid genus floor: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     except _OutputError as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR

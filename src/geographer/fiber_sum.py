@@ -141,25 +141,6 @@ class FiberSumSpec:
         return f"{self.base.label}({self.d},{self.k},{self.g})"
 
 
-@dataclass(frozen=True)
-class TorusWitness:
-    """Gluing-locus metadata: the square-zero symplectic torus t x s."""
-
-    summand: str
-    label: str = "t x s"
-    self_intersection: int = 0
-    symplectic: bool = True
-
-
-def torus_witness(spec: BundleManifoldSpec) -> TorusWitness:
-    """The gluing torus lives only in the zero-Euler-class products."""
-    if spec.e != 0:
-        raise ValueError(
-            "only B(d,k,g;0) = Y x S^1 carries the section-times-circle torus"
-        )
-    return TorusWitness(summand=spec.label)
-
-
 FIBER_SUM_CHECKS = (
     "novikov_signature_additivity",
     "euler_characteristic_additivity_matches_identity",
@@ -184,7 +165,6 @@ def fiber_sum_invariants(spec: FiberSumSpec) -> InvariantCertificate:
         raise ConsistencyError(
             f"summand degeneracy {summand_cert.degeneracy} differs from weight {spec.d}"
         )
-    torus_witness(spec.summand)
 
     sigma = base_cert.sigma + summand_cert.sigma
     chi_additive = base_cert.chi + summand_cert.chi

@@ -22,11 +22,10 @@ from .fiber_sum import (
     DolgachevSurface,
     EllipticSurface,
     FiberSumSpec,
-    elliptic_invariants,
     fiber_sum_invariants,
 )
 
-RecipeSpec = Union[BundleManifoldSpec, FiberSumSpec, EllipticSurface, DolgachevSurface]
+RecipeSpec = Union[BundleManifoldSpec, FiberSumSpec]
 
 #: Default Dolgachev multiplicities: the smallest coprime pair >= 2.
 DEFAULT_DOLGACHEV = (2, 3)
@@ -301,34 +300,3 @@ def enumerate_region(
                 if is_admissible(a, b, c):
                     yield realize(a, b, c, genus=genus)
 
-
-def simply_connected_geography(sigma: int) -> Recipe:
-    """The classical simply connected realization of one signature.
-
-    Every negative multiple of 8 occurs: Dolgachev surfaces give -8 and
-    E(n) gives -8n. Note E(2) is the K3 surface, whose Kodaira dimension
-    is 0; all other outputs have kappa = 1.
-    """
-    if sigma >= 0 or sigma % 8 != 0:
-        raise InadmissibleError("signature must be a negative multiple of 8")
-    if sigma == -8:
-        base: EllipticSurface | DolgachevSurface = DolgachevSurface(*DEFAULT_DOLGACHEV)
-        kind = "dolgachev"
-    else:
-        base = EllipticSurface(-sigma // 8)
-        kind = "elliptic"
-    cert = elliptic_invariants(base)
-    if (cert.sigma, cert.b1, cert.degeneracy) != (sigma, 0, 0):
-        raise ConsistencyError(f"{base.label} does not certify ({sigma}, 0, 0)")
-    notes = ()
-    if cert.kappa != 1:
-        notes = ("E(2) is the K3 surface: Kodaira dimension 0, not 1",)
-    return Recipe(
-        kind=kind,
-        spec=base,
-        label=base.label,
-        certificate=cert,
-        triple=(sigma, 0, 0),
-        triple_kind="degeneracy",
-        notes=notes,
-    )

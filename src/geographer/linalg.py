@@ -5,16 +5,16 @@ Python ints, so arithmetic is arbitrary precision and never touches
 floating point; functions that return a matrix return fresh rows the
 caller may mutate. Ranks and determinants come from fraction-free
 (Bareiss) elimination; kernels, cokernels and torsion are read off an
-integer Smith decomposition. :func:`rational_rank` is an independent
-Fraction-based elimination used to cross-check ranks in the test suite.
+integer Smith form, which keeps only the two transforms they need.
+:func:`rational_rank` is an independent Fraction-based elimination used
+to cross-check ranks.
 
 Most matrices here are sparse with entries in {-1, 0, 1}, and the
 kernels cost in proportion to their nonzeros where they can. Products
 find the nonzeros of a row by a C-level scan (:func:`itertools.compress`)
 instead of testing every entry in Python, and the Gram product B F B^T
-of :func:`_gram` touches only the nonzeros of B and of the rows of F they
-select; :func:`_sparse_gram` takes F by the nonzeros of its rows, so the
-cup form is never built as a dense matrix. Bareiss elimination makes
+of :func:`_sparse_gram` takes F by the nonzeros of its rows, so the cup
+form is never built as a dense matrix. Bareiss elimination makes
 every pivot positive by negating its row, so a row with a zero in the
 pivot column is skipped whenever the pivot equals the previous one; on
 the pairings and unit-vector bases of the bundle path every pivot is 1.
@@ -25,10 +25,9 @@ while their product is the gcd of the maximal minors. Arguments are
 validated once, by :func:`to_matrix`, at the public boundary, and rows
 the package built itself are not validated again. Compositions inside
 the package hand such rows to the private kernels :func:`_matmul`,
-:func:`_gram`, :func:`_sparse_gram`, :func:`_transpose`, :func:`_bareiss`,
-:func:`_det` and :func:`_echelon_pivots`, which trust their input.
+:func:`_sparse_gram`, :func:`_transpose`, :func:`_bareiss`, :func:`_det`
+and :func:`_echelon_pivots`, which trust their input.
 """
-
 from __future__ import annotations
 
 import math
@@ -106,23 +105,6 @@ def _matmul(left, right) -> Matrix:
             acc = [u + x * v for u, v in zip(acc, right[j])]
         out.append(acc)
     return out
-
-
-def _gram(basis, form) -> Matrix:
-    """B F B^T on validated rows, at a cost that follows their nonzeros.
-
-    The nonzeros of each row of F that is used are found by a C-level
-    scan (:func:`itertools.compress`); :func:`_sparse_gram` does the rest.
-    """
-    n = len(basis[0])
-    if len(form) != n or len(form[0]) != n:
-        raise ValueError(
-            f"cannot pair rows of length {n} through a {len(form)}x{len(form[0])} form"
-        )
-    columns = range(n)
-    return _sparse_gram(
-        basis, n, lambda c: [(j, form[c][j]) for j in compress(columns, form[c])]
-    )
 
 
 def _sparse_gram(basis, n: int, form_row) -> Matrix:
@@ -359,16 +341,15 @@ def rational_rank(a) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SmithForm:
-    """Decomposition A = S @ D @ T with S, T unimodular and D diagonal.
+    """Diagonal form D of A, with the two transforms the package reads.
 
-    The diagonal is nonnegative and satisfies d1 | d2 | ... ; `s_inv` and
-    `t_inv` are the exact integer inverses of the transforms.
+    There are unimodular S and T with A = S @ D @ T. The diagonal is
+    nonnegative and satisfies d1 | d2 | ... ; only S and the exact inverse
+    T^-1 are kept, so A @ t_inv == s @ d.
     """
 
     d: Matrix
     s: Matrix
-    t: Matrix
-    s_inv: Matrix
     t_inv: Matrix
 
     @property
@@ -391,7 +372,7 @@ class SmithForm:
 
     def kernel_basis(self) -> Matrix:
         """Columns of T^-1 over the zero diagonal: a saturated basis of ker A."""
-        return [[row[j] for row in self.t_inv] for j in self._free(len(self.t))]
+        return [[row[j] for row in self.t_inv] for j in self._free(len(self.t_inv))]
 
     def cokernel_free_basis(self) -> Matrix:
         """Columns of S over the zero diagonal: a basis of the free cokernel."""
@@ -399,51 +380,45 @@ class SmithForm:
 
 
 def smith_form(a) -> SmithForm:
-    """Smith decomposition of an integer matrix.
+    """Smith form of an integer matrix, with S and T^-1.
 
     Classical pivoting algorithm: move a nonzero entry to the pivot
     position, shrink it to the gcd of its row and column by Euclidean
     steps, then absorb any entry of the remaining block it fails to
-    divide. Row operations are mirrored on S / s_inv, column operations
-    on T / t_inv, so ``a == S @ D @ T`` holds throughout. S and t_inv
-    are held transposed while the algorithm runs, so that every
-    transform update is a row operation and every swap a swap of row
-    references.
+    divide. Row operations are mirrored on S, column operations on T^-1,
+    so ``a @ t_inv == S @ D`` holds throughout. Both are held transposed
+    while the algorithm runs, so that every transform update is a row
+    operation and every swap a swap of row references.
     """
     d = to_matrix(a)
     m, n = len(d), len(d[0])
-    s_tr, s_inv = identity(m), identity(m)
-    t, t_inv_tr = identity(n), identity(n)
+    s_tr = identity(m)
+    t_inv_tr = identity(n)
 
     def row_op(i, j, q):
         # row_i -= q * row_j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
         s_tr[j] = [x + q * y for x, y in zip(s_tr[j], s_tr[i])]
-        s_inv[i] = [x - q * y for x, y in zip(s_inv[i], s_inv[j])]
 
     def col_op(i, j, q):
         # col_i -= q * col_j
         for row in d:
             if row[j]:
                 row[i] -= q * row[j]
-        t[j] = [x + q * y for x, y in zip(t[j], t[i])]
         t_inv_tr[i] = [x - q * y for x, y in zip(t_inv_tr[i], t_inv_tr[j])]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
         s_tr[i], s_tr[j] = s_tr[j], s_tr[i]
-        s_inv[i], s_inv[j] = s_inv[j], s_inv[i]
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        t[i], t[j] = t[j], t[i]
         t_inv_tr[i], t_inv_tr[j] = t_inv_tr[j], t_inv_tr[i]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
         s_tr[i] = [-x for x in s_tr[i]]
-        s_inv[i] = [-x for x in s_inv[i]]
 
     for pivot in range(min(m, n)):
         # the first nonzero entry of the remaining block, in row-major order
@@ -484,35 +459,5 @@ def smith_form(a) -> SmithForm:
     return SmithForm(
         d=d,
         s=[list(col) for col in zip(*s_tr)],
-        t=t,
-        s_inv=s_inv,
         t_inv=[list(col) for col in zip(*t_inv_tr)],
     )
-
-
-def elementary_divisors(a) -> tuple[int, ...]:
-    """Nontrivial invariant factors (entries different from 0 and 1)."""
-    return smith_form(a).elementary_divisors
-
-
-def kernel_basis(a) -> Matrix:
-    """Rows form a basis of the lattice of integer solutions of A x = 0.
-
-    The lattice is saturated (it is the intersection of a rational
-    subspace with the integer lattice), so every row is primitive.
-    """
-    return smith_form(a).kernel_basis()
-
-
-def cokernel_free_basis(a) -> Matrix:
-    """Rows represent a basis of the free part of Z^m / (image of A)."""
-    return smith_form(a).cokernel_free_basis()
-
-
-def unimodular_inverse(a) -> Matrix:
-    """Exact integer inverse of a matrix with determinant +-1."""
-    sf = smith_form(a)
-    if any(x != 1 for x in sf.diagonal) or len(sf.s) != len(sf.t):
-        raise ValueError("matrix is not unimodular")
-    # a = s @ t, so the inverse is t_inv @ s_inv.
-    return _matmul(sf.t_inv, sf.s_inv)

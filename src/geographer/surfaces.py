@@ -54,24 +54,12 @@ def _handle_vector(i: int, genus: int, offset: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def intersection_form(genus: int) -> linalg.Matrix:
-    """Block diagonal skew form J with J(a_i, b_i) = +1.
-
-    The same matrix also represents the cup-product pairing of H^1 in the
-    dual basis (alpha_i pairs with beta_i to +1), so it doubles as the
-    symplectic condition matrix for monodromy actions.
-    """
-    if genus < 1:
-        raise ValueError("genus must be positive")
-    j = linalg.zeros(2 * genus, 2 * genus)
-    for c in range(2 * genus):
-        ((col, entry),) = intersection_row(c)
-        j[c][col] = entry
-    return j
-
-
 def intersection_row(c: int) -> tuple[tuple[int, int], ...]:
-    """The one nonzero (column, entry) of row c of J: a_i meets b_i in +1."""
+    """The one nonzero (column, entry) of row c of the intersection form J.
+
+    J is block diagonal and skew with J(a_i, b_i) = +1; it also represents
+    the cup-product pairing of H^1 in the dual basis.
+    """
     return ((c ^ 1, -1 if c & 1 else 1),)
 
 
@@ -125,6 +113,8 @@ def _twist_in_place(m: linalg.Matrix, letter: Twist) -> None:
     support of c, found by a C-level scan, subtracted from the rows where
     J c is nonzero, which are the partners of that support. Rows are
     replaced, never mutated, so a unit coefficient uses its row as it is.
+    The sign is pinned by the convention that the twist along a_i sends
+    alpha_i to alpha_i + beta_i and fixes beta_i.
     """
     c = letter.curve
     support = list(compress(range(len(c)), c))
@@ -137,23 +127,6 @@ def _twist_in_place(m: linalg.Matrix, letter: Twist) -> None:
         m[target] = [x - scale * y for x, y in zip(m[target], combo)]
 
 
-def twist_transvection(curve, genus: int, power: int = 1) -> IntRows:
-    """Action on H^1 of the ``power``-fold twist along ``curve``.
-
-    With c the coefficient column of the curve and J the intersection
-    form, the matrix is I - power * (J c) c^T. The sign is pinned by the
-    convention that the twist along a_i sends alpha_i to alpha_i + beta_i
-    and fixes beta_i; the opposite handedness only flips signs that cancel
-    in every rank computed downstream.
-    """
-    letter = Twist(tuple(curve), power)
-    if len(letter.curve) != 2 * genus:
-        raise ValueError(f"curve of length {len(letter.curve)} for genus {genus}")
-    m = linalg.identity(2 * genus)
-    _twist_in_place(m, letter)
-    return tuple(map(tuple, m))
-
-
 def compose_word(word: TwistWord) -> IntRows:
     """Pullback action on H^1 of the whole word.
 
@@ -164,17 +137,6 @@ def compose_word(word: TwistWord) -> IntRows:
     for letter in word.letters:
         _twist_in_place(m, letter)
     return tuple(map(tuple, m))
-
-
-def is_symplectic(m) -> bool:
-    """M^T J M = J together with det M = 1."""
-    mat = linalg.to_matrix(m)
-    n = len(mat)
-    if len(mat[0]) != n or n % 2 != 0:
-        return False
-    j = intersection_form(n // 2)
-    return linalg._matmul(linalg._transpose(mat), linalg._matmul(j, mat)) == j \
-        and linalg.det(mat) == 1
 
 
 def bundle_monodromy_word(d: int, k: int, g: int) -> TwistWord:

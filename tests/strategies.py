@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from geographer import linalg
 from geographer.circle_bundle import VALID_TAGS, bundle_b1_formula, nullity_closed_form, valid_tags
-from geographer.surfaces import Twist, TwistWord
+from geographer.surfaces import Twist, TwistWord, compose_word, intersection_row
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -38,7 +38,80 @@ def minus_identity(matrix):
 
 def invariant_subspace(matrix):
     """Saturated integral basis (rows) of the fixed subspace ker(M - I)."""
-    return linalg.kernel_basis(minus_identity(matrix))
+    return linalg.smith_form(minus_identity(matrix)).kernel_basis()
+
+
+def intersection_form(genus):
+    """Block diagonal skew form J with J(a_i, b_i) = +1, built densely.
+
+    The same matrix also represents the cup-product pairing of H^1 in the
+    dual basis (alpha_i pairs with beta_i to +1), so it doubles as the
+    symplectic condition matrix for monodromy actions.
+    """
+    if genus < 1:
+        raise ValueError("genus must be positive")
+    j = linalg.zeros(2 * genus, 2 * genus)
+    for c in range(2 * genus):
+        ((col, entry),) = intersection_row(c)
+        j[c][col] = entry
+    return j
+
+
+def is_symplectic(m):
+    """M^T J M = J together with det M = 1."""
+    mat = linalg.to_matrix(m)
+    n = len(mat)
+    if len(mat[0]) != n or n % 2 != 0:
+        return False
+    j = intersection_form(n // 2)
+    return linalg.matmul(linalg.transpose(mat), linalg.matmul(j, mat)) == j \
+        and linalg.det(mat) == 1
+
+
+def twist_transvection(curve, genus, power=1):
+    """Action on H^1 of the ``power``-fold twist along ``curve``: the word
+    of that one letter, with the curve validated as a letter and checked
+    against the genus."""
+    letter = Twist(tuple(curve), power)
+    if len(letter.curve) != 2 * genus:
+        raise ValueError(f"curve of length {len(letter.curve)} for genus {genus}")
+    return compose_word(TwistWord(genus, (letter,)))
+
+
+def degeneracy_oracle(q, b1):
+    """Degeneracy as the rank defect of a validated skew pairing matrix."""
+    mat = linalg.to_matrix(q)
+    if len(mat) != len(mat[0]) or linalg.transpose(mat) != [[-x for x in row] for row in mat]:
+        raise ValueError("pairing matrix must be skew-symmetric")
+    return b1 - linalg.rank(mat)
+
+
+def rational_inverse(rows):
+    """Exact inverse of an invertible square matrix whose inverse is integral.
+
+    Gauss-Jordan elimination over the rationals on [A | I], independent of
+    ``smith_form``; entries stay ints until a division reaches them, and
+    zero entries of a pivot row are skipped. A singular matrix raises
+    ValueError; the inverse must come out integral.
+    """
+    n = len(rows)
+    mat = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        p = mat[col][col]
+        if p != 1:
+            mat[col] = [x / Fraction(p) if x else x for x in mat[col]]
+        top = mat[col]
+        for r in range(n):
+            factor = mat[r][col]
+            if r != col and factor != 0:
+                mat[r] = [x - factor * y if y else x for x, y in zip(mat[r], top)]
+    inverse = [row[n:] for row in mat]
+    assert all(Fraction(x).denominator == 1 for row in inverse for x in row)
+    return [[int(x) for x in row] for row in inverse]
 
 
 def fraction_det(rows):
@@ -181,7 +254,8 @@ def cokernel_free_coordinates(sf, vectors):
     if not free:
         return []
     # S^-1 restricted to the free rows, times the vectors as columns
-    return linalg._transpose(linalg._matmul(vecs, linalg._transpose([sf.s_inv[i] for i in free])))
+    s_inv = rational_inverse(sf.s)
+    return linalg.transpose(linalg.matmul(vecs, linalg.transpose([s_inv[i] for i in free])))
 
 
 def kernel_coordinates(sf, vectors):
@@ -195,13 +269,14 @@ def kernel_coordinates(sf, vectors):
     the rows of T there applied to v.
     """
     vecs = linalg.to_matrix(vectors)
-    n = len(sf.t)
+    n = len(sf.t_inv)
     if len(vecs[0]) != n:
         raise ValueError(f"vectors of length {len(vecs[0])} do not live in Z^{n}")
     free = sf._free(n)
     if not free:
         return []
-    return linalg._matmul(vecs, linalg._transpose([sf.t[j] for j in free]))
+    t = rational_inverse(sf.t_inv)
+    return linalg.matmul(vecs, linalg.transpose([t[j] for j in free]))
 
 
 def is_unimodular(a):

@@ -17,8 +17,13 @@ from geographer.circle_bundle import (
     nullity_closed_form,
 )
 from geographer.cli import recipe_document
-from geographer.errors import InadmissibleError
-from geographer.fiber_sum import EllipticSurface, FiberSumSpec, fiber_sum_invariants
+from geographer.fiber_sum import (
+    DolgachevSurface,
+    EllipticSurface,
+    FiberSumSpec,
+    elliptic_invariants,
+    fiber_sum_invariants,
+)
 from geographer.geography import (
     OpenProblem,
     enumerate_region,
@@ -26,7 +31,6 @@ from geographer.geography import (
     is_null_admissible,
     realize,
     realize_null,
-    simply_connected_geography,
 )
 from geographer.mapping_torus import bundle_wang_data
 from geographer.surfaces import (
@@ -34,10 +38,8 @@ from geographer.surfaces import (
     TwistWord,
     bundle_monodromy_word,
     compose_word,
-    intersection_form,
-    is_symplectic,
 )
-from strategies import minus_identity
+from strategies import intersection_form, is_symplectic, minus_identity
 
 
 def weight_grid(bound):
@@ -183,20 +185,27 @@ def test_nullity_data_points_and_open_case():
 
 
 def test_simply_connected_signatures():
+    # Dolgachev surfaces give -8 and E(n) gives -8n; E(2) is the K3 surface,
+    # of Kodaira dimension 0, and every other base has kappa = 1
     realized = 0
     for sigma in range(-8, -81, -8):
-        recipe = simply_connected_geography(sigma)
-        cert = recipe.certificate
-        assert (cert.sigma, cert.b1) == (sigma, 0)
+        n = -sigma // 8
+        base = DolgachevSurface(2, 3) if n == 1 else EllipticSurface(n)
+        cert = elliptic_invariants(base)
+        assert (cert.sigma, cert.b1, cert.degeneracy, cert.nullity) == (sigma, 0, 0, 0)
+        assert cert.b_plus - cert.b_minus == sigma
+        assert cert.chi == 12 * n
+        assert cert.kappa == (0 if n == 2 else 1)
         assert cert.minimal
         realized += 1
-    for bad in (-4, -20, 8, 0):
+    for bad in (lambda: EllipticSurface(0), lambda: DolgachevSurface(1, 3),
+                lambda: DolgachevSurface(2, 4)):
         try:
-            simply_connected_geography(bad)
-        except InadmissibleError:
+            bad()
+        except ValueError:
             pass
         else:
-            raise AssertionError(f"{bad} should have been rejected")
+            raise AssertionError("an invalid elliptic base was accepted")
     print(f"\nACCEPTANCE simply connected signatures: PASS ({realized} signatures)")
 
 

@@ -187,8 +187,8 @@ def test_realize_is_byte_identical_across_runs(capsys):
 def test_verify_catches_injected_pairing_fault(capsys, monkeypatch):
     original = circle_bundle.lefschetz_pairing
 
-    def corrupted(data, spec, invariant_basis=None, cup=None):
-        q, labels = original(data, spec, invariant_basis=invariant_basis, cup=cup)
+    def corrupted(data, spec):
+        q, labels = original(data, spec)
         return linalg.zeros(len(q), len(q[0])), labels  # kill the pairing entirely
 
     monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
@@ -207,8 +207,8 @@ def test_verify_catches_pairing_fault_after_construct_has_run(capsys, monkeypatc
                     construct(BundleManifoldSpec(d, k, g, tag))
     original = circle_bundle.lefschetz_pairing
 
-    def corrupted(data, spec, invariant_basis=None, cup=None):
-        q, labels = original(data, spec, invariant_basis=invariant_basis, cup=cup)
+    def corrupted(data, spec):
+        q, labels = original(data, spec)
         return linalg.zeros(len(q), len(q[0])), labels
 
     monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
@@ -265,6 +265,18 @@ def test_genus_environment_must_be_integer(capsys, monkeypatch):
     code, _, err = run(capsys, "realize", "0", "2", "0")
     assert code == EXIT_INADMISSIBLE
     assert "GEOGRAPHER_GENUS_DEFAULT" in err
+
+
+def test_realize_reports_a_bad_genus_variable_as_enumerate_does(capsys, monkeypatch):
+    # the triple is admissible; only the genus floor is at fault
+    monkeypatch.setenv("GEOGRAPHER_GENUS_DEFAULT", "abc")
+    code, out, err = run(capsys, "realize", "0", "4", "4")
+    assert code == EXIT_INADMISSIBLE
+    assert out == ""
+    assert err.startswith("invalid genus floor: ")
+    assert "inadmissible" not in err
+    _, _, enumerate_err = run(capsys, "enumerate", "--sigma-min", "-8", "--b1-max", "2")
+    assert err == enumerate_err
 
 
 def test_enumerate_genus_environment_must_be_integer(capsys, monkeypatch):

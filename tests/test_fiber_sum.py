@@ -2,14 +2,13 @@
 
 import pytest
 
-from geographer.bundle_manifold import KODAIRA_NEG_INF, BundleManifoldSpec
+from geographer.bundle_manifold import KODAIRA_NEG_INF
 from geographer.fiber_sum import (
     DolgachevSurface,
     EllipticSurface,
     FiberSumSpec,
     elliptic_invariants,
     fiber_sum_invariants,
-    torus_witness,
 )
 
 
@@ -111,12 +110,3 @@ def test_dolgachev_branch_grid():
                 assert cert.degeneracy == d
                 assert cert.kappa == 1
 
-
-def test_torus_witness():
-    witness = torus_witness(BundleManifoldSpec(0, 0, 2, 0))
-    assert witness.self_intersection == 0
-    assert witness.symplectic
-    assert witness.label == "t x s"
-    assert torus_witness(BundleManifoldSpec(1, 2, 3, 0)).summand == "B(1,2,3;0)"
-    with pytest.raises(ValueError):
-        torus_witness(BundleManifoldSpec(1, 1, 2, 1))

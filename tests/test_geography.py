@@ -16,7 +16,6 @@ from geographer.geography import (
     is_null_admissible,
     realize,
     realize_null,
-    simply_connected_geography,
 )
 from strategies import brute_force_bundle_nullity
 
@@ -239,17 +238,3 @@ def test_enumerate_order_is_deterministic():
         chunk = [(t[1], t[2]) for t in triples if t[0] == sigma]
         assert chunk == sorted(chunk)
 
-
-def test_simply_connected_geography():
-    recipe = simply_connected_geography(-8)
-    assert recipe.label == "E(1)_{2,3}"
-    assert recipe.certificate.kappa == 1
-    recipe = simply_connected_geography(-24)
-    assert recipe.label == "E(3)"
-    k3 = simply_connected_geography(-16)
-    assert k3.label == "E(2)"
-    assert k3.certificate.kappa == 0  # the K3 point sits on the table boundary
-    assert k3.notes
-    for bad in (-4, 0, 8, -12):
-        with pytest.raises(InadmissibleError):
-            simply_connected_geography(bad)

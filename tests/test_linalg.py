@@ -1,7 +1,10 @@
 """Exactness properties of the integer linear algebra core."""
 
+import dataclasses
+import hashlib
 import itertools
 import math
+import random
 from array import array
 
 import pytest
@@ -17,6 +20,7 @@ from strategies import (
     is_unimodular,
     kernel_coordinates,
     mixed_rows,
+    rational_inverse,
     shape,
     small_ints,
     sparse_sign_matrices,
@@ -159,11 +163,11 @@ def test_det_frozen_values():
 def test_smith_decomposition_properties(rows):
     a = linalg.to_matrix(rows)
     sf = linalg.smith_form(a)
-    assert linalg.matmul(linalg.matmul(sf.s, sf.d), sf.t) == a
-    assert linalg.matmul(sf.s, sf.s_inv) == linalg.identity(len(a))
-    assert linalg.matmul(sf.t, sf.t_inv) == linalg.identity(len(a[0]))
+    t = rational_inverse(sf.t_inv)
+    assert linalg.matmul(linalg.matmul(sf.s, sf.d), t) == a
+    assert linalg.matmul(a, sf.t_inv) == linalg.matmul(sf.s, sf.d)
     assert linalg.det(sf.s) in (1, -1)
-    assert linalg.det(sf.t) in (1, -1)
+    assert linalg.det(t) in (1, -1)
     diag = sf.diagonal
     assert all(x >= 0 for x in diag)
     for previous, current in zip(diag, diag[1:]):
@@ -179,6 +183,32 @@ def test_smith_decomposition_properties(rows):
         if i != j
     ]
     assert all(x == 0 for x in off_diagonal)
+
+
+def seeded_matrices(count=300, seed=20261018, max_dim=8):
+    """Matrices up to max_dim x max_dim, dense or sparse, with entries up
+    to 1, 9 or 50 in absolute value, from a seeded generator."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, max_dim), rng.randint(1, max_dim)
+        entries = rng.choice(((-9, 9), (-1, 1), (-50, 50)))
+        density = rng.choice((0.3, 0.6, 1.0))
+        yield [[rng.randint(*entries) if rng.random() < density else 0 for _ in range(n)]
+               for _ in range(m)]
+
+
+#: sha256 of repr((d, s, t_inv)) of the Smith forms of ``seeded_matrices()``,
+#: as computed by the release that also kept T and S^-1.
+SMITH_DIGEST = "7de8a408894a74980b92647ee914cbadf14e73d8cf6e7fe695354236b06f93d2"
+
+
+def test_smith_form_entries_are_pinned():
+    digest = hashlib.sha256()
+    for a in seeded_matrices():
+        sf = linalg.smith_form(a)
+        assert [f.name for f in dataclasses.fields(sf)] == ["d", "s", "t_inv"]
+        digest.update(repr((sf.d, sf.s, sf.t_inv)).encode())
+    assert digest.hexdigest() == SMITH_DIGEST
 
 
 @given(integer_matrices())
@@ -218,22 +248,23 @@ def test_bareiss_negative_pivots_frozen():
 @given(integer_matrices())
 def test_kernel_is_saturated_and_annihilates(rows):
     a = linalg.to_matrix(rows)
-    kernel = linalg.kernel_basis(a)
+    kernel = linalg.smith_form(a).kernel_basis()
     assert shape(kernel, len(a[0])) == (len(a[0]) - linalg.rank(a), len(a[0]))
     if kernel:
         assert linalg.matmul(a, linalg.transpose(kernel)) == linalg.zeros(len(a), len(kernel))
         # a saturated basis has unit invariant factors and primitive rows
-        assert linalg.elementary_divisors(kernel) == ()
+        assert linalg.smith_form(kernel).elementary_divisors == ()
         assert all(linalg.is_primitive(row) for row in kernel)
 
 
 @given(integer_matrices())
 def test_cokernel_free_basis_size(rows):
     a = linalg.to_matrix(rows)
-    basis = linalg.cokernel_free_basis(a)
+    sf = linalg.smith_form(a)
+    basis = sf.cokernel_free_basis()
     assert shape(basis, len(a)) == (len(a) - linalg.rank(a), len(a))
     if basis:
-        coords = cokernel_free_coordinates(linalg.smith_form(a), basis)
+        coords = cokernel_free_coordinates(sf, basis)
         assert is_unimodular(coords)
 
 
@@ -305,34 +336,42 @@ def test_echelon_pivots_frozen():
     lambda n: st.tuples(mixed_rows(n, max_rows=12), mixed_rows(n, min_rows=n, max_rows=n))
 ))
 def test_gram_matches_two_products(basis_and_form):
+    # an arbitrary form, read by the nonzeros of its rows
     basis, form = basis_and_form
     expected = linalg.matmul(linalg.matmul(basis, form), linalg.transpose(basis))
-    assert linalg._gram(basis, form) == expected
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in form]
+    assert linalg._sparse_gram(basis, len(form), nonzeros.__getitem__) == expected
 
 
 def test_gram_rejects_a_form_of_the_wrong_shape():
     with pytest.raises(ValueError):
-        linalg._gram([[1, 0]], [[0, 1, 0], [-1, 0, 0]])
+        linalg._sparse_gram([[1, 0]], 3, lambda c: [])
     with pytest.raises(ValueError):
-        linalg._gram([[1, 0]], [[0, 1, 0]])
+        linalg._sparse_gram([[1, 0, 0]], 2, lambda c: [])
 
 
 def test_elementary_divisors_frozen():
-    assert linalg.elementary_divisors([[2, 0], [0, 3]]) == (6,)
-    assert linalg.elementary_divisors([[1, 0], [0, 1]]) == ()
-    assert linalg.elementary_divisors([[2, 0], [0, 2]]) == (2, 2)
-    assert linalg.elementary_divisors([[0, 0], [0, 0]]) == ()
+    def divisors(rows):
+        return linalg.smith_form(rows).elementary_divisors
+
+    assert divisors([[2, 0], [0, 3]]) == (6,)
+    assert divisors([[1, 0], [0, 1]]) == ()
+    assert divisors([[2, 0], [0, 2]]) == (2, 2)
+    assert divisors([[0, 0], [0, 0]]) == ()
 
 
-@given(integer_matrices(square=True))
-def test_unimodular_inverse_round_trip(rows):
-    a = linalg.to_matrix(rows)
-    if linalg.det(a) in (1, -1):
-        inv = linalg.unimodular_inverse(a)
-        assert linalg.matmul(a, inv) == linalg.identity(len(a))
-    else:
-        with pytest.raises(ValueError):
-            linalg.unimodular_inverse(a)
+@given(st.integers(1, 6).flatmap(unimodular_matrices))
+def test_rational_inverse_round_trip(a):
+    inv = rational_inverse(a)
+    assert linalg.matmul(a, inv) == linalg.identity(len(a))
+    assert linalg.matmul(inv, a) == linalg.identity(len(a))
+
+
+def test_rational_inverse_refuses_singular_and_non_integral_inverses():
+    with pytest.raises(ValueError):
+        rational_inverse([[1, 2], [2, 4]])
+    with pytest.raises(AssertionError):
+        rational_inverse([[2, 0], [0, 1]])
 
 
 @given(st.lists(small_ints, min_size=1, max_size=6))

@@ -25,6 +25,7 @@ from geographer.surfaces import (
 )
 from strategies import (
     minus_identity,
+    rational_inverse,
     smith_coordinate_verdict,
     twist_words,
     unimodular_matrices,
@@ -155,10 +156,10 @@ def test_single_smith_form_matches_separate_calls(word):
     torus = MappingTorus(word)
     data = wang_cohomology(torus)
     assert torus.monodromy == compose_word(word)
-    a = minus_identity(torus.monodromy)
-    assert data.invariant_basis == tuple(map(tuple, linalg.kernel_basis(a)))
-    assert data.mu_basis == tuple(map(tuple, linalg.cokernel_free_basis(a)))
-    assert data.torsion == linalg.elementary_divisors(a)
+    sf = linalg.smith_form(minus_identity(torus.monodromy))
+    assert data.invariant_basis == tuple(map(tuple, sf.kernel_basis()))
+    assert data.mu_basis == tuple(map(tuple, sf.cokernel_free_basis()))
+    assert data.torsion == sf.elementary_divisors
 
 
 @given(twist_words(max_genus=3, max_letters=4), twist_words(max_genus=3, max_letters=4))
@@ -168,11 +169,11 @@ def test_torsion_invariant_under_symplectic_base_change(word, change):
     m = compose_word(word)
     basis_change = compose_word(change)
     conjugated = linalg.matmul(
-        linalg.matmul(basis_change, m), linalg.unimodular_inverse(basis_change)
+        linalg.matmul(basis_change, m), rational_inverse(basis_change)
     )
-    assert linalg.elementary_divisors(minus_identity(m)) == linalg.elementary_divisors(
+    assert linalg.smith_form(minus_identity(m)).elementary_divisors == linalg.smith_form(
         minus_identity(conjugated)
-    )
+    ).elementary_divisors
     assert linalg.rank(minus_identity(m)) == linalg.rank(minus_identity(conjugated))
 
 
@@ -293,6 +294,44 @@ def test_certificate_agrees_with_smith_coordinate_oracle(word, mutation, data_):
         assert data.invariant_basis == tuple(map(tuple, inv))
         assert data.mu_basis == tuple(map(tuple, mu))
         assert (data.b1, data.torsion) == (generic.b1, generic.torsion)
+
+
+def dense_words(count, genus=6, letters=16, seed=20261018):
+    """Seeded random dense twist words: curve entries in {-1, 0, 1} and
+    powers +-1, drawn as the dense-word benchmark draws them."""
+    rng = random.Random(seed)
+    n = 2 * genus
+    for _ in range(count):
+        word = []
+        for _ in range(letters):
+            curve = (0,) * n
+            while not any(curve):
+                curve = tuple(rng.choice((-1, 0, 1)) for _ in range(n))
+            word.append(Twist(curve, rng.choice((1, -1))))
+        yield TwistWord(genus, tuple(word))
+
+
+def test_certificate_accepts_smith_bases_of_dense_genus_six_words():
+    # The drawn words fix no vector, so their bases are empty and only the
+    # torsion is compared. Each is also conjugated around a double twist,
+    # w T^2 w^-1, which fixes a rank-11 lattice whose Smith bases have
+    # entries of tens of bits.
+    for word in dense_words(20):
+        double = Twist(word.letters[0].curve, 2)
+        conjugate = TwistWord(word.genus, word.letters + (double,) + word.inverse().letters)
+        for w in (word, conjugate):
+            torus = MappingTorus(w)
+            a = minus_identity(torus.monodromy)
+            sf = linalg.smith_form(a)
+            assert linalg.matmul(a, sf.t_inv) == linalg.matmul(sf.s, sf.d)
+            generic = wang_cohomology(torus)
+            inv, mu = generic.invariant_basis, generic.mu_basis
+            data = wang_cohomology(torus, invariant_basis=inv, mu_basis=mu)
+            assert (data.b1, data.torsion) == (generic.b1, generic.torsion)
+            assert (data.invariant_basis, data.mu_basis) == (inv, mu)
+        assert (generic.b1, generic.torsion) == (12, (2,))
+        with pytest.raises(ConsistencyError, match="saturated"):
+            wang_cohomology(torus, invariant_basis=[tuple(2 * x for x in inv[0])] + list(inv[1:]))
 
 
 def test_certificate_with_torsion():

@@ -1,0 +1,38 @@
+"""The scripts under scripts/ run end to end at tiny sizes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from geographer.circle_bundle import valid_tags
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_bundle_table_prints_its_header_and_every_case():
+    proc = run_script("bundle_table.py", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "d\tk\tg\te\tb1\trank_Q\tdegeneracy\tnullity\tkappa"
+    cases = [
+        (d, k, g, tag)
+        for g in (1, 2) for k in range(g + 1) for d in range(k + 1) for tag in valid_tags(d, k)
+    ]
+    assert [tuple(map(int, line.split("\t")[:4])) for line in lines[1:]] == cases
+
+
+def test_geography_atlas_realizes_the_region_and_passes_its_sweep():
+    proc = run_script("geography_atlas.py", "-16", "4")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "25 admissible triples realized" in lines
+    assert lines[-1].startswith("verification sweep over ") and lines[-1].endswith(": PASS")
