@@ -7,12 +7,14 @@ volume class together with lifts of the fixed classes of phi^*, and the
 connecting map mu identifies H^2(Y) modulo the fiber class with the free
 part of the cokernel of A. Degeneracy and nullity downstream are real
 ranks, so all bases here are rational-rank data; the integral torsion of A
-is computed and reported as a diagnostic only. Generic bases are read off
-one Smith decomposition of A, held as rows of Python ints. Preferred
-bases are certified from A itself, by pivot counts and pivot products of
-unimodular echelon forms, so the canonical bases of the bundle path cost
-one Bareiss elimination of A and no Smith form. The monodromy itself is
-an immutable, packed int matrix.
+is computed and reported as a diagnostic only. A generic word has a
+nonsingular A, with empty bases and a torsion found by Smith elimination
+modulo det A, which keeps no transforms and no entry as large as det A;
+a singular A reads its generic bases off one Smith decomposition, held
+as rows of Python ints. Preferred bases are certified from A itself, by
+pivot counts and pivot products of unimodular echelon forms, so the
+canonical bases of the bundle path cost one Bareiss elimination of A and
+no Smith form. The monodromy itself is an immutable, packed int matrix.
 """
 
 from __future__ import annotations
@@ -84,9 +86,12 @@ def wang_cohomology(
 ) -> WangData:
     """Wang-sequence cohomology data of a mapping torus.
 
-    Generic bases come from one Smith decomposition of A = phi^* - 1,
-    which also gives the rank and the torsion. Optional preferred bases
-    replace the generic ones after an exact certificate from A:
+    One Bareiss elimination of A = phi^* - 1 gives its rank, and
+    :func:`_rank_and_torsion` its torsion. A nonsingular A, as a generic
+    word has, fixes no vector: its generic bases are empty and no Smith
+    form is computed. A singular A reads its generic bases and torsion
+    off one Smith decomposition. Optional preferred bases replace the
+    generic ones after an exact certificate from A:
 
     * an invariant basis B must consist of fixed vectors (A v = 0), and
       B^T must reduce by unimodular row steps to one pivot per row of B
@@ -98,10 +103,8 @@ def wang_cohomology(
       of coker A: that holds exactly when mu maps to a lattice basis of
       the free part of coker A.
 
-    With both bases given no Smith form is computed: one Bareiss
-    elimination of A gives the rank and a rank-size minor, and a minor of
-    1 proves the torsion empty; only another minor calls for the Smith
-    form, for the torsion alone. A failed check raises
+    With both bases given, a singular A costs a Smith form only when its
+    minor is not 1, for the torsion alone. A failed check raises
     :class:`ConsistencyError`.
     """
     g = torus.genus
@@ -109,17 +112,13 @@ def wang_cohomology(
     a = [list(row) for row in torus.monodromy]
     for i in range(n):
         a[i][i] -= 1
-    if invariant_basis is None or mu_basis is None:
-        sf = linalg.smith_form(a)
-        rank, torsion = sf.rank, sf.elementary_divisors
-    else:
-        rank, torsion = _rank_and_torsion(a)
+    rank, torsion, sf = _rank_and_torsion(a, invariant_basis is None or mu_basis is None)
     fixed_rank = n - rank
     if invariant_basis is not None or mu_basis is not None:
         image = linalg._transpose(a)  # row j is A e_j
 
     if invariant_basis is None:
-        inv = sf.kernel_basis()
+        inv = sf.kernel_basis() if sf else []  # no Smith form: A is nonsingular
     else:
         inv = _preferred_rows(invariant_basis, "invariant", fixed_rank, n)
         if inv and any(map(any, linalg._matmul(inv, image))):
@@ -132,7 +131,7 @@ def wang_cohomology(
                 raise ConsistencyError("invariant basis does not span a saturated lattice")
 
     if mu_basis is None:
-        mu = sf.cokernel_free_basis()
+        mu = sf.cokernel_free_basis() if sf else []
     else:
         mu = _preferred_rows(mu_basis, "mu", fixed_rank, n)
         if fixed_rank:
@@ -154,17 +153,28 @@ def wang_cohomology(
     )
 
 
-def _rank_and_torsion(a: linalg.Matrix) -> tuple[int, tuple[int, ...]]:
-    """Rank and torsion of A, with a Smith form only when a minor leaves doubt.
+def _rank_and_torsion(
+    a: linalg.Matrix, generic_bases: bool
+) -> tuple[int, tuple[int, ...], linalg.SmithForm | None]:
+    """Rank and torsion of A, and its Smith form where one is needed.
 
-    The last Bareiss pivot is a rank-size minor of A. It is a multiple of
-    the product of the nonzero invariant factors, so a minor of 1 proves
-    them all 1. The elimination replaces rows and leaves those of A intact.
+    This is the one home of the torsion rule. One Bareiss elimination
+    gives the rank and a rank-size minor of A, a multiple of the product
+    of the nonzero invariant factors, so a minor of 1 proves them all 1.
+    A nonsingular A has |det A| for that minor and an empty kernel and
+    free cokernel; its torsion comes from Smith elimination modulo the
+    determinant, with no transforms. Only a singular A whose generic
+    bases are asked for, or whose minor leaves the torsion in doubt,
+    costs a Smith form, which is returned (else None). The elimination
+    replaces rows and leaves those of A intact.
     """
     rank, _, minor = linalg._bareiss(list(a))
-    if minor == 1:
-        return rank, ()
-    return rank, linalg.smith_form(a).elementary_divisors
+    if rank == len(a):
+        return rank, () if minor == 1 else linalg.elementary_divisors(a, minor), None
+    if minor == 1 and not generic_bases:
+        return rank, (), None
+    sf = linalg.smith_form(a)
+    return rank, sf.elementary_divisors, sf
 
 
 def _preferred_rows(basis, name: str, fixed_rank: int, n: int) -> linalg.Matrix:

@@ -205,6 +205,56 @@ def twist_words(
     return TwistWord(genus, letters)
 
 
+@st.composite
+def conjugated_words(draw, max_genus=4, max_letters=6, powers=(-2, -1, 1, 2)):
+    """w T^p w^-1 for a drawn word w and one drawn twist T^p: the monodromy
+    fixes a lattice of rank 2g - 1, so phi^* - 1 is singular."""
+    word = draw(twist_words(max_genus, max_letters, powers=powers))
+    twist = Twist(draw(primitive_curves(word.genus)), draw(st.sampled_from(powers)))
+    return TwistWord(word.genus, word.letters + (twist,) + word.inverse().letters)
+
+
+def dense_words(count, genus=6, letters=16, seed=20261018):
+    """Seeded random dense twist words: curve entries in {-1, 0, 1} and
+    powers +-1, drawn as the dense-word benchmark draws them."""
+    rng = random.Random(seed)
+    n = 2 * genus
+    for _ in range(count):
+        word = []
+        for _ in range(letters):
+            curve = (0,) * n
+            while not any(curve):
+                curve = tuple(rng.choice((-1, 0, 1)) for _ in range(n))
+            word.append(Twist(curve, rng.choice((1, -1))))
+        yield TwistWord(genus, tuple(word))
+
+
+def dense_skew(n, seed, entries=9):
+    """A seeded dense skew-symmetric n x n matrix with entries up to
+    +-``entries``; nonsingular for even n, as a rule."""
+    rng = random.Random(seed)
+    a = linalg.zeros(n, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = rng.randint(-entries, entries)
+            a[j][i] = -a[i][j]
+    return a
+
+
+def real_size_matrices():
+    """(label, A) for nonsingular inputs at the sizes the CLI reaches: dense
+    skew matrices of dimension 20, 24 and 30, and phi^* - 1 of dense twist
+    words of genus 8 to 10 with 2g + 4 letters, two of each."""
+    for n in (20, 24, 30):
+        for seed in (1, 2):
+            yield f"skew{n}-{seed}", dense_skew(n, 1000 * n + seed)
+    for genus in (8, 9, 10):
+        # a word of fewer than 2g letters fixes a vector
+        words = dense_words(2, genus=genus, letters=2 * genus + 4, seed=genus)
+        for i, word in enumerate(words):
+            yield f"genus{genus}-{i}", minus_identity(compose_word(word))
+
+
 def brute_force_bundle_nullity(b):
     """The first bundle weights (d, k, tag) with b1 = b, for each nullity.
 

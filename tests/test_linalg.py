@@ -5,10 +5,11 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geographer import linalg
@@ -21,8 +22,10 @@ from strategies import (
     kernel_coordinates,
     mixed_rows,
     rational_inverse,
+    real_size_matrices,
     shape,
     small_ints,
+    sparse_ints,
     sparse_sign_matrices,
     unimodular_matrices,
 )
@@ -358,6 +361,82 @@ def test_elementary_divisors_frozen():
     assert divisors([[1, 0], [0, 1]]) == ()
     assert divisors([[2, 0], [0, 2]]) == (2, 2)
     assert divisors([[0, 0], [0, 0]]) == ()
+
+
+def test_modular_elementary_divisors_frozen():
+    divisors = linalg.elementary_divisors
+    assert divisors([[2, 0], [0, 3]]) == (6,)
+    assert divisors([[1, 0], [0, 1]]) == ()
+    assert divisors([[2, 0], [0, 2]]) == (2, 2)
+    assert divisors([[-5]]) == (5,)
+    assert divisors([[4, 6], [6, 4]]) == (2, 10)
+    assert divisors([[0, 4], [6, 0]], det=-24) == (2, 12)
+    with pytest.raises(ValueError, match="singular"):
+        divisors([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="non-square"):
+        divisors([[1, 2]])
+
+
+@st.composite
+def scrambled_diagonals(draw, max_dim=6):
+    """U D V for unimodular U, V and a diagonal D of small divisors that
+    share factors, so the invariant factors differ from the diagonal."""
+    n = draw(st.integers(1, max_dim))
+    diagonal = draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 9, 12)), min_size=n, max_size=n))
+    d = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    u, v = draw(unimodular_matrices(n)), draw(unimodular_matrices(n))
+    return linalg.matmul(linalg.matmul(u, d), v)
+
+
+@given(
+    st.one_of(
+        integer_matrices(max_dim=8, square=True),
+        integer_matrices(max_dim=8, square=True, entries=sparse_ints),
+        scrambled_diagonals(),
+    )
+)
+def test_modular_elementary_divisors_match_smith_form(rows):
+    assume(linalg.det(rows))
+    assert linalg.elementary_divisors(rows) == linalg.smith_form(rows).elementary_divisors
+
+
+def traced_divisors(a):
+    """``elementary_divisors(a)``, and the largest absolute entry of every
+    row its kernel holds, read at each line it runs."""
+    kernel = linalg._elementary_divisors.__code__
+    largest = 0
+
+    def line(frame, event, arg):
+        nonlocal largest
+        held = frame.f_locals
+        rows = [held.get(name) for name in ("row", "top", "stray")] + list(held.get("block") or ())
+        largest = max([largest] + [max(max(row), -min(row)) for row in rows if row])
+        return line
+
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is kernel else None)
+    try:
+        divisors = linalg.elementary_divisors(a)
+    finally:
+        sys.settrace(None)
+    return divisors, largest
+
+
+REAL_SIZE = dict(real_size_matrices())
+
+
+@pytest.mark.parametrize("label", list(REAL_SIZE))
+def test_modular_elementary_divisors_stay_below_the_determinant(label):
+    # Dense skew matrices up to 30 x 30 and phi^* - 1 of genus 8-10 words:
+    # a full Smith form of a 24 x 24 skew matrix grew transform entries of
+    # millions of bits. Here every row held stays below |det A|.
+    a = REAL_SIZE[label]
+    det = abs(linalg.det(a))
+    divisors, largest = traced_divisors(a)
+    assert 0 < largest < det
+    assert math.prod(divisors) == det
+    assert all(y % x == 0 for x, y in zip(divisors, divisors[1:]))
+    if len(a) <= 16:
+        assert divisors == linalg.smith_form(a).elementary_divisors
 
 
 @given(st.integers(1, 6).flatmap(unimodular_matrices))

@@ -24,6 +24,8 @@ from geographer.surfaces import (
     compose_word,
 )
 from strategies import (
+    conjugated_words,
+    dense_words,
     minus_identity,
     rational_inverse,
     smith_coordinate_verdict,
@@ -143,16 +145,26 @@ def test_canonical_bases_verified_against_generic_route():
         assert data.torsion == generic.torsion
 
 
-@given(twist_words(max_genus=3, max_letters=5))
+@given(
+    st.one_of(twist_words(max_genus=6, max_letters=5), conjugated_words(max_genus=6, max_letters=5))
+)
 def test_duality_and_mu_rank_for_arbitrary_words(word):
-    data = wang_cohomology(MappingTorus(word))
+    torus = MappingTorus(word)
+    data = wang_cohomology(torus)
     assert data.b1 == data.b2
     assert len(data.mu_basis) + 1 == data.b2
+    assert data.torsion == linalg.smith_form(minus_identity(torus.monodromy)).elementary_divisors
 
 
-@given(twist_words(max_genus=5, max_letters=10))
-def test_single_smith_form_matches_separate_calls(word):
-    # wang_cohomology reads every basis off one Smith form of phi^* - 1
+@given(
+    st.one_of(
+        twist_words(max_genus=6, max_letters=10), conjugated_words(max_genus=6, max_letters=5)
+    )
+)
+def test_generic_route_matches_smith_form(word):
+    # A nonsingular phi^* - 1 gets its torsion from elimination modulo its
+    # determinant and empty bases; a singular one reads its bases and
+    # torsion off its Smith form. Both must agree with the Smith form.
     torus = MappingTorus(word)
     data = wang_cohomology(torus)
     assert torus.monodromy == compose_word(word)
@@ -213,6 +225,28 @@ def test_bundle_path_computes_no_smith_form(monkeypatch):
                 bundle_wang_data.__wrapped__(d, k, g)
     for d, k, g in cli_size_weights():
         bundle_wang_data.__wrapped__(d, k, g)
+
+
+def test_nonsingular_generic_path_computes_no_smith_form(monkeypatch):
+    calls = []
+    smith_form = linalg.smith_form
+
+    def recorded(a):
+        calls.append(len(a))
+        return smith_form(a)
+
+    monkeypatch.setattr(linalg, "smith_form", recorded)
+    for word in dense_words(20):
+        data = wang_cohomology(MappingTorus(word))
+        assert (data.b1, data.invariant_basis, data.mu_basis) == (1, (), ())
+        assert data.torsion
+    assert calls == []
+    # a conjugate around a double twist is singular and still gets its Smith bases
+    double = Twist(word.letters[0].curve, 2)
+    conjugate = TwistWord(word.genus, word.letters + (double,) + word.inverse().letters)
+    data = wang_cohomology(MappingTorus(conjugate))
+    assert calls == [12]
+    assert len(data.invariant_basis) == len(data.mu_basis) == 11
 
 
 def preferred_verdict(torus, invariant_basis, mu_basis):
@@ -294,21 +328,6 @@ def test_certificate_agrees_with_smith_coordinate_oracle(word, mutation, data_):
         assert data.invariant_basis == tuple(map(tuple, inv))
         assert data.mu_basis == tuple(map(tuple, mu))
         assert (data.b1, data.torsion) == (generic.b1, generic.torsion)
-
-
-def dense_words(count, genus=6, letters=16, seed=20261018):
-    """Seeded random dense twist words: curve entries in {-1, 0, 1} and
-    powers +-1, drawn as the dense-word benchmark draws them."""
-    rng = random.Random(seed)
-    n = 2 * genus
-    for _ in range(count):
-        word = []
-        for _ in range(letters):
-            curve = (0,) * n
-            while not any(curve):
-                curve = tuple(rng.choice((-1, 0, 1)) for _ in range(n))
-            word.append(Twist(curve, rng.choice((1, -1))))
-        yield TwistWord(genus, tuple(word))
 
 
 def test_certificate_accepts_smith_bases_of_dense_genus_six_words():

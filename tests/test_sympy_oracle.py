@@ -1,4 +1,5 @@
-"""sympy's Smith normal form as a third, optional oracle for smith_form.
+"""sympy's Smith normal form as a third, optional oracle for smith_form
+and for the elementary divisors found modulo the determinant.
 
 sympy is not a dependency of the package; these tests are skipped when it
 is not installed. Its diagonal may carry signs, so absolute values are
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 from geographer import linalg
 from geographer.surfaces import compose_word
-from strategies import integer_matrices, minus_identity, sparse_ints, twist_words
+from strategies import (
+    integer_matrices,
+    minus_identity,
+    real_size_matrices,
+    sparse_ints,
+    twist_words,
+)
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
@@ -36,3 +43,14 @@ def test_smith_diagonal_matches_sympy_on_random_matrices(rows):
 def test_smith_diagonal_matches_sympy_on_twist_words(word):
     a = minus_identity(compose_word(word))
     assert linalg.smith_form(a).diagonal == sympy_diagonal(a)
+
+
+REAL_SIZE = dict(real_size_matrices())
+
+
+@pytest.mark.parametrize("label", list(REAL_SIZE))
+def test_modular_elementary_divisors_match_sympy_at_real_sizes(label):
+    # dense skew matrices of dimension 20 to 30 and genus 8-10 words
+    a = REAL_SIZE[label]
+    assert linalg.rank(a) == linalg.rational_rank(a) == len(a)
+    assert linalg.elementary_divisors(a) == tuple(x for x in sympy_diagonal(a) if x != 1)
