@@ -10,23 +10,19 @@ linear algebra across the whole grid.
 
 import sys
 
-from geographer.bundle_manifold import BundleManifoldSpec, audit_bundle, construct
-from geographer.circle_bundle import valid_tags
+from geographer.bundle_manifold import audit_bundle, construct
+from geographer.verify import bundle_grid
 
 
 def main() -> int:
     bound = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     print("d\tk\tg\te\tb1\trank_Q\tdegeneracy\tnullity\tkappa")
-    for g in range(1, bound + 1):
-        for k in range(0, g + 1):
-            for d in range(0, k + 1):
-                for tag in valid_tags(d, k):
-                    spec = BundleManifoldSpec(d, k, g, tag)
-                    cert = construct(spec)
-                    print(
-                        f"{d}\t{k}\t{g}\t{tag}\t{cert.b1}\t{audit_bundle(spec).pairing_rank}"
-                        f"\t{cert.degeneracy}\t{cert.nullity}\t{cert.kappa}"
-                    )
+    for spec in bundle_grid(bound):
+        cert = construct(spec)
+        print(
+            f"{spec.d}\t{spec.k}\t{spec.g}\t{spec.e}\t{cert.b1}"
+            f"\t{audit_bundle(spec).pairing_rank}\t{cert.degeneracy}\t{cert.nullity}\t{cert.kappa}"
+        )
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import circle_bundle, mapping_torus
+from . import circle_bundle, mapping_torus, surfaces
 from .errors import ConsistencyError
 
 #: Sentinel for Kodaira dimension minus infinity (kept JSON-serializable).
@@ -63,12 +63,7 @@ class BundleManifoldSpec:
     e: int
 
     def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("genus must be positive")
-        if not 0 <= self.d <= self.k <= self.g:
-            raise ValueError(
-                f"weights must satisfy 0 <= d <= k <= g, got ({self.d}, {self.k}, {self.g})"
-            )
+        surfaces._check_weights(self.d, self.k, self.g)
         circle_bundle._check_tag_parameters(self.d, self.k, self.e)
 
     @property

@@ -11,6 +11,7 @@ self-documenting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -102,16 +103,9 @@ def certificate_checks(cert: InvariantCertificate) -> list[dict]:
 
 
 def _spec_fields(spec) -> dict:
-    if isinstance(spec, BundleManifoldSpec):
-        return {"d": spec.d, "k": spec.k, "g": spec.g, "e": spec.e}
-    if isinstance(spec, FiberSumSpec):
-        base = _spec_fields(spec.base)
-        return {**base, "d": spec.d, "k": spec.k, "g": spec.g}
-    if isinstance(spec, EllipticSurface):
-        return {"n": spec.n}
-    if isinstance(spec, DolgachevSurface):
-        return {"p": spec.p, "q": spec.q}
-    raise TypeError(f"unknown spec {spec!r}")
+    """The spec's fields by name; a fiber sum's base fields come first."""
+    fields = dataclasses.asdict(spec)
+    return {**fields.pop("base", {}), **fields}
 
 
 def recipe_document(recipe: Recipe) -> dict:

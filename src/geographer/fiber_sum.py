@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import bundle_manifold
+from . import bundle_manifold, surfaces
 from .bundle_manifold import BundleManifoldSpec, InvariantCertificate
 from .errors import ConsistencyError
 
@@ -123,10 +123,7 @@ class FiberSumSpec:
             raise ValueError(
                 "plain E(1) sums are not used; take a Dolgachev surface for signature -8"
             )
-        if not 0 <= self.d <= self.k <= self.g:
-            raise ValueError(
-                f"weights must satisfy 0 <= d <= k <= g, got ({self.d}, {self.k}, {self.g})"
-            )
+        surfaces._check_weights(self.d, self.k, self.g)
         if self.g < max(self.k, 2):
             raise ValueError(f"genus {self.g} must be at least max(k, 2) = {max(self.k, 2)}")
 
@@ -157,7 +154,8 @@ def fiber_sum_invariants(spec: FiberSumSpec) -> InvariantCertificate:
     chi is computed twice: by additivity along the square-zero torus and
     by the vanishing of 2 chi + 3 sigma forced by K^2 = 0; the degeneracy
     of the sum equals the weight d, which is checked against the full
-    certificate of the bundle summand.
+    certificate of the bundle summand. b1 and K . [omega] are read off
+    the two summand certificates.
     """
     base_cert = elliptic_invariants(spec.base)
     summand_cert = bundle_manifold.construct(spec.summand)
@@ -173,12 +171,14 @@ def fiber_sum_invariants(spec: FiberSumSpec) -> InvariantCertificate:
         raise ConsistencyError(
             f"chi additivity gives {chi_additive}, the signature identity {chi_identity}"
         )
-    b1 = 2 * spec.k - spec.d
+    # the section and circle loops of the bundle summand die in the sum
+    b1 = summand_cert.b1 - 2
     b2 = chi_additive - 2 + 2 * b1
     b_plus = (b2 + sigma) // 2
 
     if isinstance(spec.base, EllipticSurface):
-        k_dot = spec.base.n - 2 + 2 * spec.g
+        # K = K_1 + K_2 + 2T for a fiber sum along the torus T
+        k_dot = base_cert.k_dot_omega + summand_cert.k_dot_omega + 2
         if k_dot <= 0:
             raise ConsistencyError(f"K.[omega] = {k_dot} is not positive")
         kappa = bundle_manifold.kodaira_classify(0, k_dot)

@@ -20,6 +20,7 @@ from .circle_bundle import VALID_TAGS, bundle_d_for_b1, nullity_closed_form, val
 from .errors import ConsistencyError, InadmissibleError
 from .fiber_sum import (
     DolgachevSurface,
+    EllipticBase,
     EllipticSurface,
     FiberSumSpec,
     fiber_sum_invariants,
@@ -38,15 +39,7 @@ def _all_ints(*values) -> bool:
 
 def is_admissible(a: int, b: int, c: int) -> bool:
     """Exact admissibility predicate for degeneracy triples."""
-    if not _all_ints(a, b, c):
-        return False
-    if a > 0 or a % 8 != 0:
-        return False
-    if not 0 <= c <= b:
-        return False
-    if (b - c) % 2 != 0:
-        return False
-    return b >= max(0, 2 + a // 4)
+    return _admissibility_failure(a, b, c) is None
 
 
 def is_null_admissible(a: int, b: int, c: int) -> bool:
@@ -55,15 +48,7 @@ def is_null_admissible(a: int, b: int, c: int) -> bool:
     A manifold with nullity b1 - 1 would leave a single cup-nontrivial
     line in H^1, contradicting skewness of the cup square.
     """
-    if not _all_ints(a, b, c):
-        return False
-    if a > 0 or a % 8 != 0:
-        return False
-    if not 0 <= c <= b:
-        return False
-    if c == b - 1:
-        return False
-    return b >= max(0, 2 + a // 4)
+    return _null_admissibility_failure(a, b, c) is None
 
 
 @dataclass(frozen=True)
@@ -156,22 +141,26 @@ def realize(a: int, b: int, c: int, genus: int | None = None) -> Recipe:
     sum with E(-a/8) of weight d = c, k = (b + c) / 2. a = -8: the same
     sum with a Dolgachev surface. ``genus`` raises the genus floor.
     """
-    if not is_admissible(a, b, c):
-        raise InadmissibleError(_admissibility_failure(a, b, c))
+    failure = _admissibility_failure(a, b, c)
+    if failure is not None:
+        raise InadmissibleError(failure)
     if a == 0:
         return _realize_signature_zero(b, c, genus)
     k = (b + c) // 2
-    g = default_genus(k, genus)
-    base = EllipticSurface(-a // 8) if a <= -16 else DolgachevSurface(*DEFAULT_DOLGACHEV)
-    return _sum_recipe(FiberSumSpec(base, c, k, g), (a, b, c))
+    spec = FiberSumSpec(_elliptic_base(a), c, k, default_genus(k, genus))
+    return _sum_recipe(spec, (a, b, c))
+
+
+def _elliptic_base(a: int) -> EllipticBase:
+    """E(-a/8) for a <= -16; the default Dolgachev surface for a = -8."""
+    return EllipticSurface(-a // 8) if a <= -16 else DolgachevSurface(*DEFAULT_DOLGACHEV)
 
 
 def _realize_signature_zero(b: int, c: int, genus: int | None) -> Recipe:
     if c == b:
         # d = k = b - 1 with a twisted-block Euler class, any parity of b.
         spec = BundleManifoldSpec(b - 1, b - 1, default_genus(b - 1, genus), 1)
-        family = f"B1({(b - 2) // 2})" if b % 2 == 0 else f"B1({(b - 1) // 2})"
-        return _bundle_recipe(spec, (0, b, c), "degeneracy", family)
+        return _bundle_recipe(spec, (0, b, c), "degeneracy", f"B1({(b - 1) // 2})")
     if b % 2 == 0:
         ell = b // 2
         i = c // 2
@@ -193,30 +182,42 @@ def _realize_signature_zero(b: int, c: int, genus: int | None) -> Recipe:
 
 
 _NON_INTEGER_FAILURE = "triple entries must be integers (int, not bool or float)"
+_SIGNATURE_FAILURE = "signature must be a non-positive multiple of 8"
 
 
-def _admissibility_failure(a: int, b: int, c: int) -> str:
+def _admissibility_failure(a: int, b: int, c: int) -> str | None:
+    """The first rule (a, b, c) breaks as a degeneracy triple, or None."""
     if not _all_ints(a, b, c):
         return _NON_INTEGER_FAILURE
-    if a > 0 or a % 8 != 0:
-        return "signature must be a non-positive multiple of 8"
+    if not _signature_allowed(a):
+        return _SIGNATURE_FAILURE
     if not 0 <= c <= b:
         return "degeneracy must satisfy 0 <= c <= b"
     if (b - c) % 2 != 0:
         return "b - c must be even"
-    return f"b must be at least max(0, 2 + a/4) = {max(0, 2 + a // 4)}"
+    return _b1_bound_failure(a, b)
 
 
-def _null_admissibility_failure(a: int, b: int, c: int) -> str:
+def _null_admissibility_failure(a: int, b: int, c: int) -> str | None:
+    """The first rule (a, b, c) breaks as a nullity triple, or None."""
     if not _all_ints(a, b, c):
         return _NON_INTEGER_FAILURE
     if c == b - 1 and 0 <= c <= b:
         return "nullity b - 1 is impossible: one class would have a nonzero cup square"
-    if a > 0 or a % 8 != 0:
-        return "signature must be a non-positive multiple of 8"
+    if not _signature_allowed(a):
+        return _SIGNATURE_FAILURE
     if not 0 <= c <= b:
         return "nullity must satisfy 0 <= c <= b"
-    return f"b must be at least max(0, 2 + a/4) = {max(0, 2 + a // 4)}"
+    return _b1_bound_failure(a, b)
+
+
+def _signature_allowed(a: int) -> bool:
+    return a <= 0 and a % 8 == 0
+
+
+def _b1_bound_failure(a: int, b: int) -> str | None:
+    bound = max(0, 2 + a // 4)
+    return None if b >= bound else f"b must be at least max(0, 2 + a/4) = {bound}"
 
 
 OPEN_RING_NOTE = (
@@ -233,8 +234,9 @@ def realize_null(a: int, b: int, c: int, genus: int | None = None) -> Recipe | O
     certify is 0 via b1 = 0, so b = c = 0 triples get the fiber-sum recipe
     of the same signature and everything else is open.
     """
-    if not is_null_admissible(a, b, c):
-        raise InadmissibleError(_null_admissibility_failure(a, b, c))
+    failure = _null_admissibility_failure(a, b, c)
+    if failure is not None:
+        raise InadmissibleError(failure)
     if a == 0:
         found = _search_bundle_nullity(b, c, genus)
         if found is not None:
@@ -249,10 +251,8 @@ def realize_null(a: int, b: int, c: int, genus: int | None = None) -> Recipe | O
             notes=notes,
         )
     if b == 0:
-        k = 0
-        g = default_genus(k, genus)
-        base = EllipticSurface(-a // 8) if a <= -16 else DolgachevSurface(*DEFAULT_DOLGACHEV)
-        return _sum_recipe(FiberSumSpec(base, 0, k, g), (a, 0, 0), "nullity")
+        spec = FiberSumSpec(_elliptic_base(a), 0, 0, default_genus(0, genus))
+        return _sum_recipe(spec, (a, 0, 0), "nullity")
     return OpenProblem(
         triple=(a, b, c),
         reason=(

@@ -364,10 +364,6 @@ class SmithForm:
         return tuple(self.d[i][i] for i in range(k))
 
     @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
-
-    @property
     def elementary_divisors(self) -> tuple[int, ...]:
         """Nontrivial invariant factors (entries different from 0 and 1)."""
         return tuple(x for x in self.diagonal if x not in (0, 1))

@@ -14,6 +14,7 @@ mismatch is reported with the offending weights instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import circle_bundle
 from .bundle_manifold import BundleManifoldSpec, audit_bundle
@@ -52,13 +53,20 @@ def verify_bundle_grid(grid_max: int) -> VerificationReport:
     if grid_max < 1:
         raise ValueError("grid bound must be at least 1")
     report = VerificationReport(grid_max=grid_max, counts=dict.fromkeys(CHECK_NAMES, 0))
+    for spec in bundle_grid(grid_max):
+        report.cases += 1
+        _run_case(report, spec)
+    return report
+
+
+def bundle_grid(grid_max: int) -> Iterator[BundleManifoldSpec]:
+    """Every B(d, k, g; e) with g <= grid_max: g, k, d ascending, then the
+    valid tags in increasing order."""
     for g in range(1, grid_max + 1):
         for k in range(0, g + 1):
             for d in range(0, k + 1):
                 for tag in circle_bundle.valid_tags(d, k):
-                    report.cases += 1
-                    _run_case(report, BundleManifoldSpec(d, k, g, tag))
-    return report
+                    yield BundleManifoldSpec(d, k, g, tag)
 
 
 def _run_case(report: VerificationReport, spec: BundleManifoldSpec) -> None:

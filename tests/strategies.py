@@ -214,6 +214,21 @@ def conjugated_words(draw, max_genus=4, max_letters=6, powers=(-2, -1, 1, 2)):
     return TwistWord(word.genus, word.letters + (twist,) + word.inverse().letters)
 
 
+@st.composite
+def long_words(draw, max_genus):
+    """Words of 2g to 2g + 2 letters with unit curve entries and powers.
+    Each letter fixes the hyperplane orthogonal to its curve, so a word of
+    fewer than 2g letters fixes a vector; these are the draws where
+    phi^* - 1 can be nonsingular."""
+    genus = draw(st.integers(1, max_genus))
+    count = draw(st.integers(2 * genus, 2 * genus + 2))
+    curves = primitive_curves(genus, st.integers(-1, 1))
+    letters = tuple(
+        Twist(draw(curves), draw(st.sampled_from((-1, 1)))) for _ in range(count)
+    )
+    return TwistWord(genus, letters)
+
+
 def dense_words(count, genus=6, letters=16, seed=20261018):
     """Seeded random dense twist words: curve entries in {-1, 0, 1} and
     powers +-1, drawn as the dense-word benchmark draws them."""

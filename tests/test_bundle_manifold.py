@@ -49,6 +49,22 @@ def test_spec_validation():
     assert BundleManifoldSpec(1, 1, 2, 1).label == "B(1,1,2;1)"
 
 
+@pytest.mark.parametrize(
+    "weights, text",
+    [
+        ((0, 0, 0, 0), "genus must be positive"),
+        ((0, 0, -1, 0), "genus must be positive"),
+        ((2, 1, 3, 0), "weights must satisfy 0 <= d <= k <= g, got (2, 1, 3)"),
+        ((-1, 1, 3, 0), "weights must satisfy 0 <= d <= k <= g, got (-1, 1, 3)"),
+        ((1, 3, 2, 0), "weights must satisfy 0 <= d <= k <= g, got (1, 3, 2)"),
+    ],
+)
+def test_spec_refusal_text(weights, text):
+    with pytest.raises(ValueError) as exc:
+        BundleManifoldSpec(*weights)
+    assert str(exc.value) == text
+
+
 def test_certificate_twisted_tag_one():
     cert = construct(BundleManifoldSpec(1, 1, 2, 1))
     assert (cert.sigma, cert.chi, cert.b1) == (0, 0, 2)

@@ -61,6 +61,25 @@ def test_fiber_sum_spec_validation():
     assert FiberSumSpec(DolgachevSurface(2, 3), 0, 0, 2).label == "E(1)_{2,3}(0,0,2)"
 
 
+@pytest.mark.parametrize(
+    "base, weights, text",
+    [
+        (EllipticSurface(2), (0, 0, 0), "genus must be positive"),
+        (DolgachevSurface(2, 3), (0, 0, 0), "genus must be positive"),
+        (EllipticSurface(4), (0, 0, -1), "genus must be positive"),
+        (EllipticSurface(2), (2, 1, 3), "weights must satisfy 0 <= d <= k <= g, got (2, 1, 3)"),
+        (EllipticSurface(3), (-1, 0, 2), "weights must satisfy 0 <= d <= k <= g, got (-1, 0, 2)"),
+        (DolgachevSurface(2, 3), (1, 3, 2), "weights must satisfy 0 <= d <= k <= g, got (1, 3, 2)"),
+        (EllipticSurface(2), (0, 0, 1), "genus 1 must be at least max(k, 2) = 2"),
+        (DolgachevSurface(2, 3), (1, 1, 1), "genus 1 must be at least max(k, 2) = 2"),
+    ],
+)
+def test_fiber_sum_spec_refusal_text(base, weights, text):
+    with pytest.raises(ValueError) as exc:
+        FiberSumSpec(base, *weights)
+    assert str(exc.value) == text
+
+
 def test_fiber_sum_frozen_examples():
     cert = fiber_sum_invariants(FiberSumSpec(EllipticSurface(2), 1, 2, 2))
     assert (cert.sigma, cert.b1, cert.degeneracy) == (-16, 3, 1)
@@ -82,8 +101,10 @@ def test_fiber_sum_frozen_examples():
 
 
 def test_fiber_sum_grid_identities():
-    for n in range(2, 7):
-        for g in range(2, 5):
+    # b1 = 2k - d and K.[omega] = n - 2 + 2g are the closed forms of the
+    # sum, written here as the oracle for the values read off the summands
+    for n in range(2, 12):
+        for g in range(2, 13):
             for k in range(0, g + 1):
                 for d in range(0, k + 1):
                     cert = fiber_sum_invariants(FiberSumSpec(EllipticSurface(n), d, k, g))

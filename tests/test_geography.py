@@ -86,6 +86,40 @@ def test_realize_rejects_inadmissible():
         realize(0, 1, 1)
 
 
+NON_INTEGER = "triple entries must be integers (int, not bool or float)"
+SIGNATURE = "signature must be a non-positive multiple of 8"
+
+#: One triple per branch of each rule, with the whole refusal text.
+REFUSALS = [
+    (realize, (0, 2.0, 0), NON_INTEGER),
+    (realize, (8, 2, 0), SIGNATURE),
+    (realize, (-12, 4, 0), SIGNATURE),
+    (realize, (0, 2, 3), "degeneracy must satisfy 0 <= c <= b"),
+    (realize, (-16, 2, -2), "degeneracy must satisfy 0 <= c <= b"),
+    (realize, (0, 3, 2), "b - c must be even"),
+    (realize, (0, 1, 1), "b must be at least max(0, 2 + a/4) = 2"),
+    (realize, (0, 0, 0), "b must be at least max(0, 2 + a/4) = 2"),
+    (realize_null, (0, 2, True), NON_INTEGER),
+    (realize_null, (0, 2, 1), "nullity b - 1 is impossible: one class would have a nonzero cup square"),
+    (realize_null, (8, 2, 1), "nullity b - 1 is impossible: one class would have a nonzero cup square"),
+    (realize_null, (8, 2, 2), SIGNATURE),
+    (realize_null, (-4, 2, 0), SIGNATURE),
+    (realize_null, (0, 2, 3), "nullity must satisfy 0 <= c <= b"),
+    (realize_null, (0, 3, -1), "nullity must satisfy 0 <= c <= b"),
+    (realize_null, (0, 1, 1), "b must be at least max(0, 2 + a/4) = 2"),
+    (realize_null, (0, 0, 0), "b must be at least max(0, 2 + a/4) = 2"),
+]
+
+
+@pytest.mark.parametrize("fn, triple, text", REFUSALS)
+def test_refusal_text_of_every_rule(fn, triple, text):
+    with pytest.raises(InadmissibleError) as exc:
+        fn(*triple)
+    assert str(exc.value) == text
+    predicate = is_admissible if fn is realize else is_null_admissible
+    assert not predicate(*triple)
+
+
 NON_INTEGER_TRIPLES = [
     (-8.0, 2, 0),
     (0, 4.0, 4),

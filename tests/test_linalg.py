@@ -222,7 +222,8 @@ def test_rank_agrees_with_rational_elimination(rows):
 @given(integer_matrices(max_dim=12, entries=st.integers(-50, 50)))
 def test_bareiss_rank_matches_rational_and_smith_rank(rows):
     # the three ranks come from three independent eliminations
-    assert linalg.rank(rows) == linalg.rational_rank(rows) == linalg.smith_form(rows).rank
+    smith_rank = sum(1 for x in linalg.smith_form(rows).diagonal if x)
+    assert linalg.rank(rows) == linalg.rational_rank(rows) == smith_rank
 
 
 @given(integer_matrices(max_dim=12, entries=st.integers(-50, 50)))

@@ -26,6 +26,7 @@ from geographer.surfaces import (
 from strategies import (
     conjugated_words,
     dense_words,
+    long_words,
     minus_identity,
     rational_inverse,
     smith_coordinate_verdict,
@@ -146,7 +147,11 @@ def test_canonical_bases_verified_against_generic_route():
 
 
 @given(
-    st.one_of(twist_words(max_genus=6, max_letters=5), conjugated_words(max_genus=6, max_letters=5))
+    st.one_of(
+        twist_words(max_genus=6, max_letters=5),
+        conjugated_words(max_genus=6, max_letters=5),
+        long_words(max_genus=6),
+    )
 )
 def test_duality_and_mu_rank_for_arbitrary_words(word):
     torus = MappingTorus(word)
@@ -158,7 +163,9 @@ def test_duality_and_mu_rank_for_arbitrary_words(word):
 
 @given(
     st.one_of(
-        twist_words(max_genus=6, max_letters=10), conjugated_words(max_genus=6, max_letters=5)
+        twist_words(max_genus=6, max_letters=10),
+        conjugated_words(max_genus=6, max_letters=5),
+        long_words(max_genus=6),
     )
 )
 def test_generic_route_matches_smith_form(word):
