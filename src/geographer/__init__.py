@@ -18,15 +18,12 @@ from .bundle_manifold import (
 )
 from .circle_bundle import (
     BundleCohomology,
-    EulerClassSpec,
     bundle_b1,
     bundle_cohomology,
-    default_euler_class,
     degeneracy_closed_form,
     lefschetz_pairing,
     nullity_closed_form,
     nullity_necessary_check,
-    validate_euler_class,
 )
 from .errors import ConsistencyError, InadmissibleError
 from .fiber_sum import (

@@ -203,16 +203,14 @@ class BundleAudit:
 def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     """Compute B(d, k, g; e) once and compare it with every closed form.
 
-    Pipeline: Wang data on the canonical bases, Euler class validation,
-    Gysin first Betti number, assembled pairing and its Bareiss rank. The
-    result is never cached, and a failed check is recorded, not raised, so
-    a sweep sees every check of every case.
+    Pipeline: Wang data on the canonical bases, the Euler tag checked
+    against the weights, Gysin first Betti number, assembled pairing and
+    its Bareiss rank. The result is never cached, and a failed check is
+    recorded, not raised, so a sweep sees every check of every case.
     """
     d, k, g, e = spec.d, spec.k, spec.g, spec.e
     data = mapping_torus.bundle_wang_data(d, k, g)
-    h1 = circle_bundle.bundle_cohomology(
-        data, circle_bundle.default_euler_class(e, d, k), d, k
-    )
+    h1 = circle_bundle.bundle_cohomology(data, e, d, k)
     b1, degeneracy, nullity = h1.b1, h1.degeneracy, h1.nullity
     rank = b1 - degeneracy
     k_dot = canonical_class(g)

@@ -279,20 +279,22 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.sigma_min > 0 or args.b1_max < 0:
-        print("region must satisfy sigma-min <= 0 and b1-max >= 0", file=sys.stderr)
-        return EXIT_INADMISSIBLE
     genus = _genus_floor(args)
-    # rows are rendered as the recipes stream in; a failing recipe raises
-    # before anything is written
+    # rows are rendered as the recipes stream in; a bad region, checked by
+    # the generator at its first row, or a failing recipe raises before
+    # anything is written
     recipes = geography.enumerate_region(args.sigma_min, args.b1_max, genus=genus)
-    if args.format == "json":
-        docs = [recipe_document(r) for r in recipes]
-        _emit(json.dumps(docs, indent=2) + "\n", args.out)
-    else:
-        lines = ["\t".join(TSV_COLUMNS)]
-        lines.extend(recipe_tsv_row(r) for r in recipes)
-        _emit("\n".join(lines) + "\n", args.out)
+    try:
+        if args.format == "json":
+            text = json.dumps([recipe_document(r) for r in recipes], indent=2) + "\n"
+        else:
+            lines = ["\t".join(TSV_COLUMNS)]
+            lines.extend(recipe_tsv_row(r) for r in recipes)
+            text = "\n".join(lines) + "\n"
+    except InadmissibleError as exc:
+        print(f"invalid region: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -201,15 +201,6 @@ class FrozenMatrix:
         return f"FrozenMatrix({tuple(self)!r})"
 
 
-def gcd_vector(v) -> int:
-    return math.gcd(*(int(x) for x in v)) if len(v) else 0
-
-
-def is_primitive(v) -> bool:
-    """A primitive vector is nonzero with coprime entries."""
-    return gcd_vector(v) == 1
-
-
 def _bareiss(m: Matrix) -> tuple[int, int, int]:
     """Fraction-free row echelon elimination of ``m`` in place.
 

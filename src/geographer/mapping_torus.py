@@ -14,7 +14,8 @@ a singular A reads its generic bases off one Smith decomposition, held
 as rows of Python ints. Preferred bases are certified from A itself, by
 pivot counts and pivot products of unimodular echelon forms, so the
 canonical bases of the bundle path cost one Bareiss elimination of A and
-no Smith form. The monodromy itself is an immutable, packed int matrix.
+no Smith form. Bases are rows of fiber coordinates. The monodromy itself
+is an immutable, packed int matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class MappingTorus:
 
 @dataclass(frozen=True, slots=True)
 class WangData:
-    """Ranks and tagged bases of H^1(Y) and H^2(Y).
+    """Ranks and bases of H^1(Y) and H^2(Y), as rows of fiber coordinates.
 
     ``invariant_basis`` rows span the fixed lattice of the monodromy on
     H^1 of the fiber; together with theta they give H^1(Y). ``mu_basis``
@@ -61,8 +62,6 @@ class WangData:
     invariant_basis: tuple[tuple[int, ...], ...]
     mu_basis: tuple[tuple[int, ...], ...]
     torsion: tuple[int, ...]
-    h1_tags: tuple[str, ...]
-    h2_tags: tuple[str, ...]
 
     def __post_init__(self):
         if self.b1 != 1 + len(self.invariant_basis):
@@ -71,12 +70,6 @@ class WangData:
             raise ConsistencyError("a closed oriented 3-manifold has b1 = b2")
         if len(self.mu_basis) != self.b2 - 1:
             raise ConsistencyError("mu image must have rank b2(Y) - 1")
-
-
-def _wedge_tag(vector, genus: int) -> str:
-    symbol = surfaces.class_symbol(vector, genus)
-    multi_term = "+" in symbol or "-" in symbol[1:]
-    return f"({symbol})^theta" if multi_term else f"{symbol}^theta"
 
 
 def wang_cohomology(
@@ -139,17 +132,13 @@ def wang_cohomology(
             if len(pivots) < n or math.prod(pivots) != math.prod(torsion):
                 raise ConsistencyError("mu basis is not a lattice basis of the free cokernel")
 
-    inv_rows = tuple(map(tuple, inv))
-    mu_rows = tuple(map(tuple, mu))
     return WangData(
         genus=g,
         b1=fixed_rank + 1,
         b2=fixed_rank + 1,
-        invariant_basis=inv_rows,
-        mu_basis=mu_rows,
+        invariant_basis=tuple(map(tuple, inv)),
+        mu_basis=tuple(map(tuple, mu)),
         torsion=torsion,
-        h1_tags=("theta",) + tuple(surfaces.class_symbol(r, g) for r in inv_rows),
-        h2_tags=("Omega",) + tuple(_wedge_tag(r, g) for r in mu_rows),
     )
 
 

@@ -2,6 +2,8 @@
 
 A genus ``g`` surface carries the symplectic basis a1, b1, ..., ag, bg of
 H_1 with a_i . b_i = +1, and the dual basis alpha_1, beta_1, ... of H^1.
+A class is its coefficient vector over that basis, as :func:`a_curve`
+and :func:`b_curve` give it.
 A Dehn twist along a simple closed curve acts on these lattices by an
 integral transvection; words of twists compose to integral symplectic
 matrices, returned as immutable tuples of int rows. Each letter is
@@ -17,22 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 
 from . import linalg
 
 IntRows = tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=64)
-def basis_labels(genus: int) -> tuple[str, ...]:
-    """Symbols of the homology basis, in the order a1, b1, ..., ag, bg."""
-    labels = []
-    for i in range(1, genus + 1):
-        labels.append(f"a{i}")
-        labels.append(f"b{i}")
-    return tuple(labels)
 
 
 def a_curve(i: int, genus: int) -> tuple[int, ...]:
@@ -162,26 +153,3 @@ def _check_weights(d: int, k: int, g: int) -> None:
         raise ValueError("genus must be positive")
     if not 0 <= d <= k <= g:
         raise ValueError(f"weights must satisfy 0 <= d <= k <= g, got ({d}, {k}, {g})")
-
-
-def class_symbol(vector, genus: int) -> str:
-    """Render an H^1 coefficient vector against the a/b symbols.
-
-    Only the nonzero coefficients are visited, found by a C-level scan.
-    """
-    labels = basis_labels(genus)
-    terms = []
-    for j in compress(range(min(len(vector), len(labels))), vector):
-        coeff, label = int(vector[j]), labels[j]
-        if coeff == 0:
-            continue
-        if coeff == 1:
-            terms.append(f"+{label}")
-        elif coeff == -1:
-            terms.append(f"-{label}")
-        else:
-            terms.append(f"{coeff:+d}*{label}")
-    if not terms:
-        return "0"
-    joined = "".join(terms)
-    return joined[1:] if joined.startswith("+") else joined

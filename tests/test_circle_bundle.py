@@ -1,4 +1,4 @@
-"""Euler class validation, Gysin ranks, and the assembled skew pairing."""
+"""Euler tag checks, Gysin ranks, and the assembled skew pairing."""
 
 import dataclasses
 
@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 
 from geographer import linalg
 from geographer.circle_bundle import (
-    EulerClassSpec,
     bundle_b1,
     bundle_cohomology,
-    default_euler_class,
     degeneracy_closed_form,
     lefschetz_pairing,
     nullity_closed_form,
     nullity_necessary_check,
-    validate_euler_class,
 )
 from geographer.mapping_torus import bundle_wang_data
+from geographer.surfaces import a_curve, b_curve
 from strategies import degeneracy_oracle, intersection_form, mixed_rows, unimodular_matrices
 
 
@@ -33,58 +31,35 @@ def valid_tags(d, k):
     return [0] + ([1] if d else []) + ([2] if d != k else [])
 
 
-def test_validate_accepts_the_three_canonical_specs():
-    data = bundle_wang_data(1, 2, 3)
-    assert validate_euler_class(data, EulerClassSpec(0), 1, 2).coefficients == (0, 0, 0)
-    tag1 = validate_euler_class(data, EulerClassSpec(1), 1, 2)
-    assert tag1.coefficients == (1, 0, 0)
-    tag2 = validate_euler_class(data, EulerClassSpec(2), 1, 2)
-    assert tag2.coefficients == (0, 1, 0)
-
-
-def test_validate_rejects_invalid_tags_and_vectors():
-    data = bundle_wang_data(1, 2, 3)
-    with pytest.raises(ValueError):
-        validate_euler_class(bundle_wang_data(0, 2, 3), EulerClassSpec(1), 0, 2)
-    with pytest.raises(ValueError):
-        validate_euler_class(bundle_wang_data(2, 2, 3), EulerClassSpec(2), 2, 2)
-    with pytest.raises(ValueError):
-        validate_euler_class(data, EulerClassSpec(0, (1, 0, 0)), 1, 2)
-    with pytest.raises(ValueError):
-        validate_euler_class(data, EulerClassSpec(1, (0, 1, 0)), 1, 2)  # wrong block
-    with pytest.raises(ValueError):
-        validate_euler_class(data, EulerClassSpec(1, (2, 0, 0)), 1, 2)  # not a basis vector
-    with pytest.raises(ValueError):
-        validate_euler_class(data, EulerClassSpec(2, (1, 1, 0)), 1, 2)  # touches block one
-    with pytest.raises(ValueError):
-        validate_euler_class(data, EulerClassSpec(2, (0, 2, 2)), 1, 2)  # imprimitive
-    with pytest.raises(ValueError):
-        validate_euler_class(data, EulerClassSpec(2, (0, 1)), 1, 2)  # wrong length
-    with pytest.raises(ValueError):
-        validate_euler_class(data, EulerClassSpec(0, fiber_coefficient=1), 1, 2)
-    with pytest.raises(ValueError):
-        validate_euler_class(data, EulerClassSpec(3), 1, 2)
-
-
-def test_tag_two_accepts_any_primitive_untouched_block_vector():
-    data = bundle_wang_data(1, 2, 3)
-    spec = validate_euler_class(data, EulerClassSpec(2, (0, 2, -3)), 1, 2)
-    assert spec.coefficients == (0, 2, -3)
+@pytest.mark.parametrize(
+    "weights, tag, d, k, message",
+    [
+        ((1, 2, 3), 0, 2, 2, "mu basis has rank 3, inconsistent with weights (2, 2)"),
+        ((1, 2, 3), 3, 1, 2, "Euler tag must be one of (0, 1, 2), got 3"),
+        ((0, 2, 3), 1, 0, 2, "tag 1 requires d != 0 (no twisted a_i^theta class exists)"),
+        ((2, 2, 3), 2, 2, 2, "tag 2 requires d != k (the untouched block is empty)"),
+    ],
+    ids=["mu-basis-size", "tag-3", "tag-1-without-twisted-block", "tag-2-without-untouched-block"],
+)
+def test_bundle_cohomology_refuses_tags_and_bases_that_do_not_fit(weights, tag, d, k, message):
+    with pytest.raises(ValueError) as excinfo:
+        bundle_cohomology(bundle_wang_data(*weights), tag, d, k)
+    assert str(excinfo.value) == message
 
 
 def test_gysin_first_betti_number():
     for d, k, g in grid(6):
         data = bundle_wang_data(d, k, g)
         for tag in valid_tags(d, k):
-            spec = default_euler_class(tag, d, k)
             expected = 2 * k - d + 2 if tag == 0 else 2 * k - d + 1
-            assert bundle_b1(data, spec) == expected, (d, k, g, tag)
+            assert bundle_b1(data, tag) == expected, (d, k, g, tag)
 
 
 def test_pairing_frozen_zero_euler_class():
     data = bundle_wang_data(0, 1, 2)
-    q, labels = lefschetz_pairing(data, default_euler_class(0, 0, 1))
-    assert labels == ("theta", "a1", "b1", "eta")
+    q = lefschetz_pairing(data, 0)
+    # rows: theta, the fixed classes a1 and b1, then eta
+    assert data.invariant_basis == (a_curve(1, 2), b_curve(1, 2))
     assert q == [
         [0, 0, 0, 1],
         [0, 0, 1, 0],
@@ -97,8 +72,9 @@ def test_pairing_frozen_zero_euler_class():
 
 def test_pairing_frozen_twisted_tag_one():
     data = bundle_wang_data(1, 1, 2)
-    q, labels = lefschetz_pairing(data, default_euler_class(1, 1, 1))
-    assert labels == ("theta", "b1")
+    q = lefschetz_pairing(data, 1)
+    # rows: theta and the fixed class b1, no eta
+    assert data.invariant_basis == (b_curve(1, 2),)
     assert q == [[0, 0], [0, 0]]
     assert degeneracy_oracle(q, 2) == 2
 
@@ -154,9 +130,8 @@ def test_degeneracy_oracle_equals_closed_form_on_grid():
     for d, k, g in grid(5):
         data = bundle_wang_data(d, k, g)
         for tag in valid_tags(d, k):
-            spec = default_euler_class(tag, d, k)
-            q, _ = lefschetz_pairing(data, spec)
-            b1 = bundle_b1(data, spec)
+            q = lefschetz_pairing(data, tag)
+            b1 = bundle_b1(data, tag)
             assert degeneracy_oracle(q, b1) == degeneracy_closed_form(d, k, tag), (
                 d,
                 k,
@@ -175,7 +150,7 @@ def test_bareiss_rank_matches_rational_rank_on_every_pairing_up_to_genus_32():
         for d in range(k + 1):
             data = bundle_wang_data(d, k, max(k, 1))
             for tag in valid_tags(d, k):
-                q, _ = lefschetz_pairing(data, default_euler_class(tag, d, k))
+                q = lefschetz_pairing(data, tag)
                 assert linalg.rank(q) == linalg.rational_rank(q), (d, k, tag)
                 largest = max(largest, len(q))
     assert largest == 66
@@ -184,9 +159,8 @@ def test_bareiss_rank_matches_rational_rank_on_every_pairing_up_to_genus_32():
 def test_pairing_does_not_depend_on_genus_beyond_k():
     for d, k in [(0, 0), (1, 3), (3, 3), (0, 5)]:
         for tag in valid_tags(d, k):
-            spec = default_euler_class(tag, d, k)
             pairings = {
-                tuple(map(tuple, lefschetz_pairing(bundle_wang_data(d, k, g), spec)[0]))
+                tuple(map(tuple, lefschetz_pairing(bundle_wang_data(d, k, g), tag)))
                 for g in range(max(k, 1), 12)
             }
             assert len(pairings) == 1, (d, k, tag)
@@ -206,12 +180,11 @@ def test_nullity_bounds_on_grid():
 def test_pairing_rank_invariant_under_lattice_base_change(weights, data_):
     d, k, g = weights
     data = bundle_wang_data(d, k, g)
-    spec = default_euler_class(0, d, k)
     base = data.invariant_basis
     change = data_.draw(unimodular_matrices(len(base)))
-    q, _ = lefschetz_pairing(data, spec)
+    q = lefschetz_pairing(data, 0)
     changed = dataclasses.replace(data, invariant_basis=linalg.matmul(change, base))
-    q_changed, _ = lefschetz_pairing(changed, spec)
+    q_changed = lefschetz_pairing(changed, 0)
     assert linalg.rank(q) == linalg.rank(q_changed)
 
 
@@ -223,7 +196,7 @@ def test_pairing_block_with_a_replaced_basis_matches_products(weights, data_):
     m, n = len(data.invariant_basis), 2 * g
     basis = data_.draw(mixed_rows(n, min_rows=m, max_rows=m))
     replaced = dataclasses.replace(data, invariant_basis=basis)
-    q, _ = lefschetz_pairing(replaced, default_euler_class(0, d, k))
+    q = lefschetz_pairing(replaced, 0)
     block = [row[1:1 + m] for row in q[1:1 + m]]
     j = intersection_form(g)
     assert block == linalg.matmul(linalg.matmul(basis, j), linalg.transpose(basis))
@@ -231,9 +204,10 @@ def test_pairing_block_with_a_replaced_basis_matches_products(weights, data_):
 
 def test_bundle_cohomology_package():
     data = bundle_wang_data(1, 1, 2)
-    package = bundle_cohomology(data, EulerClassSpec(1), 1, 1)
+    package = bundle_cohomology(data, 1, 1, 1)
     assert package.b1 == 2
     assert package.degeneracy == 2
     assert package.nullity == 2
-    assert package.labels == ("theta", "b1")
-    assert package.pairing == ((0, 0), (0, 0))
+    # the pairing on theta and the fixed class b1 vanishes
+    assert data.invariant_basis == (b_curve(1, 2),)
+    assert lefschetz_pairing(data, 1) == [[0, 0], [0, 0]]

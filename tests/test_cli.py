@@ -153,9 +153,14 @@ def test_enumerate_json_round_trip(capsys):
 
 
 def test_enumerate_rejects_bad_region(capsys):
-    code, _, err = run(capsys, "enumerate", "--sigma-min", "8", "--b1-max", "2")
-    assert code == EXIT_INADMISSIBLE
-    assert "sigma-min" in err
+    # the library states the region rule; the CLI passes its text on
+    for argv, message in [
+        (("--sigma-min", "8", "--b1-max", "2"), "sigma lower bound must be non-positive"),
+        (("--sigma-min", "0", "--b1-max", "-1"), "b1 bound must be non-negative"),
+    ]:
+        assert run(capsys, "enumerate", *argv) == (
+            EXIT_INADMISSIBLE, "", f"invalid region: {message}\n"
+        ), argv
 
 
 def test_verify_small_grid_passes(capsys):
@@ -187,9 +192,9 @@ def test_realize_is_byte_identical_across_runs(capsys):
 def test_verify_catches_injected_pairing_fault(capsys, monkeypatch):
     original = circle_bundle.lefschetz_pairing
 
-    def corrupted(data, spec):
-        q, labels = original(data, spec)
-        return linalg.zeros(len(q), len(q[0])), labels  # kill the pairing entirely
+    def corrupted(data, tag):
+        q = original(data, tag)
+        return linalg.zeros(len(q), len(q[0]))  # kill the pairing entirely
 
     monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
     code, out, _ = run(capsys, "verify", "--grid-max", "2")
@@ -207,9 +212,9 @@ def test_verify_catches_pairing_fault_after_construct_has_run(capsys, monkeypatc
                     construct(BundleManifoldSpec(d, k, g, tag))
     original = circle_bundle.lefschetz_pairing
 
-    def corrupted(data, spec):
-        q, labels = original(data, spec)
-        return linalg.zeros(len(q), len(q[0])), labels
+    def corrupted(data, tag):
+        q = original(data, tag)
+        return linalg.zeros(len(q), len(q[0]))
 
     monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
     code, out, _ = run(capsys, "verify", "--grid-max", "2")
@@ -332,6 +337,21 @@ BYTE_CONTRACT = [
      "1ed33a6025102273e3d95739877caa2f959a42fc539fb2e11ec2566b84d8bef0"),
     (("invariants", "--bundle", "0", "32", "32", "0"), 0,
      "c8735cf8753ad0c6ef1f20d2380db8c99fc8f47bcb032f38ee6d4b7d436c811b"),
+    # every Euler tag, both output formats, the nullity search and both fiber sums
+    (("invariants", "--bundle", "1", "3", "3", "2"), 0,
+     "4409c971b3cec748771d028af930e72fe4fdad8ae7d4dd18c688d15dd5f0753d"),
+    (("invariants", "--bundle", "2", "2", "3", "1", "--format", "tsv"), 0,
+     "a2dd60bd8d22505a564f5a8024ee2a7af170cd3d147904b0f15bfa05f59b59fa"),
+    (("realize", "0", "7", "3", "--format", "tsv"), 0,
+     "09930e37e2bdb1418512a02adc3c951733e060c25f8e9c40ca91afe841192e87"),
+    (("realize", "0", "5", "5"), 0,
+     "4c4f0057500305fb035386455cd32cf8802d51736109c7300f53b5e3ea85ac8f"),
+    (("realize", "0", "5", "2", "--null"), 0,
+     "fd75b8068353797e4b4894f066a9b154abab03c293b5fd66505cb308c9dcb7c4"),
+    (("invariants", "--fibersum", "3", "1", "2", "2"), 0,
+     "667787c91ff2eee4e4df3a096736be25f4ac75b4aa342144935e6a9791fefdc3"),
+    (("invariants", "--dolgachev", "2", "3", "2", "3", "3", "--format", "tsv"), 0,
+     "bf0f9beb9741ae70e4862ec9c8d72214520cbbcfe6ac11cf7a1f16cd7613baf4"),
 ]
 
 

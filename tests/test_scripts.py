@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end at tiny sizes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -28,6 +29,14 @@ def test_bundle_table_prints_its_header_and_every_case():
         for g in (1, 2) for k in range(g + 1) for d in range(k + 1) for tag in valid_tags(d, k)
     ]
     assert [tuple(map(int, line.split("\t")[:4])) for line in lines[1:]] == cases
+
+
+def test_bundle_table_bytes_are_pinned():
+    proc = run_script("bundle_table.py", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "0d2c9b4547300e65842ecdb25b5ef70ba503b40a7e07e89fea176a9ff9ec5f47"
+    )
 
 
 def test_geography_atlas_realizes_the_region_and_passes_its_sweep():

@@ -13,7 +13,6 @@ from geographer.surfaces import (
     a_curve,
     b_curve,
     bundle_monodromy_word,
-    class_symbol,
     compose_word,
     intersection_row,
 )
@@ -193,17 +192,17 @@ def test_word_followed_by_inverse_is_identity():
 
 def test_bundle_word_letters_frozen():
     word = bundle_monodromy_word(1, 1, 2)
-    assert [(class_symbol(l.curve, 2), l.power) for l in word.letters] == [
-        ("b2", 1),
-        ("a2", -1),
-        ("a1", 1),
+    assert [(l.curve, l.power) for l in word.letters] == [
+        (b_curve(2, 2), 1),
+        (a_curve(2, 2), -1),
+        (a_curve(1, 2), 1),
     ]
     word = bundle_monodromy_word(2, 3, 4)
-    assert [(class_symbol(l.curve, 4), l.power) for l in word.letters] == [
-        ("b4", 1),
-        ("a4", -1),
-        ("a2", 1),
-        ("a1", 1),
+    assert [(l.curve, l.power) for l in word.letters] == [
+        (b_curve(4, 4), 1),
+        (a_curve(4, 4), -1),
+        (a_curve(2, 4), 1),
+        (a_curve(1, 4), 1),
     ]
     assert bundle_monodromy_word(0, 2, 2).letters == ()
     assert bundle_monodromy_word(0, 3, 3).letters == ()
@@ -288,9 +287,3 @@ def test_homology_action_is_adjoint_and_symplectic(word):
     j = intersection_form(word.genus)
     assert linalg.matmul(linalg.matmul(linalg.transpose(h1), j), h1) == j
 
-
-def test_class_symbol_rendering():
-    assert class_symbol((0, 1, 0, 0), 2) == "b1"
-    assert class_symbol((1, 0, -2, 0), 2) == "a1-2*a2"
-    assert class_symbol((0, 0, 0, 0), 2) == "0"
-    assert class_symbol((-1, 3, 0, 0), 2) == "-a1+3*b1"
