@@ -7,14 +7,15 @@ vanish; the remaining invariants are computed through the Wang and Gysin
 sequences and double-checked against closed formulas before a certificate
 is issued. :func:`audit_bundle` is that computation, one uncached exact
 pass that records every check as a :class:`Check`; :func:`construct`
-raises on the first failed one, and the grid sweep in ``verify`` counts
-them all.
+raises on the first failed one through :func:`enforce`, which every
+certificate path shares, and the grid sweep in ``verify`` counts them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 from . import circle_bundle, mapping_torus, surfaces
 from .errors import ConsistencyError
@@ -143,26 +144,8 @@ BUNDLE_CHECKS = (
     "kappa_matches_genus_dichotomy",
 )
 
-#: What ``construct`` raises when a check fails, by check name.
-_FAILURE_MESSAGES = {
-    "wang_b1_matches_formula": "Wang b1 is {observed}, formula demands {expected} for ({d}, {k}, {g})",
-    "pairing_rank_even": "pairing rank {rank} is odd for ({d}, {k}, e={e})",
-    "degeneracy_pairing_rank_matches_formula": (
-        "degeneracy mismatch for ({d}, {k}, e={e}): "
-        "pairing rank gives {observed}, formula gives {expected}"
-    ),
-    "nullity_within_degeneracy": "nullity bounds violated for ({d}, {k}, e={e})",
-    "gysin_b1_matches_formula": "Gysin b1 is {observed}, formula demands {expected}",
-    "kappa_matches_genus_dichotomy": "Kodaira dimension disagrees with the genus dichotomy",
-    "sigma_and_chi_vanish_for_free_circle_action": (
-        "(sigma, chi) is {observed}, a free circle action forces {expected}"
-    ),
-    "two_chi_plus_three_sigma_equals_K_squared": "2 chi + 3 sigma must equal K^2",
-}
 
-
-@dataclass(frozen=True, slots=True)
-class Check:
+class Check(NamedTuple):
     """One named identity: the value a formula or theorem demands, and the
     value computed."""
 
@@ -173,6 +156,17 @@ class Check:
     @property
     def passed(self) -> bool:
         return self.expected == self.observed
+
+    def __str__(self) -> str:
+        return f"{self.name} expected {self.expected}, observed {self.observed}"
+
+
+def enforce(label: str, checks: Iterable[tuple[str, object, object]]) -> None:
+    """Raise :class:`ConsistencyError` at the first ``(name, expected,
+    observed)`` whose values differ, naming ``label`` and that check."""
+    for name, expected, observed in checks:
+        if expected != observed:
+            raise ConsistencyError(f"{label}: {Check(name, expected, observed)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,19 +179,11 @@ class BundleAudit:
 
     spec: BundleManifoldSpec
     b1: int
-    pairing_rank: int
     degeneracy: int
     nullity: int
     k_dot_omega: int
     kappa: Kodaira
     checks: tuple[Check, ...]
-
-    def failure_message(self, check: Check) -> str:
-        spec = self.spec
-        return _FAILURE_MESSAGES[check.name].format(
-            expected=check.expected, observed=check.observed, rank=self.pairing_rank,
-            d=spec.d, k=spec.k, g=spec.g, e=spec.e,
-        )
 
 
 def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
@@ -239,7 +225,7 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
         Check("sigma_and_chi_vanish_for_free_circle_action", (0, 0), (sigma, chi)),
         Check("two_chi_plus_three_sigma_equals_K_squared", 0, 2 * chi + 3 * sigma),
     )
-    return BundleAudit(spec, b1, rank, degeneracy, nullity, k_dot, kappa, checks)
+    return BundleAudit(spec, b1, degeneracy, nullity, k_dot, kappa, checks)
 
 
 @lru_cache(maxsize=None)
@@ -250,9 +236,7 @@ def construct(spec: BundleManifoldSpec) -> InvariantCertificate:
     failed check raises :class:`ConsistencyError` instead of emitting.
     """
     audit = audit_bundle(spec)
-    for check in audit.checks:
-        if not check.passed:
-            raise ConsistencyError(audit.failure_message(check))
+    enforce(spec.label, audit.checks)
     return InvariantCertificate(
         sigma=0,
         chi=0,

@@ -18,7 +18,7 @@ import sys
 
 from . import geography
 from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
-from .errors import InadmissibleError
+from .errors import ConsistencyError, InadmissibleError
 from .fiber_sum import (
     DolgachevSurface,
     EllipticSurface,
@@ -373,6 +373,9 @@ def main(argv=None) -> int:
     except _OutputError as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except ConsistencyError as exc:
+        print(f"{parser.prog}: certificate check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ t x s inside the product Y x S^1 on the other. Signature adds (Novikov),
 Euler characteristics add along tori, the section and circle loops die in
 the sum, and the canonical classes concatenate to (n - 2 + 2g) times the
 gluing torus. Signature -8 is reached by substituting a Dolgachev surface
-for E(1); its invariants enter as table data.
+for E(1); its invariants enter as table data. The comparisons of the sum
+with its summands are raised through :func:`bundle_manifold.enforce`, as
+the bundle certificates are.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import bundle_manifold, surfaces
-from .bundle_manifold import BundleManifoldSpec, InvariantCertificate
-from .errors import ConsistencyError
+from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, enforce
 
 
 @dataclass(frozen=True)
@@ -159,18 +160,12 @@ def fiber_sum_invariants(spec: FiberSumSpec) -> InvariantCertificate:
     """
     base_cert = elliptic_invariants(spec.base)
     summand_cert = bundle_manifold.construct(spec.summand)
-    if summand_cert.degeneracy != spec.d:
-        raise ConsistencyError(
-            f"summand degeneracy {summand_cert.degeneracy} differs from weight {spec.d}"
-        )
-
     sigma = base_cert.sigma + summand_cert.sigma
     chi_additive = base_cert.chi + summand_cert.chi
-    chi_identity = -3 * sigma // 2
-    if chi_additive != chi_identity:
-        raise ConsistencyError(
-            f"chi additivity gives {chi_additive}, the signature identity {chi_identity}"
-        )
+    checks = [
+        ("summand_degeneracy_matches_formula", spec.d, summand_cert.degeneracy),
+        ("euler_characteristic_additivity_matches_identity", -3 * sigma // 2, chi_additive),
+    ]
     # the section and circle loops of the bundle summand die in the sum
     b1 = summand_cert.b1 - 2
     b2 = chi_additive - 2 + 2 * b1
@@ -179,8 +174,7 @@ def fiber_sum_invariants(spec: FiberSumSpec) -> InvariantCertificate:
     if isinstance(spec.base, EllipticSurface):
         # K = K_1 + K_2 + 2T for a fiber sum along the torus T
         k_dot = base_cert.k_dot_omega + summand_cert.k_dot_omega + 2
-        if k_dot <= 0:
-            raise ConsistencyError(f"K.[omega] = {k_dot} is not positive")
+        checks.append(("K_dot_omega_positive", True, k_dot > 0))
         kappa = bundle_manifold.kodaira_classify(0, k_dot)
         notes = (
             "canonical class is (n - 2 + 2g) times the gluing torus",
@@ -192,8 +186,8 @@ def fiber_sum_invariants(spec: FiberSumSpec) -> InvariantCertificate:
             "K.[omega] > 0 by citation for the Dolgachev summand; "
             "no fiber-multiple formula is recorded",
         )
-    if kappa != 1:
-        raise ConsistencyError(f"fiber sum must have Kodaira dimension 1, got {kappa}")
+    checks.append(("kappa_is_one", 1, kappa))
+    enforce(spec.label, checks)
 
     return InvariantCertificate(
         sigma=sigma,

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
+from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct, enforce
 from .circle_bundle import VALID_TAGS, bundle_d_for_b1, nullity_closed_form, valid_tags
-from .errors import ConsistencyError, InadmissibleError
+from .errors import InadmissibleError
 from .fiber_sum import (
     DolgachevSurface,
     EllipticBase,
@@ -56,17 +56,26 @@ class Recipe:
     """A construction together with its certified triple.
 
     ``triple_kind`` records whether the third coordinate of ``triple`` is
-    the degeneracy or the nullity of the construction.
+    the degeneracy or the nullity of the construction; ``kind`` and
+    ``label`` are read off ``spec``.
     """
 
-    kind: str
     spec: RecipeSpec
-    label: str
     certificate: InvariantCertificate
     triple: tuple[int, int, int]
     triple_kind: str = "degeneracy"
     family: str | None = None
     notes: tuple[str, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        if isinstance(self.spec, BundleManifoldSpec):
+            return "bundle"
+        return "fiber_sum" if isinstance(self.spec.base, EllipticSurface) else "dolgachev_sum"
+
+    @property
+    def label(self) -> str:
+        return self.spec.label
 
 
 @dataclass(frozen=True)
@@ -83,53 +92,27 @@ def default_genus(k: int, floor: int | None = None) -> int:
     return max(k, 2, floor or 0)
 
 
-def _certify(recipe: Recipe) -> Recipe:
-    """Abort loudly when a certificate does not match its target triple."""
-    cert = recipe.certificate
-    realized = cert.degeneracy if recipe.triple_kind == "degeneracy" else cert.nullity
-    got = (cert.sigma, cert.b1, realized)
-    if got != recipe.triple:
-        raise ConsistencyError(
-            f"recipe {recipe.label} certifies {got}, target was {recipe.triple}"
-        )
-    if cert.kappa != 1:
-        raise ConsistencyError(f"recipe {recipe.label} has kappa = {cert.kappa}, not 1")
-    return recipe
-
-
-def _bundle_recipe(
-    spec: BundleManifoldSpec,
+def _recipe(
+    spec: RecipeSpec,
     triple: tuple[int, int, int],
-    triple_kind: str,
+    triple_kind: str = "degeneracy",
     family: str | None = None,
     notes: tuple[str, ...] = (),
 ) -> Recipe:
-    return _certify(
-        Recipe(
-            kind="bundle",
-            spec=spec,
-            label=spec.label,
-            certificate=construct(spec),
-            triple=triple,
-            triple_kind=triple_kind,
-            family=family,
-            notes=notes,
-        )
+    """Certify ``spec`` and check that it realizes ``triple`` with kappa = 1."""
+    if isinstance(spec, BundleManifoldSpec):
+        cert = construct(spec)
+    else:
+        cert = fiber_sum_invariants(spec)
+    realized = cert.degeneracy if triple_kind == "degeneracy" else cert.nullity
+    enforce(
+        spec.label,
+        (
+            ("realizes_target_triple", triple, (cert.sigma, cert.b1, realized)),
+            ("kappa_is_one", 1, cert.kappa),
+        ),
     )
-
-
-def _sum_recipe(spec: FiberSumSpec, triple: tuple[int, int, int], triple_kind="degeneracy") -> Recipe:
-    kind = "fiber_sum" if isinstance(spec.base, EllipticSurface) else "dolgachev_sum"
-    return _certify(
-        Recipe(
-            kind=kind,
-            spec=spec,
-            label=spec.label,
-            certificate=fiber_sum_invariants(spec),
-            triple=triple,
-            triple_kind=triple_kind,
-        )
-    )
+    return Recipe(spec, cert, triple, triple_kind, family, notes)
 
 
 def realize(a: int, b: int, c: int, genus: int | None = None) -> Recipe:
@@ -148,7 +131,7 @@ def realize(a: int, b: int, c: int, genus: int | None = None) -> Recipe:
         return _realize_signature_zero(b, c, genus)
     k = (b + c) // 2
     spec = FiberSumSpec(_elliptic_base(a), c, k, default_genus(k, genus))
-    return _sum_recipe(spec, (a, b, c))
+    return _recipe(spec, (a, b, c))
 
 
 def _elliptic_base(a: int) -> EllipticBase:
@@ -160,16 +143,16 @@ def _realize_signature_zero(b: int, c: int, genus: int | None) -> Recipe:
     if c == b:
         # d = k = b - 1 with a twisted-block Euler class, any parity of b.
         spec = BundleManifoldSpec(b - 1, b - 1, default_genus(b - 1, genus), 1)
-        return _bundle_recipe(spec, (0, b, c), "degeneracy", f"B1({(b - 1) // 2})")
+        return _recipe(spec, (0, b, c), "degeneracy", f"B1({(b - 1) // 2})")
     if b % 2 == 0:
         ell = b // 2
         i = c // 2
         spec = BundleManifoldSpec(c, ell - 1 + i, default_genus(ell - 1 + i, genus), 0)
-        return _bundle_recipe(spec, (0, b, c), "degeneracy", f"B0({i})")
+        return _recipe(spec, (0, b, c), "degeneracy", f"B0({i})")
     ell = (b - 1) // 2
     i = (c - 1) // 2
     spec = BundleManifoldSpec(c - 1, ell + i, default_genus(ell + i, genus), 2)
-    return _bundle_recipe(
+    return _recipe(
         spec,
         (0, b, c),
         "degeneracy",
@@ -252,7 +235,7 @@ def realize_null(a: int, b: int, c: int, genus: int | None = None) -> Recipe | O
         )
     if b == 0:
         spec = FiberSumSpec(_elliptic_base(a), 0, 0, default_genus(0, genus))
-        return _sum_recipe(spec, (a, 0, 0), "nullity")
+        return _recipe(spec, (a, 0, 0), "nullity")
     return OpenProblem(
         triple=(a, b, c),
         reason=(
@@ -276,7 +259,7 @@ def _search_bundle_nullity(b: int, c: int, genus: int | None) -> Recipe | None:
             if nullity_closed_form(d, k, tag) != c:
                 continue
             spec = BundleManifoldSpec(d, k, default_genus(k, genus), tag)
-            return _bundle_recipe(spec, (0, b, c), "nullity")
+            return _recipe(spec, (0, b, c), "nullity")
     return None
 
 

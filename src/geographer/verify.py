@@ -75,6 +75,5 @@ def _run_case(report: VerificationReport, spec: BundleManifoldSpec) -> None:
     for check in audit_bundle(spec).checks:
         if not check.passed:
             report.failures.append(
-                f"(d={spec.d}, k={spec.k}, g={spec.g}, e={spec.e}) {_LINE_OF[check.name]}: "
-                f"{check.name} expected {check.expected}, observed {check.observed}"
+                f"(d={spec.d}, k={spec.k}, g={spec.g}, e={spec.e}) {_LINE_OF[check.name]}: {check}"
             )

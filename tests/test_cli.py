@@ -17,6 +17,7 @@ from geographer.cli import (
     EXIT_OK,
     EXIT_OPEN,
     EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
     main,
 )
 
@@ -221,6 +222,23 @@ def test_verify_catches_pairing_fault_after_construct_has_run(capsys, monkeypatc
     assert code == 1
     assert "RESULT: FAIL" in out
     assert "FAIL (d=" in out
+
+
+def test_failed_certificate_check_exits_1_without_traceback(capsys, monkeypatch):
+    original = circle_bundle.lefschetz_pairing
+
+    def corrupted(data, tag):
+        q = original(data, tag)
+        return linalg.zeros(len(q), len(q[0]))
+
+    monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
+    construct.cache_clear()  # B(0,1,2;0) is built afresh, with the zeroed pairing
+    code, out, err = run(capsys, "realize", "0", "4", "0")
+    assert (code, out) == (EXIT_VERIFY_FAILED, "")
+    assert err == (
+        "geographer: certificate check failed: B(0,1,2;0): "
+        "degeneracy_pairing_rank_matches_formula expected 0, observed 4\n"
+    )
 
 
 VERIFY_GRID_3 = """\

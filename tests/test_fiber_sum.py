@@ -1,8 +1,13 @@
 """Elliptic surfaces, Dolgachev surfaces, and their fiber sums with bundles."""
 
+import dataclasses
+import re
+
 import pytest
 
+from geographer import bundle_manifold
 from geographer.bundle_manifold import KODAIRA_NEG_INF
+from geographer.errors import ConsistencyError
 from geographer.fiber_sum import (
     DolgachevSurface,
     EllipticSurface,
@@ -131,3 +136,38 @@ def test_dolgachev_branch_grid():
                 assert cert.degeneracy == d
                 assert cert.kappa == 1
 
+
+K3_SUM = FiberSumSpec(EllipticSurface(2), 1, 2, 2)
+
+
+def _skew_summand(monkeypatch, **changes):
+    """Serve the fiber sum a summand certificate with ``changes`` applied."""
+    cert = dataclasses.replace(bundle_manifold.construct(K3_SUM.summand), **changes)
+    monkeypatch.setattr(bundle_manifold, "construct", lambda spec: cert)
+
+
+@pytest.mark.parametrize(
+    "changes, text",
+    [
+        ({"degeneracy": 2}, "summand_degeneracy_matches_formula expected 1, observed 2"),
+        # chi = 2 keeps the Euler identity and 2 chi + 3 sigma = K^2 of the summand
+        (
+            {"chi": 2, "b_plus": 5, "b_minus": 5, "k_squared": 4},
+            "euler_characteristic_additivity_matches_identity expected 24, observed 26",
+        ),
+        ({"k_dot_omega": -3}, "K_dot_omega_positive expected True, observed False"),
+    ],
+)
+def test_fiber_sum_raises_on_a_skewed_summand(monkeypatch, changes, text):
+    _skew_summand(monkeypatch, **changes)
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(f'E(2,1,2,2): {text}')}$"):
+        fiber_sum_invariants(K3_SUM)
+
+
+def test_fiber_sum_raises_when_kappa_is_not_one(monkeypatch):
+    _skew_summand(monkeypatch)
+    monkeypatch.setattr(bundle_manifold, "kodaira_classify", lambda k_squared, k_dot: 2)
+    with pytest.raises(
+        ConsistencyError, match=r"^E\(2,1,2,2\): kappa_is_one expected 1, observed 2$"
+    ):
+        fiber_sum_invariants(K3_SUM)

@@ -1,12 +1,15 @@
 """Admissibility predicates and the realization map."""
 
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from geographer import geography
-from geographer.bundle_manifold import BundleManifoldSpec
-from geographer.errors import InadmissibleError
+from geographer.bundle_manifold import BundleManifoldSpec, construct
+from geographer.errors import ConsistencyError, InadmissibleError
 from geographer.fiber_sum import DolgachevSurface, EllipticSurface
 from geographer.geography import (
     OpenProblem,
@@ -75,6 +78,25 @@ def test_realize_frozen_recipes():
     recipe = realize(-8, 0, 0)
     assert recipe.kind == "dolgachev_sum"
     assert recipe.spec.base == DolgachevSurface(2, 3)
+
+
+def test_recipe_raises_when_the_certificate_misses_its_triple(monkeypatch):
+    # (0, 4, 4) asks for B(3,3,3;1); B(0,1,3;0) certifies (0, 4, 0)
+    other = construct(BundleManifoldSpec(0, 1, 3, 0))
+    monkeypatch.setattr(geography, "construct", lambda spec: other)
+    text = "B(3,3,3;1): realizes_target_triple expected (0, 4, 4), observed (0, 4, 0)"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(text)}$"):
+        realize(0, 4, 4)
+
+
+def test_recipe_raises_when_kappa_is_not_one(monkeypatch):
+    monkeypatch.setattr(
+        geography, "construct", lambda spec: dataclasses.replace(construct(spec), kappa=0)
+    )
+    with pytest.raises(
+        ConsistencyError, match=r"^B\(3,3,3;1\): kappa_is_one expected 1, observed 0$"
+    ):
+        realize(0, 4, 4)
 
 
 def test_realize_rejects_inadmissible():
@@ -223,7 +245,7 @@ def test_bundle_nullity_search_matches_brute_force_scan(monkeypatch, genus):
     # the recipe is replaced by what it would certify, so that only the
     # search is under test here
     monkeypatch.setattr(
-        geography, "_bundle_recipe", lambda spec, triple, kind: (spec, triple, kind)
+        geography, "_recipe", lambda spec, triple, kind: (spec, triple, kind)
     )
     for b in range(0, 41):
         first = brute_force_bundle_nullity(b)

@@ -31,7 +31,6 @@ def test_audit_records_every_certificate_check_once():
             cert.nullity,
             cert.kappa,
         )
-        assert audit.pairing_rank == audit.b1 - audit.degeneracy
 
 
 def test_report_lines_cover_every_certificate_check_once():
@@ -68,14 +67,33 @@ def test_construct_raises_the_first_failed_check(monkeypatch):
     # construct itself, past its cache, so earlier tests cannot hide the fault
     with pytest.raises(
         ConsistencyError,
-        match=r"^degeneracy mismatch for \(0, 1, e=2\): pairing rank gives 1, formula gives 2$",
+        match=r"^B\(0,1,1;2\): degeneracy_pairing_rank_matches_formula expected 2, observed 1$",
     ):
         construct.__wrapped__(spec)
     monkeypatch.setattr(
         circle_bundle, "bundle_b1_formula", lambda d, k, tag: 2 * k - d + 7
     )
-    with pytest.raises(ConsistencyError, match="^degeneracy mismatch"):
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^B\(0,1,1;2\): degeneracy_pairing_rank_matches_formula expected 2, observed 1$",
+    ):
         construct.__wrapped__(spec)  # recorded before the Gysin check
     monkeypatch.setattr(circle_bundle, "degeneracy_closed_form", original)
-    with pytest.raises(ConsistencyError, match=r"^Gysin b1 is 3, formula demands 9$"):
+    with pytest.raises(
+        ConsistencyError, match=r"^B\(0,1,1;2\): gysin_b1_matches_formula expected 9, observed 3$"
+    ):
         construct.__wrapped__(spec)
+
+
+def test_verify_and_construct_render_a_failed_check_alike(monkeypatch):
+    spec = BundleManifoldSpec(0, 1, 1, 2)
+    original = circle_bundle.degeneracy_closed_form
+    monkeypatch.setattr(
+        circle_bundle, "degeneracy_closed_form", lambda d, k, tag: original(d, k, tag) + 1
+    )
+    (check,) = [check for check in audit_bundle(spec).checks if not check.passed]
+    failures = [f for f in verify_bundle_grid(1).failures if f.startswith("(d=0, k=1, g=1, e=2)")]
+    with pytest.raises(ConsistencyError) as exc:
+        construct.__wrapped__(spec)
+    assert failures == [f"(d=0, k=1, g=1, e=2) degeneracy_pairing_rank_vs_formula: {check}"]
+    assert str(exc.value) == f"{spec.label}: {check}"
