@@ -17,9 +17,7 @@ from .bundle_manifold import (
     kodaira_classify,
 )
 from .circle_bundle import (
-    BundleCohomology,
     bundle_b1,
-    bundle_cohomology,
     degeneracy_closed_form,
     lefschetz_pairing,
     nullity_closed_form,

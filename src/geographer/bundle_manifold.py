@@ -6,9 +6,10 @@ a free circle action, which forces signature and Euler characteristic to
 vanish; the remaining invariants are computed through the Wang and Gysin
 sequences and double-checked against closed formulas before a certificate
 is issued. :func:`audit_bundle` is that computation, one uncached exact
-pass that records every check as a :class:`Check`; :func:`construct`
-raises on the first failed one through :func:`enforce`, which every
-certificate path shares, and the grid sweep in ``verify`` counts them all.
+pass that builds the certificate and records every check as a
+:class:`Check`; :func:`construct` raises on the first failed check or
+:meth:`InvariantCertificate.identities` record through :func:`enforce`,
+which every certificate path shares, and ``verify`` counts them all.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from . import circle_bundle, mapping_torus, surfaces
+from . import circle_bundle, linalg, mapping_torus, surfaces
 from .errors import ConsistencyError
 
 #: Sentinel for Kodaira dimension minus infinity (kept JSON-serializable).
@@ -79,7 +80,8 @@ class InvariantCertificate:
     ``k_dot_omega`` is an integer in units of the symplectic area of the
     gluing torus, or None when only positivity is known by citation.
     ``nullity`` is None when no closed form applies. ``checks`` names the
-    identities enforced while the certificate was being built.
+    checks enforced while it was built; each producer also enforces its
+    :meth:`identities`, under its own label.
     """
 
     sigma: int
@@ -96,18 +98,6 @@ class InvariantCertificate:
     minimal_reason: str
     checks: tuple[str, ...]
     notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.sigma != self.b_plus - self.b_minus:
-            raise ConsistencyError("sigma must equal b_plus - b_minus")
-        if self.chi != 2 - 2 * self.b1 + self.b_plus + self.b_minus:
-            raise ConsistencyError("chi must satisfy the Euler identity")
-        if self.kappa in (0, 1) and 2 * self.chi + 3 * self.sigma != self.k_squared:
-            raise ConsistencyError("2 chi + 3 sigma must equal K^2")
-        if not 0 <= self.degeneracy <= self.b1:
-            raise ConsistencyError("degeneracy must lie between 0 and b1")
-        if self.nullity is not None and not 0 <= self.nullity <= self.degeneracy:
-            raise ConsistencyError("nullity must lie between 0 and the degeneracy")
 
     @property
     def b2(self) -> int:
@@ -131,6 +121,23 @@ class InvariantCertificate:
             "checks": list(self.checks),
             "notes": list(self.notes),
         }
+
+    def identities(self) -> tuple[tuple[str, object, object], ...]:
+        """The identities of every certificate, as ``(name, expected,
+        observed)``: an emitted value, and what the others make it."""
+        bounds = 0 <= self.degeneracy <= self.b1 and (
+            self.nullity is None or 0 <= self.nullity <= self.degeneracy
+        )
+        return (
+            ("sigma_equals_bplus_minus_bminus", self.sigma, self.b_plus - self.b_minus),
+            ("chi_equals_euler_identity", self.chi, 2 - 2 * self.b1 + self.b2),
+            (
+                "two_chi_plus_three_sigma_equals_K_squared",
+                self.k_squared,
+                2 * self.chi + 3 * self.sigma,
+            ),
+            ("nullity_le_degeneracy_le_b1", True, bounds),
+        )
 
 
 BUNDLE_CHECKS = (
@@ -161,51 +168,71 @@ class Check(NamedTuple):
         return f"{self.name} expected {self.expected}, observed {self.observed}"
 
 
-def enforce(label: str, checks: Iterable[tuple[str, object, object]]) -> None:
+def enforce(subject, checks: Iterable[tuple[str, object, object]]) -> None:
     """Raise :class:`ConsistencyError` at the first ``(name, expected,
-    observed)`` whose values differ, naming ``label`` and that check."""
+    observed)`` whose values differ, naming ``subject.label`` and that check.
+
+    The label is rendered only when a check fails.
+    """
     for name, expected, observed in checks:
         if expected != observed:
-            raise ConsistencyError(f"{label}: {Check(name, expected, observed)}")
+            raise ConsistencyError(f"{subject.label}: {Check(name, expected, observed)}")
 
 
-@dataclass(frozen=True, slots=True)
-class BundleAudit:
-    """One exact pass over B(d, k, g; e): its invariants and every check.
+class BundleAudit(NamedTuple):
+    """One exact pass over B(d, k, g; e): its unenforced certificate and
+    every check.
 
     ``checks`` holds one record per name of :data:`BUNDLE_CHECKS`, in the
     order :func:`construct` enforces them.
     """
 
-    spec: BundleManifoldSpec
-    b1: int
-    degeneracy: int
-    nullity: int
-    k_dot_omega: int
-    kappa: Kodaira
+    certificate: InvariantCertificate
     checks: tuple[Check, ...]
 
 
 def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     """Compute B(d, k, g; e) once and compare it with every closed form.
 
-    Pipeline: Wang data on the canonical bases, the Euler tag checked
-    against the weights, Gysin first Betti number, assembled pairing and
-    its Bareiss rank. The result is never cached, and a failed check is
+    Pipeline: Wang data on the canonical bases, Gysin first Betti number,
+    assembled pairing and its Bareiss rank, whose defect is the
+    degeneracy. The result is never cached, and a failed check is
     recorded, not raised, so a sweep sees every check of every case.
     """
     d, k, g, e = spec.d, spec.k, spec.g, spec.e
     data = mapping_torus.bundle_wang_data(d, k, g)
-    h1 = circle_bundle.bundle_cohomology(data, e, d, k)
-    b1, degeneracy, nullity = h1.b1, h1.degeneracy, h1.nullity
-    rank = b1 - degeneracy
+    b1 = circle_bundle.bundle_b1(data, e)
+    rank = linalg._bareiss(circle_bundle.lefschetz_pairing(data, e))[0]
+    degeneracy = b1 - rank
+    nullity = circle_bundle.nullity_closed_form(d, k, e)
     k_dot = canonical_class(g)
     kappa = kodaira_classify(0, k_dot)
     # sigma = 0 and chi = 0 are forced by the free circle action; combined
     # they pin b_plus = b_minus = b1 - 1, the Betti numbers the certificate
-    # carries. sigma and chi are read back off those.
-    b_plus = b_minus = b1 - 1
-    sigma, chi = b_plus - b_minus, 2 - 2 * b1 + b_plus + b_minus
+    # carries.
+    cert = InvariantCertificate(
+        sigma=0,
+        chi=0,
+        b1=b1,
+        b_plus=b1 - 1,
+        b_minus=b1 - 1,
+        k_squared=0,
+        k_dot_omega=k_dot,
+        kappa=kappa,
+        degeneracy=degeneracy,
+        nullity=nullity,
+        minimal=True,
+        minimal_reason=(
+            "free-circle-action total space; Kodaira dimension read from the "
+            "minimal-model table"
+        ),
+        checks=BUNDLE_CHECKS,
+        notes=(
+            "K.[omega] is reported in units of the symplectic area of the fiber torus",
+        ),
+    )
+    # sigma and chi read back off the Betti numbers, and 2 chi + 3 sigma
+    sigma, chi, k_squared, _ = cert.identities()
     checks = (
         Check("wang_b1_matches_formula", 2 * k - d + 1, data.b1),
         Check("pairing_rank_even", 0, rank % 2),
@@ -222,39 +249,20 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
         ),
         Check("gysin_b1_matches_formula", circle_bundle.bundle_b1_formula(d, k, e), b1),
         Check("kappa_matches_genus_dichotomy", 0 if g == 1 else 1, kappa),
-        Check("sigma_and_chi_vanish_for_free_circle_action", (0, 0), (sigma, chi)),
-        Check("two_chi_plus_three_sigma_equals_K_squared", 0, 2 * chi + 3 * sigma),
+        Check("sigma_and_chi_vanish_for_free_circle_action", (0, 0), (sigma[2], chi[2])),
+        Check(*k_squared),
     )
-    return BundleAudit(spec, b1, degeneracy, nullity, k_dot, kappa, checks)
+    return BundleAudit(cert, checks)
 
 
 @lru_cache(maxsize=None)
 def construct(spec: BundleManifoldSpec) -> InvariantCertificate:
     """Build and fully cross-check the certificate of B(d, k, g; e).
 
-    The invariants and checks come from :func:`audit_bundle`; the first
-    failed check raises :class:`ConsistencyError` instead of emitting.
+    The certificate and its checks come from :func:`audit_bundle`; the
+    first failed check or certificate identity raises
+    :class:`ConsistencyError` instead of emitting.
     """
-    audit = audit_bundle(spec)
-    enforce(spec.label, audit.checks)
-    return InvariantCertificate(
-        sigma=0,
-        chi=0,
-        b1=audit.b1,
-        b_plus=audit.b1 - 1,
-        b_minus=audit.b1 - 1,
-        k_squared=0,
-        k_dot_omega=audit.k_dot_omega,
-        kappa=audit.kappa,
-        degeneracy=audit.degeneracy,
-        nullity=audit.nullity,
-        minimal=True,
-        minimal_reason=(
-            "free-circle-action total space; Kodaira dimension read from the "
-            "minimal-model table"
-        ),
-        checks=BUNDLE_CHECKS,
-        notes=(
-            "K.[omega] is reported in units of the symplectic area of the fiber torus",
-        ),
-    )
+    cert, checks = audit_bundle(spec)
+    enforce(spec, checks + cert.identities())
+    return cert

@@ -20,14 +20,12 @@ assembled matrix and the closed degeneracy formula.
 
 Rows the package built are not validated again: the pairing reads the
 invariant basis of the Wang data as it stands and the cup form of the
-fiber by the one nonzero of each of its rows, with no dense matrix built,
-and :func:`bundle_cohomology` takes the rank of the pairing it just
-assembled.
+fiber by the one nonzero of each of its rows, with no dense matrix built.
+:func:`geographer.bundle_manifold.audit_bundle` reads b1, the pairing
+and the closed forms from here, and compares them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import linalg, surfaces
 from .mapping_torus import WangData
@@ -139,37 +137,3 @@ def nullity_necessary_check(d: int, k: int, tag: int) -> bool:
     if tag == 0 and nullity != 0:
         return False
     return 0 <= nullity <= degeneracy_closed_form(d, k, tag)
-
-
-@dataclass(frozen=True)
-class BundleCohomology:
-    """H^1 rank and the two measures of degeneracy."""
-
-    b1: int
-    degeneracy: int
-    nullity: int
-
-
-def bundle_cohomology(data: WangData, tag: int, d: int, k: int) -> BundleCohomology:
-    """Full H^1 package for one bundle: b1, the rank defect of the
-    assembled pairing as the degeneracy, and the closed-form nullity.
-
-    Nothing here is compared with a closed form; that is the job of
-    :func:`geographer.bundle_manifold.audit_bundle`, which checks the
-    package before :func:`geographer.bundle_manifold.construct` issues a
-    certificate. A tag that does not exist for (d, k), or Wang data whose
-    mu basis does not have the rank 2k - d of the weights, raises
-    ``ValueError``.
-    """
-    _check_tag_parameters(d, k, tag)
-    size = len(data.mu_basis)
-    if size != 2 * k - d:
-        raise ValueError(
-            f"mu basis has rank {size}, inconsistent with weights ({d}, {k})"
-        )
-    b1 = bundle_b1(data, tag)
-    return BundleCohomology(
-        b1=b1,
-        degeneracy=b1 - linalg._bareiss(lefschetz_pairing(data, tag))[0],
-        nullity=nullity_closed_form(d, k, tag),
-    )

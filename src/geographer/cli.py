@@ -17,14 +17,9 @@ import os
 import sys
 
 from . import geography
-from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
+from .bundle_manifold import BundleManifoldSpec, InvariantCertificate
 from .errors import ConsistencyError, InadmissibleError
-from .fiber_sum import (
-    DolgachevSurface,
-    EllipticSurface,
-    FiberSumSpec,
-    fiber_sum_invariants,
-)
+from .fiber_sum import DolgachevSurface, EllipticSurface, FiberSumSpec
 from .geography import OpenProblem, Recipe
 from .verify import verify_bundle_grid
 
@@ -82,22 +77,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def certificate_checks(cert: InvariantCertificate) -> list[dict]:
-    """Re-run the arithmetic identities on the emitted numbers."""
+    """The certificate's identity records, then the names of the checks
+    enforced while it was built.
+
+    The nullity record is left out when the nullity is unknown.
+    """
     checks = [
-        {"name": "sigma_equals_bplus_minus_bminus", "passed": cert.sigma == cert.b_plus - cert.b_minus},
-        {"name": "chi_equals_euler_identity", "passed": cert.chi == 2 - 2 * cert.b1 + cert.b2},
-        {
-            "name": "two_chi_plus_three_sigma_equals_K_squared",
-            "passed": 2 * cert.chi + 3 * cert.sigma == cert.k_squared,
-        },
+        {"name": name, "passed": expected == observed}
+        for name, expected, observed in cert.identities()
+        if cert.nullity is not None or name != "nullity_le_degeneracy_le_b1"
     ]
-    if cert.nullity is not None:
-        checks.append(
-            {
-                "name": "nullity_le_degeneracy_le_b1",
-                "passed": cert.nullity <= cert.degeneracy <= cert.b1,
-            }
-        )
     checks.extend({"name": name, "passed": True} for name in cert.checks)
     return checks
 
@@ -251,24 +240,19 @@ def cmd_realize(args) -> int:
 def cmd_invariants(args) -> int:
     try:
         if args.bundle is not None:
-            d, k, g, e = args.bundle
-            spec = BundleManifoldSpec(d, k, g, e)
-            cert = construct(spec)
-            label, fields = spec.label, _spec_fields(spec)
+            spec = BundleManifoldSpec(*args.bundle)
         elif args.fibersum is not None:
             n, d, k, g = args.fibersum
-            fspec = FiberSumSpec(EllipticSurface(n), d, k, g)
-            cert = fiber_sum_invariants(fspec)
-            label, fields = fspec.label, _spec_fields(fspec)
+            spec = FiberSumSpec(EllipticSurface(n), d, k, g)
         else:
             p, q, d, k, g = args.dolgachev
-            fspec = FiberSumSpec(DolgachevSurface(p, q), d, k, g)
-            cert = fiber_sum_invariants(fspec)
-            label, fields = fspec.label, _spec_fields(fspec)
+            spec = FiberSumSpec(DolgachevSurface(p, q), d, k, g)
+        cert = geography.certify(spec)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    doc = invariants_document(label, fields, cert)
+    label = spec.label
+    doc = invariants_document(label, _spec_fields(spec), cert)
     if args.format == "json":
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:

@@ -7,7 +7,9 @@ Euler characteristics add along tori, the section and circle loops die in
 the sum, and the canonical classes concatenate to (n - 2 + 2g) times the
 gluing torus. Signature -8 is reached by substituting a Dolgachev surface
 for E(1); its invariants enter as table data. The comparisons of the sum
-with its summands are raised through :func:`bundle_manifold.enforce`, as
+with its summands, and the identities of every certificate built here
+(:meth:`InvariantCertificate.identities`), are raised through
+:func:`bundle_manifold.enforce` with the label of the base or the sum, as
 the bundle certificates are.
 """
 
@@ -69,7 +71,7 @@ def elliptic_invariants(base: EllipticBase) -> InvariantCertificate:
         n = base.n
         k_dot = n - 2
         kappa = bundle_manifold.kodaira_classify(0, k_dot)
-        return InvariantCertificate(
+        cert = InvariantCertificate(
             sigma=-8 * n,
             chi=12 * n,
             b1=0,
@@ -89,25 +91,28 @@ def elliptic_invariants(base: EllipticBase) -> InvariantCertificate:
             checks=("two_chi_plus_three_sigma_equals_K_squared",),
             notes=("b1 = 0, so degeneracy and nullity vanish identically",),
         )
-    return InvariantCertificate(
-        sigma=-8,
-        chi=12,
-        b1=0,
-        b_plus=1,
-        b_minus=9,
-        k_squared=0,
-        k_dot_omega=None,
-        kappa=1,
-        degeneracy=0,
-        nullity=0,
-        minimal=True,
-        minimal_reason="Dolgachev surfaces are minimal elliptic surfaces",
-        checks=("two_chi_plus_three_sigma_equals_K_squared",),
-        notes=(
-            "K.[omega] > 0 by citation (properly elliptic surface); "
-            "invariants do not depend on the multiplicities",
-        ),
-    )
+    else:
+        cert = InvariantCertificate(
+            sigma=-8,
+            chi=12,
+            b1=0,
+            b_plus=1,
+            b_minus=9,
+            k_squared=0,
+            k_dot_omega=None,
+            kappa=1,
+            degeneracy=0,
+            nullity=0,
+            minimal=True,
+            minimal_reason="Dolgachev surfaces are minimal elliptic surfaces",
+            checks=("two_chi_plus_three_sigma_equals_K_squared",),
+            notes=(
+                "K.[omega] > 0 by citation (properly elliptic surface); "
+                "invariants do not depend on the multiplicities",
+            ),
+        )
+    enforce(base, cert.identities())
+    return cert
 
 
 @dataclass(frozen=True)
@@ -187,9 +192,8 @@ def fiber_sum_invariants(spec: FiberSumSpec) -> InvariantCertificate:
             "no fiber-multiple formula is recorded",
         )
     checks.append(("kappa_is_one", 1, kappa))
-    enforce(spec.label, checks)
 
-    return InvariantCertificate(
+    cert = InvariantCertificate(
         sigma=sigma,
         chi=chi_additive,
         b1=b1,
@@ -205,3 +209,5 @@ def fiber_sum_invariants(spec: FiberSumSpec) -> InvariantCertificate:
         checks=FIBER_SUM_CHECKS,
         notes=notes,
     )
+    enforce(spec, (*checks, *cert.identities()))
+    return cert

@@ -92,6 +92,13 @@ def default_genus(k: int, floor: int | None = None) -> int:
     return max(k, 2, floor or 0)
 
 
+def certify(spec: RecipeSpec) -> InvariantCertificate:
+    """The enforced certificate of a bundle or of a fiber sum."""
+    if isinstance(spec, BundleManifoldSpec):
+        return construct(spec)
+    return fiber_sum_invariants(spec)
+
+
 def _recipe(
     spec: RecipeSpec,
     triple: tuple[int, int, int],
@@ -100,13 +107,10 @@ def _recipe(
     notes: tuple[str, ...] = (),
 ) -> Recipe:
     """Certify ``spec`` and check that it realizes ``triple`` with kappa = 1."""
-    if isinstance(spec, BundleManifoldSpec):
-        cert = construct(spec)
-    else:
-        cert = fiber_sum_invariants(spec)
+    cert = certify(spec)
     realized = cert.degeneracy if triple_kind == "degeneracy" else cert.nullity
     enforce(
-        spec.label,
+        spec,
         (
             ("realizes_target_triple", triple, (cert.sigma, cert.b1, realized)),
             ("kappa_is_one", 1, cert.kappa),
@@ -127,6 +131,11 @@ def realize(a: int, b: int, c: int, genus: int | None = None) -> Recipe:
     failure = _admissibility_failure(a, b, c)
     if failure is not None:
         raise InadmissibleError(failure)
+    return _realize_admissible(a, b, c, genus)
+
+
+def _realize_admissible(a: int, b: int, c: int, genus: int | None) -> Recipe:
+    """:func:`realize` for a triple already found admissible."""
     if a == 0:
         return _realize_signature_zero(b, c, genus)
     k = (b + c) // 2
@@ -280,6 +289,6 @@ def enumerate_region(
     for a in range(0, sigma_min - 1, -8):
         for b in range(0, b1_max + 1):
             for c in range(0, b + 1):
-                if is_admissible(a, b, c):
-                    yield realize(a, b, c, genus=genus)
+                if _admissibility_failure(a, b, c) is None:
+                    yield _realize_admissible(a, b, c, genus)
 

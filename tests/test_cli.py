@@ -1,5 +1,6 @@
 """Command line contracts: exit codes, emitters, round trips."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ from geographer.cli import (
     EXIT_OPEN,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    certificate_checks,
     main,
 )
 
@@ -239,6 +241,22 @@ def test_failed_certificate_check_exits_1_without_traceback(capsys, monkeypatch)
         "geographer: certificate check failed: B(0,1,2;0): "
         "degeneracy_pairing_rank_matches_formula expected 0, observed 4\n"
     )
+
+
+@pytest.mark.parametrize(
+    "changes, broken",
+    [
+        ({"b_plus": 2, "b_minus": 0}, "sigma_equals_bplus_minus_bminus"),
+        ({"b1": 3}, "chi_equals_euler_identity"),
+        ({"k_squared": 4}, "two_chi_plus_three_sigma_equals_K_squared"),
+        ({"nullity": 3}, "nullity_le_degeneracy_le_b1"),
+    ],
+)
+def test_certificate_checks_fail_exactly_the_broken_identity(changes, broken):
+    cert = dataclasses.replace(construct(BundleManifoldSpec(1, 1, 2, 1)), **changes)
+    checks = certificate_checks(cert)
+    assert [c["name"] for c in checks if not c["passed"]] == [broken]
+    assert [c["name"] for c in checks[4:]] == list(cert.checks)
 
 
 VERIFY_GRID_3 = """\

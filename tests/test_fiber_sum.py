@@ -5,10 +5,11 @@ import re
 
 import pytest
 
-from geographer import bundle_manifold
-from geographer.bundle_manifold import KODAIRA_NEG_INF
+from geographer import bundle_manifold, fiber_sum
+from geographer.bundle_manifold import KODAIRA_NEG_INF, InvariantCertificate
 from geographer.errors import ConsistencyError
 from geographer.fiber_sum import (
+    FIBER_SUM_CHECKS,
     DolgachevSurface,
     EllipticSurface,
     FiberSumSpec,
@@ -150,9 +151,8 @@ def _skew_summand(monkeypatch, **changes):
     "changes, text",
     [
         ({"degeneracy": 2}, "summand_degeneracy_matches_formula expected 1, observed 2"),
-        # chi = 2 keeps the Euler identity and 2 chi + 3 sigma = K^2 of the summand
         (
-            {"chi": 2, "b_plus": 5, "b_minus": 5, "k_squared": 4},
+            {"chi": 2},
             "euler_characteristic_additivity_matches_identity expected 24, observed 26",
         ),
         ({"k_dot_omega": -3}, "K_dot_omega_positive expected True, observed False"),
@@ -171,3 +171,78 @@ def test_fiber_sum_raises_when_kappa_is_not_one(monkeypatch):
         ConsistencyError, match=r"^E\(2,1,2,2\): kappa_is_one expected 1, observed 2$"
     ):
         fiber_sum_invariants(K3_SUM)
+
+
+@pytest.mark.parametrize(
+    "changes, text",
+    [
+        # sigma = -15 with chi = 22 = -3 sigma // 2: b2 + sigma is odd, so
+        # b_plus is floored and b_plus - b_minus misses sigma by one
+        ({"sigma": 1, "chi": -2}, "sigma_equals_bplus_minus_bminus expected -15, observed -16"),
+        # sigma = -17 with chi = 25 = -3 sigma // 2 leaves 2 chi + 3 sigma = -1
+        (
+            {"sigma": -1, "chi": 1},
+            "two_chi_plus_three_sigma_equals_K_squared expected 0, observed -1",
+        ),
+        # b1 of the sum drops to 0, below the degeneracy d = 1
+        ({"b1": 2}, "nullity_le_degeneracy_le_b1 expected True, observed False"),
+    ],
+)
+def test_fiber_sum_enforces_its_identities_on_a_skewed_summand(monkeypatch, changes, text):
+    _skew_summand(monkeypatch, **changes)
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(f'E(2,1,2,2): {text}')}$"):
+        fiber_sum_invariants(K3_SUM)
+
+
+def _skew_certificates(monkeypatch, changes, checks=None):
+    """Apply ``changes`` to each certificate ``fiber_sum`` builds, or only to
+    those whose ``checks`` are ``checks``."""
+
+    def build(**fields):
+        if checks is None or fields["checks"] == checks:
+            fields.update(changes)
+        return InvariantCertificate(**fields)
+
+    monkeypatch.setattr(fiber_sum, "InvariantCertificate", build)
+
+
+def test_fiber_sum_enforces_the_euler_identity(monkeypatch):
+    # b2 of a sum is read off chi, so only a certificate skewed after the
+    # fact can break chi = 2 - 2 b1 + b2
+    _skew_certificates(monkeypatch, {"chi": 26}, FIBER_SUM_CHECKS)
+    text = "E(2,1,2,2): chi_equals_euler_identity expected 26, observed 24"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(text)}$"):
+        fiber_sum_invariants(K3_SUM)
+
+
+@pytest.mark.parametrize(
+    "base, changes, text",
+    [
+        # E(3): sigma = -24, chi = 36, b_plus = 5, b_minus = 29
+        (
+            EllipticSurface(3),
+            {"b_plus": 6, "b_minus": 28},
+            "E(3): sigma_equals_bplus_minus_bminus expected -24, observed -22",
+        ),
+        (EllipticSurface(3), {"b1": 1}, "E(3): chi_equals_euler_identity expected 36, observed 34"),
+        (
+            EllipticSurface(3),
+            {"k_squared": 1},
+            "E(3): two_chi_plus_three_sigma_equals_K_squared expected 1, observed 0",
+        ),
+        (
+            EllipticSurface(3),
+            {"degeneracy": 1},
+            "E(3): nullity_le_degeneracy_le_b1 expected True, observed False",
+        ),
+        (
+            DolgachevSurface(2, 3),
+            {"k_squared": 1},
+            "E(1)_{2,3}: two_chi_plus_three_sigma_equals_K_squared expected 1, observed 0",
+        ),
+    ],
+)
+def test_elliptic_invariants_enforce_the_identities(monkeypatch, base, changes, text):
+    _skew_certificates(monkeypatch, changes)
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(text)}$"):
+        elliptic_invariants(base)

@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 from geographer import geography
 from geographer.bundle_manifold import BundleManifoldSpec, construct
 from geographer.errors import ConsistencyError, InadmissibleError
-from geographer.fiber_sum import DolgachevSurface, EllipticSurface
+from geographer.fiber_sum import (
+    DolgachevSurface,
+    EllipticSurface,
+    FiberSumSpec,
+    fiber_sum_invariants,
+)
 from geographer.geography import (
     OpenProblem,
+    certify,
     default_genus,
     enumerate_region,
     is_admissible,
@@ -294,3 +300,26 @@ def test_enumerate_order_is_deterministic():
         chunk = [(t[1], t[2]) for t in triples if t[0] == sigma]
         assert chunk == sorted(chunk)
 
+
+
+def test_enumerate_checks_admissibility_once_per_triple(monkeypatch):
+    seen = []
+    original = geography._admissibility_failure
+
+    def counted(a, b, c):
+        seen.append((a, b, c))
+        return original(a, b, c)
+
+    monkeypatch.setattr(geography, "_admissibility_failure", counted)
+    recipes = list(enumerate_region(-16, 4))
+    # three signatures, fifteen (b, c) with 0 <= c <= b <= 4 each
+    assert len(seen) == len(set(seen)) == 45
+    assert [r.triple for r in recipes] == [t for t in seen if original(*t) is None]
+
+
+def test_certify_dispatches_on_the_spec():
+    bundle = BundleManifoldSpec(1, 2, 3, 2)
+    assert certify(bundle) is construct(bundle)
+    for base in (EllipticSurface(3), DolgachevSurface(2, 3)):
+        spec = FiberSumSpec(base, 1, 2, 2)
+        assert certify(spec) == fiber_sum_invariants(spec)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from geographer import circle_bundle
+from geographer import circle_bundle, mapping_torus
 from geographer.bundle_manifold import (
     BUNDLE_CHECKS,
     BundleManifoldSpec,
+    Check,
     audit_bundle,
     construct,
 )
@@ -25,12 +26,18 @@ def test_audit_records_every_certificate_check_once():
         assert all(check.passed for check in audit.checks)
         cert = construct(spec)
         assert cert.checks == BUNDLE_CHECKS
-        assert (audit.b1, audit.degeneracy, audit.nullity, audit.kappa) == (
-            cert.b1,
-            cert.degeneracy,
-            cert.nullity,
-            cert.kappa,
-        )
+        assert audit.certificate == cert
+
+
+def test_audit_of_wang_data_with_other_weights_fails_the_wang_b1_check(monkeypatch):
+    # B(2,2,3;0) served the Wang data of weights (1, 2, 3): a mu basis of
+    # rank 3 where the weights (2, 2) demand 2
+    other = mapping_torus.bundle_wang_data(1, 2, 3)
+    monkeypatch.setattr(mapping_torus, "bundle_wang_data", lambda d, k, g: other)
+    checks = audit_bundle(BundleManifoldSpec(2, 2, 3, 0)).checks
+    assert len(other.mu_basis) == 3
+    assert checks[0] == Check("wang_b1_matches_formula", 3, 4)
+    assert not checks[0].passed
 
 
 def test_report_lines_cover_every_certificate_check_once():
