@@ -21,7 +21,6 @@ from .circle_bundle import (
     degeneracy_closed_form,
     lefschetz_pairing,
     nullity_closed_form,
-    nullity_necessary_check,
 )
 from .errors import ConsistencyError, InadmissibleError
 from .fiber_sum import (

@@ -100,7 +100,7 @@ def lefschetz_pairing(data: WangData, tag: int) -> linalg.Matrix:
     size = 2 + m if tag == 0 else 1 + m
     q = linalg.zeros(size, size)
     if m:
-        block = linalg._sparse_gram(basis, 2 * data.genus, surfaces.intersection_row)
+        block = linalg._sparse_gram(basis, len(basis[0]), surfaces.intersection_row)
         for i, row in enumerate(block):
             q[1 + i][1:1 + m] = row
     if tag == 0:
@@ -126,14 +126,3 @@ def nullity_closed_form(d: int, k: int, tag: int) -> int:
         return 0
     return d + 1 if d == k else d
 
-
-def nullity_necessary_check(d: int, k: int, tag: int) -> bool:
-    """The two structurally forced facts about the closed forms.
-
-    Nullity vanishes whenever the Euler class does, and nullity never
-    exceeds degeneracy. Violations would mean a corrupted closed form.
-    """
-    nullity = nullity_closed_form(d, k, tag)
-    if tag == 0 and nullity != 0:
-        return False
-    return 0 <= nullity <= degeneracy_closed_form(d, k, tag)

@@ -9,17 +9,20 @@ gluing torus. Signature -8 is reached by substituting a Dolgachev surface
 for E(1); its invariants enter as table data. The comparisons of the sum
 with its summands, and the identities of every certificate built here
 (:meth:`InvariantCertificate.identities`), are raised through
-:func:`bundle_manifold.enforce` with the label of the base or the sum, as
-the bundle certificates are.
+:func:`geographer.errors.enforce` with the label of the base or the sum,
+as the bundle certificates and their Wang bases are. The certificate of
+each elliptic base is built once and memoized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import bundle_manifold, surfaces
-from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, enforce
+from .bundle_manifold import BundleManifoldSpec, InvariantCertificate
+from .errors import enforce
 
 
 @dataclass(frozen=True)
@@ -58,59 +61,49 @@ class DolgachevSurface:
 EllipticBase = EllipticSurface | DolgachevSurface
 
 
+@lru_cache(maxsize=None)
 def elliptic_invariants(base: EllipticBase) -> InvariantCertificate:
     """Certificate of the bare elliptic or Dolgachev surface.
 
     E(n): sigma = -8n, chi = 12n, simply connected, canonical class
     (n - 2) times the fiber. n = 2 is the K3 surface, whose canonical
-    class vanishes. Dolgachev surfaces carry the same chi and sigma as
-    E(1) but are minimal with positive K . [omega], known by citation
+    class vanishes. Dolgachev surfaces carry the sigma, chi, b+ and b-
+    of E(1) but are minimal with positive K . [omega], known by citation
     rather than by a fiber-multiple formula.
     """
     if isinstance(base, EllipticSurface):
         n = base.n
         k_dot = n - 2
         kappa = bundle_manifold.kodaira_classify(0, k_dot)
-        cert = InvariantCertificate(
-            sigma=-8 * n,
-            chi=12 * n,
-            b1=0,
-            b_plus=2 * n - 1,
-            b_minus=10 * n - 1,
-            k_squared=0,
-            k_dot_omega=k_dot,
-            kappa=kappa,
-            degeneracy=0,
-            nullity=0,
-            minimal=n >= 2,
-            minimal_reason=(
-                "relatively minimal elliptic surface without (-1)-spheres"
-                if n >= 2
-                else "E(1) is rational, hence not minimal"
-            ),
-            checks=("two_chi_plus_three_sigma_equals_K_squared",),
-            notes=("b1 = 0, so degeneracy and nullity vanish identically",),
+        minimal_reason = (
+            "relatively minimal elliptic surface without (-1)-spheres"
+            if n >= 2
+            else "E(1) is rational, hence not minimal"
         )
+        notes = ("b1 = 0, so degeneracy and nullity vanish identically",)
     else:
-        cert = InvariantCertificate(
-            sigma=-8,
-            chi=12,
-            b1=0,
-            b_plus=1,
-            b_minus=9,
-            k_squared=0,
-            k_dot_omega=None,
-            kappa=1,
-            degeneracy=0,
-            nullity=0,
-            minimal=True,
-            minimal_reason="Dolgachev surfaces are minimal elliptic surfaces",
-            checks=("two_chi_plus_three_sigma_equals_K_squared",),
-            notes=(
-                "K.[omega] > 0 by citation (properly elliptic surface); "
-                "invariants do not depend on the multiplicities",
-            ),
+        n, k_dot, kappa = 1, None, 1  # E(1)'s sigma, chi, b+ and b-
+        minimal_reason = "Dolgachev surfaces are minimal elliptic surfaces"
+        notes = (
+            "K.[omega] > 0 by citation (properly elliptic surface); "
+            "invariants do not depend on the multiplicities",
         )
+    cert = InvariantCertificate(
+        sigma=-8 * n,
+        chi=12 * n,
+        b1=0,
+        b_plus=2 * n - 1,
+        b_minus=10 * n - 1,
+        k_squared=0,
+        k_dot_omega=k_dot,
+        kappa=kappa,
+        degeneracy=0,
+        nullity=0,
+        minimal=kappa != bundle_manifold.KODAIRA_NEG_INF,  # all but the rational E(1)
+        minimal_reason=minimal_reason,
+        checks=("two_chi_plus_three_sigma_equals_K_squared",),
+        notes=notes,
+    )
     enforce(base, cert.identities())
     return cert
 

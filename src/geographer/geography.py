@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct, enforce
+from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
 from .circle_bundle import VALID_TAGS, bundle_d_for_b1, nullity_closed_form, valid_tags
-from .errors import InadmissibleError
+from .errors import InadmissibleError, enforce
 from .fiber_sum import (
     DolgachevSurface,
     EllipticBase,
@@ -34,7 +34,7 @@ DEFAULT_DOLGACHEV = (2, 3)
 
 def _all_ints(*values) -> bool:
     """Exactly ``int``: floats, bools and other number types are refused."""
-    return all(type(x) is int for x in values)
+    return set(map(type, values)) <= {int}
 
 
 def is_admissible(a: int, b: int, c: int) -> bool:

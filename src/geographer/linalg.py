@@ -372,20 +372,18 @@ class SmithForm:
         return [[row[i] for row in self.s] for i in self._free(len(self.s))]
 
 
-def elementary_divisors(a, det: int | None = None) -> tuple[int, ...]:
+def elementary_divisors(a) -> tuple[int, ...]:
     """Nontrivial invariant factors of a nonsingular square matrix.
 
     The diagonal of :func:`smith_form`, less its zeros and ones, with no
     transforms and with every entry kept below |det A|: see
-    :func:`_elementary_divisors`. ``det`` may pass the determinant of
-    ``a``, up to sign, when it is known; it is trusted. Otherwise one
-    Bareiss elimination finds it.
+    :func:`_elementary_divisors`. One Bareiss elimination finds the
+    determinant.
     """
     rows = to_matrix(a)
     if len(rows[0]) != len(rows):
         raise ValueError("elementary divisors of a non-square matrix")
-    if det is None:
-        det = _det(list(rows))
+    det = _det(list(rows))
     if not det:
         raise ValueError("elementary divisors of a singular matrix")
     return _elementary_divisors(rows, abs(det))

@@ -14,8 +14,12 @@ a singular A reads its generic bases off one Smith decomposition, held
 as rows of Python ints. Preferred bases are certified from A itself, by
 pivot counts and pivot products of unimodular echelon forms, so the
 canonical bases of the bundle path cost one Bareiss elimination of A and
-no Smith form. Bases are rows of fiber coordinates. The monodromy itself
-is an immutable, packed int matrix.
+no Smith form. Every count and index of that certificate is a
+``(name, expected, observed)`` record raised by
+:func:`~geographer.errors.enforce` under the torus's label, as the
+certificates built on these bases are. Bases are rows of fiber
+coordinates, and b1 is read off the invariant basis. The monodromy
+itself is an immutable, packed int matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import linalg, surfaces
-from .errors import ConsistencyError
+from .errors import enforce
 from .surfaces import TwistWord
 
 
@@ -39,6 +43,11 @@ class MappingTorus:
     def genus(self) -> int:
         return self.word.genus
 
+    @property
+    def label(self) -> str:
+        letters = len(self.word.letters)
+        return f"Y(genus {self.genus}, {letters} letter{'' if letters == 1 else 's'})"
+
     @cached_property
     def monodromy(self) -> linalg.FrozenMatrix:
         """The pullback action on H^1, kept packed for the torus's lifetime."""
@@ -47,7 +56,7 @@ class MappingTorus:
 
 @dataclass(frozen=True, slots=True)
 class WangData:
-    """Ranks and bases of H^1(Y) and H^2(Y), as rows of fiber coordinates.
+    """Bases of H^1(Y) and H^2(Y), as rows of fiber coordinates.
 
     ``invariant_basis`` rows span the fixed lattice of the monodromy on
     H^1 of the fiber; together with theta they give H^1(Y). ``mu_basis``
@@ -56,20 +65,14 @@ class WangData:
     ``torsion`` lists the nontrivial elementary divisors of phi^* - 1.
     """
 
-    genus: int
-    b1: int
-    b2: int
     invariant_basis: tuple[tuple[int, ...], ...]
     mu_basis: tuple[tuple[int, ...], ...]
     torsion: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.b1 != 1 + len(self.invariant_basis):
-            raise ConsistencyError("b1(Y) must be 1 + dim of the fixed subspace")
-        if self.b2 != self.b1:
-            raise ConsistencyError("a closed oriented 3-manifold has b1 = b2")
-        if len(self.mu_basis) != self.b2 - 1:
-            raise ConsistencyError("mu image must have rank b2(Y) - 1")
+    @property
+    def b1(self) -> int:
+        """b1(Y), theta and the fixed lattice; by duality also b2(Y)."""
+        return 1 + len(self.invariant_basis)
 
 
 def wang_cohomology(
@@ -83,63 +86,69 @@ def wang_cohomology(
     :func:`_rank_and_torsion` its torsion. A nonsingular A, as a generic
     word has, fixes no vector: its generic bases are empty and no Smith
     form is computed. A singular A reads its generic bases and torsion
-    off one Smith decomposition. Optional preferred bases replace the
-    generic ones after an exact certificate from A:
+    off one Smith decomposition, whose count of zeros must be the
+    Bareiss corank (``kernel_rank_matches_bareiss``). Optional preferred
+    bases replace the generic ones after an exact certificate from A.
+    Each must have the shape (corank, 2g) first (``invariant_basis_shape``,
+    ``mu_basis_shape``); then
 
-    * an invariant basis B must consist of fixed vectors (A v = 0), and
-      B^T must reduce by unimodular row steps to one pivot per row of B
-      (so the rows are independent) with product 1 (the gcd of the
-      maximal minors of B, so their span is saturated): then B is a
-      lattice basis of ker A;
-    * a mu basis must make [A^T; mu] reduce to 2g pivots whose product,
-      the order of Z^2g / (im A + span mu), is the order of the torsion
-      of coker A: that holds exactly when mu maps to a lattice basis of
-      the free part of coker A.
+    * an invariant basis B must consist of fixed vectors (A v = 0,
+      ``invariant_basis_fixed`` counts them), and B^T must reduce by
+      unimodular row steps to one pivot per row of B
+      (``invariant_basis_rank``: the rows are independent) with product 1
+      (``invariant_basis_index``: the gcd of the maximal minors of B, so
+      their span is saturated): then B is a lattice basis of ker A;
+    * a mu basis must make [A^T; mu] reduce to 2g pivots
+      (``mu_basis_rank``) whose product, the order of
+      Z^2g / (im A + span mu), is the order of the torsion of coker A
+      (``mu_basis_index``): that holds exactly when mu maps to a lattice
+      basis of the free part of coker A.
 
     With both bases given, a singular A costs a Smith form only when its
-    minor is not 1, for the torsion alone. A failed check raises
-    :class:`ConsistencyError`.
+    minor is not 1, for the torsion alone. Each check is a
+    ``(name, expected, observed)`` record, and the first that fails is
+    raised by :func:`~geographer.errors.enforce` under the torus's label.
     """
-    g = torus.genus
-    n = 2 * g
+    n = 2 * torus.genus
     a = [list(row) for row in torus.monodromy]
     for i in range(n):
         a[i][i] -= 1
     rank, torsion, sf = _rank_and_torsion(a, invariant_basis is None or mu_basis is None)
     fixed_rank = n - rank
-    if invariant_basis is not None or mu_basis is not None:
-        image = linalg._transpose(a)  # row j is A e_j
-
+    counts = []
+    if sf:
+        counts.append(("kernel_rank_matches_bareiss", fixed_rank, sf.diagonal.count(0)))
     if invariant_basis is None:
         inv = sf.kernel_basis() if sf else []  # no Smith form: A is nonsingular
     else:
-        inv = _preferred_rows(invariant_basis, "invariant", fixed_rank, n)
-        if inv and any(map(any, linalg._matmul(inv, image))):
-            raise ConsistencyError("invariant basis vector not fixed by the monodromy")
-        if fixed_rank:
-            pivots = linalg._echelon_pivots(linalg._transpose(inv))
-            if len(pivots) < fixed_rank:
-                raise ConsistencyError("invariant basis rows are linearly dependent")
-            if math.prod(pivots) != 1:
-                raise ConsistencyError("invariant basis does not span a saturated lattice")
-
+        inv, shape = _rows(invariant_basis, n)
+        counts.append(("invariant_basis_shape", (fixed_rank, n), shape))
     if mu_basis is None:
         mu = sf.cokernel_free_basis() if sf else []
     else:
-        mu = _preferred_rows(mu_basis, "mu", fixed_rank, n)
-        if fixed_rank:
-            pivots = linalg._echelon_pivots(image + mu)
-            if len(pivots) < n or math.prod(pivots) != math.prod(torsion):
-                raise ConsistencyError("mu basis is not a lattice basis of the free cokernel")
+        mu, shape = _rows(mu_basis, n)
+        counts.append(("mu_basis_shape", (fixed_rank, n), shape))
+    enforce(torus, counts)
 
-    return WangData(
-        genus=g,
-        b1=fixed_rank + 1,
-        b2=fixed_rank + 1,
-        invariant_basis=tuple(map(tuple, inv)),
-        mu_basis=tuple(map(tuple, mu)),
-        torsion=torsion,
-    )
+    certificate = []
+    if fixed_rank and (invariant_basis is not None or mu_basis is not None):
+        image = linalg._transpose(a)  # row j is A e_j
+    if fixed_rank and invariant_basis is not None:
+        images = linalg._matmul(inv, image)  # row i is A v_i
+        pivots = linalg._echelon_pivots(linalg._transpose(inv))
+        certificate += [
+            ("invariant_basis_fixed", fixed_rank, sum(not any(row) for row in images)),
+            ("invariant_basis_rank", fixed_rank, len(pivots)),
+            ("invariant_basis_index", 1, math.prod(pivots)),
+        ]
+    if fixed_rank and mu_basis is not None:
+        pivots = linalg._echelon_pivots(image + mu)
+        certificate += [
+            ("mu_basis_rank", n, len(pivots)),
+            ("mu_basis_index", math.prod(torsion), math.prod(pivots)),
+        ]
+    enforce(torus, certificate)
+    return WangData(tuple(map(tuple, inv)), tuple(map(tuple, mu)), torsion)
 
 
 def _rank_and_torsion(
@@ -159,22 +168,17 @@ def _rank_and_torsion(
     """
     rank, _, minor = linalg._bareiss(list(a))
     if rank == len(a):
-        return rank, () if minor == 1 else linalg.elementary_divisors(a, minor), None
+        return rank, () if minor == 1 else linalg._elementary_divisors(a, abs(minor)), None
     if minor == 1 and not generic_bases:
         return rank, (), None
     sf = linalg.smith_form(a)
     return rank, sf.elementary_divisors, sf
 
 
-def _preferred_rows(basis, name: str, fixed_rank: int, n: int) -> linalg.Matrix:
-    """A preferred basis as int rows, which must number ``fixed_rank``, of length n."""
+def _rows(basis, n: int) -> tuple[linalg.Matrix, tuple[int, int]]:
+    """A given basis as int rows, and its shape; no rows have n columns."""
     rows = linalg.to_matrix(basis) if len(basis) else []
-    shape = (len(rows), len(rows[0]) if rows else n)
-    if shape != (fixed_rank, n):
-        raise ConsistencyError(
-            f"{name} basis has shape {shape}, expected ({fixed_rank}, {n})"
-        )
-    return rows
+    return rows, (len(rows), len(rows[0]) if rows else n)
 
 
 @lru_cache(maxsize=None)

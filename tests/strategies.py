@@ -350,28 +350,29 @@ def is_unimodular(a):
 
 
 def smith_coordinate_verdict(torus, invariant_basis, mu_basis):
-    """The message a preferred basis pair is refused with, or None.
+    """The name of the record a preferred basis pair is refused by, or None.
 
     The route the certificate of ``wang_cohomology`` replaced: both bases
     are checked through their coordinates over the bases of one Smith
     decomposition of A = phi^* - 1. An invariant basis must consist of
     fixed vectors whose coordinates over the saturated kernel basis have
     determinant +-1 (0 means dependent rows, any other value a lattice
-    that is not saturated); a mu basis must have unimodular coordinates
-    in the free cokernel. Both bases must have the shape
-    ``wang_cohomology`` demands; the checks and their messages come in the
-    order it raises them.
+    that is not saturated); a mu basis must have coordinates in the free
+    cokernel of determinant +-1 (0 means classes that are dependent
+    there, any other value a sublattice of that index). Both bases must
+    have the shape ``wang_cohomology`` demands; the checks come in the
+    order it enforces them.
     """
     a = minus_identity(torus.monodromy)
     sf = linalg.smith_form(a)
     if invariant_basis and any(map(any, linalg.matmul(invariant_basis, linalg.transpose(a)))):
-        return "invariant basis vector not fixed by the monodromy"
+        return "invariant_basis_fixed"
     if invariant_basis:
         index = abs(linalg.det(kernel_coordinates(sf, invariant_basis)))
-        if index == 0:
-            return "invariant basis rows are linearly dependent"
         if index != 1:
-            return "invariant basis does not span a saturated lattice"
-    if mu_basis and not is_unimodular(cokernel_free_coordinates(sf, mu_basis)):
-        return "mu basis is not a lattice basis of the free cokernel"
+            return "invariant_basis_index" if index else "invariant_basis_rank"
+    if mu_basis:
+        index = abs(linalg.det(cokernel_free_coordinates(sf, mu_basis)))
+        if index != 1:
+            return "mu_basis_index" if index else "mu_basis_rank"
     return None

@@ -15,10 +15,9 @@ from geographer.bundle_manifold import (
     BundleManifoldSpec,
     canonical_class,
     construct,
-    enforce,
     kodaira_classify,
 )
-from geographer.errors import ConsistencyError
+from geographer.errors import ConsistencyError, enforce
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geographer"
 
@@ -195,11 +194,10 @@ def _consistency_raises(tree):
     return found
 
 
-def test_consistency_error_is_raised_only_by_enforce_and_mapping_torus():
+def test_consistency_error_is_raised_only_by_enforce():
     raisers = {}
     for path in sorted(SRC.glob("*.py")):
         functions = _consistency_raises(ast.parse(path.read_text(encoding="utf-8")))
         if functions:
             raisers[path.stem] = set(functions)
-    assert set(raisers) == {"bundle_manifold", "mapping_torus"}
-    assert raisers["bundle_manifold"] == {"enforce"}
+    assert raisers == {"errors": {"enforce"}}

@@ -14,6 +14,7 @@ from geographer.fiber_sum import (
     DolgachevSurface,
     EllipticSurface,
     FiberSumSpec,
+    elliptic_invariants,
     fiber_sum_invariants,
 )
 from geographer.geography import (
@@ -323,3 +324,11 @@ def test_certify_dispatches_on_the_spec():
     for base in (EllipticSurface(3), DolgachevSurface(2, 3)):
         spec = FiberSumSpec(base, 1, 2, 2)
         assert certify(spec) == fiber_sum_invariants(spec)
+
+
+def test_enumerate_builds_each_elliptic_base_once():
+    elliptic_invariants.cache_clear()
+    sums = [r.spec for r in enumerate_region(-80, 12) if isinstance(r.spec, FiberSumSpec)]
+    info = elliptic_invariants.cache_info()
+    assert info.misses == len({spec.base for spec in sums}) < len(sums)
+    assert info.hits + info.misses == len(sums)

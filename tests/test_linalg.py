@@ -371,7 +371,7 @@ def test_modular_elementary_divisors_frozen():
     assert divisors([[2, 0], [0, 2]]) == (2, 2)
     assert divisors([[-5]]) == (5,)
     assert divisors([[4, 6], [6, 4]]) == (2, 10)
-    assert divisors([[0, 4], [6, 0]], det=-24) == (2, 12)
+    assert divisors([[0, 4], [6, 0]]) == (2, 12)
     with pytest.raises(ValueError, match="singular"):
         divisors([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="non-square"):

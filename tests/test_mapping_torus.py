@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -39,7 +40,6 @@ def test_product_with_circle_genus_two():
     # identity monodromy: the mapping torus is Sigma_2 x S^1
     data = wang_cohomology(MappingTorus(TwistWord(2)))
     assert data.b1 == 5
-    assert data.b2 == 5
     assert len(data.mu_basis) == 4
     assert data.torsion == ()
 
@@ -55,8 +55,7 @@ def test_first_betti_formula_on_grid():
             for d in range(0, k + 1):
                 data = bundle_wang_data(d, k, g)
                 assert data.b1 == 2 * k - d + 1, (d, k, g)
-                assert data.b2 == data.b1
-                assert len(data.mu_basis) == data.b2 - 1
+                assert len(data.mu_basis) == data.b1 - 1
 
 
 def test_twisted_block_torus_is_torsion_free():
@@ -88,18 +87,46 @@ def test_canonical_tags_mixed_weights():
     )
 
 
+def refusal(text):
+    """``pytest.raises`` for exactly this ``ConsistencyError`` text."""
+    return pytest.raises(ConsistencyError, match=f"^{re.escape(text)}$")
+
+
 def test_wrong_preferred_bases_are_rejected():
     torus = MappingTorus(bundle_monodromy_word(1, 1, 2))
-    with pytest.raises(ConsistencyError):
-        wang_cohomology(torus, invariant_basis=[a_curve(1, 2)])  # not fixed
-    with pytest.raises(ConsistencyError):
-        wang_cohomology(torus, invariant_basis=[(0, 2, 0, 0)])  # not saturated
-    with pytest.raises(ConsistencyError, match="saturated"):
+    with refusal("Y(genus 2, 3 letters): invariant_basis_fixed expected 1, observed 0"):
+        wang_cohomology(torus, invariant_basis=[a_curve(1, 2)])
+    with refusal("Y(genus 2, 3 letters): invariant_basis_index expected 1, observed 2"):
+        wang_cohomology(torus, invariant_basis=[(0, 2, 0, 0)])
+    with refusal("Y(genus 2, 3 letters): invariant_basis_index expected 1, observed 2"):
         wang_cohomology(torus, invariant_basis=[(0, -2, 0, 0)])
-    with pytest.raises(ConsistencyError):
+    with refusal("Y(genus 2, 3 letters): mu_basis_rank expected 4, observed 3"):
         wang_cohomology(torus, mu_basis=[b_curve(1, 2)])  # dies in the cokernel
-    with pytest.raises(ConsistencyError):
+    with refusal("Y(genus 2, 3 letters): mu_basis_index expected 1, observed 2"):
         wang_cohomology(torus, mu_basis=[(2, 0, 0, 0)])  # index two sublattice
+
+
+@pytest.mark.parametrize(
+    "given, text",
+    [
+        (
+            {"invariant_basis": [a_curve(1, 2)]},
+            "invariant_basis_shape expected (2, 4), observed (1, 4)",
+        ),
+        ({"invariant_basis": []}, "invariant_basis_shape expected (2, 4), observed (0, 4)"),
+        ({"mu_basis": [(1, 0, 0), (0, 1, 0)]}, "mu_basis_shape expected (2, 4), observed (2, 3)"),
+        (
+            {"invariant_basis": [a_curve(1, 2), b_curve(1, 2)], "mu_basis": [a_curve(1, 2)]},
+            "mu_basis_shape expected (2, 4), observed (1, 4)",
+        ),
+    ],
+)
+def test_wrong_shape_basis_is_refused_before_its_rows_are_used(monkeypatch, given, text):
+    # the fixed lattice of a1, b1 in genus 2 has rank two
+    torus = MappingTorus(bundle_monodromy_word(0, 1, 2))
+    monkeypatch.setattr(linalg, "_echelon_pivots", None)  # no row is certified
+    with refusal(f"Y(genus 2, 2 letters): {text}"):
+        wang_cohomology(torus, **given)
 
 
 @pytest.mark.parametrize(
@@ -113,9 +140,61 @@ def test_dependent_invariant_basis_is_rejected(basis):
     # the rows are fixed and have no nontrivial invariant factor, but they
     # span a rank-one lattice inside the rank-two fixed lattice of a1, b1
     torus = MappingTorus(bundle_monodromy_word(0, 1, 2))
-    with pytest.raises(ConsistencyError, match="linearly dependent"):
+    with refusal("Y(genus 2, 2 letters): invariant_basis_rank expected 2, observed 1"):
         wang_cohomology(torus, invariant_basis=basis)
     assert wang_cohomology(torus, invariant_basis=[a_curve(1, 2), b_curve(1, 2)]).b1 == 3
+
+
+def _scaled(c, row):
+    return tuple(c * x for x in row)
+
+
+# B(1,2,3): the fixed lattice is spanned by b1, a2, b2 and the free
+# cokernel by a1, a2, b2; each case spoils one of them
+A1, A2, B1, B2 = a_curve(1, 3), a_curve(2, 3), b_curve(1, 3), b_curve(2, 3)
+
+
+@pytest.mark.parametrize(
+    "given, text",
+    [
+        ({"invariant_basis": [A1, A2, B2]}, "invariant_basis_fixed expected 3, observed 2"),
+        (
+            {"invariant_basis": [B1, A2, tuple(map(sum, zip(B1, A2)))]},
+            "invariant_basis_rank expected 3, observed 2",
+        ),
+        (
+            {"invariant_basis": [_scaled(3, B1), A2, B2]},
+            "invariant_basis_index expected 1, observed 3",
+        ),
+        ({"mu_basis": [B1, A2, B2]}, "mu_basis_rank expected 6, observed 5"),
+        (
+            {"mu_basis": [A1, _scaled(2, A2), _scaled(3, B2)]},
+            "mu_basis_index expected 1, observed 6",
+        ),
+    ],
+)
+def test_each_wang_record_shows_both_values(given, text):
+    with refusal(f"Y(genus 3, 3 letters): {text}"):
+        wang_cohomology(MappingTorus(bundle_monodromy_word(1, 2, 3)), **given)
+
+
+def test_smith_form_that_drops_a_zero_trips_the_kernel_count(monkeypatch):
+    # w T^2 w^-1 fixes a rank-11 lattice, so its generic bases come from a
+    # Smith form; one whose diagonal lost a zero has one kernel class less
+    word = next(iter(dense_words(1)))
+    double = Twist(word.letters[0].curve, 2)
+    torus = MappingTorus(TwistWord(word.genus, word.letters + (double,) + word.inverse().letters))
+    smith_form = linalg.smith_form
+
+    def dropped(a):
+        sf = smith_form(a)
+        i = sf.diagonal.index(0)
+        sf.d[i][i] = 1
+        return sf
+
+    monkeypatch.setattr(linalg, "smith_form", dropped)
+    with refusal(f"{torus.label}: kernel_rank_matches_bareiss expected 11, observed 10"):
+        wang_cohomology(torus)
 
 
 @given(st.sampled_from([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 3), (1, 4, 5)]), st.data())
@@ -131,7 +210,7 @@ def test_unimodular_change_of_canonical_invariant_basis_is_accepted(weights, dat
     assert data.invariant_basis == tuple(map(tuple, rows))
     assert (data.b1, data.torsion) == (canonical.b1, canonical.torsion)
     rows[0] = [2 * x for x in rows[0]]  # an index-two sublattice
-    with pytest.raises(ConsistencyError, match="saturated"):
+    with refusal(f"{torus.label}: invariant_basis_index expected 1, observed 2"):
         wang_cohomology(torus, invariant_basis=rows)
 
 
@@ -154,8 +233,7 @@ def test_canonical_bases_verified_against_generic_route():
 def test_duality_and_mu_rank_for_arbitrary_words(word):
     torus = MappingTorus(word)
     data = wang_cohomology(torus)
-    assert data.b1 == data.b2
-    assert len(data.mu_basis) + 1 == data.b2
+    assert len(data.mu_basis) + 1 == data.b1  # b2(Y) = b1(Y)
     assert data.torsion == linalg.smith_form(minus_identity(torus.monodromy)).elementary_divisors
 
 
@@ -256,7 +334,7 @@ def test_nonsingular_generic_path_computes_no_smith_form(monkeypatch):
 
 def preferred_verdict(torus, invariant_basis, mu_basis):
     """What wang_cohomology makes of a preferred pair: (data, None) or
-    (None, the message it refuses the pair with)."""
+    (None, the text it refuses the pair with)."""
     try:
         return wang_cohomology(torus, invariant_basis=invariant_basis, mu_basis=mu_basis), None
     except ConsistencyError as exc:
@@ -328,7 +406,11 @@ def test_certificate_agrees_with_smith_coordinate_oracle(word, mutation, data_):
         lambda: data_.draw(st.sampled_from((-3, -1, 1, 2))),
     )
     data, message = preferred_verdict(torus, inv, mu)
-    assert message == smith_coordinate_verdict(torus, inv, mu)
+    name = smith_coordinate_verdict(torus, inv, mu)
+    if name is None:
+        assert message is None
+    else:
+        assert message.startswith(f"{torus.label}: {name} expected ")
     if message is None:
         assert data.invariant_basis == tuple(map(tuple, inv))
         assert data.mu_basis == tuple(map(tuple, mu))
@@ -354,7 +436,7 @@ def test_certificate_accepts_smith_bases_of_dense_genus_six_words():
             assert (data.b1, data.torsion) == (generic.b1, generic.torsion)
             assert (data.invariant_basis, data.mu_basis) == (inv, mu)
         assert (generic.b1, generic.torsion) == (12, (2,))
-        with pytest.raises(ConsistencyError, match="saturated"):
+        with pytest.raises(ConsistencyError, match="invariant_basis_index expected 1, observed"):
             wang_cohomology(torus, invariant_basis=[tuple(2 * x for x in inv[0])] + list(inv[1:]))
 
 
@@ -366,9 +448,9 @@ def test_certificate_with_torsion():
     inv, mu = generic.invariant_basis, generic.mu_basis
     assert preferred_verdict(torus, inv, mu)[0].torsion == (2,)
     doubled = [tuple(2 * x for x in mu[0])] + list(mu[1:])
-    message = "mu basis is not a lattice basis of the free cokernel"
+    message = "Y(genus 2, 1 letter): mu_basis_index expected 2, observed 4"
     assert preferred_verdict(torus, inv, doubled)[1] == message
-    assert smith_coordinate_verdict(torus, inv, doubled) == message
+    assert smith_coordinate_verdict(torus, inv, doubled) == "mu_basis_index"
 
 
 def random_word(rng):

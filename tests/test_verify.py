@@ -6,11 +6,10 @@ from geographer import circle_bundle, mapping_torus
 from geographer.bundle_manifold import (
     BUNDLE_CHECKS,
     BundleManifoldSpec,
-    Check,
     audit_bundle,
     construct,
 )
-from geographer.errors import ConsistencyError
+from geographer.errors import Check, ConsistencyError
 from geographer.verify import CHECK_NAMES, verify_bundle_grid
 
 
@@ -104,3 +103,12 @@ def test_verify_and_construct_render_a_failed_check_alike(monkeypatch):
         construct.__wrapped__(spec)
     assert failures == [f"(d=0, k=1, g=1, e=2) degeneracy_pairing_rank_vs_formula: {check}"]
     assert str(exc.value) == f"{spec.label}: {check}"
+
+
+def test_nullity_check_reads_the_certificate_bounds(monkeypatch):
+    # a nullity closed form above the degeneracy d + 1 = 2 of B(1,2,3;1)
+    monkeypatch.setattr(circle_bundle, "nullity_closed_form", lambda d, k, tag: d + 2)
+    audit = audit_bundle(BundleManifoldSpec(1, 2, 3, 1))
+    (failed,) = [check for check in audit.checks if not check.passed]
+    assert failed == Check("nullity_within_degeneracy", True, False)
+    assert failed[1:] == audit.certificate.identities()[3][1:]
