@@ -68,7 +68,7 @@ class BundleManifoldSpec:
 
     def __post_init__(self):
         surfaces._check_weights(self.d, self.k, self.g)
-        circle_bundle._check_tag_parameters(self.d, self.k, self.e)
+        circle_bundle._check_tag(self.d, self.k, self.e)
 
     @property
     def label(self) -> str:
@@ -177,7 +177,7 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     d, k, g, e = spec.d, spec.k, spec.g, spec.e
     data = mapping_torus.bundle_wang_data(d, k, g)
     b1 = circle_bundle.bundle_b1(data, e)
-    rank = linalg._bareiss(circle_bundle.lefschetz_pairing(data, e))[0]
+    rank = linalg.rank(circle_bundle.lefschetz_pairing(data, e))
     degeneracy = b1 - rank
     nullity = circle_bundle.nullity_closed_form(d, k, e)
     k_dot = canonical_class(g)

@@ -18,9 +18,10 @@ The rules come from fiber integration of omega = Omega + theta ^ eta and
 are validated wholesale by the grid equivalence between the rank of the
 assembled matrix and the closed degeneracy formula.
 
-Rows the package built are not validated again: the pairing reads the
-invariant basis of the Wang data as it stands and the cup form of the
-fiber by the one nonzero of each of its rows, with no dense matrix built.
+The pairing reads the invariant basis of the Wang data as it stands, and
+its fiber block is the cup Gram matrix :func:`geographer.surfaces.cup_gram`
+of that basis, with no dense form built. The closed forms refuse weights
+by the rule of :mod:`geographer.surfaces` and tags by the rule here.
 :func:`geographer.bundle_manifold.audit_bundle` reads b1, the pairing
 and the closed forms from here, and compares them.
 """
@@ -48,19 +49,22 @@ def valid_tags(d: int, k: int) -> tuple[int, ...]:
     return (0,) + ((1,) if d != 0 else ()) + ((2,) if d != k else ())
 
 
-def _check_tag_parameters(d: int, k: int, tag: int) -> None:
+def _check_tag(d: int, k: int, tag: int) -> None:
     if tag not in VALID_TAGS:
         raise ValueError(f"Euler tag must be one of {VALID_TAGS}, got {tag}")
-    if not 0 <= d <= k:
-        raise ValueError(f"weights must satisfy 0 <= d <= k, got ({d}, {k})")
     if tag not in valid_tags(d, k):
         raise ValueError(_MISSING_BLOCK[tag])
+
+
+def _check_closed_form_arguments(d: int, k: int, tag: int) -> None:
+    surfaces._check_weight_order(d, k)
+    _check_tag(d, k, tag)
 
 
 def bundle_b1_formula(d: int, k: int, tag: int) -> int:
     """Closed form for b1 of B(d, k, g; tag): 2k - d + 2 for a zero Euler
     class, 2k - d + 1 otherwise (the base has b1 = 2k - d + 1)."""
-    _check_tag_parameters(d, k, tag)
+    _check_closed_form_arguments(d, k, tag)
     return 2 * k - d + _b1_offset(tag)
 
 
@@ -100,8 +104,7 @@ def lefschetz_pairing(data: WangData, tag: int) -> linalg.Matrix:
     size = 2 + m if tag == 0 else 1 + m
     q = linalg.zeros(size, size)
     if m:
-        block = linalg._sparse_gram(basis, len(basis[0]), surfaces.intersection_row)
-        for i, row in enumerate(block):
+        for i, row in enumerate(surfaces.cup_gram(basis)):
             q[1 + i][1:1 + m] = row
     if tag == 0:
         q[0][size - 1] = 1
@@ -111,7 +114,7 @@ def lefschetz_pairing(data: WangData, tag: int) -> linalg.Matrix:
 
 def degeneracy_closed_form(d: int, k: int, tag: int) -> int:
     """Closed form: d for a zero Euler class, d + 1 otherwise."""
-    _check_tag_parameters(d, k, tag)
+    _check_closed_form_arguments(d, k, tag)
     return d if tag == 0 else d + 1
 
 
@@ -121,7 +124,7 @@ def nullity_closed_form(d: int, k: int, tag: int) -> int:
     Zero Euler class: 0 (the product with a circle kills the kernel).
     Otherwise d, except d + 1 when the untouched block is empty (d = k).
     """
-    _check_tag_parameters(d, k, tag)
+    _check_closed_form_arguments(d, k, tag)
     if tag == 0:
         return 0
     return d + 1 if d == k else d

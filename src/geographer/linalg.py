@@ -3,36 +3,31 @@
 Small dense matrices only. A matrix is a list of rows, each a list of
 Python ints, so arithmetic is arbitrary precision and never touches
 floating point; functions that return a matrix return fresh rows the
-caller may mutate. Ranks and determinants come from fraction-free
-(Bareiss) elimination; kernels, cokernels and torsion are read off an
-integer Smith form, which keeps only the two transforms they need. The
-torsion of a nonsingular matrix needs no transforms:
-:func:`elementary_divisors` runs the Smith elimination modulo |det A|,
-whose multiples the column lattice contains. Every entry it keeps stays
-below the modulus R = |det A| / (d_1 ... d_i) of its stage, where a full
-Smith form of a dense 24 x 24 matrix grows entries of millions of bits.
+caller may mutate. Each operation is one function that trusts its rows
+to be exact ints, as the package builds them, and leaves them intact;
+:func:`to_matrix` validates and copies rows that come from outside the
+package. Ranks and determinants come from fraction-free (Bareiss)
+elimination; kernels, cokernels and torsion are read off an integer
+Smith form, which keeps only the two transforms they need. The torsion
+of a nonsingular matrix needs no transforms: :func:`elementary_divisors`
+runs the Smith elimination modulo |det A|, whose multiples the column
+lattice contains. Every entry it keeps stays below the modulus
+R = |det A| / (d_1 ... d_i) of its stage, where a full Smith form of a
+dense 24 x 24 matrix grows entries of millions of bits.
 :func:`rational_rank` is an independent Fraction-based elimination used
 to cross-check ranks.
 
 Most matrices here are sparse with entries in {-1, 0, 1}, and the
 kernels cost in proportion to their nonzeros where they can. Products
 find the nonzeros of a row by a C-level scan (:func:`itertools.compress`)
-instead of testing every entry in Python, and the Gram product B F B^T
-of :func:`_sparse_gram` takes F by the nonzeros of its rows, so the cup
-form is never built as a dense matrix. Bareiss elimination makes
+instead of testing every entry in Python. Bareiss elimination makes
 every pivot positive by negating its row, so a row with a zero in the
 pivot column is skipped whenever the pivot equals the previous one; on
 the pairings and unit-vector bases of the bundle path every pivot is 1.
 A given basis of a kernel or of a free cokernel is certified without a
 Smith form: :func:`_echelon_pivots` reduces a matrix of full column rank
 by unimodular Euclid row steps, and the number of its pivots is the rank
-while their product is the gcd of the maximal minors. Arguments are
-validated once, by :func:`to_matrix`, at the public boundary, and rows
-the package built itself are not validated again. Compositions inside
-the package hand such rows to the private kernels :func:`_matmul`,
-:func:`_sparse_gram`, :func:`_transpose`, :func:`_bareiss`, :func:`_det`,
-:func:`_echelon_pivots` and :func:`_elementary_divisors`, which trust
-their input.
+while their product is the gcd of the maximal minors.
 """
 from __future__ import annotations
 
@@ -78,74 +73,27 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(a) -> Matrix:
-    return _transpose(to_matrix(a))
-
-
-def _transpose(rows) -> Matrix:
-    return [list(col) for col in zip(*rows)]
+    return [list(col) for col in zip(*a)]
 
 
 def matmul(a, b) -> Matrix:
-    """Exact product A @ B.
+    """Exact product A @ B; the shapes are checked.
 
     Each output row is a combination of rows of B; zero coefficients are
     skipped by a C-level scan, which pays off on the sparse, mostly
     unit-vector bases used throughout the package.
     """
-    return _matmul(to_matrix(a), to_matrix(b))
-
-
-def _matmul(left, right) -> Matrix:
-    """:func:`matmul` on validated rows; the shapes are still checked."""
-    if len(left[0]) != len(right):
-        raise ValueError(
-            f"cannot multiply {len(left)}x{len(left[0])} by {len(right)}x{len(right[0])}"
-        )
-    width = len(right[0])
-    inner = range(len(right))
+    if len(a[0]) != len(b):
+        raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
+    width = len(b[0])
+    inner = range(len(b))
     out = []
-    for row in left:
+    for row in a:
         acc = [0] * width
         for j in compress(inner, row):
             x = row[j]
-            acc = [u + x * v for u, v in zip(acc, right[j])]
+            acc = [u + x * v for u, v in zip(acc, b[j])]
         out.append(acc)
-    return out
-
-
-def _sparse_gram(basis, n: int, form_row) -> Matrix:
-    """B F B^T for an n x n form F given by its rows' nonzeros.
-
-    ``form_row(c)`` lists the nonzeros (column, entry) of row c of F; it is
-    asked once per row that the nonzeros of B select. Each row of B F sums
-    those rows, and each of its nonzero entries then meets only the
-    nonzeros of one column of B. Zeros of B are skipped by a C-level scan
-    (:func:`itertools.compress`), not by a Python-level test per entry.
-    """
-    if len(basis[0]) != n:
-        raise ValueError(f"cannot pair rows of length {len(basis[0])} through a {n}x{n} form")
-    columns = range(n)
-    support = [list(compress(columns, row)) for row in basis]
-    by_column = [[] for _ in columns]  # (row index, entry) of each nonzero of B
-    for i, (row, cols) in enumerate(zip(basis, support)):
-        for j in cols:
-            by_column[j].append((i, row[j]))
-    form_rows = {}  # the nonzeros of each row of F that is used
-    out = []
-    for row, cols in zip(basis, support):
-        acc = {}  # this row of B F, by column
-        for c in cols:
-            if c not in form_rows:
-                form_rows[c] = form_row(c)
-            x = row[c]
-            for j, y in form_rows[c]:
-                acc[j] = acc.get(j, 0) + x * y
-        gram_row = [0] * len(basis)
-        for j, v in acc.items():
-            if v:
-                for i, z in by_column[j]:
-                    gram_row[i] += v * z
-        out.append(gram_row)
     return out
 
 
@@ -156,24 +104,15 @@ class FrozenMatrix:
     into one array of the narrowest signed machine int (1 to 8 bytes) that
     holds them all, against 28 or more bytes for a Python int object, and
     are kept as one flat tuple of Python ints when they do not fit in 64
-    bits. It equals any sequence of rows with the same entries.
+    bits. It equals any sequence of rows with the same entries. The rows
+    are packed as given, exact ints as the package builds them.
     """
 
     __slots__ = ("_flat", "_rows")
 
     def __init__(self, rows):
-        self._pack(to_matrix(rows))
-
-    @classmethod
-    def _from_int_rows(cls, rows) -> "FrozenMatrix":
-        """Pack rows of exact Python ints that the package built, unvalidated."""
-        frozen = cls.__new__(cls)
-        frozen._pack(rows)
-        return frozen
-
-    def _pack(self, mat) -> None:
-        self._rows = len(mat)
-        flat = [x for row in mat for x in row]
+        self._rows = len(rows)
+        flat = [x for row in rows for x in row]
         # x fits a signed k-bit int exactly when max(x, ~x) has under k bits
         bits = max(max(flat), ~min(flat)).bit_length() if flat else 0
         code = next((c for c in "bhiq" if bits < 8 * array(c).itemsize), None)
@@ -292,22 +231,17 @@ def _echelon_pivots(rows) -> list[int]:
 
 
 def det(a) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    m = to_matrix(a)
-    if len(m[0]) != len(m):
+    """Determinant by fraction-free (Bareiss) elimination: the sign and the
+    last pivot of :func:`_bareiss`, or 0 for a singular matrix."""
+    if len(a[0]) != len(a):
         raise ValueError("determinant of a non-square matrix")
-    return _det(m)
-
-
-def _det(m: Matrix) -> int:
-    """:func:`det` of validated square rows, which it eliminates in place."""
-    rank_, sign, last = _bareiss(m)
-    return sign * last if rank_ == len(m) else 0
+    rank_, sign, last = _bareiss(list(a))
+    return sign * last if rank_ == len(a) else 0
 
 
 def rank(a) -> int:
     """Rank by fraction-free (Bareiss) elimination; no transforms are kept."""
-    return _bareiss(to_matrix(a))[0]
+    return _bareiss(list(a))[0]
 
 
 def rational_rank(a) -> int:
@@ -372,31 +306,16 @@ class SmithForm:
         return [[row[i] for row in self.s] for i in self._free(len(self.s))]
 
 
-def elementary_divisors(a) -> tuple[int, ...]:
-    """Nontrivial invariant factors of a nonsingular square matrix.
+def elementary_divisors(rows, modulus: int) -> tuple[int, ...]:
+    """Nontrivial invariant factors of a nonsingular square matrix, by Smith
+    elimination modulo its determinant.
 
     The diagonal of :func:`smith_form`, less its zeros and ones, with no
-    transforms and with every entry kept below |det A|: see
-    :func:`_elementary_divisors`. One Bareiss elimination finds the
-    determinant.
-    """
-    rows = to_matrix(a)
-    if len(rows[0]) != len(rows):
-        raise ValueError("elementary divisors of a non-square matrix")
-    det = _det(list(rows))
-    if not det:
-        raise ValueError("elementary divisors of a singular matrix")
-    return _elementary_divisors(rows, abs(det))
-
-
-def _elementary_divisors(rows, modulus: int) -> tuple[int, ...]:
-    """Smith elimination of a nonsingular matrix modulo its determinant.
-
-    The columns of A span a lattice L of index R = |det A| in Z^n, so L
-    contains R Z^n, and an entry may change by a multiple of R without
-    changing Z^n / L (Domich, Kannan and Trotter, Math. Oper. Res. 12,
-    1987; Cohen, A Course in Computational Algebraic Number Theory, Alg.
-    2.4.14). Each stage pivots on the remaining block as
+    transforms. The columns of A span a lattice L of index R = |det A| in
+    Z^n, so L contains R Z^n, and an entry may change by a multiple of R
+    without changing Z^n / L (Domich, Kannan and Trotter, Math. Oper. Res.
+    12, 1987; Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.4.14). Each stage pivots on the remaining block as
     :func:`smith_form` does, with no transforms. Euclid row steps clear
     the pivot column; once it is clear, a column step touches the pivot
     row alone, so an entry there is reduced modulo the pivot p and, if
@@ -476,7 +395,7 @@ def smith_form(a) -> SmithForm:
     while the algorithm runs, so that every transform update is a row
     operation and every swap a swap of row references.
     """
-    d = to_matrix(a)
+    d = [list(row) for row in a]
     m, n = len(d), len(d[0])
     s_tr = identity(m)
     t_inv_tr = identity(n)

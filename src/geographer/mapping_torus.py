@@ -51,7 +51,7 @@ class MappingTorus:
     @cached_property
     def monodromy(self) -> linalg.FrozenMatrix:
         """The pullback action on H^1, kept packed for the torus's lifetime."""
-        return linalg.FrozenMatrix._from_int_rows(surfaces.compose_word(self.word))
+        return linalg.FrozenMatrix(surfaces.compose_word(self.word))
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,10 +132,10 @@ def wang_cohomology(
 
     certificate = []
     if fixed_rank and (invariant_basis is not None or mu_basis is not None):
-        image = linalg._transpose(a)  # row j is A e_j
+        image = linalg.transpose(a)  # row j is A e_j
     if fixed_rank and invariant_basis is not None:
-        images = linalg._matmul(inv, image)  # row i is A v_i
-        pivots = linalg._echelon_pivots(linalg._transpose(inv))
+        images = linalg.matmul(inv, image)  # row i is A v_i
+        pivots = linalg._echelon_pivots(linalg.transpose(inv))
         certificate += [
             ("invariant_basis_fixed", fixed_rank, sum(not any(row) for row in images)),
             ("invariant_basis_rank", fixed_rank, len(pivots)),
@@ -168,7 +168,7 @@ def _rank_and_torsion(
     """
     rank, _, minor = linalg._bareiss(list(a))
     if rank == len(a):
-        return rank, () if minor == 1 else linalg._elementary_divisors(a, abs(minor)), None
+        return rank, () if minor == 1 else linalg.elementary_divisors(a, abs(minor)), None
     if minor == 1 and not generic_bases:
         return rank, (), None
     sf = linalg.smith_form(a)

@@ -11,7 +11,8 @@ applied as a rank-one update that touches only the rows over the support
 of its curve and their partner rows, so a letter whose curve has s
 nonzero coefficients costs O(s g) and a word of L letters at most
 O(L g^2); the unit-vector letters of the bundle monodromies cost O(g).
-A letter whose curve is already a tuple of exact ints keeps it as it is.
+A letter whose curve is already a tuple of exact ints keeps it as it is;
+bools and non-integral curve entries, powers and genera are refused.
 Everything here is a pure function of integer data.
 """
 
@@ -45,15 +46,6 @@ def _handle_vector(i: int, genus: int, offset: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def intersection_row(c: int) -> tuple[tuple[int, int], ...]:
-    """The one nonzero (column, entry) of row c of the intersection form J.
-
-    J is block diagonal and skew with J(a_i, b_i) = +1; it also represents
-    the cup-product pairing of H^1 in the dual basis.
-    """
-    return ((c ^ 1, -1 if c & 1 else 1),)
-
-
 @dataclass(frozen=True)
 class Twist:
     """One Dehn twist letter: a primitive curve class and a nonzero power."""
@@ -62,12 +54,11 @@ class Twist:
     power: int = 1
 
     def __post_init__(self):
-        curve = self.curve
-        if type(curve) is not tuple or not set(map(type, curve)) <= {int}:
-            curve = tuple(int(x) for x in curve)
-            object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "power", int(self.power))
-        if self.power == 0:
+        curve = _exact_ints(self.curve)
+        object.__setattr__(self, "curve", curve)
+        (power,) = _exact_ints((self.power,))
+        object.__setattr__(self, "power", power)
+        if power == 0:
             raise ValueError("twist power must be nonzero")
         if math.gcd(*curve) != 1:
             raise ValueError(f"twist curve {curve} is not primitive")
@@ -84,7 +75,9 @@ class TwistWord:
     letters: tuple[Twist, ...] = ()
 
     def __post_init__(self):
-        if self.genus < 1:
+        (genus,) = _exact_ints((self.genus,))
+        object.__setattr__(self, "genus", genus)
+        if genus < 1:
             raise ValueError("genus must be positive")
         object.__setattr__(self, "letters", tuple(self.letters))
         for letter in self.letters:
@@ -95,6 +88,16 @@ class TwistWord:
 
     def inverse(self) -> "TwistWord":
         return TwistWord(self.genus, tuple(l.inverse() for l in reversed(self.letters)))
+
+
+def _exact_ints(values) -> tuple[int, ...]:
+    """``values`` as a tuple of exact ints, refused by the rule of
+    :func:`linalg.to_matrix` if one is a bool or is not integral; a tuple
+    of exact ints is kept as it is."""
+    if type(values) is tuple and set(map(type, values)) <= {int}:
+        return values
+    (row,) = linalg.to_matrix((values,))
+    return tuple(row)
 
 
 def _twist_in_place(m: linalg.Matrix, letter: Twist) -> None:
@@ -116,6 +119,30 @@ def _twist_in_place(m: linalg.Matrix, letter: Twist) -> None:
         target = j ^ 1
         scale = letter.power * (c[j] if j & 1 else -c[j])
         m[target] = [x - scale * y for x, y in zip(m[target], combo)]
+
+
+def cup_gram(basis) -> linalg.Matrix:
+    """B J B^T, the cup pairing of the classes given as the rows of B.
+
+    Row c of the intersection form J has one nonzero, +1 in column c ^ 1
+    for even c and -1 for odd c, so entry (i, l) sums +-B[i][c] B[l][c ^ 1]
+    over the nonzeros c of row i, found by a C-level scan; J is never built.
+    """
+    columns = range(len(basis[0]))
+    support = [list(compress(columns, row)) for row in basis]
+    by_column = [[] for _ in columns]  # (row index, entry) of each nonzero of B
+    for i, (row, cols) in enumerate(zip(basis, support)):
+        for c in cols:
+            by_column[c].append((i, row[c]))
+    out = []
+    for row, cols in zip(basis, support):
+        gram_row = [0] * len(basis)
+        for c in cols:
+            x = -row[c] if c & 1 else row[c]
+            for i, y in by_column[c ^ 1]:
+                gram_row[i] += x * y
+        out.append(gram_row)
+    return out
 
 
 def compose_word(word: TwistWord) -> IntRows:
@@ -151,5 +178,11 @@ def bundle_monodromy_word(d: int, k: int, g: int) -> TwistWord:
 def _check_weights(d: int, k: int, g: int) -> None:
     if g < 1:
         raise ValueError("genus must be positive")
-    if not 0 <= d <= k <= g:
-        raise ValueError(f"weights must satisfy 0 <= d <= k <= g, got ({d}, {k}, {g})")
+    _check_weight_order(d, k, g)
+
+
+def _check_weight_order(*weights: int) -> None:
+    """The weight rule 0 <= d <= k <= g, on (d, k, g) or on (d, k) alone."""
+    if not 0 <= weights[0] <= weights[1] <= weights[-1]:
+        rule = " <= ".join(("0", "d", "k", "g")[:len(weights) + 1])
+        raise ValueError(f"weights must satisfy {rule}, got {weights}")

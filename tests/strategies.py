@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from geographer import linalg
 from geographer.circle_bundle import VALID_TAGS, bundle_b1_formula, nullity_closed_form, valid_tags
-from geographer.surfaces import Twist, TwistWord, compose_word, intersection_row
+from geographer.surfaces import Twist, TwistWord, compose_word
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -51,9 +51,9 @@ def intersection_form(genus):
     if genus < 1:
         raise ValueError("genus must be positive")
     j = linalg.zeros(2 * genus, 2 * genus)
-    for c in range(2 * genus):
-        ((col, entry),) = intersection_row(c)
-        j[c][col] = entry
+    for i in range(0, 2 * genus, 2):
+        j[i][i + 1] = 1
+        j[i + 1][i] = -1
     return j
 
 
@@ -346,7 +346,7 @@ def kernel_coordinates(sf, vectors):
 
 def is_unimodular(a):
     mat = linalg.to_matrix(a)
-    return len(mat) == len(mat[0]) and linalg._det(mat) in (1, -1)
+    return len(mat) == len(mat[0]) and linalg.det(mat) in (1, -1)
 
 
 def smith_coordinate_verdict(torus, invariant_basis, mu_basis):

@@ -1,6 +1,7 @@
 """Euler tag checks, Gysin ranks, and the assembled skew pairing."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from geographer import linalg
 from geographer.bundle_manifold import BundleManifoldSpec, audit_bundle
 from geographer.circle_bundle import (
     bundle_b1,
+    bundle_b1_formula,
     degeneracy_closed_form,
     lefschetz_pairing,
     nullity_closed_form,
@@ -107,6 +109,17 @@ def test_nullity_closed_form_values():
     assert nullity_closed_form(1, 2, 1) == 1
     assert nullity_closed_form(1, 2, 2) == 1
     assert nullity_closed_form(1, 1, 1) == 2
+
+
+@pytest.mark.parametrize(
+    "closed_form", [bundle_b1_formula, degeneracy_closed_form, nullity_closed_form]
+)
+@pytest.mark.parametrize("d, k", [(2, 1), (1, 0), (-1, 0), (-1, 2)])
+def test_closed_forms_refuse_weights_out_of_order(closed_form, d, k):
+    # tag 0 is valid for any weights, so only the weight rule refuses these
+    text = f"weights must satisfy 0 <= d <= k, got ({d}, {k})"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        closed_form(d, k, 0)
 
 
 def test_degeneracy_oracle_equals_closed_form_on_grid():

@@ -3,7 +3,7 @@
 import functools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from geographer import linalg
@@ -14,8 +14,9 @@ from geographer.surfaces import (
     b_curve,
     bundle_monodromy_word,
     compose_word,
-    intersection_row,
+    cup_gram,
 )
+from geographer.mapping_torus import bundle_wang_data
 from strategies import (
     Small,
     intersection_form,
@@ -48,15 +49,26 @@ def test_intersection_form_frozen():
     assert linalg.transpose(j2) == negated(j2)
 
 
+def with_bundle_bases(test, max_genus=12):
+    """``test`` with every nonempty invariant basis of the bundle path up to
+    ``max_genus`` as an explicit example (genus, basis)."""
+    for g in range(1, max_genus + 1):
+        for k in range(g + 1):
+            for d in range(k + 1):
+                basis = bundle_wang_data(d, k, g).invariant_basis
+                if basis:
+                    test = example((g, basis))(test)
+    return test
+
+
+@with_bundle_bases
 @given(st.integers(1, 8).flatmap(lambda g: st.tuples(st.just(g), mixed_rows(2 * g, max_rows=10))))
 def test_gram_through_the_rows_of_j_matches_the_dense_form(genus_and_basis):
     # the pairing reads J by the one nonzero of each row, never built densely
     genus, basis = genus_and_basis
     j = intersection_form(genus)
     dense = linalg.matmul(linalg.matmul(basis, j), linalg.transpose(basis))
-    assert linalg._sparse_gram(basis, 2 * genus, intersection_row) == dense
-    with pytest.raises(ValueError):
-        linalg._sparse_gram(basis, 2 * genus + 2, intersection_row)
+    assert cup_gram(basis) == dense
 
 
 def test_intersection_form_rejects_genus_zero():
@@ -98,16 +110,8 @@ def test_twist_rejects_bad_curves():
 
 @pytest.mark.parametrize(
     "curve",
-    [
-        (0, 1),
-        [1, 0],
-        (True, False),
-        (1.0, 0.0),
-        (Small(-1), Small(0)),
-        [0, Small(3), 1, 2.0],
-        (-2, 3, False, 0),
-    ],
-    ids=["int-tuple", "list", "bool", "float", "int-subclass", "mixed-list", "bool-entry"],
+    [(0, 1), [1, 0], (Small(-1), Small(0))],
+    ids=["int-tuple", "list", "int-subclass"],
 )
 def test_twist_converts_curves_with_int(curve):
     letter = Twist(curve, Small(2))
@@ -124,19 +128,43 @@ def test_twist_keeps_a_tuple_of_exact_ints():
 
 @pytest.mark.parametrize(
     "curve",
-    [(), (0, 0), [0, 0, 0, 0], (2, 0), (2, -4, 6, 0), (2.0, 0.0), [Small(3), 0, -3, 0]],
-    ids=["empty", "zero", "zero-list", "scaled", "scaled-mixed", "scaled-float", "scaled-subclass"],
+    [(), (0, 0), [0, 0, 0, 0], (2, 0), (2, -4, 6, 0), [Small(3), 0, -3, 0]],
+    ids=["empty", "zero", "zero-list", "scaled", "scaled-mixed", "scaled-subclass"],
 )
 def test_twist_refuses_curves_that_are_not_primitive(curve):
     with pytest.raises(ValueError, match="not primitive"):
         Twist(curve)
 
 
-def test_twist_passes_on_the_errors_of_int():
-    with pytest.raises(TypeError):
-        Twist((None, 1))
-    with pytest.raises(ValueError):
-        Twist(("one", 0))
+@pytest.mark.parametrize(
+    "curve",
+    [
+        (True, False),
+        (1.0, 0.0),
+        (0.9, 1.2),
+        [0, Small(3), 1, 2.0],
+        (-2, 3, False, 0),
+        (2.0, 0.0),
+        (None, 1),
+        ("one", 0),
+    ],
+    ids=["bool", "float", "fraction", "mixed-list", "bool-entry", "scaled-float", "none", "string"],
+)
+def test_twist_refuses_bools_and_non_integers(curve):
+    # int() would make (0.9, 1.2) the curve (0, 1) and (True, False) a_1
+    with pytest.raises(ValueError, match="non-integer entry"):
+        Twist(curve)
+
+
+def test_twist_power_and_word_genus_refuse_bools_and_non_integers():
+    for power in (2.9, 1.0, True):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            Twist((0, 1), power)
+    for genus in (2.0, True):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            TwistWord(genus)
+    word = TwistWord(Small(2), (Twist((1, 0, 0, 0), Small(-2)),))
+    assert type(word.genus) is int and type(word.letters[0].power) is int
 
 
 def transvection_oracle(curve, genus, power):
