@@ -98,6 +98,18 @@ def test_frozen_matrix_packs_tuple_rows_as_it_packs_lists(rows):
     assert as_tuples == as_lists == rows and len(as_tuples) == len(rows)
 
 
+@pytest.mark.parametrize("rows", FROZEN_EDGE_ROWS)
+def test_frozen_matrix_packs_package_rows_as_the_validating_constructor(rows):
+    # FrozenMatrix has one constructor: rows the package computed (here a
+    # product with the identity) pack exactly as the rows it was given
+    built = linalg.FrozenMatrix(linalg.matmul(rows, linalg.identity(len(rows[0]))))
+    given = linalg.FrozenMatrix(rows)
+    assert type(built._flat) is type(given._flat)
+    assert getattr(built._flat, "typecode", None) == getattr(given._flat, "typecode", None)
+    assert list(built._flat) == list(given._flat)
+    assert built == given == rows and len(built) == len(given)
+
+
 def test_identity_and_zeros_hold_python_ints():
     eye = linalg.identity(3)
     assert all(type(x) is int for row in eye for x in row)
