@@ -4,8 +4,9 @@ Everything is exact integer arithmetic: twist words acting on the first
 cohomology of a surface, Wang and Gysin rank bookkeeping for circle
 bundles over mapping tori, fiber sums with elliptic surfaces, and a
 realization map from admissible (signature, b1, degeneracy) triples to
-certified constructions. All values are immutable and all operations are
-pure functions, so everything is safe to share across threads.
+certified constructions. All values are immutable NamedTuple records and
+all operations are pure functions, so everything is safe to share across
+threads.
 """
 
 from .bundle_manifold import (

@@ -11,12 +11,14 @@ pass that builds the certificate and records every check as a
 failed check or :meth:`InvariantCertificate.identities` record through
 :func:`geographer.errors.enforce`, which every certificate path shares,
 from the Wang bases of the mapping torus on, and ``verify`` counts them
-all.
+all. Specs, certificates and audits are NamedTuple records; a spec's
+constructor refuses bad weights and tags, and
+:meth:`InvariantCertificate.as_dict` builds the plain dict that documents
+serialize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -57,26 +59,29 @@ def canonical_class(g: int) -> int:
     return 2 * g - 2
 
 
-@dataclass(frozen=True)
-class BundleManifoldSpec:
-    """Weights (d, k, g) and Euler tag e of a bundle manifold."""
-
+class _BundleFields(NamedTuple):
     d: int
     k: int
     g: int
     e: int
 
-    def __post_init__(self):
-        surfaces._check_weights(self.d, self.k, self.g)
-        circle_bundle._check_tag(self.d, self.k, self.e)
+
+class BundleManifoldSpec(_BundleFields):
+    """Weights (d, k, g) and Euler tag e of a bundle manifold."""
+
+    __slots__ = ()
+
+    def __new__(cls, d, k, g, e):
+        surfaces._check_weights(d, k, g)
+        circle_bundle._check_tag(d, k, e)
+        return super().__new__(cls, d, k, g, e)
 
     @property
     def label(self) -> str:
         return f"B({self.d},{self.k},{self.g};{self.e})"
 
 
-@dataclass(frozen=True)
-class InvariantCertificate:
+class InvariantCertificate(NamedTuple):
     """The invariants of one constructed 4-manifold, plus its audit trail.
 
     ``k_dot_omega`` is an integer in units of the symplectic area of the

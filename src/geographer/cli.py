@@ -11,7 +11,6 @@ self-documenting.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -93,8 +92,9 @@ def certificate_checks(cert: InvariantCertificate) -> list[dict]:
 
 def _spec_fields(spec) -> dict:
     """The spec's fields by name; a fiber sum's base fields come first."""
-    fields = dataclasses.asdict(spec)
-    return {**fields.pop("base", {}), **fields}
+    fields = spec._asdict()
+    base = fields.pop("base", None)
+    return {**base._asdict(), **fields} if base else fields
 
 
 def recipe_document(recipe: Recipe) -> dict:

@@ -11,47 +11,56 @@ with its summands, and the identities of every certificate built here
 (:meth:`InvariantCertificate.identities`), are raised through
 :func:`geographer.errors.enforce` with the label of the base or the sum,
 as the bundle certificates and their Wang bases are. The certificate of
-each elliptic base is built once and memoized.
+each elliptic base is built once and memoized. The surfaces and specs are
+NamedTuple records whose constructors refuse bad parameters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import bundle_manifold, surfaces
 from .bundle_manifold import BundleManifoldSpec, InvariantCertificate
 from .errors import enforce
 
 
-@dataclass(frozen=True)
-class EllipticSurface:
-    """The simply connected elliptic surface E(n) without multiple fibers."""
-
+class _EllipticFields(NamedTuple):
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class EllipticSurface(_EllipticFields):
+    """The simply connected elliptic surface E(n) without multiple fibers."""
+
+    __slots__ = ()
+
+    def __new__(cls, n):
+        if n < 1:
             raise ValueError("E(n) requires n >= 1")
+        return super().__new__(cls, n)
 
     @property
     def label(self) -> str:
         return f"E({self.n})"
 
 
-@dataclass(frozen=True)
-class DolgachevSurface:
-    """E(1) with two multiple fibers of coprime multiplicities p, q >= 2."""
-
+class _DolgachevFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if min(self.p, self.q) < 2:
+
+class DolgachevSurface(_DolgachevFields):
+    """E(1) with two multiple fibers of coprime multiplicities p, q >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, p, q):
+        if min(p, q) < 2:
             raise ValueError("Dolgachev multiplicities must be at least 2")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"multiplicities ({self.p}, {self.q}) must be coprime")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"multiplicities ({p}, {q}) must be coprime")
+        return super().__new__(cls, p, q)
 
     @property
     def label(self) -> str:
@@ -108,23 +117,27 @@ def elliptic_invariants(base: EllipticBase) -> InvariantCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class FiberSumSpec:
-    """E(n) or a Dolgachev surface summed with B(d, k, g; 0)."""
-
+class _FiberSumFields(NamedTuple):
     base: EllipticBase
     d: int
     k: int
     g: int
 
-    def __post_init__(self):
-        if isinstance(self.base, EllipticSurface) and self.base.n < 2:
+
+class FiberSumSpec(_FiberSumFields):
+    """E(n) or a Dolgachev surface summed with B(d, k, g; 0)."""
+
+    __slots__ = ()
+
+    def __new__(cls, base, d, k, g):
+        if isinstance(base, EllipticSurface) and base.n < 2:
             raise ValueError(
                 "plain E(1) sums are not used; take a Dolgachev surface for signature -8"
             )
-        surfaces._check_weights(self.d, self.k, self.g)
-        if self.g < max(self.k, 2):
-            raise ValueError(f"genus {self.g} must be at least max(k, 2) = {max(self.k, 2)}")
+        surfaces._check_weights(d, k, g)
+        if g < max(k, 2):
+            raise ValueError(f"genus {g} must be at least max(k, 2) = {max(k, 2)}")
+        return super().__new__(cls, base, d, k, g)
 
     @property
     def summand(self) -> BundleManifoldSpec:

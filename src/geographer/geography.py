@@ -7,13 +7,13 @@ minimal symplectic 4-manifold of Kodaira dimension one: bundle manifolds
 cover a = 0, fiber sums with E(n) cover a <= -16, and Dolgachev sums cover
 a = -8. The nullity variant drops the parity constraint, forbids c = b - 1,
 and is only partially realizable; unsettled triples are returned as
-:class:`OpenProblem` values, never errors.
+:class:`OpenProblem` values, never errors. Recipes and open problems are
+NamedTuple records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
 from .circle_bundle import VALID_TAGS, bundle_d_for_b1, nullity_closed_form, valid_tags
@@ -51,8 +51,7 @@ def is_null_admissible(a: int, b: int, c: int) -> bool:
     return _null_admissibility_failure(a, b, c) is None
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(NamedTuple):
     """A construction together with its certified triple.
 
     ``triple_kind`` records whether the third coordinate of ``triple`` is
@@ -78,8 +77,7 @@ class Recipe:
         return self.spec.label
 
 
-@dataclass(frozen=True)
-class OpenProblem:
+class OpenProblem(NamedTuple):
     """A null-admissible triple with no known realizing construction."""
 
     triple: tuple[int, int, int]

@@ -6,7 +6,7 @@ floating point; functions that return a matrix return fresh rows the
 caller may mutate. Each operation is one function that trusts its rows
 to be exact ints, as the package builds them, and leaves them intact;
 :func:`to_matrix` validates and copies rows that come from outside the
-package. Ranks and determinants come from fraction-free (Bareiss)
+package. Ranks and rank-size minors come from fraction-free (Bareiss)
 elimination; kernels, cokernels and torsion are read off an integer
 Smith form, which keeps only the two transforms they need. The torsion
 of a nonsingular matrix needs no transforms: :func:`elementary_divisors`
@@ -34,9 +34,8 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
+from typing import NamedTuple
 
 Matrix = list[list[int]]
 
@@ -55,10 +54,16 @@ def to_matrix(data) -> Matrix:
             raise ValueError(f"ragged matrix: row {i} has {len(row)} entries, not {width}")
         if not set(map(type, row)) <= {int}:
             for j, x in enumerate(row):
-                if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                if not _integral(x):
                     raise ValueError(f"non-integer entry {x!r} at ({i}, {j})")
                 row[j] = int(x)
     return rows
+
+
+def _integral(x) -> bool:
+    """The rule for every entry from outside the package: an integral
+    number that is not a bool."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Integral)
 
 
 def zeros(m: int, n: int) -> Matrix:
@@ -230,15 +235,6 @@ def _echelon_pivots(rows) -> list[int]:
     return pivots
 
 
-def det(a) -> int:
-    """Determinant by fraction-free (Bareiss) elimination: the sign and the
-    last pivot of :func:`_bareiss`, or 0 for a singular matrix."""
-    if len(a[0]) != len(a):
-        raise ValueError("determinant of a non-square matrix")
-    rank_, sign, last = _bareiss(list(a))
-    return sign * last if rank_ == len(a) else 0
-
-
 def rank(a) -> int:
     """Rank by fraction-free (Bareiss) elimination; no transforms are kept."""
     return _bareiss(list(a))[0]
@@ -251,8 +247,11 @@ def rational_rank(a) -> int:
     so they can be played against each other as exact oracles. Entries
     start as ints and become Fractions only where an update reaches them;
     zero entries of the pivot row are skipped, so sparse matrices of the
-    sizes the CLI accepts stay cheap.
+    sizes the CLI accepts stay cheap. :mod:`fractions` is imported here,
+    not at module level, so that importing the package does not load it.
     """
+    from fractions import Fraction
+
     rows = to_matrix(a)
     nrows, ncols = len(rows), len(rows[0])
     rank_ = 0
@@ -270,8 +269,7 @@ def rational_rank(a) -> int:
     return rank_
 
 
-@dataclass(frozen=True, eq=False)
-class SmithForm:
+class SmithForm(NamedTuple):
     """Diagonal form D of A, with the two transforms the package reads.
 
     There are unimodular S and T with A = S @ D @ T. The diagonal is

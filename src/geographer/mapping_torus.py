@@ -18,26 +18,32 @@ no Smith form. Every count and index of that certificate is a
 ``(name, expected, observed)`` record raised by
 :func:`~geographer.errors.enforce` under the torus's label, as the
 certificates built on these bases are. Bases are rows of fiber
-coordinates, and b1 is read off the invariant basis. The monodromy
-itself is an immutable, packed int matrix.
+coordinates, and b1 is read off the invariant basis. The torus and its
+Wang data are NamedTuple records; the monodromy itself is an immutable,
+packed int matrix, computed on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import linalg, surfaces
 from .errors import enforce
 from .surfaces import TwistWord
 
 
-@dataclass(frozen=True)
-class MappingTorus:
-    """Mapping torus of a twist word; the monodromy matrix is derived."""
-
+class _MappingTorusFields(NamedTuple):
     word: TwistWord
+
+
+class MappingTorus(_MappingTorusFields):
+    """Mapping torus of a twist word; the monodromy matrix is derived.
+
+    It has no ``__slots__``, so :func:`functools.cached_property` can keep
+    the packed monodromy in the instance ``__dict__``.
+    """
 
     @property
     def genus(self) -> int:
@@ -54,8 +60,7 @@ class MappingTorus:
         return linalg.FrozenMatrix(surfaces.compose_word(self.word))
 
 
-@dataclass(frozen=True, slots=True)
-class WangData:
+class WangData(NamedTuple):
     """Bases of H^1(Y) and H^2(Y), as rows of fiber coordinates.
 
     ``invariant_basis`` rows span the fixed lattice of the monodromy on

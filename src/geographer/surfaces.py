@@ -11,16 +11,18 @@ applied as a rank-one update that touches only the rows over the support
 of its curve and their partner rows, so a letter whose curve has s
 nonzero coefficients costs O(s g) and a word of L letters at most
 O(L g^2); the unit-vector letters of the bundle monodromies cost O(g).
-A letter whose curve is already a tuple of exact ints keeps it as it is;
-bools and non-integral curve entries, powers and genera are refused.
+Letters and words are NamedTuple records whose constructors validate
+them: a letter whose curve is already a tuple of exact ints keeps it as
+it is, and bools and non-integral curve entries, powers and genera are
+refused with a text that names the field.
 Everything here is a pure function of integer data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from . import linalg
 
@@ -46,58 +48,79 @@ def _handle_vector(i: int, genus: int, offset: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class Twist:
+class _TwistFields(NamedTuple):
+    curve: tuple[int, ...]
+    power: int
+
+
+class Twist(_TwistFields):
     """One Dehn twist letter: a primitive curve class and a nonzero power."""
 
-    curve: tuple[int, ...]
-    power: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        curve = _exact_ints(self.curve)
-        object.__setattr__(self, "curve", curve)
-        (power,) = _exact_ints((self.power,))
-        object.__setattr__(self, "power", power)
+    def __new__(cls, curve, power=1):
+        curve = _exact_curve(curve)
+        power = _exact_int(power, "twist power")
         if power == 0:
             raise ValueError("twist power must be nonzero")
         if math.gcd(*curve) != 1:
             raise ValueError(f"twist curve {curve} is not primitive")
+        return super().__new__(cls, curve, power)
 
     def inverse(self) -> "Twist":
         return Twist(self.curve, -self.power)
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class _TwistWordFields(NamedTuple):
+    genus: int
+    letters: tuple[Twist, ...]
+
+
+class TwistWord(_TwistWordFields):
     """An ordered product of twists; the leftmost letter acts last."""
 
-    genus: int
-    letters: tuple[Twist, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        (genus,) = _exact_ints((self.genus,))
-        object.__setattr__(self, "genus", genus)
+    def __new__(cls, genus, letters=()):
+        genus = _exact_int(genus, "word genus")
         if genus < 1:
             raise ValueError("genus must be positive")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
-            if len(letter.curve) != 2 * self.genus:
-                raise ValueError(
-                    f"curve of length {len(letter.curve)} in a genus {self.genus} word"
-                )
+        letters = tuple(letters)
+        for letter in letters:
+            if len(letter.curve) != 2 * genus:
+                raise ValueError(f"curve of length {len(letter.curve)} in a genus {genus} word")
+        return super().__new__(cls, genus, letters)
 
     def inverse(self) -> "TwistWord":
         return TwistWord(self.genus, tuple(l.inverse() for l in reversed(self.letters)))
 
 
-def _exact_ints(values) -> tuple[int, ...]:
-    """``values`` as a tuple of exact ints, refused by the rule of
-    :func:`linalg.to_matrix` if one is a bool or is not integral; a tuple
-    of exact ints is kept as it is."""
-    if type(values) is tuple and set(map(type, values)) <= {int}:
-        return values
-    (row,) = linalg.to_matrix((values,))
-    return tuple(row)
+def _exact_curve(curve) -> tuple[int, ...]:
+    """A twist curve as a tuple of exact ints, each entry held to the rule
+    of :func:`linalg._integral`; a tuple of exact ints is kept as it is."""
+    if type(curve) is not tuple:
+        try:
+            curve = tuple(curve)
+        except TypeError:
+            raise ValueError(
+                f"twist curve: expected a sequence of integers, got {curve!r}"
+            ) from None
+    if set(map(type, curve)) <= {int}:
+        return curve
+    for i, x in enumerate(curve):
+        if not linalg._integral(x):
+            raise ValueError(f"twist curve: non-integer entry {x!r} at index {i}")
+    return tuple(map(int, curve))
+
+
+def _exact_int(x, name: str) -> int:
+    """``x`` as an exact int, by the rule of :func:`linalg._integral`;
+    ``name`` names the field in a refusal."""
+    if type(x) is int:
+        return x
+    if not linalg._integral(x):
+        raise ValueError(f"{name}: non-integer value {x!r}")
+    return int(x)
 
 
 def _twist_in_place(m: linalg.Matrix, letter: Twist) -> None:

@@ -8,12 +8,12 @@ Wang and Gysin first Betti numbers against their formulas, the evenness
 of the pairing rank, the nullity bounds, and the signature, Euler and
 Kodaira identities of the certificate. The pass is never served from
 ``construct``'s cache, so every case is computed afresh, and any
-mismatch is reported with the offending weights instead of raising.
+mismatch is reported with the offending weights instead of raising. The
+sweep tallies first and builds its :class:`VerificationReport` once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import circle_bundle
@@ -36,12 +36,22 @@ CHECK_NAMES = {
 _LINE_OF = {check: line for line, checks in CHECK_NAMES.items() for check in checks}
 
 
-@dataclass
 class VerificationReport:
-    grid_max: int
-    cases: int = 0
-    counts: dict[str, int] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
+    """The tallies of one sweep: each line of :data:`CHECK_NAMES` is
+    counted once per case, and each failure names its case and line.
+
+    The one record of the package that is not a NamedTuple: callers may
+    copy a report and set its fields, as the benchmark's self-test does
+    to corrupt one.
+    """
+
+    __slots__ = ("grid_max", "cases", "counts", "failures")
+
+    def __init__(self, grid_max: int, cases: int, counts: dict[str, int], failures: list[str]):
+        self.grid_max = grid_max
+        self.cases = cases
+        self.counts = counts
+        self.failures = failures
 
     @property
     def passed(self) -> bool:
@@ -52,11 +62,11 @@ def verify_bundle_grid(grid_max: int) -> VerificationReport:
     """Run every check over the full weight grid up to ``grid_max``."""
     if grid_max < 1:
         raise ValueError("grid bound must be at least 1")
-    report = VerificationReport(grid_max=grid_max, counts=dict.fromkeys(CHECK_NAMES, 0))
-    for spec in bundle_grid(grid_max):
-        report.cases += 1
-        _run_case(report, spec)
-    return report
+    cases = 0
+    failures = []
+    for cases, spec in enumerate(bundle_grid(grid_max), 1):
+        failures.extend(_case_failures(spec))
+    return VerificationReport(grid_max, cases, dict.fromkeys(CHECK_NAMES, cases), failures)
 
 
 def bundle_grid(grid_max: int) -> Iterator[BundleManifoldSpec]:
@@ -69,11 +79,9 @@ def bundle_grid(grid_max: int) -> Iterator[BundleManifoldSpec]:
                     yield BundleManifoldSpec(d, k, g, tag)
 
 
-def _run_case(report: VerificationReport, spec: BundleManifoldSpec) -> None:
-    for line in CHECK_NAMES:
-        report.counts[line] += 1
+def _case_failures(spec: BundleManifoldSpec) -> Iterator[str]:
+    """One line per failed check of the audit of ``spec``."""
     for check in audit_bundle(spec).checks:
         if not check.passed:
-            report.failures.append(
-                f"(d={spec.d}, k={spec.k}, g={spec.g}, e={spec.e}) {_LINE_OF[check.name]}: {check}"
-            )
+            case = f"(d={spec.d}, k={spec.k}, g={spec.g}, e={spec.e})"
+            yield f"{case} {_LINE_OF[check.name]}: {check}"

@@ -65,7 +65,7 @@ def is_symplectic(m):
         return False
     j = intersection_form(n // 2)
     return linalg.matmul(linalg.transpose(mat), linalg.matmul(j, mat)) == j \
-        and linalg.det(mat) == 1
+        and bareiss_det(mat) == 1
 
 
 def twist_transvection(curve, genus, power=1):
@@ -112,6 +112,15 @@ def rational_inverse(rows):
     inverse = [row[n:] for row in mat]
     assert all(Fraction(x).denominator == 1 for row in inverse for x in row)
     return [[int(x) for x in row] for row in inverse]
+
+
+def bareiss_det(rows):
+    """Determinant by fraction-free elimination: the sign and the last pivot
+    of ``linalg._bareiss``, or 0 for a singular matrix."""
+    if len(rows[0]) != len(rows):
+        raise ValueError("determinant of a non-square matrix")
+    rank, sign, last = linalg._bareiss(list(rows))
+    return sign * last if rank == len(rows) else 0
 
 
 def fraction_det(rows):
@@ -346,7 +355,7 @@ def kernel_coordinates(sf, vectors):
 
 def is_unimodular(a):
     mat = linalg.to_matrix(a)
-    return len(mat) == len(mat[0]) and linalg.det(mat) in (1, -1)
+    return len(mat) == len(mat[0]) and bareiss_det(mat) in (1, -1)
 
 
 def smith_coordinate_verdict(torus, invariant_basis, mu_basis):
@@ -368,11 +377,11 @@ def smith_coordinate_verdict(torus, invariant_basis, mu_basis):
     if invariant_basis and any(map(any, linalg.matmul(invariant_basis, linalg.transpose(a)))):
         return "invariant_basis_fixed"
     if invariant_basis:
-        index = abs(linalg.det(kernel_coordinates(sf, invariant_basis)))
+        index = abs(bareiss_det(kernel_coordinates(sf, invariant_basis)))
         if index != 1:
             return "invariant_basis_index" if index else "invariant_basis_rank"
     if mu_basis:
-        index = abs(linalg.det(cokernel_free_coordinates(sf, mu_basis)))
+        index = abs(bareiss_det(cokernel_free_coordinates(sf, mu_basis)))
         if index != 1:
             return "mu_basis_index" if index else "mu_basis_rank"
     return None

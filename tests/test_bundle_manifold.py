@@ -1,7 +1,6 @@
 """Certificates of the bundle manifolds and the Kodaira classifier."""
 
 import ast
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -18,6 +17,8 @@ from geographer.bundle_manifold import (
     kodaira_classify,
 )
 from geographer.errors import ConsistencyError, enforce
+from geographer.fiber_sum import DolgachevSurface, EllipticSurface, FiberSumSpec
+from geographer.surfaces import Twist, TwistWord
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geographer"
 
@@ -126,6 +127,44 @@ def test_construct_is_deterministic_and_cached():
     assert first is second  # pure function, memoized
 
 
+def test_an_equal_spec_built_twice_hits_the_construct_cache():
+    first = construct(BundleManifoldSpec(2, 3, 4, 1))
+    before = construct.cache_info()
+    second = construct(BundleManifoldSpec(2, 3, 4, 1))
+    after = construct.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert second is first
+
+
+def test_spec_repr_names_its_fields():
+    assert repr(BundleManifoldSpec(1, 1, 2, 0)) == "BundleManifoldSpec(d=1, k=1, g=2, e=0)"
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: Twist((2, 0)), "twist curve (2, 0) is not primitive"),
+        (lambda: TwistWord(0), "genus must be positive"),
+        (lambda: BundleManifoldSpec(0, 0, 1, 1), "tag 1 requires d != 0"),
+        (lambda: EllipticSurface(0), "E(n) requires n >= 1"),
+        (lambda: DolgachevSurface(2, 4), "multiplicities (2, 4) must be coprime"),
+        (lambda: FiberSumSpec(EllipticSurface(2), 0, 1, 1), "genus 1 must be at least"),
+    ],
+    ids=["Twist", "TwistWord", "BundleManifoldSpec", "EllipticSurface", "DolgachevSurface",
+         "FiberSumSpec"],
+)
+def test_validated_records_refuse_a_bad_value_through_the_constructor(build, text):
+    with pytest.raises(ValueError, match=re.escape(text)):
+        build()
+
+
+def test_no_record_is_built_through_replace_or_make():
+    # NamedTuple._replace and _make skip the validating __new__
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert "._replace(" not in source and "._make(" not in source, path.name
+
+
 def test_certificate_serializes_to_json():
     dictionary = construct(BundleManifoldSpec(1, 1, 2, 1)).as_dict()
     assert json.loads(json.dumps(dictionary)) == dictionary
@@ -150,7 +189,7 @@ def test_construct_enforces_the_certificate_identities(monkeypatch, changes, tex
 
     def skewed(spec):
         cert, checks = original(spec)
-        return BundleAudit(dataclasses.replace(cert, **changes), checks)
+        return BundleAudit(cert._replace(**changes), checks)
 
     monkeypatch.setattr(bundle_manifold, "audit_bundle", skewed)
     with pytest.raises(ConsistencyError, match=f"^{re.escape(f'B(1,1,2;1): {text}')}$"):

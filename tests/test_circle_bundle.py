@@ -1,6 +1,5 @@
 """Euler tag checks, Gysin ranks, and the assembled skew pairing."""
 
-import dataclasses
 import re
 
 import pytest
@@ -178,7 +177,7 @@ def test_pairing_rank_invariant_under_lattice_base_change(weights, data_):
     base = data.invariant_basis
     change = data_.draw(unimodular_matrices(len(base)))
     q = lefschetz_pairing(data, 0)
-    changed = dataclasses.replace(data, invariant_basis=linalg.matmul(change, base))
+    changed = data._replace(invariant_basis=linalg.matmul(change, base))
     q_changed = lefschetz_pairing(changed, 0)
     assert linalg.rank(q) == linalg.rank(q_changed)
 
@@ -190,7 +189,7 @@ def test_pairing_block_with_a_replaced_basis_matches_products(weights, data_):
     data = bundle_wang_data(d, k, g)
     m, n = len(data.invariant_basis), 2 * g
     basis = data_.draw(mixed_rows(n, min_rows=m, max_rows=m))
-    replaced = dataclasses.replace(data, invariant_basis=basis)
+    replaced = data._replace(invariant_basis=basis)
     q = lefschetz_pairing(replaced, 0)
     block = [row[1:1 + m] for row in q[1:1 + m]]
     j = intersection_form(g)

@@ -1,6 +1,5 @@
 """Command line contracts: exit codes, emitters, round trips."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -253,7 +252,7 @@ def test_failed_certificate_check_exits_1_without_traceback(capsys, monkeypatch)
     ],
 )
 def test_certificate_checks_fail_exactly_the_broken_identity(changes, broken):
-    cert = dataclasses.replace(construct(BundleManifoldSpec(1, 1, 2, 1)), **changes)
+    cert = construct(BundleManifoldSpec(1, 1, 2, 1))._replace(**changes)
     checks = certificate_checks(cert)
     assert [c["name"] for c in checks if not c["passed"]] == [broken]
     assert [c["name"] for c in checks[4:]] == list(cert.checks)
@@ -357,6 +356,20 @@ def test_cli_import_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cold_import_loads_no_dataclasses_fractions_or_inspect():
+    # the records are NamedTuples and linalg imports Fraction where it is
+    # used, so a CLI start pays for none of these modules
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import geographer.cli; "
+        "print(sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 #: sha256 of stdout and the exit code of commands at the sizes the
 #: benchmark runs, from the release before the canonical Wang bases were
 #: certified without a Smith form; stderr is empty for each.
@@ -388,6 +401,9 @@ BYTE_CONTRACT = [
      "667787c91ff2eee4e4df3a096736be25f4ac75b4aa342144935e6a9791fefdc3"),
     (("invariants", "--dolgachev", "2", "3", "2", "3", "3", "--format", "tsv"), 0,
      "bf0f9beb9741ae70e4862ec9c8d72214520cbbcfe6ac11cf7a1f16cd7613baf4"),
+    # Dolgachev JSON: the recipe's p and q come first, from the fiber sum's base
+    (("realize", "-8", "6", "2"), 0,
+     "61b79378f3d0d6925dfe547a33c2066abd3689543b9bd4abafaf067687fb69d0"),
 ]
 
 

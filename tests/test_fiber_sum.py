@@ -1,6 +1,5 @@
 """Elliptic surfaces, Dolgachev surfaces, and their fiber sums with bundles."""
 
-import dataclasses
 import re
 
 import pytest
@@ -143,7 +142,7 @@ K3_SUM = FiberSumSpec(EllipticSurface(2), 1, 2, 2)
 
 def _skew_summand(monkeypatch, **changes):
     """Serve the fiber sum a summand certificate with ``changes`` applied."""
-    cert = dataclasses.replace(bundle_manifold.construct(K3_SUM.summand), **changes)
+    cert = bundle_manifold.construct(K3_SUM.summand)._replace(**changes)
     monkeypatch.setattr(bundle_manifold, "construct", lambda spec: cert)
 
 

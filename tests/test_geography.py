@@ -1,6 +1,5 @@
 """Admissibility predicates and the realization map."""
 
-import dataclasses
 import re
 
 import pytest
@@ -97,9 +96,7 @@ def test_recipe_raises_when_the_certificate_misses_its_triple(monkeypatch):
 
 
 def test_recipe_raises_when_kappa_is_not_one(monkeypatch):
-    monkeypatch.setattr(
-        geography, "construct", lambda spec: dataclasses.replace(construct(spec), kappa=0)
-    )
+    monkeypatch.setattr(geography, "construct", lambda spec: construct(spec)._replace(kappa=0))
     with pytest.raises(
         ConsistencyError, match=r"^B\(3,3,3;1\): kappa_is_one expected 1, observed 0$"
     ):

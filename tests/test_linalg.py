@@ -1,6 +1,5 @@
 """Exactness properties of the integer linear algebra core."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from geographer import linalg
 from strategies import (
+    bareiss_det,
     cokernel_free_coordinates,
     fraction_det,
     integer_matrices,
@@ -119,7 +119,7 @@ def test_identity_and_zeros_hold_python_ints():
 
 @given(integer_matrices(square=True))
 def test_det_matches_fraction_elimination(rows):
-    assert linalg.det(rows) == fraction_det(rows)
+    assert bareiss_det(rows) == fraction_det(rows)
 
 
 @given(integer_matrices(square=True, max_dim=8), st.data())
@@ -131,21 +131,27 @@ def test_det_sign_under_row_negation_and_swaps(rows, data):
     negated = [[-x for x in row] if r == i else list(row) for r, row in enumerate(rows)]
     swapped = [list(row) for row in rows]
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    base = linalg.det(rows)
-    assert linalg.det(negated) == fraction_det(negated) == -base
-    assert linalg.det(swapped) == fraction_det(swapped) == (base if i == j else -base)
+    base = bareiss_det(rows)
+    assert bareiss_det(negated) == fraction_det(negated) == -base
+    assert bareiss_det(swapped) == fraction_det(swapped) == (base if i == j else -base)
 
 
 @settings(max_examples=40)
 @given(sparse_sign_matrices(square=True))
 def test_det_of_sparse_sign_matrices_matches_fraction_elimination(rows):
-    assert linalg.det(rows) == fraction_det(rows)
+    assert bareiss_det(rows) == fraction_det(rows)
 
 
 def test_det_frozen_values():
-    assert linalg.det([[2, 0], [0, 3]]) == 6
-    assert linalg.det([[0, 1], [-1, 0]]) == 1
-    assert linalg.det([[1, 2], [2, 4]]) == 0
+    # _bareiss gives (rank, sign, last pivot); the last pivot is a
+    # rank-size minor, |det A| for a nonsingular A
+    assert linalg._bareiss([[2, 0], [0, 3]]) == (2, 1, 6)
+    assert linalg._bareiss([[0, 1], [-1, 0]]) == (2, 1, 1)
+    assert linalg._bareiss([[1, 2], [2, 4]]) == (1, 1, 1)
+    assert linalg._bareiss([[2, 4], [1, 2]]) == (1, 1, 2)
+    assert bareiss_det([[2, 0], [0, 3]]) == 6
+    assert bareiss_det([[0, 1], [-1, 0]]) == 1
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
 
 
 @given(integer_matrices())
@@ -155,8 +161,8 @@ def test_smith_decomposition_properties(rows):
     t = rational_inverse(sf.t_inv)
     assert linalg.matmul(linalg.matmul(sf.s, sf.d), t) == a
     assert linalg.matmul(a, sf.t_inv) == linalg.matmul(sf.s, sf.d)
-    assert linalg.det(sf.s) in (1, -1)
-    assert linalg.det(t) in (1, -1)
+    assert bareiss_det(sf.s) in (1, -1)
+    assert bareiss_det(t) in (1, -1)
     diag = sf.diagonal
     assert all(x >= 0 for x in diag)
     for previous, current in zip(diag, diag[1:]):
@@ -195,7 +201,7 @@ def test_smith_form_entries_are_pinned():
     digest = hashlib.sha256()
     for a in seeded_matrices():
         sf = linalg.smith_form(a)
-        assert [f.name for f in dataclasses.fields(sf)] == ["d", "s", "t_inv"]
+        assert sf._fields == ("d", "s", "t_inv")
         digest.update(repr((sf.d, sf.s, sf.t_inv)).encode())
     assert digest.hexdigest() == SMITH_DIGEST
 
@@ -228,10 +234,15 @@ def test_bareiss_rank_of_sparse_sign_matrices_up_to_64(rows):
 
 
 def test_bareiss_negative_pivots_frozen():
-    # every pivot of the first is negative; the second needs a swap first
-    assert linalg.det([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]) == -1
-    assert linalg.det([[0, -1], [-1, 1]]) == -1
-    assert linalg.det([[-2, 1], [1, -1]]) == 1
+    # every pivot of the first is negative; the second needs a swap first.
+    # Each negative pivot row is negated, so every pivot is positive and
+    # the sign counts the swaps and the negations.
+    assert linalg._bareiss([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]) == (3, -1, 1)
+    assert linalg._bareiss([[0, -1], [-1, 1]]) == (2, -1, 1)
+    assert linalg._bareiss([[-2, 1], [1, -1]]) == (2, 1, 1)
+    assert bareiss_det([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]) == -1
+    assert bareiss_det([[0, -1], [-1, 1]]) == -1
+    assert bareiss_det([[-2, 1], [1, -1]]) == 1
     assert linalg.rank([[-1, 1, 0], [1, -1, 0], [0, 0, -1]]) == 2
 
 
@@ -334,7 +345,7 @@ def test_elementary_divisors_frozen():
 
 def modular_divisors(rows):
     """``elementary_divisors`` of a nonsingular matrix, modulo |det A|."""
-    return linalg.elementary_divisors(rows, abs(linalg.det(rows)))
+    return linalg.elementary_divisors(rows, abs(bareiss_det(rows)))
 
 
 def test_modular_elementary_divisors_frozen():
@@ -368,7 +379,7 @@ def scrambled_diagonals(draw, max_dim=6):
     )
 )
 def test_modular_elementary_divisors_match_smith_form(rows):
-    assume(linalg.det(rows))
+    assume(bareiss_det(rows))
     assert modular_divisors(rows) == linalg.smith_form(rows).elementary_divisors
 
 
@@ -402,7 +413,7 @@ def test_modular_elementary_divisors_stay_below_the_determinant(label):
     # a full Smith form of a 24 x 24 skew matrix grew transform entries of
     # millions of bits. Here every row held stays below |det A|.
     a = REAL_SIZE[label]
-    det = abs(linalg.det(a))
+    det = abs(bareiss_det(a))
     divisors, largest = traced_divisors(a)
     assert 0 < largest < det
     assert math.prod(divisors) == det
