@@ -12,9 +12,9 @@ failed check or :meth:`InvariantCertificate.identities` record through
 :func:`geographer.errors.enforce`, which every certificate path shares,
 from the Wang bases of the mapping torus on, and ``verify`` counts them
 all. Specs, certificates and audits are NamedTuple records; a spec's
-constructor refuses bad weights and tags, and
-:meth:`InvariantCertificate.as_dict` builds the plain dict that documents
-serialize.
+constructor refuses bad weights and tags, bools and non-integers among
+them, and :meth:`InvariantCertificate.as_dict` builds the plain dict that
+documents serialize.
 """
 
 from __future__ import annotations
@@ -72,6 +72,10 @@ class BundleManifoldSpec(_BundleFields):
     __slots__ = ()
 
     def __new__(cls, d, k, g, e):
+        d = surfaces._exact_int(d, "bundle d")
+        k = surfaces._exact_int(k, "bundle k")
+        g = surfaces._exact_int(g, "bundle g")
+        e = surfaces._exact_int(e, "bundle e")
         surfaces._check_weights(d, k, g)
         circle_bundle._check_tag(d, k, e)
         return super().__new__(cls, d, k, g, e)
@@ -215,7 +219,7 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     # the closed-form nullity against the computed degeneracy and b1
     sigma, chi, k_squared, bounds = cert.identities()
     checks = (
-        Check("wang_b1_matches_formula", 2 * k - d + 1, data.b1),
+        Check("wang_b1_matches_formula", circle_bundle.torus_b1_formula(d, k), data.b1),
         Check("pairing_rank_even", 0, rank % 2),
         Check(
             "degeneracy_pairing_rank_matches_formula",

@@ -23,7 +23,8 @@ its fiber block is the cup Gram matrix :func:`geographer.surfaces.cup_gram`
 of that basis, with no dense form built. The closed forms refuse weights
 by the rule of :mod:`geographer.surfaces` and tags by the rule here.
 :func:`geographer.bundle_manifold.audit_bundle` reads b1, the pairing
-and the closed forms from here, and compares them.
+and the closed forms from here and compares them; geography inverts
+them by :func:`bundle_weights`.
 """
 
 from __future__ import annotations
@@ -61,25 +62,24 @@ def _check_closed_form_arguments(d: int, k: int, tag: int) -> None:
     _check_tag(d, k, tag)
 
 
+def torus_b1_formula(d: int, k: int) -> int:
+    """Closed form for b1 of the mapping torus of weights (d, k): 2k - d + 1."""
+    surfaces._check_weight_order(d, k)
+    return 2 * k - d + 1
+
+
 def bundle_b1_formula(d: int, k: int, tag: int) -> int:
-    """Closed form for b1 of B(d, k, g; tag): 2k - d + 2 for a zero Euler
-    class, 2k - d + 1 otherwise (the base has b1 = 2k - d + 1)."""
+    """Closed form for b1 of B(d, k, g; tag): the base's, plus eta when e = 0."""
     _check_closed_form_arguments(d, k, tag)
-    return 2 * k - d + _b1_offset(tag)
+    return torus_b1_formula(d, k) + (tag == 0)
 
 
-def bundle_d_for_b1(k: int, tag: int, b: int) -> int:
-    """The d for which :func:`bundle_b1_formula` gives b at this k and tag.
-
-    Unchecked: the caller keeps d only when 0 <= d <= k and the tag is
-    valid for (d, k).
-    """
-    return 2 * k + _b1_offset(tag) - b
-
-
-def _b1_offset(tag: int) -> int:
-    """b1 - (2k - d): the base's extra circle, plus eta when e = 0."""
-    return 2 if tag == 0 else 1
+def bundle_weights(b1: int, degeneracy: int, tag: int) -> tuple[int, int]:
+    """The weights (d, k) of this b1 and degeneracy at this tag: the one
+    inverse of the closed forms. Unchecked; the spec built from them
+    checks them."""
+    d = degeneracy if tag == 0 else degeneracy - 1
+    return d, (b1 - (tag == 0) - 1 + d) // 2
 
 
 def bundle_b1(data: WangData, tag: int) -> int:

@@ -12,7 +12,8 @@ with its summands, and the identities of every certificate built here
 :func:`geographer.errors.enforce` with the label of the base or the sum,
 as the bundle certificates and their Wang bases are. The certificate of
 each elliptic base is built once and memoized. The surfaces and specs are
-NamedTuple records whose constructors refuse bad parameters.
+NamedTuple records whose constructors refuse bad parameters, bools and
+non-integers among them, naming the field.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class EllipticSurface(_EllipticFields):
     __slots__ = ()
 
     def __new__(cls, n):
+        n = surfaces._exact_int(n, "elliptic surface n")
         if n < 1:
             raise ValueError("E(n) requires n >= 1")
         return super().__new__(cls, n)
@@ -56,6 +58,8 @@ class DolgachevSurface(_DolgachevFields):
     __slots__ = ()
 
     def __new__(cls, p, q):
+        p = surfaces._exact_int(p, "Dolgachev p")
+        q = surfaces._exact_int(q, "Dolgachev q")
         if min(p, q) < 2:
             raise ValueError("Dolgachev multiplicities must be at least 2")
         if math.gcd(p, q) != 1:
@@ -130,6 +134,9 @@ class FiberSumSpec(_FiberSumFields):
     __slots__ = ()
 
     def __new__(cls, base, d, k, g):
+        d = surfaces._exact_int(d, "fiber sum d")
+        k = surfaces._exact_int(k, "fiber sum k")
+        g = surfaces._exact_int(g, "fiber sum g")
         if isinstance(base, EllipticSurface) and base.n < 2:
             raise ValueError(
                 "plain E(1) sums are not used; take a Dolgachev surface for signature -8"

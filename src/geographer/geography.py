@@ -5,10 +5,12 @@ admissible when a is a non-positive multiple of 8, 0 <= c <= b with b - c
 even, and b >= max(0, 2 + a/4). Every admissible triple is realized by a
 minimal symplectic 4-manifold of Kodaira dimension one: bundle manifolds
 cover a = 0, fiber sums with E(n) cover a <= -16, and Dolgachev sums cover
-a = -8. The nullity variant drops the parity constraint, forbids c = b - 1,
-and is only partially realizable; unsettled triples are returned as
-:class:`OpenProblem` values, never errors. Recipes and open problems are
-NamedTuple records.
+a = -8; a rule picks each bundle's Euler tag, and the closed forms'
+inverse ``circle_bundle.bundle_weights`` its weights. The nullity variant
+drops the parity constraint, forbids c = b - 1, and is only partially
+realizable; a second rule names its bundles, and unsettled triples are
+returned as :class:`OpenProblem` values, never errors. Recipes and open
+problems are NamedTuple records.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Union
 
 from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
-from .circle_bundle import VALID_TAGS, bundle_d_for_b1, nullity_closed_form, valid_tags
+from .circle_bundle import bundle_weights
 from .errors import InadmissibleError, enforce
 from .fiber_sum import (
     DolgachevSurface,
@@ -120,11 +122,11 @@ def _recipe(
 def realize(a: int, b: int, c: int, genus: int | None = None) -> Recipe:
     """Deterministic recipe for an admissible triple.
 
-    a = 0, b even: the zero-Euler-class family covers c < b and the
-    d = k = b - 1 tag-1 bundle covers c = b. a = 0, b odd: tag-2 bundles
-    cover c < b and the same tag-1 bundle covers c = b. a <= -16: fiber
-    sum with E(-a/8) of weight d = c, k = (b + c) / 2. a = -8: the same
-    sum with a Dolgachev surface. ``genus`` raises the genus floor.
+    a = 0: the Euler tag is 1 when c = b, else 2 when b is odd, else 0,
+    and :func:`bundle_weights` inverts the closed forms at that tag; the
+    family is B<tag>(d // 2), and tag 1 gives d = k = b - 1. a <= -16:
+    fiber sum with E(-a/8) of weight d = c, k = (b + c) / 2. a = -8: the
+    same sum with a Dolgachev surface. ``genus`` raises the genus floor.
     """
     failure = _admissibility_failure(a, b, c)
     if failure is not None:
@@ -134,41 +136,34 @@ def realize(a: int, b: int, c: int, genus: int | None = None) -> Recipe:
 
 def _realize_admissible(a: int, b: int, c: int, genus: int | None) -> Recipe:
     """:func:`realize` for a triple already found admissible."""
-    if a == 0:
-        return _realize_signature_zero(b, c, genus)
-    k = (b + c) // 2
-    spec = FiberSumSpec(_elliptic_base(a), c, k, default_genus(k, genus))
-    return _recipe(spec, (a, b, c))
+    if a < 0:
+        return _recipe(_sum_spec(a, b, c, genus), (a, b, c))
+    tag = 1 if c == b else 2 if b % 2 else 0
+    spec = _bundle_spec(b, c, tag, genus)
+    notes = () if tag != 2 else (
+        "a zero-Euler-class bundle would also cover this odd-b triple; "
+        "the tag-2 family is preferred for a uniform index range",
+    )
+    return _recipe(spec, (0, b, c), "degeneracy", f"B{tag}({spec.d // 2})", notes)
+
+
+def _bundle_spec(b: int, degeneracy: int, tag: int, genus: int | None) -> BundleManifoldSpec:
+    """The bundle with this b1, degeneracy and Euler tag."""
+    d, k = bundle_weights(b, degeneracy, tag)
+    return BundleManifoldSpec(d, k, default_genus(k, genus), tag)
+
+
+def _sum_spec(a: int, b: int, c: int, genus: int | None) -> FiberSumSpec:
+    """The fiber sum of signature a, b1 b and degeneracy c. The section
+    and circle classes of its summand die in the sum, so the summand has
+    b1 = b + 2."""
+    d, k = bundle_weights(b + 2, c, 0)
+    return FiberSumSpec(_elliptic_base(a), d, k, default_genus(k, genus))
 
 
 def _elliptic_base(a: int) -> EllipticBase:
     """E(-a/8) for a <= -16; the default Dolgachev surface for a = -8."""
     return EllipticSurface(-a // 8) if a <= -16 else DolgachevSurface(*DEFAULT_DOLGACHEV)
-
-
-def _realize_signature_zero(b: int, c: int, genus: int | None) -> Recipe:
-    if c == b:
-        # d = k = b - 1 with a twisted-block Euler class, any parity of b.
-        spec = BundleManifoldSpec(b - 1, b - 1, default_genus(b - 1, genus), 1)
-        return _recipe(spec, (0, b, c), "degeneracy", f"B1({(b - 1) // 2})")
-    if b % 2 == 0:
-        ell = b // 2
-        i = c // 2
-        spec = BundleManifoldSpec(c, ell - 1 + i, default_genus(ell - 1 + i, genus), 0)
-        return _recipe(spec, (0, b, c), "degeneracy", f"B0({i})")
-    ell = (b - 1) // 2
-    i = (c - 1) // 2
-    spec = BundleManifoldSpec(c - 1, ell + i, default_genus(ell + i, genus), 2)
-    return _recipe(
-        spec,
-        (0, b, c),
-        "degeneracy",
-        f"B2({i})",
-        notes=(
-            "a zero-Euler-class bundle would also cover this odd-b triple; "
-            "the tag-2 family is preferred for a uniform index range",
-        ),
-    )
 
 
 _NON_INTEGER_FAILURE = "triple entries must be integers (int, not bool or float)"
@@ -219,18 +214,18 @@ OPEN_RING_NOTE = (
 def realize_null(a: int, b: int, c: int, genus: int | None = None) -> Recipe | OpenProblem:
     """Recipe with nullity c, or the open cases as explicit values.
 
-    For a = 0 the bundle families are searched exactly (tag order 0, 1, 2,
-    then increasing weights). For a < 0 the only nullity the constructions
-    certify is 0 via b1 = 0, so b = c = 0 triples get the fiber-sum recipe
-    of the same signature and everything else is open.
+    For a = 0, :func:`_bundle_nullity_choice` states which bundle, if
+    any, has b1 = b and nullity c. For a < 0 the only nullity the
+    constructions certify is 0 via b1 = 0, so b = c = 0 triples get the
+    fiber-sum recipe of the same signature and everything else is open.
     """
     failure = _null_admissibility_failure(a, b, c)
     if failure is not None:
         raise InadmissibleError(failure)
     if a == 0:
-        found = _search_bundle_nullity(b, c, genus)
-        if found is not None:
-            return found
+        choice = _bundle_nullity_choice(b, c)
+        if choice is not None:
+            return _recipe(_bundle_spec(b, *choice, genus), (a, b, c), "nullity")
         notes = (OPEN_RING_NOTE,) if (a, b, c) == (0, 3, 1) else ()
         return OpenProblem(
             triple=(a, b, c),
@@ -241,8 +236,7 @@ def realize_null(a: int, b: int, c: int, genus: int | None = None) -> Recipe | O
             notes=notes,
         )
     if b == 0:
-        spec = FiberSumSpec(_elliptic_base(a), 0, 0, default_genus(0, genus))
-        return _recipe(spec, (a, 0, 0), "nullity")
+        return _recipe(_sum_spec(a, 0, 0, genus), (a, 0, 0), "nullity")
     return OpenProblem(
         triple=(a, b, c),
         reason=(
@@ -252,21 +246,23 @@ def realize_null(a: int, b: int, c: int, genus: int | None = None) -> Recipe | O
     )
 
 
-def _search_bundle_nullity(b: int, c: int, genus: int | None) -> Recipe | None:
-    """The first bundle with b1 = b and nullity c, in tag order, then k.
+def _bundle_nullity_choice(b: int, c: int) -> tuple[int, int] | None:
+    """The (degeneracy, tag) of the bundle with b1 = b and nullity c, or
+    None when no bundle has them.
 
-    For a given tag and k the b1 formula fixes d, so each (tag, k) has at
-    most one candidate.
+    Of the bundles with these invariants it names the first in tag order,
+    then in increasing k. A zero Euler class gives nullity 0, with the
+    least k at d = b mod 2. A nonzero one gives nullity d, or d + 1 when
+    d = k: tag 1 has c = b at d = k = b - 1, and each c < b - 1 with
+    b + c odd at d = c. Tag 2 is never first: tag 1 has its nullity
+    d > 0 at the same weights, and tag 0 has d = 0.
     """
-    for tag in VALID_TAGS:
-        for k in range(0, b + 1):
-            d = bundle_d_for_b1(k, tag, b)
-            if not 0 <= d <= k or tag not in valid_tags(d, k):
-                continue
-            if nullity_closed_form(d, k, tag) != c:
-                continue
-            spec = BundleManifoldSpec(d, k, default_genus(k, genus), tag)
-            return _recipe(spec, (0, b, c), "nullity")
+    if c == 0 and b >= 2:
+        return b % 2, 0
+    if c == b >= 2:
+        return b, 1
+    if 1 <= c < b - 1 and (b + c) % 2:
+        return c + 1, 1
     return None
 
 

@@ -158,6 +158,24 @@ def test_validated_records_refuse_a_bad_value_through_the_constructor(build, tex
         build()
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: BundleManifoldSpec(1.0, 1, 2, 1), "bundle d: non-integer value 1.0"),
+        (lambda: BundleManifoldSpec(1, 1, 2, True), "bundle e: non-integer value True"),
+        (lambda: EllipticSurface(2.5), "elliptic surface n: non-integer value 2.5"),
+        (lambda: DolgachevSurface(2.0, 3), "Dolgachev p: non-integer value 2.0"),
+        (lambda: FiberSumSpec(EllipticSurface(2), 0, 0, 2.0), "fiber sum g: non-integer value 2.0"),
+    ],
+    ids=["BundleManifoldSpec-float", "BundleManifoldSpec-bool", "EllipticSurface",
+         "DolgachevSurface", "FiberSumSpec"],
+)
+def test_specs_refuse_bools_and_non_integers_naming_the_field(build, text):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == text
+
+
 def test_no_record_is_built_through_replace_or_make():
     # NamedTuple._replace and _make skip the validating __new__
     for path in sorted(SRC.glob("*.py")):

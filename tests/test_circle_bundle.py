@@ -11,9 +11,11 @@ from geographer.bundle_manifold import BundleManifoldSpec, audit_bundle
 from geographer.circle_bundle import (
     bundle_b1,
     bundle_b1_formula,
+    bundle_weights,
     degeneracy_closed_form,
     lefschetz_pairing,
     nullity_closed_form,
+    torus_b1_formula,
 )
 from geographer.mapping_torus import bundle_wang_data
 from geographer.surfaces import a_curve, b_curve
@@ -37,6 +39,15 @@ def test_gysin_first_betti_number():
         for tag in valid_tags(d, k):
             expected = 2 * k - d + 2 if tag == 0 else 2 * k - d + 1
             assert bundle_b1(data, tag) == expected, (d, k, g, tag)
+
+
+def test_bundle_weights_invert_the_b1_and_degeneracy_closed_forms():
+    for k in range(0, 41):
+        for d in range(0, k + 1):
+            for tag in valid_tags(d, k):
+                b1 = bundle_b1_formula(d, k, tag)
+                degeneracy = degeneracy_closed_form(d, k, tag)
+                assert bundle_weights(b1, degeneracy, tag) == (d, k), (d, k, tag)
 
 
 def test_pairing_frozen_zero_euler_class():
@@ -119,6 +130,13 @@ def test_closed_forms_refuse_weights_out_of_order(closed_form, d, k):
     text = f"weights must satisfy 0 <= d <= k, got ({d}, {k})"
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         closed_form(d, k, 0)
+
+
+def test_torus_b1_formula_refuses_weights_out_of_order():
+    for d, k in [(2, 1), (1, 0), (-1, 0), (-1, 2)]:
+        text = f"weights must satisfy 0 <= d <= k, got ({d}, {k})"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            torus_b1_formula(d, k)
 
 
 def test_degeneracy_oracle_equals_closed_form_on_grid():

@@ -404,6 +404,21 @@ BYTE_CONTRACT = [
     # Dolgachev JSON: the recipe's p and q come first, from the fiber sum's base
     (("realize", "-8", "6", "2"), 0,
      "61b79378f3d0d6925dfe547a33c2066abd3689543b9bd4abafaf067687fb69d0"),
+    # each nullity recipe: tag 0 with d = 1, tag 1 with d < k and with
+    # d = k, and the fiber sum of b = 0
+    (("realize", "0", "3", "0", "--null"), 0,
+     "a0f07d7fe4c3f2c44d8319a26dd3f47560bf150c422ea30038e5312516718a3f"),
+    (("realize", "0", "4", "1", "--null"), 0,
+     "4c4783be21e6e89c2326b18232209fe0658410592ff42b17739095035efc83a9"),
+    (("realize", "0", "6", "6", "--null"), 0,
+     "e3516c79b7e5b4d1bc130fbaaeb643550918e8389163d06d29c58d79e0483e50"),
+    (("realize", "-16", "0", "0", "--null"), 0,
+     "991a6e399df7e51ee512c9d61756857a4512ca4991a9def9d1e916abefcd8b23"),
+    # the zero-Euler-class family as JSON, and a genus floor above k
+    (("realize", "0", "4", "0"), 0,
+     "5e5a2fc9196336dca52aedf6ce071cc9936ab53663332cbd99910abc546c39b1"),
+    (("realize", "0", "7", "3", "--genus", "9"), 0,
+     "000c1e0d7a0f8ceb595942f736e75c61732d44a08c95ae6a33317ee737055b9e"),
 ]
 
 

@@ -247,19 +247,21 @@ def test_realize_null_respects_verified_triples():
 @pytest.mark.parametrize("genus", [None, 7])
 def test_bundle_nullity_search_matches_brute_force_scan(monkeypatch, genus):
     # the recipe is replaced by what it would certify, so that only the
-    # search is under test here
+    # rule and the spec it names are under test here
     monkeypatch.setattr(
         geography, "_recipe", lambda spec, triple, kind: (spec, triple, kind)
     )
     for b in range(0, 41):
         first = brute_force_bundle_nullity(b)
         for c in range(0, b + 1):
-            expected = None
-            if c in first:
-                d, k, tag = first[c]
-                spec = BundleManifoldSpec(d, k, default_genus(k, genus), tag)
-                expected = (spec, (0, b, c), "nullity")
-            assert geography._search_bundle_nullity(b, c, genus) == expected, (b, c)
+            choice = geography._bundle_nullity_choice(b, c)
+            if c not in first:
+                assert choice is None, (b, c)
+                continue
+            d, k, tag = first[c]
+            spec = BundleManifoldSpec(d, k, default_genus(k, genus), tag)
+            assert geography._bundle_spec(b, *choice, genus) == spec, (b, c)
+            assert realize_null(0, b, c, genus) == (spec, (0, b, c), "nullity"), (b, c)
 
 
 def test_realize_null_negative_signature():
