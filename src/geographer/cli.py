@@ -6,6 +6,11 @@ Exit codes are stable contracts: 0 success, 1 verification failure,
 Output goes to stdout unless --out is given; JSON documents carry a
 schema_version and per-field justification strings so certificates are
 self-documenting.
+
+:func:`main` may be called any number of times in one process. The
+parser is built on the first call, not at import, and every later call
+reuses it: argparse keeps no parse state on a parser, and help and error
+texts look up the terminal width, stdout and stderr only when written.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import geography
 from .bundle_manifold import BundleManifoldSpec, InvariantCertificate
@@ -300,8 +306,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
+@cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="geographer", description=__doc__)
+    """The CLI parser, built on the first call and returned again after it."""
+    # --help prints the docstring up to its note on parser reuse
+    description = __doc__ and __doc__.partition("\n\n:func:`main`")[0]
+    parser = _Parser(prog="geographer", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     realize = sub.add_parser("realize", help="realize a triple (a, b, c)")

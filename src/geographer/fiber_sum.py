@@ -134,6 +134,10 @@ class FiberSumSpec(_FiberSumFields):
     __slots__ = ()
 
     def __new__(cls, base, d, k, g):
+        if not isinstance(base, EllipticBase):
+            raise ValueError(
+                f"fiber sum base: expected an elliptic or Dolgachev surface, got {base!r}"
+            )
         d = surfaces._exact_int(d, "fiber sum d")
         k = surfaces._exact_int(k, "fiber sum k")
         g = surfaces._exact_int(g, "fiber sum g")

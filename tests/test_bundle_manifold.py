@@ -166,9 +166,11 @@ def test_validated_records_refuse_a_bad_value_through_the_constructor(build, tex
         (lambda: EllipticSurface(2.5), "elliptic surface n: non-integer value 2.5"),
         (lambda: DolgachevSurface(2.0, 3), "Dolgachev p: non-integer value 2.0"),
         (lambda: FiberSumSpec(EllipticSurface(2), 0, 0, 2.0), "fiber sum g: non-integer value 2.0"),
+        (lambda: FiberSumSpec("x", 0, 0, 2),
+         "fiber sum base: expected an elliptic or Dolgachev surface, got 'x'"),
     ],
     ids=["BundleManifoldSpec-float", "BundleManifoldSpec-bool", "EllipticSurface",
-         "DolgachevSurface", "FiberSumSpec"],
+         "DolgachevSurface", "FiberSumSpec", "FiberSumSpec-base"],
 )
 def test_specs_refuse_bools_and_non_integers_naming_the_field(build, text):
     with pytest.raises(ValueError) as refused:

@@ -1,5 +1,6 @@
 """Command line contracts: exit codes, emitters, round trips."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from geographer import circle_bundle, linalg
+from geographer import circle_bundle, cli, linalg
 from geographer.bundle_manifold import BundleManifoldSpec, construct
 from geographer.cli import (
     EXIT_INADMISSIBLE,
@@ -18,6 +19,7 @@ from geographer.cli import (
     EXIT_OPEN,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    GENUS_ENV,
     certificate_checks,
     main,
 )
@@ -346,6 +348,57 @@ def test_unwritable_out_exits_74(capsys, tmp_path, argv):
     assert not target.exists()
 
 
+#: One in-process sequence of calls: argv, the GEOGRAPHER_GENUS_DEFAULT
+#: value it runs under (None: unset) and its exit code.
+REUSE_SEQUENCE = [
+    (("--help",), None, EXIT_OK),
+    (("realize", "--help"), None, EXIT_OK),
+    (("realize", "0", "4", "4", "--bogus"), None, EXIT_USAGE),
+    (("realize", "zero", "4", "4"), None, EXIT_USAGE),
+    (("realize", "0", "4", "4", "--format", "tsv"), None, EXIT_OK),
+    (("realize", "0", "4", "4"), None, EXIT_OK),
+    (("realize", "0", "2", "0"), "5", EXIT_OK),
+    (("realize", "0", "2", "0"), "x", EXIT_INADMISSIBLE),
+    (("realize", "0", "2", "0"), None, EXIT_OK),
+]
+
+
+def test_a_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+
+    def call(argv, genus_floor, fresh):
+        if genus_floor is None:
+            monkeypatch.delenv(GENUS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(GENUS_ENV, genus_floor)
+        if fresh:
+            cli._build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    cli._build_parser.cache_clear()
+    reused = [call(*REUSE_SEQUENCE[0][:2], fresh=False)]
+    per_build = len(built)
+    reused += [call(argv, floor, fresh=False) for argv, floor, _ in REUSE_SEQUENCE[1:]]
+    assert per_build > 0 and len(built) == per_build
+
+    fresh = [call(argv, floor, fresh=True) for argv, floor, _ in REUSE_SEQUENCE]
+    assert len(built) == per_build * (1 + len(REUSE_SEQUENCE))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [code for _, _, code in REUSE_SEQUENCE]
+    # --help prints the module docstring without its note on reuse
+    assert "self-documenting." in reused[0][1] and ":func:" not in reused[0][1]
+    # JSON is the default again after a TSV call, and the variable is read per call
+    assert json.loads(reused[5][1])["recipe"]["label"] == "B(3,3,3;1)"
+    assert json.loads(reused[6][1])["recipe"]["g"] == 5 != json.loads(reused[8][1])["recipe"]["g"]
+
+
 def test_cli_import_does_not_load_numpy():
     probe = "import sys, geographer.cli; print('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -368,6 +421,23 @@ def test_cold_import_loads_no_dataclasses_fractions_or_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_import_builds_no_parser():
+    # main builds the parser on its first call, so an import never pays for it
+    probe = (
+        "import argparse, sys; sys.path.insert(0, sys.argv[1]); built = []; "
+        "init = argparse.ArgumentParser.__init__; "
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **k: built.append(self) or init(self, *a, **k); "
+        "import geographer.cli; imported = len(built); "
+        "code = geographer.cli.main(['realize']); print(imported, code, len(built) > 0)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(EXIT_USAGE), "True"]
 
 
 #: sha256 of stdout and the exit code of commands at the sizes the
