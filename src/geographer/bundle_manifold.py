@@ -54,8 +54,7 @@ def canonical_class(g: int) -> int:
     The canonical class of B(d, k, g; e) is (2g - 2) times the square-zero
     torus swept by the circle fibers over a section of the mapping torus.
     """
-    if g < 1:
-        raise ValueError("genus must be positive")
+    surfaces._check_genus(g)
     return 2 * g - 2
 
 

@@ -11,22 +11,24 @@ is computed and reported as a diagnostic only. A generic word has a
 nonsingular A, with empty bases and a torsion found by Smith elimination
 modulo det A, which keeps no transforms and no entry as large as det A;
 a singular A reads its generic bases off one Smith decomposition, held
-as rows of Python ints. Preferred bases are certified from A itself, by
-pivot counts and pivot products of unimodular echelon forms, so the
-canonical bases of the bundle path cost one Bareiss elimination of A and
-no Smith form. Every count and index of that certificate is a
+as rows of Python ints. That is the first mode of
+:func:`wang_cohomology`; in the second it is given a pair of preferred
+bases and certifies them from A itself, by pivot counts and pivot
+products of unimodular echelon forms, so the canonical bases of the
+bundle path cost one Bareiss elimination of A and no Smith form. Every count and index of that certificate is a
 ``(name, expected, observed)`` record raised by
 :func:`~geographer.errors.enforce` under the torus's label, as the
 certificates built on these bases are. Bases are rows of fiber
 coordinates, and b1 is read off the invariant basis. The torus and its
-Wang data are NamedTuple records; the monodromy itself is an immutable,
-packed int matrix, computed on first use.
+Wang data are slotted NamedTuple records. The computation works on the
+rows of :func:`~geographer.surfaces.compose_word`; only a caller that
+keeps the monodromy reads it packed, from ``MappingTorus.monodromy``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg, surfaces
@@ -34,16 +36,10 @@ from .errors import enforce
 from .surfaces import TwistWord
 
 
-class _MappingTorusFields(NamedTuple):
+class MappingTorus(NamedTuple):
+    """Mapping torus of a twist word; the monodromy matrix is derived."""
+
     word: TwistWord
-
-
-class MappingTorus(_MappingTorusFields):
-    """Mapping torus of a twist word; the monodromy matrix is derived.
-
-    It has no ``__slots__``, so :func:`functools.cached_property` can keep
-    the packed monodromy in the instance ``__dict__``.
-    """
 
     @property
     def genus(self) -> int:
@@ -54,9 +50,9 @@ class MappingTorus(_MappingTorusFields):
         letters = len(self.word.letters)
         return f"Y(genus {self.genus}, {letters} letter{'' if letters == 1 else 's'})"
 
-    @cached_property
+    @property
     def monodromy(self) -> linalg.FrozenMatrix:
-        """The pullback action on H^1, kept packed for the torus's lifetime."""
+        """The pullback action on H^1, packed anew on each read."""
         return linalg.FrozenMatrix(surfaces.compose_word(self.word))
 
 
@@ -80,79 +76,67 @@ class WangData(NamedTuple):
         return 1 + len(self.invariant_basis)
 
 
-def wang_cohomology(
-    torus: MappingTorus,
-    invariant_basis=None,
-    mu_basis=None,
-) -> WangData:
-    """Wang-sequence cohomology data of a mapping torus.
+def wang_cohomology(torus: MappingTorus, bases=None) -> WangData:
+    """Wang-sequence cohomology data of a mapping torus, in two modes.
 
-    One Bareiss elimination of A = phi^* - 1 gives its rank, and
-    :func:`_rank_and_torsion` its torsion. A nonsingular A, as a generic
-    word has, fixes no vector: its generic bases are empty and no Smith
-    form is computed. A singular A reads its generic bases and torsion
-    off one Smith decomposition, whose count of zeros must be the
-    Bareiss corank (``kernel_rank_matches_bareiss``). Optional preferred
-    bases replace the generic ones after an exact certificate from A.
-    Each must have the shape (corank, 2g) first (``invariant_basis_shape``,
+    A = phi^* - 1 is built from the rows of
+    :func:`~geographer.surfaces.compose_word`; one Bareiss elimination
+    gives its rank, and :func:`_rank_and_torsion` its torsion. With no
+    ``bases`` the generic bases are returned: a nonsingular A, as a
+    generic word has, fixes no vector, so they are empty and no Smith
+    form is computed; a singular A reads them off one Smith
+    decomposition, whose count of zeros must be the Bareiss corank
+    (``kernel_rank_matches_bareiss``). With the pair
+    ``bases=(invariant_basis, mu_basis)`` both are certified exactly from
+    A, and a singular A costs a Smith form only when its minor is not 1,
+    for the torsion alone; anything but a pair is a ValueError. Each
+    basis must have the shape (corank, 2g) first (``invariant_basis_shape``,
     ``mu_basis_shape``); then
 
-    * an invariant basis B must consist of fixed vectors (A v = 0,
+    * the invariant basis B must consist of fixed vectors (A v = 0,
       ``invariant_basis_fixed`` counts them), and B^T must reduce by
       unimodular row steps to one pivot per row of B
       (``invariant_basis_rank``: the rows are independent) with product 1
       (``invariant_basis_index``: the gcd of the maximal minors of B, so
       their span is saturated): then B is a lattice basis of ker A;
-    * a mu basis must make [A^T; mu] reduce to 2g pivots
+    * the mu basis must make [A^T; mu] reduce to 2g pivots
       (``mu_basis_rank``) whose product, the order of
       Z^2g / (im A + span mu), is the order of the torsion of coker A
       (``mu_basis_index``): that holds exactly when mu maps to a lattice
       basis of the free part of coker A.
 
-    With both bases given, a singular A costs a Smith form only when its
-    minor is not 1, for the torsion alone. Each check is a
-    ``(name, expected, observed)`` record, and the first that fails is
-    raised by :func:`~geographer.errors.enforce` under the torus's label.
+    Each check is a ``(name, expected, observed)`` record, and the first
+    that fails is raised by :func:`~geographer.errors.enforce` under the
+    torus's label.
     """
     n = 2 * torus.genus
-    a = [list(row) for row in torus.monodromy]
+    a = [list(row) for row in surfaces.compose_word(torus.word)]
     for i in range(n):
         a[i][i] -= 1
-    rank, torsion, sf = _rank_and_torsion(a, invariant_basis is None or mu_basis is None)
+    rank, torsion, sf = _rank_and_torsion(a, bases is None)
     fixed_rank = n - rank
-    counts = []
-    if sf:
-        counts.append(("kernel_rank_matches_bareiss", fixed_rank, sf.diagonal.count(0)))
-    if invariant_basis is None:
-        inv = sf.kernel_basis() if sf else []  # no Smith form: A is nonsingular
+    counts = [("kernel_rank_matches_bareiss", fixed_rank, sf.diagonal.count(0))] if sf else []
+    if bases is None:  # the generic bases: none for a nonsingular A, which has no Smith form
+        inv, mu = (sf.kernel_basis(), sf.cokernel_free_basis()) if sf else ([], [])
     else:
-        inv, shape = _rows(invariant_basis, n)
-        counts.append(("invariant_basis_shape", (fixed_rank, n), shape))
-    if mu_basis is None:
-        mu = sf.cokernel_free_basis() if sf else []
-    else:
-        mu, shape = _rows(mu_basis, n)
-        counts.append(("mu_basis_shape", (fixed_rank, n), shape))
+        invariant_basis, mu_basis = bases
+        inv, inv_shape = _rows(invariant_basis, n)
+        mu, mu_shape = _rows(mu_basis, n)
+        counts += [("invariant_basis_shape", (fixed_rank, n), inv_shape),
+                   ("mu_basis_shape", (fixed_rank, n), mu_shape)]
     enforce(torus, counts)
-
-    certificate = []
-    if fixed_rank and (invariant_basis is not None or mu_basis is not None):
+    if fixed_rank and bases is not None:
         image = linalg.transpose(a)  # row j is A e_j
-    if fixed_rank and invariant_basis is not None:
         images = linalg.matmul(inv, image)  # row i is A v_i
-        pivots = linalg._echelon_pivots(linalg.transpose(inv))
-        certificate += [
+        inv_pivots = linalg._echelon_pivots(linalg.transpose(inv))
+        mu_pivots = linalg._echelon_pivots(image + mu)
+        enforce(torus, [
             ("invariant_basis_fixed", fixed_rank, sum(not any(row) for row in images)),
-            ("invariant_basis_rank", fixed_rank, len(pivots)),
-            ("invariant_basis_index", 1, math.prod(pivots)),
-        ]
-    if fixed_rank and mu_basis is not None:
-        pivots = linalg._echelon_pivots(image + mu)
-        certificate += [
-            ("mu_basis_rank", n, len(pivots)),
-            ("mu_basis_index", math.prod(torsion), math.prod(pivots)),
-        ]
-    enforce(torus, certificate)
+            ("invariant_basis_rank", fixed_rank, len(inv_pivots)),
+            ("invariant_basis_index", 1, math.prod(inv_pivots)),
+            ("mu_basis_rank", n, len(mu_pivots)),
+            ("mu_basis_index", math.prod(torsion), math.prod(mu_pivots)),
+        ])
     return WangData(tuple(map(tuple, inv)), tuple(map(tuple, mu)), torsion)
 
 
@@ -196,10 +180,9 @@ def bundle_wang_data(d: int, k: int, g: int) -> WangData:
     :func:`wang_cohomology`, so a wrong canonical basis cannot slip through.
     """
     word = surfaces.bundle_monodromy_word(d, k, g)
-    torus = MappingTorus(word)
     inv_rows = [surfaces.b_curve(i, g) for i in range(1, d + 1)]
     mu_rows = [surfaces.a_curve(i, g) for i in range(1, d + 1)]
     for i in range(d + 1, k + 1):
         inv_rows.extend((surfaces.a_curve(i, g), surfaces.b_curve(i, g)))
         mu_rows.extend((surfaces.a_curve(i, g), surfaces.b_curve(i, g)))
-    return wang_cohomology(torus, invariant_basis=inv_rows, mu_basis=mu_rows)
+    return wang_cohomology(MappingTorus(word), (inv_rows, mu_rows))

@@ -83,8 +83,7 @@ class TwistWord(_TwistWordFields):
 
     def __new__(cls, genus, letters=()):
         genus = _exact_int(genus, "word genus")
-        if genus < 1:
-            raise ValueError("genus must be positive")
+        _check_genus(genus)
         letters = tuple(letters)
         for letter in letters:
             if len(letter.curve) != 2 * genus:
@@ -199,9 +198,14 @@ def bundle_monodromy_word(d: int, k: int, g: int) -> TwistWord:
 
 
 def _check_weights(d: int, k: int, g: int) -> None:
+    _check_genus(g)
+    _check_weight_order(d, k, g)
+
+
+def _check_genus(g: int) -> None:
+    """The genus rule g >= 1, of words, weights and canonical classes."""
     if g < 1:
         raise ValueError("genus must be positive")
-    _check_weight_order(d, k, g)
 
 
 def _check_weight_order(*weights: int) -> None:

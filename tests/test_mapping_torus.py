@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geographer import linalg
+from geographer.bundle_manifold import BundleManifoldSpec, construct
 from geographer.errors import ConsistencyError
 from geographer.mapping_torus import (
     MappingTorus,
@@ -24,6 +25,7 @@ from geographer.surfaces import (
     bundle_monodromy_word,
     compose_word,
 )
+from geographer.verify import verify_bundle_grid
 from strategies import (
     conjugated_words,
     dense_words,
@@ -94,29 +96,35 @@ def refusal(text):
 
 def test_wrong_preferred_bases_are_rejected():
     torus = MappingTorus(bundle_monodromy_word(1, 1, 2))
+    canonical = bundle_wang_data(1, 1, 2)
+    inv, mu = canonical.invariant_basis, canonical.mu_basis
     with refusal("Y(genus 2, 3 letters): invariant_basis_fixed expected 1, observed 0"):
-        wang_cohomology(torus, invariant_basis=[a_curve(1, 2)])
+        wang_cohomology(torus, ([a_curve(1, 2)], mu))
     with refusal("Y(genus 2, 3 letters): invariant_basis_index expected 1, observed 2"):
-        wang_cohomology(torus, invariant_basis=[(0, 2, 0, 0)])
+        wang_cohomology(torus, ([(0, 2, 0, 0)], mu))
     with refusal("Y(genus 2, 3 letters): invariant_basis_index expected 1, observed 2"):
-        wang_cohomology(torus, invariant_basis=[(0, -2, 0, 0)])
+        wang_cohomology(torus, ([(0, -2, 0, 0)], mu))
     with refusal("Y(genus 2, 3 letters): mu_basis_rank expected 4, observed 3"):
-        wang_cohomology(torus, mu_basis=[b_curve(1, 2)])  # dies in the cokernel
+        wang_cohomology(torus, (inv, [b_curve(1, 2)]))  # dies in the cokernel
     with refusal("Y(genus 2, 3 letters): mu_basis_index expected 1, observed 2"):
-        wang_cohomology(torus, mu_basis=[(2, 0, 0, 0)])  # index two sublattice
+        wang_cohomology(torus, (inv, [(2, 0, 0, 0)]))  # index two sublattice
+
+
+# B(0,1,2): a1, b1 span both the fixed lattice and the free cokernel
+HANDLE = [a_curve(1, 2), b_curve(1, 2)]
 
 
 @pytest.mark.parametrize(
     "given, text",
     [
         (
-            {"invariant_basis": [a_curve(1, 2)]},
+            ([a_curve(1, 2)], HANDLE),
             "invariant_basis_shape expected (2, 4), observed (1, 4)",
         ),
-        ({"invariant_basis": []}, "invariant_basis_shape expected (2, 4), observed (0, 4)"),
-        ({"mu_basis": [(1, 0, 0), (0, 1, 0)]}, "mu_basis_shape expected (2, 4), observed (2, 3)"),
+        (([], HANDLE), "invariant_basis_shape expected (2, 4), observed (0, 4)"),
+        ((HANDLE, [(1, 0, 0), (0, 1, 0)]), "mu_basis_shape expected (2, 4), observed (2, 3)"),
         (
-            {"invariant_basis": [a_curve(1, 2), b_curve(1, 2)], "mu_basis": [a_curve(1, 2)]},
+            (HANDLE, [a_curve(1, 2)]),
             "mu_basis_shape expected (2, 4), observed (1, 4)",
         ),
     ],
@@ -126,7 +134,7 @@ def test_wrong_shape_basis_is_refused_before_its_rows_are_used(monkeypatch, give
     torus = MappingTorus(bundle_monodromy_word(0, 1, 2))
     monkeypatch.setattr(linalg, "_echelon_pivots", None)  # no row is certified
     with refusal(f"Y(genus 2, 2 letters): {text}"):
-        wang_cohomology(torus, **given)
+        wang_cohomology(torus, given)
 
 
 @pytest.mark.parametrize(
@@ -141,8 +149,8 @@ def test_dependent_invariant_basis_is_rejected(basis):
     # span a rank-one lattice inside the rank-two fixed lattice of a1, b1
     torus = MappingTorus(bundle_monodromy_word(0, 1, 2))
     with refusal("Y(genus 2, 2 letters): invariant_basis_rank expected 2, observed 1"):
-        wang_cohomology(torus, invariant_basis=basis)
-    assert wang_cohomology(torus, invariant_basis=[a_curve(1, 2), b_curve(1, 2)]).b1 == 3
+        wang_cohomology(torus, (basis, HANDLE))
+    assert wang_cohomology(torus, (HANDLE, HANDLE)).b1 == 3
 
 
 def _scaled(c, row):
@@ -152,30 +160,31 @@ def _scaled(c, row):
 # B(1,2,3): the fixed lattice is spanned by b1, a2, b2 and the free
 # cokernel by a1, a2, b2; each case spoils one of them
 A1, A2, B1, B2 = a_curve(1, 3), a_curve(2, 3), b_curve(1, 3), b_curve(2, 3)
+INV, MU = [B1, A2, B2], [A1, A2, B2]
 
 
 @pytest.mark.parametrize(
     "given, text",
     [
-        ({"invariant_basis": [A1, A2, B2]}, "invariant_basis_fixed expected 3, observed 2"),
+        (([A1, A2, B2], MU), "invariant_basis_fixed expected 3, observed 2"),
         (
-            {"invariant_basis": [B1, A2, tuple(map(sum, zip(B1, A2)))]},
+            ([B1, A2, tuple(map(sum, zip(B1, A2)))], MU),
             "invariant_basis_rank expected 3, observed 2",
         ),
         (
-            {"invariant_basis": [_scaled(3, B1), A2, B2]},
+            ([_scaled(3, B1), A2, B2], MU),
             "invariant_basis_index expected 1, observed 3",
         ),
-        ({"mu_basis": [B1, A2, B2]}, "mu_basis_rank expected 6, observed 5"),
+        ((INV, [B1, A2, B2]), "mu_basis_rank expected 6, observed 5"),
         (
-            {"mu_basis": [A1, _scaled(2, A2), _scaled(3, B2)]},
+            (INV, [A1, _scaled(2, A2), _scaled(3, B2)]),
             "mu_basis_index expected 1, observed 6",
         ),
     ],
 )
 def test_each_wang_record_shows_both_values(given, text):
     with refusal(f"Y(genus 3, 3 letters): {text}"):
-        wang_cohomology(MappingTorus(bundle_monodromy_word(1, 2, 3)), **given)
+        wang_cohomology(MappingTorus(bundle_monodromy_word(1, 2, 3)), given)
 
 
 def test_smith_form_that_drops_a_zero_trips_the_kernel_count(monkeypatch):
@@ -206,12 +215,12 @@ def test_unimodular_change_of_canonical_invariant_basis_is_accepted(weights, dat
     torus = MappingTorus(bundle_monodromy_word(d, k, g))
     change = data_.draw(unimodular_matrices(len(canonical.invariant_basis)))
     rows = linalg.matmul(change, canonical.invariant_basis)
-    data = wang_cohomology(torus, invariant_basis=rows)
+    data = wang_cohomology(torus, (rows, canonical.mu_basis))
     assert data.invariant_basis == tuple(map(tuple, rows))
     assert (data.b1, data.torsion) == (canonical.b1, canonical.torsion)
     rows[0] = [2 * x for x in rows[0]]  # an index-two sublattice
     with refusal(f"{torus.label}: invariant_basis_index expected 1, observed 2"):
-        wang_cohomology(torus, invariant_basis=rows)
+        wang_cohomology(torus, (rows, canonical.mu_basis))
 
 
 def test_canonical_bases_verified_against_generic_route():
@@ -332,11 +341,54 @@ def test_nonsingular_generic_path_computes_no_smith_form(monkeypatch):
     assert len(data.invariant_basis) == len(data.mu_basis) == 11
 
 
+def test_compute_path_packs_no_monodromy(monkeypatch):
+    # construct, the grid sweep and the generic route all work on the rows
+    # of compose_word; only a caller reading MappingTorus.monodromy packs
+    def refuse(rows):
+        raise AssertionError("a FrozenMatrix was packed on the compute path")
+
+    monkeypatch.setattr(linalg, "FrozenMatrix", refuse)
+    construct.cache_clear()
+    bundle_wang_data.cache_clear()
+    for spec in [(0, 0, 1, 0), (1, 1, 2, 1), (2, 3, 5, 0), (1, 4, 9, 2), (0, 16, 24, 0)]:
+        construct(BundleManifoldSpec(*spec))
+    report = verify_bundle_grid(3)
+    assert report.cases and not report.failures
+    word = next(iter(dense_words(1, genus=4)))
+    double = Twist(word.letters[0].curve, 2)
+    conjugate = TwistWord(word.genus, word.letters + (double,) + word.inverse().letters)
+    assert wang_cohomology(MappingTorus(word)).b1 == 1
+    assert wang_cohomology(MappingTorus(conjugate)).b1 > 1  # singular: a Smith form
+    monkeypatch.undo()
+    torus = MappingTorus(word)
+    assert type(torus.monodromy) is linalg.FrozenMatrix
+    assert torus.monodromy == compose_word(word)
+    assert not hasattr(torus, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [a_curve(1, 2)],
+        [a_curve(1, 2), b_curve(1, 2)],
+        [a_curve(1, 2), b_curve(1, 2), a_curve(2, 2)],
+    ],
+)
+def test_bases_are_read_only_as_a_pair(rows):
+    # one basis's rows where the pair belongs is refused, never read as
+    # an (invariant, mu) pair, nor as rows of one
+    torus = MappingTorus(bundle_monodromy_word(0, 1, 2))
+    with pytest.raises(ValueError):
+        wang_cohomology(torus, rows)
+    with pytest.raises(ValueError):
+        wang_cohomology(torus, tuple(rows))
+
+
 def preferred_verdict(torus, invariant_basis, mu_basis):
     """What wang_cohomology makes of a preferred pair: (data, None) or
     (None, the text it refuses the pair with)."""
     try:
-        return wang_cohomology(torus, invariant_basis=invariant_basis, mu_basis=mu_basis), None
+        return wang_cohomology(torus, (invariant_basis, mu_basis)), None
     except ConsistencyError as exc:
         return None, str(exc)
 
@@ -432,12 +484,12 @@ def test_certificate_accepts_smith_bases_of_dense_genus_six_words():
             assert linalg.matmul(a, sf.t_inv) == linalg.matmul(sf.s, sf.d)
             generic = wang_cohomology(torus)
             inv, mu = generic.invariant_basis, generic.mu_basis
-            data = wang_cohomology(torus, invariant_basis=inv, mu_basis=mu)
+            data = wang_cohomology(torus, (inv, mu))
             assert (data.b1, data.torsion) == (generic.b1, generic.torsion)
             assert (data.invariant_basis, data.mu_basis) == (inv, mu)
         assert (generic.b1, generic.torsion) == (12, (2,))
         with pytest.raises(ConsistencyError, match="invariant_basis_index expected 1, observed"):
-            wang_cohomology(torus, invariant_basis=[tuple(2 * x for x in inv[0])] + list(inv[1:]))
+            wang_cohomology(torus, ([tuple(2 * x for x in inv[0])] + list(inv[1:]), mu))
 
 
 def test_certificate_with_torsion():
