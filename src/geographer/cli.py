@@ -11,6 +11,12 @@ self-documenting.
 parser is built on the first call, not at import, and every later call
 reuses it: argparse keeps no parse state on a parser, and help and error
 texts look up the terminal width, stdout and stderr only when written.
+
+Each output part is stated once: :func:`_document` heads every JSON
+document, :func:`_certified` writes the certificate block, and
+:func:`_json` and :func:`_tsv` are the only writers. A TSV row is six
+head values, then the certificate record's first fields in order; an
+open problem in TSV is one headerless ``open<TAB>reason`` line.
 """
 
 from __future__ import annotations
@@ -103,53 +109,60 @@ def _spec_fields(spec) -> dict:
     return {**base._asdict(), **fields} if base else fields
 
 
-def recipe_document(recipe: Recipe) -> dict:
+def _document(status: str, **fields) -> dict:
+    """A JSON document: the schema version and status, then ``fields``."""
+    return {"schema_version": SCHEMA_VERSION, "status": status, **fields}
+
+
+def _triple(triple, parameter: str) -> dict:
+    a, b, c = triple
+    return {"a": a, "b": b, "c": c, "parameter": parameter}
+
+
+def _certified(cert: InvariantCertificate) -> dict:
+    """The certificate, its checks and the citations that justify it."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "status": "realized",
-        "triple": {
-            "a": recipe.triple[0],
-            "b": recipe.triple[1],
-            "c": recipe.triple[2],
-            "parameter": recipe.triple_kind,
-        },
-        "recipe": {
+        "certificate": cert.as_dict(),
+        "checks": certificate_checks(cert),
+        "citations": dict(CITATIONS),
+    }
+
+
+def recipe_document(recipe: Recipe) -> dict:
+    return _document(
+        "realized",
+        triple=_triple(recipe.triple, recipe.triple_kind),
+        recipe={
             "kind": recipe.kind,
             "label": recipe.label,
             "family": recipe.family,
             **_spec_fields(recipe.spec),
         },
-        "certificate": recipe.certificate.as_dict(),
-        "checks": certificate_checks(recipe.certificate),
-        "citations": dict(CITATIONS),
-        "notes": list(recipe.notes),
-    }
+        **_certified(recipe.certificate),
+        notes=list(recipe.notes),
+    )
 
 
 def open_document(problem: OpenProblem) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "status": "open",
-        "triple": {
-            "a": problem.triple[0],
-            "b": problem.triple[1],
-            "c": problem.triple[2],
-            "parameter": "nullity",
-        },
-        "reason": problem.reason,
-        "notes": list(problem.notes),
-    }
+    return _document(
+        "open",
+        triple=_triple(problem.triple, "nullity"),
+        reason=problem.reason,
+        notes=list(problem.notes),
+    )
 
 
 def invariants_document(label: str, fields: dict, cert: InvariantCertificate) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "status": "computed",
-        "manifold": {"label": label, **fields},
-        "certificate": cert.as_dict(),
-        "checks": certificate_checks(cert),
-        "citations": dict(CITATIONS),
-    }
+    return _document("computed", manifold={"label": label, **fields}, **_certified(cert))
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _tsv(rows) -> str:
+    """The header row, then ``rows``, each ended by a newline."""
+    return "\n".join(["\t".join(TSV_COLUMNS), *rows]) + "\n"
 
 
 def _tsv_value(x) -> str:
@@ -160,31 +173,15 @@ def _tsv_value(x) -> str:
     return str(x)
 
 
-def _tsv_row(triple, kind: str, label: str, family: str | None, cert) -> str:
-    values = (
-        triple[0],
-        triple[1],
-        triple[2],
-        kind,
-        label,
-        family or "-",
-        cert.sigma,
-        cert.chi,
-        cert.b1,
-        cert.b_plus,
-        cert.b_minus,
-        cert.k_squared,
-        cert.k_dot_omega,
-        cert.kappa,
-        cert.degeneracy,
-        cert.nullity,
-        cert.minimal,
-    )
-    return "\t".join(_tsv_value(v) for v in values)
+def _tsv_row(head: tuple, cert: InvariantCertificate) -> str:
+    """Six head values (a, b, c, kind, recipe, family), then the first
+    fields of ``cert``: they are the remaining columns, in record order."""
+    return "\t".join(map(_tsv_value, (*head, *cert[: len(TSV_COLUMNS) - 6])))
 
 
 def recipe_tsv_row(recipe: Recipe) -> str:
-    return _tsv_row(recipe.triple, recipe.kind, recipe.label, recipe.family, recipe.certificate)
+    head = (*recipe.triple, recipe.kind, recipe.label, recipe.family or "-")
+    return _tsv_row(head, recipe.certificate)
 
 
 class _OutputError(Exception):
@@ -229,18 +226,13 @@ def cmd_realize(args) -> int:
     except InadmissibleError as exc:
         print(f"inadmissible triple ({args.a}, {args.b}, {args.c}): {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    if isinstance(result, OpenProblem):
-        doc = open_document(result)
-        if args.format == "json":
-            _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        else:
-            _emit(f"open\t{result.reason}\n", args.out)
-        return EXIT_OPEN
+    opened = isinstance(result, OpenProblem)
     if args.format == "json":
-        _emit(json.dumps(recipe_document(result), indent=2) + "\n", args.out)
+        text = _json(open_document(result) if opened else recipe_document(result))
     else:
-        _emit("\t".join(TSV_COLUMNS) + "\n" + recipe_tsv_row(result) + "\n", args.out)
-    return EXIT_OK
+        text = f"open\t{result.reason}\n" if opened else _tsv([recipe_tsv_row(result)])
+    _emit(text, args.out)
+    return EXIT_OPEN if opened else EXIT_OK
 
 
 def cmd_invariants(args) -> int:
@@ -257,14 +249,12 @@ def cmd_invariants(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    label = spec.label
-    doc = invariants_document(label, _spec_fields(spec), cert)
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        text = _json(invariants_document(spec.label, _spec_fields(spec), cert))
     else:
-        triple = (cert.sigma, cert.b1, cert.degeneracy)
-        rows = ["\t".join(TSV_COLUMNS), _tsv_row(triple, "invariants", label, None, cert)]
-        _emit("\n".join(rows) + "\n", args.out)
+        head = (cert.sigma, cert.b1, cert.degeneracy, "invariants", spec.label, "-")
+        text = _tsv([_tsv_row(head, cert)])
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -276,11 +266,9 @@ def cmd_enumerate(args) -> int:
     recipes = geography.enumerate_region(args.sigma_min, args.b1_max, genus=genus)
     try:
         if args.format == "json":
-            text = json.dumps([recipe_document(r) for r in recipes], indent=2) + "\n"
+            text = _json([recipe_document(r) for r in recipes])
         else:
-            lines = ["\t".join(TSV_COLUMNS)]
-            lines.extend(recipe_tsv_row(r) for r in recipes)
-            text = "\n".join(lines) + "\n"
+            text = _tsv(map(recipe_tsv_row, recipes))
     except InadmissibleError as exc:
         print(f"invalid region: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE

@@ -36,10 +36,19 @@ from .errors import enforce
 from .surfaces import TwistWord
 
 
-class MappingTorus(NamedTuple):
+class _MappingTorusFields(NamedTuple):
+    word: TwistWord
+
+
+class MappingTorus(_MappingTorusFields):
     """Mapping torus of a twist word; the monodromy matrix is derived."""
 
-    word: TwistWord
+    __slots__ = ()
+
+    def __new__(cls, word):
+        if not isinstance(word, TwistWord):
+            raise ValueError(f"mapping torus word: expected a TwistWord, got {word!r}")
+        return super().__new__(cls, word)
 
     @property
     def genus(self) -> int:

@@ -18,6 +18,7 @@ from geographer.bundle_manifold import (
 )
 from geographer.errors import ConsistencyError, enforce
 from geographer.fiber_sum import DolgachevSurface, EllipticSurface, FiberSumSpec
+from geographer.mapping_torus import MappingTorus
 from geographer.surfaces import Twist, TwistWord
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geographer"
@@ -149,9 +150,12 @@ def test_spec_repr_names_its_fields():
         (lambda: EllipticSurface(0), "E(n) requires n >= 1"),
         (lambda: DolgachevSurface(2, 4), "multiplicities (2, 4) must be coprime"),
         (lambda: FiberSumSpec(EllipticSurface(2), 0, 1, 1), "genus 1 must be at least"),
+        (lambda: MappingTorus("x"), "mapping torus word: expected a TwistWord, got 'x'"),
+        (lambda: MappingTorus(TwistWord(1).letters),
+         "mapping torus word: expected a TwistWord, got ()"),
     ],
     ids=["Twist", "TwistWord", "BundleManifoldSpec", "EllipticSurface", "DolgachevSurface",
-         "FiberSumSpec"],
+         "FiberSumSpec", "MappingTorus", "MappingTorus-letters"],
 )
 def test_validated_records_refuse_a_bad_value_through_the_constructor(build, text):
     with pytest.raises(ValueError, match=re.escape(text)):

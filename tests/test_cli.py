@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from geographer import circle_bundle, cli, linalg
-from geographer.bundle_manifold import BundleManifoldSpec, construct
+from geographer.bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
 from geographer.cli import (
     EXIT_INADMISSIBLE,
     EXIT_IO_ERROR,
@@ -292,6 +292,38 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["recipe"]["label"] == "B(0,0,2;0)"
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("realize", "0", "4", "4"), EXIT_OK),
+        (("realize", "0", "4", "4", "--format", "tsv"), EXIT_OK),
+        (("realize", "0", "3", "1", "--null"), EXIT_OPEN),
+        (("realize", "0", "3", "1", "--null", "--format", "tsv"), EXIT_OPEN),
+        (("invariants", "--bundle", "1", "1", "2", "1"), EXIT_OK),
+        (("invariants", "--bundle", "1", "1", "2", "1", "--format", "tsv"), EXIT_OK),
+        (("enumerate", "--sigma-min", "-16", "--b1-max", "4", "--format", "json"), EXIT_OK),
+        (("enumerate", "--sigma-min", "-16", "--b1-max", "4"), EXIT_OK),
+        (("verify", "--grid-max", "2"), EXIT_OK),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x),
+)
+def test_out_file_gets_exactly_the_stdout_bytes(capsys, tmp_path, argv, exit_code):
+    code, stdout, err = run(capsys, *argv)
+    assert (code, err) == (exit_code, "") and stdout
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(target)) == (exit_code, "", "")
+    assert target.read_bytes() == stdout.encode()
+
+
+def test_tsv_certificate_columns_are_the_record_fields_in_order():
+    # a reordered or inserted certificate field must fail here rather
+    # than silently shift the TSV columns
+    assert cli.TSV_COLUMNS[:6] == ("a", "b", "c", "kind", "recipe", "family")
+    assert [c.lower() for c in cli.TSV_COLUMNS[6:]] == [
+        f.lower() for f in InvariantCertificate._fields[:11]
+    ]
+
+
 def test_genus_environment_override(capsys, monkeypatch):
     monkeypatch.setenv("GEOGRAPHER_GENUS_DEFAULT", "5")
     code, out, _ = run(capsys, "realize", "0", "2", "0")
@@ -489,6 +521,18 @@ BYTE_CONTRACT = [
      "5e5a2fc9196336dca52aedf6ce071cc9936ab53663332cbd99910abc546c39b1"),
     (("realize", "0", "7", "3", "--genus", "9"), 0,
      "000c1e0d7a0f8ceb595942f736e75c61732d44a08c95ae6a33317ee737055b9e"),
+    # the open-problem TSV line, a nullity recipe and a fiber sum as TSV,
+    # the fiber-sum invariants row and an enumerated region as JSON
+    (("realize", "0", "3", "1", "--null", "--format", "tsv"), EXIT_OPEN,
+     "3eda63f337693491f7bf90de7e8a65fc63da686f03ff30cd704facd6893b2f43"),
+    (("realize", "0", "4", "1", "--null", "--format", "tsv"), 0,
+     "efe6b6089a324637823615e95289b43f393b24d0b0ae08dbd9678f57f9cd1292"),
+    (("realize", "-16", "3", "1", "--format", "tsv"), 0,
+     "f0d438d45d15fb7b4fb92e0b5590447ae491797a6bfc6ceb922d48e5363a876d"),
+    (("invariants", "--fibersum", "3", "1", "2", "2", "--format", "tsv"), 0,
+     "9529b44f27c760e76ffcbd41fd3af2b11c3776dc28ecf23c8ea661be4368da53"),
+    (("enumerate", "--sigma-min", "-24", "--b1-max", "6", "--format", "json"), 0,
+     "3feb6186fc7740c218bd4857a486c5602217082a4207ba91927760935e2f0c7e"),
 ]
 
 
