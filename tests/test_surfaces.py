@@ -26,6 +26,7 @@ from strategies import (
     minus_identity,
     mixed_rows,
     primitive_curves,
+    smith_form,
     sparse_ints,
     twist_transvection,
     twist_words,
@@ -304,7 +305,7 @@ def test_fixed_subspace_spans_expected_classes():
         column = linalg.transpose([vec])
         assert linalg.matmul(a, column) == linalg.zeros(2 * g, 1)
     assert len(invariant_subspace(m)) == len(expected)
-    assert linalg.smith_form(expected).elementary_divisors == ()
+    assert smith_form(expected).elementary_divisors == ()
 
 
 @given(twist_words())

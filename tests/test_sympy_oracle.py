@@ -1,9 +1,10 @@
-"""sympy's Smith normal form as a third, optional oracle for smith_form
-and for the elementary divisors found modulo the determinant.
+"""sympy's Smith normal form as a third, optional oracle for the Smith
+form of the tests, for the elementary divisors found modulo the
+determinant, and for the torsion of a singular phi^* - 1.
 
 sympy is not a dependency of the package; these tests are skipped when it
 is not installed. Its diagonal may carry signs, so absolute values are
-compared with the nonnegative diagonal of :func:`linalg.smith_form`.
+compared with the nonnegative diagonal of :func:`strategies.smith_form`.
 """
 
 import pytest
@@ -11,12 +12,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geographer import linalg
+from geographer.mapping_torus import MappingTorus, wang_cohomology
 from geographer.surfaces import compose_word
 from strategies import (
     bareiss_det,
+    handle_conjugate,
     integer_matrices,
     minus_identity,
     real_size_matrices,
+    smith_form,
     sparse_ints,
     twist_words,
 )
@@ -37,13 +41,13 @@ def sympy_diagonal(rows):
     )
 )
 def test_smith_diagonal_matches_sympy_on_random_matrices(rows):
-    assert linalg.smith_form(rows).diagonal == sympy_diagonal(rows)
+    assert smith_form(rows).diagonal == sympy_diagonal(rows)
 
 
 @given(twist_words(max_genus=4, max_letters=8))
 def test_smith_diagonal_matches_sympy_on_twist_words(word):
     a = minus_identity(compose_word(word))
-    assert linalg.smith_form(a).diagonal == sympy_diagonal(a)
+    assert smith_form(a).diagonal == sympy_diagonal(a)
 
 
 REAL_SIZE = dict(real_size_matrices())
@@ -56,3 +60,15 @@ def test_modular_elementary_divisors_match_sympy_at_real_sizes(label):
     assert linalg.rank(a) == linalg.rational_rank(a) == len(a)
     divisors = linalg.elementary_divisors(a, abs(bareiss_det(a)))
     assert divisors == tuple(x for x in sympy_diagonal(a) if x != 1)
+
+
+@pytest.mark.parametrize("genus, seed", [(8, 0), (9, 0), (10, 0), (10, 10)])
+def test_singular_torsion_matches_sympy_on_dense_conjugates(genus, seed):
+    # a singular phi^* - 1 whose Bareiss minor is not 1 gets its torsion
+    # from an echelon block of its image, modulo that block's determinant
+    word = handle_conjugate(genus, seed)
+    a = minus_identity(compose_word(word))
+    assert linalg.rank(a) == 2 * genus - 2
+    expected = tuple(x for x in sympy_diagonal(a) if x not in (0, 1))
+    assert expected
+    assert wang_cohomology(MappingTorus(word)).torsion == expected
