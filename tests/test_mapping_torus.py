@@ -317,19 +317,46 @@ def test_canonical_bases_at_cli_sizes_match_generic_route(d, k, g):
     ) is None
 
 
-def test_linalg_has_no_smith_form():
-    # the Smith form is a test oracle only; the package computes and
-    # certifies every basis by unimodular echelon forms
+def test_bundle_path_computes_no_smith_form(monkeypatch):
+    # the Smith form is a test oracle only, and the bundle path computes
+    # no generic bases either: its canonical bases are given and certified
     assert not hasattr(linalg, "smith_form")
     assert not hasattr(linalg, "SmithForm")
+
+    def refuse(a):
+        raise AssertionError("generic bases computed on the bundle path")
+
+    monkeypatch.setattr(mapping_torus, "_generic_bases", refuse)
+    for g in range(1, 11):
+        for k in range(g + 1):
+            for d in range(k + 1):
+                bundle_wang_data.__wrapped__(d, k, g)
+    for d, k, g in cli_size_weights():
+        bundle_wang_data.__wrapped__(d, k, g)
+
+
+def test_nonsingular_generic_path_computes_no_smith_form(monkeypatch):
+    # a nonsingular phi^* - 1 has empty bases and computes none; the
+    # package has no Smith form to call on either path
+    assert not hasattr(linalg, "smith_form")
+    calls = []
+    generic_bases = mapping_torus._generic_bases
+
+    def recorded(a):
+        calls.append(len(a))
+        return generic_bases(a)
+
+    monkeypatch.setattr(mapping_torus, "_generic_bases", recorded)
     for word in dense_words(20):
         data = wang_cohomology(MappingTorus(word))
         assert (data.b1, data.invariant_basis, data.mu_basis) == (1, (), ())
         assert data.torsion
+    assert calls == []
     # a conjugate around a double twist is singular and gets generic bases
     double = Twist(word.letters[0].curve, 2)
     conjugate = TwistWord(word.genus, word.letters + (double,) + word.inverse().letters)
     data = wang_cohomology(MappingTorus(conjugate))
+    assert calls == [12]
     assert len(data.invariant_basis) == len(data.mu_basis) == 11
 
 
