@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Scaling ladders: the time and memory of one layer against its size.
+
+Usage: python scripts/bench_scaling.py [--out FILE] [--samples N]
+           [--rank-max K] [--audit-max G] [--grid-max G]
+
+Times three layers of the package in this checkout's ``src/``:
+
+* ``rank``: :func:`geographer.linalg.rank` of the pairing of
+  B(0, k, k; 0), a (2k + 2)-square matrix, for k = 1 .. K;
+* ``audit_bundle``: :func:`geographer.bundle_manifold.audit_bundle` of
+  B(g/2, g, g; 0) with cold caches, for g = 2, 4, 8, .. up to G;
+* ``verify_bundle_grid``: the whole sweep up to G with cold caches, for
+  G = 2 .. max.
+
+Cold means that the caches of ``construct`` and ``bundle_wang_data`` are
+cleared before each call, as ``perfbench`` does. Each size runs in a
+fresh interpreter, so its peak RSS (``ru_maxrss``) is its own. A sample
+times as many calls as fill about 20 ms, at least one, and runs the loop
+of ``perfbench/reference.py`` just before and just after them; the time
+per call is scaled by ``REFERENCE_S`` over the mean of the two loop
+times, so it is given in seconds at that file's reference host speed and
+the drift of a shared host cancels. A record holds the median of N
+samples, N, the calls per sample and the peak RSS in MB. Each layer
+holds the least-squares slope of log median time against log size. The
+document also holds the Python version, the git rev of the checkout and
+whether its ``src/`` or ``scripts/`` differ from that rev, and the host.
+
+Writes one JSON document to FILE, or to stdout.
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE_S = 0.02
+
+
+def ladders(args) -> dict:
+    """Each layer's size parameter and its sizes."""
+    doubling = [2 ** i for i in range(1, args.audit_max.bit_length())]
+    return {
+        "rank": ("k", list(range(1, args.rank_max + 1))),
+        "audit_bundle": ("g", doubling),
+        "verify_bundle_grid": ("G", list(range(2, args.grid_max + 1))),
+    }
+
+
+def workload(layer: str, size: int):
+    """The call timed at one size of a layer, its set-up done."""
+    from geographer import bundle_manifold, circle_bundle, linalg, mapping_torus, verify
+
+    def cold():
+        bundle_manifold.construct.cache_clear()
+        mapping_torus.bundle_wang_data.cache_clear()
+
+    if layer == "rank":
+        q = circle_bundle.lefschetz_pairing(mapping_torus.bundle_wang_data(0, size, size), 0)
+        return lambda: linalg.rank(q)
+    if layer == "audit_bundle":
+        spec = bundle_manifold.BundleManifoldSpec(size // 2, size, size, 0)
+        return lambda: (cold(), bundle_manifold.audit_bundle(spec))
+    return lambda: (cold(), verify.verify_bundle_grid(size))
+
+
+def measure(layer: str, size: int, samples: int) -> dict:
+    """One record: the median scaled time per call over ``samples``."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import reference
+
+    call = workload(layer, size)
+    t0 = perf_counter()
+    call()  # also pays the first-call costs outside the samples
+    number = max(1, int(SAMPLE_S / (perf_counter() - t0)))
+    per_call = []
+    for _ in range(samples):
+        before = reference.seconds()
+        t0 = perf_counter()
+        for _ in range(number):
+            call()
+        elapsed = perf_counter() - t0
+        loop_s = (before + reference.seconds()) / 2
+        per_call.append(reference.scale(elapsed / number, loop_s))
+    return {
+        "size": size,
+        "median_s": statistics.median(per_call),
+        "n": samples,
+        "calls_per_sample": number,
+        # kilobytes on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def run_record(layer: str, size: int, samples: int) -> dict:
+    """:func:`measure` in a fresh interpreter."""
+    argv = [sys.executable, __file__, "--measure", layer, str(size), "--samples", str(samples)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{layer} at size {size} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def slope(records: list) -> float | None:
+    """The least-squares slope of log median time against log size."""
+    if len(records) < 2:
+        return None
+    fit = statistics.linear_regression(
+        [math.log(r["size"]) for r in records], [math.log(r["median_s"]) for r in records]
+    )
+    return round(fit.slope, 3)
+
+
+def git(*args: str) -> str | None:
+    try:
+        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--samples", type=int, default=11)
+    parser.add_argument("--rank-max", type=int, default=32)
+    parser.add_argument("--audit-max", type=int, default=64)
+    parser.add_argument("--grid-max", type=int, default=12)
+    parser.add_argument("--measure", nargs=2, metavar=("LAYER", "SIZE"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        layer, size = args.measure
+        print(json.dumps(measure(layer, int(size), args.samples)))
+        return 0
+    layers = {}
+    for layer, (parameter, sizes) in ladders(args).items():
+        records = [run_record(layer, size, args.samples) for size in sizes]
+        layers[layer] = {"size": parameter, "slope": slope(records), "records": records}
+    rev = git("rev-parse", "HEAD")
+    doc = {
+        "python": platform.python_version(),
+        "git_rev": rev,
+        "git_dirty": None if rev is None else bool(git("status", "--porcelain", "--", "src", "scripts")),
+        "host": {"machine": platform.machine(), "system": platform.system(), "cpus": os.cpu_count()},
+        "time_unit": "seconds per call at the reference host speed of perfbench/reference.py",
+        "layers": layers,
+    }
+    text = json.dumps(doc, indent=2) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

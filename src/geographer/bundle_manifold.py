@@ -178,7 +178,7 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     """Compute B(d, k, g; e) once and compare it with every closed form.
 
     Pipeline: Wang data on the canonical bases, Gysin first Betti number,
-    assembled pairing and its Bareiss rank, whose defect is the
+    assembled pairing and its echelon rank, whose defect is the
     degeneracy. The result is never cached, and a failed check is
     recorded, not raised, so a sweep sees every check of every case.
     """

@@ -96,20 +96,15 @@ def bundle_b1(data: WangData, tag: int) -> int:
 def lefschetz_pairing(data: WangData, tag: int) -> linalg.Matrix:
     """Assemble the skew pairing (x, y) -> integral of x cup y cup omega.
 
-    Basis order: theta, the lifted fixed classes of the Wang data, then
-    eta when the Euler class vanishes (tag 0).
+    Basis order: theta, the lifted fixed classes, then eta at tag 0. Each
+    row is built once, fresh; on canonical bases no row has two nonzeros,
+    so :func:`~geographer.linalg.rank`, an echelon, takes no Euclid step.
     """
-    basis = data.invariant_basis
-    m = len(basis)
-    size = 2 + m if tag == 0 else 1 + m
-    q = linalg.zeros(size, size)
-    if m:
-        for i, row in enumerate(surfaces.cup_gram(basis)):
-            q[1 + i][1:1 + m] = row
-    if tag == 0:
-        q[0][size - 1] = 1
-        q[size - 1][0] = -1
-    return q
+    gram = surfaces.cup_gram(data.invariant_basis) if data.invariant_basis else []
+    m = len(gram)
+    if tag:
+        return [[0] * (1 + m)] + [[0, *row] for row in gram]
+    return [[0] * (1 + m) + [1], *([0, *row, 0] for row in gram), [-1] + [0] * (1 + m)]
 
 
 def degeneracy_closed_form(d: int, k: int, tag: int) -> int:

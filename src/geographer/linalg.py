@@ -7,16 +7,18 @@ caller may mutate, except :func:`_echelon`, which may return rows of its
 input. Each operation is one function that trusts its rows to be exact
 ints, as the package builds them, and leaves them intact;
 :func:`to_matrix` validates and copies rows that come from outside the
-package. Ranks and rank-size minors come from fraction-free (Bareiss)
-elimination. Lattice bases come from one family of unimodular echelon
-forms: :func:`_echelon` reduces rows by Euclid row steps to pivot rows
-that lead in distinct columns and span the same lattice. The number of
-pivots is the rank, and for a matrix of full column rank their product
-is the gcd of the maximal minors, so the echelon both certifies a given
-basis of a kernel or of a free cokernel and, appended with an identity
-block, computes one (:func:`_augmented_echelon`). On phi^* - 1 of dense
-genus-10 conjugated words its bases kept entries of at most 18 bits,
-where the transforms of a full Smith form reached 76,569 bits. The
+package. Ranks and lattice bases come from one family of unimodular
+echelon forms: :func:`_echelon` reduces rows by Euclid row steps to pivot
+rows that lead in distinct columns and span the same lattice. The number
+of pivots is the rank (:func:`rank`), and for a matrix of full column
+rank their product is the gcd of the maximal minors, so the echelon both
+certifies a given basis of a kernel or of a free cokernel and, appended
+with an identity block, computes one (:func:`_augmented_echelon`). On
+phi^* - 1 of dense genus-10 conjugated words its bases kept entries of at
+most 18 bits, where Smith transforms reached 76,569 bits. The echelon
+gives no minor below full column rank, so phi^* - 1 gets its rank with a
+rank-size minor (|det A| if A is nonsingular; a minor of 1 proves the
+torsion trivial) from one Bareiss elimination, :func:`_bareiss`. The
 torsion of a nonsingular matrix needs no transforms:
 :func:`elementary_divisors` runs the Smith elimination modulo |det A|,
 whose multiples the column lattice contains. Every entry it keeps stays
@@ -26,40 +28,41 @@ Smith form of a dense 24 x 24 matrix grows entries of millions of bits.
 to cross-check ranks.
 
 Most matrices here are sparse with entries in {-1, 0, 1}, and the
-kernels cost in proportion to their nonzeros where they can. Products
-find the nonzeros of a row by a C-level scan (:func:`itertools.compress`)
-instead of testing every entry in Python. Bareiss elimination makes
-every pivot positive by negating its row, so a row with a zero in the
-pivot column is skipped whenever the pivot equals the previous one; on
-the pairings and unit-vector bases of the bundle path every pivot is 1.
+kernels cost in proportion to their nonzeros where they can. Products and
+the echelon find the nonzeros of a row by a C-level scan
+(:func:`itertools.compress`) instead of testing every entry in Python, so
+a row that leads in its own column, as every row of a bundle pairing
+does, costs the echelon one scan and no Euclid step.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from array import array
-from itertools import compress
+from itertools import chain, compress
 
 Matrix = list[list[int]]
 
 
 def to_matrix(data) -> Matrix:
-    """Copy ``data`` into a rectangular list of rows of Python ints."""
+    """Copy ``data`` into a rectangular list of rows of Python ints; int
+    rows of one length pass one C-level check, others are scanned by entry."""
     try:
-        rows = [list(row) for row in data]
+        rows = list(map(list, data))
     except TypeError:
         raise ValueError("expected a 2d matrix given as a sequence of rows") from None
     if not rows:
         raise ValueError("expected a 2d matrix, got no rows")
+    if len(set(map(len, rows))) == 1 and set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"ragged matrix: row {i} has {len(row)} entries, not {width}")
-        if not set(map(type, row)) <= {int}:
-            for j, x in enumerate(row):
-                if not _integral(x):
-                    raise ValueError(f"non-integer entry {x!r} at ({i}, {j})")
-                row[j] = int(x)
+        for j, x in enumerate(row):
+            if not _integral(x):
+                raise ValueError(f"non-integer entry {x!r} at ({i}, {j})")
+            row[j] = int(x)
     return rows
 
 
@@ -196,7 +199,13 @@ def _bareiss(m: Matrix) -> tuple[int, int, int]:
     return rank_, sign, prev
 
 
-def _echelon(rows) -> Matrix:
+class _Echelon(list):
+    """The rows :func:`_echelon` keeps, and their pivots."""
+
+    __slots__ = ("pivots",)
+
+
+def _echelon(rows) -> _Echelon:
     """The pivot rows of an echelon form reached by unimodular row steps.
 
     Rows are bucketed by their leading column. Where several rows lead in
@@ -205,13 +214,12 @@ def _echelon(rows) -> Matrix:
     of the column, up to sign, and send the others on to the bucket of
     their new leading column; rows that vanish are dropped. The rows kept
     lead in distinct columns, in increasing order, and span the lattice of
-    the input rows; their leading entries, taken positive, are the pivots.
-    For a matrix of full column rank the pivots number the columns and
-    their product is the gcd of the maximal minors, which unimodular row
-    steps preserve; fewer pivots mean a lower rank. The input rows are
-    trusted as they are and are not mutated, but a row kept unchanged is
-    returned as it is, not copied. Rows that already lead in distinct
-    columns, as unit vectors do, cost one C-level scan each.
+    the input rows; their leading entries, taken positive, are the pivots,
+    kept in ``pivots`` of the list returned. For a matrix of full column
+    rank the pivots number the columns and their product is the gcd of the
+    maximal minors, which unimodular row steps preserve; fewer pivots mean
+    a lower rank. The input rows are trusted as they are and are not
+    mutated, but a row kept unchanged is returned as it is, not copied.
     """
     columns = range(len(rows[0]))
     leading = [[] for _ in columns]
@@ -219,7 +227,8 @@ def _echelon(rows) -> Matrix:
         j = next(compress(columns, row), None)
         if j is not None:
             leading[j].append(row)
-    kept_rows = []
+    kept_rows = _Echelon()
+    kept_rows.pivots = []
     for col in columns:
         bucket = leading[col]
         while len(bucket) > 1:
@@ -236,14 +245,15 @@ def _echelon(rows) -> Matrix:
                     if j is not None:
                         leading[j].append(row)
             bucket = kept
-        kept_rows.extend(bucket)
+        if bucket:
+            kept_rows.append(bucket[0])
+            kept_rows.pivots.append(abs(bucket[0][col]))
     return kept_rows
 
 
 def _pivots(echelon) -> list[int]:
-    """The pivots of the rows of :func:`_echelon`: each row's leading
-    entry, taken positive."""
-    return [abs(next(filter(None, row))) for row in echelon]
+    """The pivots of :func:`_echelon`, as its elimination kept them."""
+    return echelon.pivots
 
 
 def _augmented_echelon(m) -> tuple[Matrix, Matrix]:
@@ -264,8 +274,8 @@ def _augmented_echelon(m) -> tuple[Matrix, Matrix]:
 
 
 def rank(a) -> int:
-    """Rank by fraction-free (Bareiss) elimination; no transforms are kept."""
-    return _bareiss(list(a))[0]
+    """Rank as the number of pivot rows of :func:`_echelon`; no minor is formed."""
+    return len(_echelon(a))
 
 
 def rational_rank(a) -> int:

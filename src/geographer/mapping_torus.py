@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from . import linalg, surfaces
 from .errors import enforce
-from .surfaces import TwistWord
+from .surfaces import TwistWord, a_curve, b_curve
 
 
 class _MappingTorusFields(NamedTuple):
@@ -199,9 +199,7 @@ def bundle_wang_data(d: int, k: int, g: int) -> WangData:
     :func:`wang_cohomology`, so a wrong canonical basis cannot slip through.
     """
     word = surfaces.bundle_monodromy_word(d, k, g)
-    inv_rows = [surfaces.b_curve(i, g) for i in range(1, d + 1)]
-    mu_rows = [surfaces.a_curve(i, g) for i in range(1, d + 1)]
-    for i in range(d + 1, k + 1):
-        inv_rows.extend((surfaces.a_curve(i, g), surfaces.b_curve(i, g)))
-        mu_rows.extend((surfaces.a_curve(i, g), surfaces.b_curve(i, g)))
+    untouched = [curve(i, g) for i in range(d + 1, k + 1) for curve in (a_curve, b_curve)]
+    inv_rows = [b_curve(i, g) for i in range(1, d + 1)] + untouched
+    mu_rows = [a_curve(i, g) for i in range(1, d + 1)] + untouched
     return wang_cohomology(MappingTorus(word), (inv_rows, mu_rows))

@@ -17,9 +17,15 @@ from geographer.circle_bundle import (
     nullity_closed_form,
     torus_b1_formula,
 )
-from geographer.mapping_torus import bundle_wang_data
+from geographer.mapping_torus import MappingTorus, WangData, bundle_wang_data, wang_cohomology
 from geographer.surfaces import a_curve, b_curve
-from strategies import degeneracy_oracle, intersection_form, mixed_rows, unimodular_matrices
+from strategies import (
+    degeneracy_oracle,
+    handle_conjugate,
+    intersection_form,
+    mixed_rows,
+    unimodular_matrices,
+)
 
 
 def grid(d_max=8):
@@ -167,6 +173,80 @@ def test_bareiss_rank_matches_rational_rank_on_every_pairing_up_to_genus_32():
                 assert linalg.rank(q) == linalg.rational_rank(q), (d, k, tag)
                 largest = max(largest, len(q))
     assert largest == 66
+
+
+def test_echelon_rank_matches_bareiss_and_rational_rank_on_every_pairing_up_to_genus_32():
+    # rank counts the pivot rows of the echelon; Bareiss and the Fraction
+    # elimination are two independent ranks of the same pairing
+    for k in range(33):
+        for d in range(k + 1):
+            data = bundle_wang_data(d, k, max(k, 1))
+            for tag in valid_tags(d, k):
+                q = lefschetz_pairing(data, tag)
+                assert linalg.rank(q) == linalg._bareiss(list(q))[0] == linalg.rational_rank(q), (
+                    d,
+                    k,
+                    tag,
+                )
+
+
+GENERIC = [(g, seed) for g in range(3, 9) for seed in (0, 1)]
+
+
+def generic_pairings(genus, seed):
+    """The pairings at tags 0 and 1 on the generic bases of a dense
+    conjugate: echelon bases of a rank-2 fixed lattice in general
+    position, not unit vectors."""
+    data = wang_cohomology(MappingTorus(handle_conjugate(genus, seed)))
+    assert data.invariant_basis
+    return [lefschetz_pairing(data, tag) for tag in (0, 1)]
+
+
+@pytest.mark.parametrize("genus, seed", GENERIC)
+def test_echelon_rank_matches_bareiss_and_rational_rank_on_generic_pairings(genus, seed):
+    for q in generic_pairings(genus, seed):
+        assert linalg.rank(q) == linalg._bareiss(list(q))[0] == linalg.rational_rank(q)
+
+
+def bits(rows):
+    return max((abs(x).bit_length() for row in rows for x in row), default=0)
+
+
+@pytest.mark.parametrize("genus, seed", GENERIC)
+def test_echelon_rows_of_the_rank_of_generic_pairings_stay_small(monkeypatch, genus, seed):
+    # The rows the echelon of rank keeps on these pairings stay within
+    # 64 bits (measured: 1 bit, as the fixed lattice is one handle moved
+    # by a symplectic map, on which the cup form is unimodular).
+    pairings = generic_pairings(genus, seed)
+    echelon = linalg._echelon
+    kept = []
+
+    def recorded(rows):
+        kept.append(echelon(rows))
+        return kept[-1]
+
+    monkeypatch.setattr(linalg, "_echelon", recorded)
+    for q in pairings:
+        linalg.rank(q)
+    assert len(kept) == 2
+    assert all(bits(rows) <= 64 for rows in kept)
+
+
+def test_pairing_rows_of_an_empty_invariant_basis_are_frozen():
+    empty = WangData((), (), ())
+    assert lefschetz_pairing(empty, 0) == [[0, 1], [-1, 0]]
+    assert lefschetz_pairing(empty, 1) == [[0]]
+    assert lefschetz_pairing(empty, 2) == [[0]]
+
+
+def test_pairing_rows_are_fresh_lists():
+    data = bundle_wang_data(1, 3, 4)
+    for tag in valid_tags(1, 3):
+        q = lefschetz_pairing(data, tag)
+        assert all(type(row) is list for row in q)
+        assert len(set(map(id, q))) == len(q)
+        q[1][1] = 7
+        assert lefschetz_pairing(data, tag)[1][1] == 0
 
 
 def test_pairing_does_not_depend_on_genus_beyond_k():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 from array import array
 
@@ -44,6 +45,27 @@ def test_to_matrix_rejects_ragged_rows():
         linalg.to_matrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         linalg.to_matrix([[1], 2])
+
+
+def test_to_matrix_copies_converts_and_names_the_refused_entry():
+    rows = [(1, 2), [3, 4]]
+    out = linalg.to_matrix(rows)
+    assert out == [[1, 2], [3, 4]] and all(type(row) is list for row in out)
+    out[1][0] = 9
+    assert rows[1] == [3, 4]
+
+    class Integral(int):
+        pass
+
+    converted = linalg.to_matrix([[Integral(5), 1]])
+    assert converted == [[5, 1]] and type(converted[0][0]) is int
+    for data, text in [
+        ([[1, 2], [3]], "ragged matrix: row 1 has 1 entries, not 2"),
+        ([[1, 2], [1.5, 2]], "non-integer entry 1.5 at (1, 0)"),
+        ([[1, True]], "non-integer entry True at (0, 1)"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            linalg.to_matrix(data)
 
 
 def test_matmul_rejects_mismatched_shapes():
@@ -338,6 +360,13 @@ def test_echelon_pivots_frozen():
     assert echelon_pivots([[-3, 1], [0, -2]]) == [3, 2]
     assert linalg._echelon([[4, 0], [6, 0], [0, 1]]) == [[2, 0], [0, 1]]
     assert linalg._echelon([[0, 5], [1, 7]]) == [[1, 7], [0, 5]]
+
+
+@given(integer_matrices(max_dim=6))
+def test_echelon_pivots_are_the_leading_entries_of_its_rows(rows):
+    # the elimination records each pivot as it keeps the row
+    echelon = linalg._echelon(rows)
+    assert linalg._pivots(echelon) == [abs(next(filter(None, row))) for row in echelon]
 
 
 @given(integer_matrices(max_dim=6))

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end at tiny sizes."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -45,3 +46,24 @@ def test_geography_atlas_realizes_the_region_and_passes_its_sweep():
     lines = proc.stdout.splitlines()
     assert "25 admissible triples realized" in lines
     assert lines[-1].startswith("verification sweep over ") and lines[-1].endswith(": PASS")
+
+
+def test_bench_scaling_writes_one_record_per_size_of_each_ladder(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script(
+        "bench_scaling.py", "--out", str(out), "--samples", "1",
+        "--rank-max", "2", "--audit-max", "4", "--grid-max", "3",
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert {"python", "git_rev", "git_dirty", "host", "time_unit", "layers"} <= set(doc)
+    sizes = {"rank": ("k", [1, 2]), "audit_bundle": ("g", [2, 4]), "verify_bundle_grid": ("G", [2, 3])}
+    assert set(doc["layers"]) == set(sizes)
+    for name, (parameter, ladder) in sizes.items():
+        layer = doc["layers"][name]
+        assert layer["size"] == parameter and isinstance(layer["slope"], float)
+        assert [record["size"] for record in layer["records"]] == ladder
+        for record in layer["records"]:
+            assert set(record) == {"size", "median_s", "n", "calls_per_sample", "peak_rss_mb"}
+            assert record["n"] == 1 and record["calls_per_sample"] >= 1
+            assert record["median_s"] > 0 and record["peak_rss_mb"] > 0
