@@ -2,16 +2,19 @@
 """Scaling ladders: the time and memory of one layer against its size.
 
 Usage: python scripts/bench_scaling.py [--out FILE] [--samples N]
-           [--rank-max K] [--audit-max G] [--grid-max G]
+           [--rank-max K] [--audit-max G] [--grid-max G] [--wang-max G]
 
-Times three layers of the package in this checkout's ``src/``:
+Times four layers of the package in this checkout's ``src/``:
 
 * ``rank``: :func:`geographer.linalg.rank` of the pairing of
   B(0, k, k; 0), a (2k + 2)-square matrix, for k = 1 .. K;
 * ``audit_bundle``: :func:`geographer.bundle_manifold.audit_bundle` of
   B(g/2, g, g; 0) with cold caches, for g = 2, 4, 8, .. up to G;
 * ``verify_bundle_grid``: the whole sweep up to G with cold caches, for
-  G = 2 .. max.
+  G = 2 .. max;
+* ``bundle_wang_data``: :func:`geographer.mapping_torus.bundle_wang_data`
+  of B(3, 3, g), the weights that ``realize 0 4 4 --genus g`` certifies,
+  with a cold cache, for g = 4, 8, 16, .. and the maximum G.
 
 Cold means that the caches of ``construct`` and ``bundle_wang_data`` are
 cleared before each call, as ``perfbench`` does. Each size runs in a
@@ -52,6 +55,8 @@ def ladders(args) -> dict:
         "rank": ("k", list(range(1, args.rank_max + 1))),
         "audit_bundle": ("g", doubling),
         "verify_bundle_grid": ("G", list(range(2, args.grid_max + 1))),
+        "bundle_wang_data": ("g", sorted({*(2 ** i for i in range(2, args.wang_max.bit_length())),
+                                         args.wang_max})),
     }
 
 
@@ -66,6 +71,8 @@ def workload(layer: str, size: int):
     if layer == "rank":
         q = circle_bundle.lefschetz_pairing(mapping_torus.bundle_wang_data(0, size, size), 0)
         return lambda: linalg.rank(q)
+    if layer == "bundle_wang_data":
+        return lambda: (cold(), mapping_torus.bundle_wang_data(3, 3, size))
     if layer == "audit_bundle":
         spec = bundle_manifold.BundleManifoldSpec(size // 2, size, size, 0)
         return lambda: (cold(), bundle_manifold.audit_bundle(spec))
@@ -134,6 +141,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rank-max", type=int, default=32)
     parser.add_argument("--audit-max", type=int, default=64)
     parser.add_argument("--grid-max", type=int, default=12)
+    parser.add_argument("--wang-max", type=int, default=1600)
     parser.add_argument("--measure", nargs=2, metavar=("LAYER", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:

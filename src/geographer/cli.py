@@ -226,6 +226,9 @@ def cmd_realize(args) -> int:
     except InadmissibleError as exc:
         print(f"inadmissible triple ({args.a}, {args.b}, {args.c}): {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
+    except ValueError as exc:  # a spec the recipe cannot build, such as a huge genus
+        print(f"invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     opened = isinstance(result, OpenProblem)
     if args.format == "json":
         text = _json(open_document(result) if opened else recipe_document(result))
@@ -271,6 +274,9 @@ def cmd_enumerate(args) -> int:
             text = _tsv(map(recipe_tsv_row, recipes))
     except InadmissibleError as exc:
         print(f"invalid region: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
+    except ValueError as exc:
+        print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
     _emit(text, args.out)
     return EXIT_OK

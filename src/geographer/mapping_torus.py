@@ -19,26 +19,30 @@ form (see :mod:`~geographer.linalg`). :func:`wang_cohomology` either reads
 generic bases off echelon forms with an identity block appended, or is
 given a pair of preferred bases; either way the bases pass one
 certificate, by pivot counts and pivot products of echelon forms built
-from A, so the canonical bases of the bundle path cost one Bareiss
-elimination of A and two echelons. Every count and index of that
-certificate is a ``(name, expected, observed)`` record raised by
-:func:`~geographer.errors.enforce` under the torus's label, as the
-certificates built on these bases are. Bases are rows of fiber
-coordinates, and b1 is read off the invariant basis. The torus and its
-Wang data are slotted NamedTuple records. The computation works on the
-rows of :func:`~geographer.surfaces.compose_word`; only a caller that
-keeps the monodromy reads it packed, from ``MappingTorus.monodromy``.
+from A. It is the one dense path, for any word, and works on the rows of
+:func:`~geographer.surfaces.compose_word`. The bundle path,
+:func:`bundle_wang_data`, makes no dense pass: every letter of the
+standard word and every canonical basis row lies on one handle, so
+phi^* is a direct sum of 2 x 2 blocks, and each distinct block is
+certified once per call by :func:`wang_cohomology` on its genus-1 torus.
+Every count and index of a certificate is a ``(name, expected,
+observed)`` record raised by :func:`~geographer.errors.enforce` under the
+torus's label, as the certificates built on these bases are. Bases are
+rows of fiber coordinates, and b1 is read off the invariant basis. The
+torus and its Wang data are slotted NamedTuple records; only a caller
+that keeps the monodromy reads it packed, from ``MappingTorus.monodromy``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 from . import linalg, surfaces
 from .errors import enforce
-from .surfaces import TwistWord, a_curve, b_curve
+from .surfaces import Twist, TwistWord, a_curve, b_curve
 
 
 class _MappingTorusFields(NamedTuple):
@@ -195,11 +199,53 @@ def bundle_wang_data(d: int, k: int, g: int) -> WangData:
 
     The fixed lattice is spanned by b_1 .. b_d and the untouched handles
     a_{d+1}, b_{d+1}, .., a_k, b_k; the free cokernel by a_1 .. a_d and the
-    same untouched handles. Both choices are certified exactly by
-    :func:`wang_cohomology`, so a wrong canonical basis cannot slip through.
+    same untouched handles. Both choices are certified handle by handle,
+    with no dense pass over the word. The records
+    ``letters_on_one_handle`` and ``basis_rows_on_one_handle`` count the
+    letters and the basis rows supported on a single handle, under the
+    torus's label; all must be. Then phi^* is the direct sum of the 2 x 2
+    actions of each handle's letters, and the rows of a handle certified
+    as its Wang bases by :func:`wang_cohomology` on its genus-1 torus give,
+    over all handles, the Wang bases of the whole. The standard word has
+    at most three kinds of handle block (twisted, untouched and paired);
+    each distinct block is certified once per call, and no block outlives
+    the call. ``handle_block_torsion`` records that each is torsion-free,
+    as every standard block is, so the whole is too.
     """
     word = surfaces.bundle_monodromy_word(d, k, g)
     untouched = [curve(i, g) for i in range(d + 1, k + 1) for curve in (a_curve, b_curve)]
     inv_rows = [b_curve(i, g) for i in range(1, d + 1)] + untouched
     mu_rows = [a_curve(i, g) for i in range(1, d + 1)] + untouched
-    return wang_cohomology(MappingTorus(word), (inv_rows, mu_rows))
+    blocks = [([], [], []) for _ in range(g)]  # letters, invariant rows, mu rows of each handle
+    for letter in word.letters:
+        h = _handle(letter.curve)
+        if h is not None:
+            blocks[h][0].append((letter.curve[2 * h : 2 * h + 2], letter.power))
+    for slot, rows in ((1, inv_rows), (2, mu_rows)):
+        for row in rows:
+            h = _handle(row)
+            if h is not None:
+                blocks[h][slot].append(row[2 * h : 2 * h + 2])
+    torus = MappingTorus(word)
+    enforce(torus, [
+        ("letters_on_one_handle", len(word.letters), sum(len(b[0]) for b in blocks)),
+        ("basis_rows_on_one_handle", len(inv_rows) + len(mu_rows),
+         sum(len(b[1]) + len(b[2]) for b in blocks)),
+    ])
+    certified = {}  # handle block -> its torsion, for this call only
+    for letters, inv, mu in blocks:
+        key = (tuple(letters), tuple(inv), tuple(mu))
+        if key not in certified:
+            block_torus = MappingTorus(TwistWord(1, [Twist(*letter) for letter in letters]))
+            certified[key] = wang_cohomology(block_torus, (inv, mu)).torsion
+    enforce(torus, [("handle_block_torsion", (), torsion) for torsion in certified.values()])
+    return WangData(tuple(inv_rows), tuple(mu_rows), ())
+
+
+def _handle(v: tuple[int, ...]) -> int | None:
+    """The handle, from 0, that supports the nonzeros of ``v``; None when
+    they lie on no handle or on more than one."""
+    support = list(compress(range(len(v)), v))
+    if support and support[0] >> 1 == support[-1] >> 1:
+        return support[0] >> 1
+    return None

@@ -21,6 +21,7 @@ Everything here is a pure function of integer data.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import compress
 from typing import NamedTuple
 
@@ -203,9 +204,12 @@ def _check_weights(d: int, k: int, g: int) -> None:
 
 
 def _check_genus(g: int) -> None:
-    """The genus rule g >= 1, of words, weights and canonical classes."""
+    """The genus rule g >= 1, of words, weights and canonical classes; a
+    genus whose 2g coordinates no sequence can index is refused too."""
     if g < 1:
         raise ValueError("genus must be positive")
+    if 2 * g > sys.maxsize:
+        raise ValueError(f"genus {g} is too large: its 2g coordinates cannot be indexed")
 
 
 def _check_weight_order(*weights: int) -> None:

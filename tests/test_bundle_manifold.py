@@ -71,6 +71,7 @@ def test_spec_validation():
         ((1, 2, 3, 3), "Euler tag must be one of (0, 1, 2), got 3"),
         ((0, 2, 3, 1), "tag 1 requires d != 0 (no twisted a_i^theta class exists)"),
         ((2, 2, 3, 2), "tag 2 requires d != k (the untouched block is empty)"),
+        ((0, 0, 2**62, 0), f"genus {2**62} is too large: its 2g coordinates cannot be indexed"),
     ],
 )
 def test_spec_refusal_text(weights, text):

@@ -431,6 +431,30 @@ def test_a_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
     assert json.loads(reused[6][1])["recipe"]["g"] == 5 != json.loads(reused[8][1])["recipe"]["g"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["realize", "0", "99999999999999999999", "1"],
+        ["realize", "-8", "100000000000000000000", "2"],
+        ["realize", "0", "4", "4", "--genus", "4611686018427387904"],
+        ["enumerate", "--sigma-min", "0", "--b1-max", "2", "--genus", "99999999999999999999"],
+    ],
+)
+def test_unindexable_genus_exits_2_without_traceback(argv):
+    # a genus whose 2g coordinates cannot be indexed is refused by the
+    # spec, before any vector is built
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "geographer.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_INADMISSIBLE, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("invalid parameters: genus ")
+    assert proc.stderr.endswith(" is too large: its 2g coordinates cannot be indexed\n")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_cli_import_does_not_load_numpy():
     probe = "import sys, geographer.cli; print('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -317,6 +317,100 @@ def test_canonical_bases_at_cli_sizes_match_generic_route(d, k, g):
     ) is None
 
 
+def canonical_rows(d, k, g):
+    """The canonical bases of B(d, k, g), spelled out again: b_i and a_i
+    of the twisted handles, then both curves of each untouched one."""
+    untouched = [curve(i, g) for i in range(d + 1, k + 1) for curve in (a_curve, b_curve)]
+    return ([b_curve(i, g) for i in range(1, d + 1)] + untouched,
+            [a_curve(i, g) for i in range(1, d + 1)] + untouched)
+
+
+def oracle_weights():
+    """Every (d, k, g) with g <= 12, then a few at g = 24 and g = 100."""
+    for g in range(1, 13):
+        for k in range(g + 1):
+            for d in range(k + 1):
+                yield d, k, g
+    yield from [(0, 0, 24), (5, 17, 24), (24, 24, 24), (3, 3, 100), (40, 70, 100), (0, 100, 100)]
+
+
+def test_handle_blocks_match_dense_route_on_canonical_rows():
+    # the per-handle certificate and the dense one agree on every field
+    for d, k, g in oracle_weights():
+        dense = wang_cohomology(MappingTorus(bundle_monodromy_word(d, k, g)), canonical_rows(d, k, g))
+        assert bundle_wang_data.__wrapped__(d, k, g) == dense, (d, k, g)
+
+
+def test_letter_spanning_two_handles_is_refused(monkeypatch):
+    word = bundle_monodromy_word(1, 1, 2)
+    spanning = Twist((1, 0, 1, 0))  # a_1 + a_2
+    mutated = TwistWord(2, word.letters[:-1] + (spanning,))
+    monkeypatch.setattr(mapping_torus.surfaces, "bundle_monodromy_word", lambda d, k, g: mutated)
+    label = MappingTorus(mutated).label
+    with refusal(f"{label}: letters_on_one_handle expected 3, observed 2"):
+        bundle_wang_data.__wrapped__(1, 1, 2)
+
+
+def test_basis_row_spanning_two_handles_is_refused(monkeypatch):
+    # the invariant row b_1 becomes b_1 + a_2, on handles 1 and 2
+    def spanning(i, g):
+        return tuple(x + y for x, y in zip(b_curve(i, g), a_curve(g, g)))
+
+    monkeypatch.setattr(mapping_torus, "b_curve", spanning)
+    label = MappingTorus(bundle_monodromy_word(1, 1, 2)).label
+    with refusal(f"{label}: basis_rows_on_one_handle expected 2, observed 1"):
+        bundle_wang_data.__wrapped__(1, 1, 2)
+
+
+@pytest.mark.parametrize("wrong", [1, 2])
+def test_wrong_row_inside_one_handle_is_refused(monkeypatch, wrong):
+    # 2 b_i lies on a twisted handle but spans an index-two sublattice; the
+    # certificate of that handle's genus-1 torus refuses it, also when an
+    # equal twisted handle with the right row came first
+    def doubled(i, g):
+        return tuple(2 * x for x in b_curve(i, g)) if i == wrong else b_curve(i, g)
+
+    monkeypatch.setattr(mapping_torus, "b_curve", doubled)
+    label = MappingTorus(TwistWord(1, [Twist(a_curve(1, 1))])).label
+    with refusal(f"{label}: invariant_basis_index expected 1, observed 2"):
+        bundle_wang_data.__wrapped__(2, 2, 3)
+
+
+def test_block_with_torsion_is_refused(monkeypatch):
+    # a squared twist along a_1 fixes b_1 and leaves Z/2 in its cokernel:
+    # the genus-1 certificate passes with that torsion, the record of a
+    # torsion-free block does not
+    word = bundle_monodromy_word(1, 1, 2)
+    squared = TwistWord(2, word.letters[:-1] + (Twist(word.letters[-1].curve, 2),))
+    monkeypatch.setattr(mapping_torus.surfaces, "bundle_monodromy_word", lambda d, k, g: squared)
+    label = MappingTorus(squared).label
+    with refusal(f"{label}: handle_block_torsion expected (), observed (2,)"):
+        bundle_wang_data.__wrapped__(1, 1, 2)
+
+
+def test_each_cold_call_certifies_at_most_three_blocks(monkeypatch):
+    # the blocks are deduplicated within a call and kept by none
+    tori = []
+    dense = mapping_torus.wang_cohomology
+
+    def recorded(torus, bases=None):
+        tori.append(torus)
+        return dense(torus, bases)
+
+    monkeypatch.setattr(mapping_torus, "wang_cohomology", recorded)
+    for d, k, g in [(2, 5, 9), (0, 0, 6), (3, 3, 3), (0, 7, 7), (4, 4, 40)]:
+        counts = []
+        for _ in range(2):
+            bundle_wang_data.cache_clear()
+            tori.clear()
+            bundle_wang_data(d, k, g)
+            assert tori and all(torus.genus == 1 for torus in tori)
+            counts.append(len(tori))
+        kinds = (d > 0) + (k > d) + (g > k)
+        assert counts == [kinds, kinds] and kinds <= 3, (d, k, g)
+    bundle_wang_data.cache_clear()
+
+
 def test_bundle_path_computes_no_smith_form(monkeypatch):
     # the Smith form is a test oracle only, and the bundle path computes
     # no generic bases either: its canonical bases are given and certified
