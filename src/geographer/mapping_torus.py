@@ -21,10 +21,11 @@ given a pair of preferred bases; either way the bases pass one
 certificate, by pivot counts and pivot products of echelon forms built
 from A. It is the one dense path, for any word, and works on the rows of
 :func:`~geographer.surfaces.compose_word`. The bundle path,
-:func:`bundle_wang_data`, makes no dense pass: every letter of the
-standard word and every canonical basis row lies on one handle, so
-phi^* is a direct sum of 2 x 2 blocks, and each distinct block is
-certified once per call by :func:`wang_cohomology` on its genus-1 torus.
+:func:`bundle_wang_data`, builds no genus-g word: the standard word and
+its canonical rows are lifts of the genus-1 table of three handle kinds,
+:data:`~geographer.surfaces.HANDLE_KINDS`, so phi^* is a direct sum of
+2 x 2 blocks, and each kind present is certified once per call by
+:func:`wang_cohomology` on its genus-1 torus.
 Every count and index of a certificate is a ``(name, expected,
 observed)`` record raised by :func:`~geographer.errors.enforce` under the
 torus's label, as the certificates built on these bases are. Bases are
@@ -37,12 +38,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
 from typing import NamedTuple
 
 from . import linalg, surfaces
 from .errors import enforce
-from .surfaces import Twist, TwistWord, a_curve, b_curve
+from .surfaces import TwistWord
 
 
 class _MappingTorusFields(NamedTuple):
@@ -199,53 +199,25 @@ def bundle_wang_data(d: int, k: int, g: int) -> WangData:
 
     The fixed lattice is spanned by b_1 .. b_d and the untouched handles
     a_{d+1}, b_{d+1}, .., a_k, b_k; the free cokernel by a_1 .. a_d and the
-    same untouched handles. Both choices are certified handle by handle,
-    with no dense pass over the word. The records
-    ``letters_on_one_handle`` and ``basis_rows_on_one_handle`` count the
-    letters and the basis rows supported on a single handle, under the
-    torus's label; all must be. Then phi^* is the direct sum of the 2 x 2
-    actions of each handle's letters, and the rows of a handle certified
-    as its Wang bases by :func:`wang_cohomology` on its genus-1 torus give,
-    over all handles, the Wang bases of the whole. The standard word has
-    at most three kinds of handle block (twisted, untouched and paired);
-    each distinct block is certified once per call, and no block outlives
-    the call. ``handle_block_torsion`` records that each is torsion-free,
-    as every standard block is, so the whole is too.
+    same untouched handles. The word and these rows are lifts of the
+    genus-1 letters and rows of :data:`~geographer.surfaces.HANDLE_KINDS`,
+    so phi^* is the direct sum of the kinds' 2 x 2 actions, and each kind
+    present (d twisted, k - d untouched and g - k paired handles),
+    certified once per call by :func:`wang_cohomology` on its genus-1
+    torus, gives the Wang bases of the whole. ``handle_block_torsion``
+    records under that torus's label that each is torsion-free, so the
+    whole is too. No genus-g word is built.
     """
-    word = surfaces.bundle_monodromy_word(d, k, g)
-    untouched = [curve(i, g) for i in range(d + 1, k + 1) for curve in (a_curve, b_curve)]
-    inv_rows = [b_curve(i, g) for i in range(1, d + 1)] + untouched
-    mu_rows = [a_curve(i, g) for i in range(1, d + 1)] + untouched
-    blocks = [([], [], []) for _ in range(g)]  # letters, invariant rows, mu rows of each handle
-    for letter in word.letters:
-        h = _handle(letter.curve)
-        if h is not None:
-            blocks[h][0].append((letter.curve[2 * h : 2 * h + 2], letter.power))
-    for slot, rows in ((1, inv_rows), (2, mu_rows)):
-        for row in rows:
-            h = _handle(row)
-            if h is not None:
-                blocks[h][slot].append(row[2 * h : 2 * h + 2])
-    torus = MappingTorus(word)
-    enforce(torus, [
-        ("letters_on_one_handle", len(word.letters), sum(len(b[0]) for b in blocks)),
-        ("basis_rows_on_one_handle", len(inv_rows) + len(mu_rows),
-         sum(len(b[1]) + len(b[2]) for b in blocks)),
-    ])
-    certified = {}  # handle block -> its torsion, for this call only
-    for letters, inv, mu in blocks:
-        key = (tuple(letters), tuple(inv), tuple(mu))
-        if key not in certified:
-            block_torus = MappingTorus(TwistWord(1, [Twist(*letter) for letter in letters]))
-            certified[key] = wang_cohomology(block_torus, (inv, mu)).torsion
-    enforce(torus, [("handle_block_torsion", (), torsion) for torsion in certified.values()])
-    return WangData(tuple(inv_rows), tuple(mu_rows), ())
-
-
-def _handle(v: tuple[int, ...]) -> int | None:
-    """The handle, from 0, that supports the nonzeros of ``v``; None when
-    they lie on no handle or on more than one."""
-    support = list(compress(range(len(v)), v))
-    if support and support[0] >> 1 == support[-1] >> 1:
-        return support[0] >> 1
-    return None
+    surfaces._check_weights(d, k, g)
+    for kind, count in zip(surfaces.HANDLE_KINDS, (d, k - d, g - k)):
+        if count:
+            block = MappingTorus(TwistWord(1, kind.letters))
+            torsion = wang_cohomology(block, (kind.invariant, kind.mu)).torsion
+            enforce(block, [("handle_block_torsion", (), torsion)])
+    kinds = [surfaces.handle_kind(i, d, k) for i in range(1, k + 1)]  # paired handles have no rows
+    # lists, not generators: a tuple built from a generator is resized, not
+    # taken from the tuple free lists, so each call would leave its freed
+    # bases there until those lists fill, and the sweeps' RSS would creep
+    inv = [surfaces.lift(v, i, g) for i, kind in enumerate(kinds, 1) for v in kind.invariant]
+    mu = [surfaces.lift(v, i, g) for i, kind in enumerate(kinds, 1) for v in kind.mu]
+    return WangData(tuple(inv), tuple(mu), ())

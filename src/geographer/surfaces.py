@@ -11,6 +11,12 @@ applied as a rank-one update that touches only the rows over the support
 of its curve and their partner rows, so a letter whose curve has s
 nonzero coefficients costs O(s g) and a word of L letters at most
 O(L g^2); the unit-vector letters of the bundle monodromies cost O(g).
+The standard bundle word is spelled once, as the table
+:data:`HANDLE_KINDS` of three handle kinds (twisted, untouched and
+paired), each with its genus-1 letters and canonical rows;
+:func:`handle_kind` gives each handle's kind from the weights, and
+:func:`lift` places a genus-1 vector on a handle, as :func:`a_curve` and
+:func:`b_curve` do.
 Letters and words are NamedTuple records whose constructors validate
 them: a letter whose curve is already a tuple of exact ints keeps it as
 it is, and bools and non-integral curve entries, powers and genera are
@@ -32,21 +38,19 @@ IntRows = tuple[tuple[int, ...], ...]
 
 def a_curve(i: int, genus: int) -> tuple[int, ...]:
     """Coefficient vector of the class a_i."""
-    return _handle_vector(i, genus, 0)
+    return lift((1, 0), i, genus)
 
 
 def b_curve(i: int, genus: int) -> tuple[int, ...]:
     """Coefficient vector of the class b_i."""
-    return _handle_vector(i, genus, 1)
+    return lift((0, 1), i, genus)
 
 
-def _handle_vector(i: int, genus: int, offset: int) -> tuple[int, ...]:
-    """Unit vector of a_i (offset 0) or b_i (offset 1)."""
+def lift(v: tuple[int, ...], i: int, genus: int) -> tuple[int, ...]:
+    """The genus-1 vector ``v`` placed on handle i of a genus ``genus`` surface."""
     if not 1 <= i <= genus:
         raise ValueError(f"handle index {i} out of range for genus {genus}")
-    vec = [0] * (2 * genus)
-    vec[2 * i - 2 + offset] = 1
-    return tuple(vec)
+    return (0,) * (2 * i - 2) + v + (0,) * (2 * (genus - i))
 
 
 class _TwistFields(NamedTuple):
@@ -180,22 +184,44 @@ def compose_word(word: TwistWord) -> IntRows:
     return tuple(map(tuple, m))
 
 
+class HandleKind(NamedTuple):
+    """One kind of handle of the standard word, on its genus-1 torus: its
+    letters, and its canonical rows of the fixed lattice and of the free
+    cokernel."""
+
+    letters: tuple[Twist, ...]
+    invariant: IntRows
+    mu: IntRows
+
+
+# twisted, untouched and paired: the standard word spelled handle by handle
+HANDLE_KINDS = (
+    HandleKind((Twist((1, 0)),), ((0, 1),), ((1, 0),)),
+    HandleKind((), ((1, 0), (0, 1)), ((1, 0), (0, 1))),
+    HandleKind((Twist((0, 1)), Twist((1, 0), -1)), (), ()),
+)
+
+
+def handle_kind(i: int, d: int, k: int) -> HandleKind:
+    """The kind of handle i in the word of weights (d, k, g): twisted up to
+    d, untouched up to k and paired above."""
+    return HANDLE_KINDS[(i > d) + (i > k)]
+
+
 def bundle_monodromy_word(d: int, k: int, g: int) -> TwistWord:
     """The monodromy word of the bundle family with weights (d, k, g).
 
-    Reading left to right: for every handle i above k the pair of a
-    positive twist along b_i and a negative twist along a_i; handles
-    between d+1 and k are untouched; handles 1..d get one positive twist
-    along a_i. The letters for distinct handles commute.
+    The letters of each handle's kind, lifted to that handle, from handle
+    g down to handle 1: for every handle i above k the pair of a positive
+    twist along b_i and a negative twist along a_i; handles between d+1
+    and k are untouched; handles 1..d get one positive twist along a_i.
+    The letters for distinct handles commute.
     """
     _check_weights(d, k, g)
-    letters: list[Twist] = []
-    for i in range(g, k, -1):
-        letters.append(Twist(b_curve(i, g)))
-        letters.append(Twist(a_curve(i, g), -1))
-    for i in range(d, 0, -1):
-        letters.append(Twist(a_curve(i, g)))
-    return TwistWord(g, tuple(letters))
+    return TwistWord(g, tuple(
+        Twist(lift(letter.curve, i, g), letter.power)
+        for i in range(g, 0, -1) for letter in handle_kind(i, d, k).letters
+    ))
 
 
 def _check_weights(d: int, k: int, g: int) -> None:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geographer import linalg, mapping_torus
+from geographer import linalg, mapping_torus, surfaces
 from geographer.bundle_manifold import BundleManifoldSpec, construct
 from geographer.errors import ConsistencyError
 from geographer.mapping_torus import (
@@ -341,51 +341,59 @@ def test_handle_blocks_match_dense_route_on_canonical_rows():
         assert bundle_wang_data.__wrapped__(d, k, g) == dense, (d, k, g)
 
 
-def test_letter_spanning_two_handles_is_refused(monkeypatch):
-    word = bundle_monodromy_word(1, 1, 2)
-    spanning = Twist((1, 0, 1, 0))  # a_1 + a_2
-    mutated = TwistWord(2, word.letters[:-1] + (spanning,))
-    monkeypatch.setattr(mapping_torus.surfaces, "bundle_monodromy_word", lambda d, k, g: mutated)
-    label = MappingTorus(mutated).label
-    with refusal(f"{label}: letters_on_one_handle expected 3, observed 2"):
-        bundle_wang_data.__wrapped__(1, 1, 2)
-
-
-def test_basis_row_spanning_two_handles_is_refused(monkeypatch):
-    # the invariant row b_1 becomes b_1 + a_2, on handles 1 and 2
-    def spanning(i, g):
-        return tuple(x + y for x, y in zip(b_curve(i, g), a_curve(g, g)))
-
-    monkeypatch.setattr(mapping_torus, "b_curve", spanning)
-    label = MappingTorus(bundle_monodromy_word(1, 1, 2)).label
-    with refusal(f"{label}: basis_rows_on_one_handle expected 2, observed 1"):
-        bundle_wang_data.__wrapped__(1, 1, 2)
-
-
-@pytest.mark.parametrize("wrong", [1, 2])
-def test_wrong_row_inside_one_handle_is_refused(monkeypatch, wrong):
-    # 2 b_i lies on a twisted handle but spans an index-two sublattice; the
-    # certificate of that handle's genus-1 torus refuses it, also when an
-    # equal twisted handle with the right row came first
-    def doubled(i, g):
-        return tuple(2 * x for x in b_curve(i, g)) if i == wrong else b_curve(i, g)
-
-    monkeypatch.setattr(mapping_torus, "b_curve", doubled)
+@pytest.mark.parametrize("d", [1, 2])
+def test_wrong_row_inside_one_handle_is_refused(monkeypatch, d):
+    # 2 b lies on the twisted handle but spans an index-two sublattice; the
+    # certificate of the twisted kind's genus-1 torus refuses it, with one
+    # twisted handle and with two
+    twisted, untouched, paired = surfaces.HANDLE_KINDS
+    doubled = surfaces.HandleKind(twisted.letters, ((0, 2),), twisted.mu)
+    monkeypatch.setattr(surfaces, "HANDLE_KINDS", (doubled, untouched, paired))
     label = MappingTorus(TwistWord(1, [Twist(a_curve(1, 1))])).label
     with refusal(f"{label}: invariant_basis_index expected 1, observed 2"):
-        bundle_wang_data.__wrapped__(2, 2, 3)
+        bundle_wang_data.__wrapped__(d, 2, 3)
 
 
 def test_block_with_torsion_is_refused(monkeypatch):
-    # a squared twist along a_1 fixes b_1 and leaves Z/2 in its cokernel:
-    # the genus-1 certificate passes with that torsion, the record of a
+    # a squared twist along a fixes b and leaves Z/2 in its cokernel: the
+    # genus-1 certificate passes with that torsion, the record of a
     # torsion-free block does not
-    word = bundle_monodromy_word(1, 1, 2)
-    squared = TwistWord(2, word.letters[:-1] + (Twist(word.letters[-1].curve, 2),))
-    monkeypatch.setattr(mapping_torus.surfaces, "bundle_monodromy_word", lambda d, k, g: squared)
-    label = MappingTorus(squared).label
+    twisted, untouched, paired = surfaces.HANDLE_KINDS
+    squared = surfaces.HandleKind((Twist((1, 0), 2),), twisted.invariant, twisted.mu)
+    monkeypatch.setattr(surfaces, "HANDLE_KINDS", (squared, untouched, paired))
+    label = MappingTorus(TwistWord(1, squared.letters)).label
     with refusal(f"{label}: handle_block_torsion expected (), observed (2,)"):
         bundle_wang_data.__wrapped__(1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "weights, text",
+    [
+        ((2, 1, 3), "weights must satisfy 0 <= d <= k <= g, got (2, 1, 3)"),
+        ((0, 0, 2**62), f"genus {2**62} is too large: its 2g coordinates cannot be indexed"),
+    ],
+)
+def test_bundle_wang_data_refuses_bad_weights(weights, text):
+    with pytest.raises(ValueError) as exc:
+        bundle_wang_data.__wrapped__(*weights)
+    assert str(exc.value) == text
+
+
+def test_bundle_path_builds_no_genus_g_curve(monkeypatch):
+    # the bundle Wang data is certified on the genus-1 table alone: no
+    # curve of the genus-g word is built, however large g is
+    lengths = []
+    exact_curve = surfaces._exact_curve
+
+    def recorded(curve):
+        curve = exact_curve(curve)
+        lengths.append(len(curve))
+        return curve
+
+    monkeypatch.setattr(surfaces, "_exact_curve", recorded)
+    data = bundle_wang_data.__wrapped__(3, 7, 200)
+    assert data.b1 == 2 * 7 - 3 + 1
+    assert all(n <= 2 for n in lengths), max(lengths)
 
 
 def test_each_cold_call_certifies_at_most_three_blocks(monkeypatch):
