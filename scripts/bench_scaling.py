@@ -140,7 +140,7 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=11)
     parser.add_argument("--rank-max", type=int, default=32)
     parser.add_argument("--audit-max", type=int, default=64)
-    parser.add_argument("--grid-max", type=int, default=12)
+    parser.add_argument("--grid-max", type=int, default=24)
     parser.add_argument("--wang-max", type=int, default=1600)
     parser.add_argument("--measure", nargs=2, metavar=("LAYER", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -24,8 +24,9 @@ from A. It is the one dense path, for any word, and works on the rows of
 :func:`bundle_wang_data`, builds no genus-g word: the standard word and
 its canonical rows are lifts of the genus-1 table of three handle kinds,
 :data:`~geographer.surfaces.HANDLE_KINDS`, so phi^* is a direct sum of
-2 x 2 blocks, and each kind present is certified once per call by
-:func:`wang_cohomology` on its genus-1 torus.
+2 x 2 blocks. Its genus-1 members are the three kinds, certified by
+:func:`wang_cohomology`; a larger genus lifts their rows through the
+same cache, so a sweep certifies each kind once per cache fill.
 Every count and index of a certificate is a ``(name, expected,
 observed)`` record raised by :func:`~geographer.errors.enforce` under the
 torus's label, as the certificates built on these bases are. Bases are
@@ -201,23 +202,26 @@ def bundle_wang_data(d: int, k: int, g: int) -> WangData:
     a_{d+1}, b_{d+1}, .., a_k, b_k; the free cokernel by a_1 .. a_d and the
     same untouched handles. The word and these rows are lifts of the
     genus-1 letters and rows of :data:`~geographer.surfaces.HANDLE_KINDS`,
-    so phi^* is the direct sum of the kinds' 2 x 2 actions, and each kind
-    present (d twisted, k - d untouched and g - k paired handles),
-    certified once per call by :func:`wang_cohomology` on its genus-1
-    torus, gives the Wang bases of the whole. ``handle_block_torsion``
-    records under that torus's label that each is torsion-free, so the
-    whole is too. No genus-g word is built.
+    so phi^* is the direct sum of the kinds' 2 x 2 actions. At g = 1 the
+    kind is certified by :func:`wang_cohomology` on its genus-1 torus, and
+    ``handle_block_torsion`` records under its label that it is torsion-free;
+    a larger genus lifts the rows of the members of its kinds (d twisted,
+    k - d untouched and g - k paired handles), read through this cache, so
+    a sweep certifies each kind once. No genus-g word is built.
     """
     surfaces._check_weights(d, k, g)
-    for kind, count in zip(surfaces.HANDLE_KINDS, (d, k - d, g - k)):
-        if count:
-            block = MappingTorus(TwistWord(1, kind.letters))
-            torsion = wang_cohomology(block, (kind.invariant, kind.mu)).torsion
-            enforce(block, [("handle_block_torsion", (), torsion)])
-    kinds = [surfaces.handle_kind(i, d, k) for i in range(1, k + 1)]  # paired handles have no rows
-    # lists, not generators: a tuple built from a generator is resized, not
-    # taken from the tuple free lists, so each call would leave its freed
-    # bases there until those lists fill, and the sweeps' RSS would creep
-    inv = [surfaces.lift(v, i, g) for i, kind in enumerate(kinds, 1) for v in kind.invariant]
-    mu = [surfaces.lift(v, i, g) for i, kind in enumerate(kinds, 1) for v in kind.mu]
+    if g == 1:
+        kind = surfaces.handle_kind(1, d, k)
+        block = MappingTorus(TwistWord(1, kind.letters))
+        torsion = wang_cohomology(block, (kind.invariant, kind.mu)).torsion
+        enforce(block, [("handle_block_torsion", (), torsion)])
+        return WangData(kind.invariant, kind.mu, ())
+    # handle i's member is B([i <= d], [i <= k], 1): one per kind present
+    members = {surfaces.handle_kind(i, d, k): bundle_wang_data(int(i <= d), int(i <= k), 1)
+               for i in (1, d + 1, k + 1) if i <= g}
+    rows = [members[surfaces.handle_kind(i, d, k)] for i in range(1, k + 1)]  # paired handles have none
+    # lists, not generators: a tuple built from a generator is resized, not taken
+    # from the tuple free lists, so freed bases would pile up there and RSS creep
+    inv = [surfaces.lift(v, i, g) for i, member in enumerate(rows, 1) for v in member.invariant_basis]
+    mu = [surfaces.lift(v, i, g) for i, member in enumerate(rows, 1) for v in member.mu_basis]
     return WangData(tuple(inv), tuple(mu), ())

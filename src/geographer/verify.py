@@ -11,9 +11,10 @@ Kodaira identities of the certificate. The pass is never served from
 its Wang data come from the memoized
 :func:`~geographer.mapping_torus.bundle_wang_data`, so they are computed
 once per (d, k, g), shared across the tags of that case and across
-sweeps in one process. Any mismatch is reported with the offending
-weights instead of raising. The sweep tallies first and builds its
-:class:`VerificationReport` once.
+sweeps in one process, as lifts of three genus-1 members, so a cold
+sweep certifies each handle kind once. Any mismatch is reported with
+the offending weights instead of raising. The sweep tallies first and
+builds its :class:`VerificationReport` once.
 """
 
 from __future__ import annotations

@@ -397,7 +397,8 @@ def test_bundle_path_builds_no_genus_g_curve(monkeypatch):
 
 
 def test_each_cold_call_certifies_at_most_three_blocks(monkeypatch):
-    # the blocks are deduplicated within a call and kept by none
+    # the blocks are deduplicated within a call, and kept only as the
+    # genus-1 members in bundle_wang_data's cache, which is cleared here
     tori = []
     dense = mapping_torus.wang_cohomology
 
@@ -417,6 +418,30 @@ def test_each_cold_call_certifies_at_most_three_blocks(monkeypatch):
         kinds = (d > 0) + (k > d) + (g > k)
         assert counts == [kinds, kinds] and kinds <= 3, (d, k, g)
     bundle_wang_data.cache_clear()
+
+
+def test_genus_one_members_are_the_handle_kinds():
+    # B(1, 1, 1), B(0, 1, 1) and B(0, 0, 1) are the twisted, untouched and
+    # paired kinds, on their canonical rows
+    for weights, kind in zip([(1, 1), (0, 1), (0, 0)], surfaces.HANDLE_KINDS):
+        assert bundle_wang_data(*weights, 1) == mapping_torus.WangData(kind.invariant, kind.mu, ())
+
+
+def test_cold_sweep_certifies_each_kind_once(monkeypatch):
+    # every B(d, k, g) of a sweep lifts its kinds' genus-1 members, so the
+    # whole grid certifies three genus-1 tori, one per kind
+    tori = []
+    dense = mapping_torus.wang_cohomology
+
+    def recorded(torus, bases=None):
+        tori.append(torus)
+        return dense(torus, bases)
+
+    monkeypatch.setattr(mapping_torus, "wang_cohomology", recorded)
+    assert verify_bundle_grid(6).passed
+    assert all(torus.genus == 1 for torus in tori)
+    assert sorted(torus.word.letters for torus in tori) == sorted(
+        kind.letters for kind in surfaces.HANDLE_KINDS)
 
 
 def test_bundle_path_computes_no_smith_form(monkeypatch):
