@@ -3,8 +3,9 @@
 
 Usage: python scripts/bench_scaling.py [--out FILE] [--samples N]
            [--rank-max K] [--audit-max G] [--grid-max G] [--wang-max G]
+           [--cold-max G]
 
-Times four layers of the package in this checkout's ``src/``:
+Times five layers of the package in this checkout's ``src/``:
 
 * ``rank``: :func:`geographer.linalg.rank` of the pairing of
   B(0, k, k; 0), a (2k + 2)-square matrix, for k = 1 .. K;
@@ -14,7 +15,11 @@ Times four layers of the package in this checkout's ``src/``:
   G = 2 .. max;
 * ``bundle_wang_data``: :func:`geographer.mapping_torus.bundle_wang_data`
   of B(3, 3, g), the weights that ``realize 0 4 4 --genus g`` certifies,
-  with a cold cache, for g = 4, 8, 16, .. and the maximum G.
+  with a cold cache, for g = 4, 8, 16, .. and the maximum G;
+* ``cli_cold_start``: a one-shot CLI process, for g = 4, 8, 16, .. and
+  the maximum G. Each sample is a fresh interpreter that imports
+  ``geographer.cli`` and makes one
+  ``main(["realize", "0", "4", "4", "--genus", g])`` call.
 
 Cold means that the caches of ``construct`` and ``bundle_wang_data`` are
 cleared before each call, as ``perfbench`` does. Each size runs in a
@@ -24,7 +29,12 @@ of ``perfbench/reference.py`` just before and just after them; the time
 per call is scaled by ``REFERENCE_S`` over the mean of the two loop
 times, so it is given in seconds at that file's reference host speed and
 the drift of a shared host cancels. A record holds the median of N
-samples, N, the calls per sample and the peak RSS in MB. Each layer
+samples, N, the calls per sample and the peak RSS in MB. A
+``cli_cold_start`` sample times the import and the call apart, each
+scaled by the loop run just before the import and just after the call;
+its record holds both medians (``import_median_s`` and, for the call,
+``median_s``) and the largest peak RSS of its N interpreters, whose
+bytecode is written by one untimed run first. Each layer
 holds the least-squares slope of log median time against log size. The
 document also holds the Python version, the git rev of the checkout and
 whether its ``src/`` or ``scripts/`` differ from that rev, and the host.
@@ -51,12 +61,16 @@ SAMPLE_S = 0.02
 def ladders(args) -> dict:
     """Each layer's size parameter and its sizes."""
     doubling = [2 ** i for i in range(1, args.audit_max.bit_length())]
+
+    def doubling_from_4(top: int) -> list:
+        return sorted({*(2 ** i for i in range(2, top.bit_length())), top})
+
     return {
         "rank": ("k", list(range(1, args.rank_max + 1))),
         "audit_bundle": ("g", doubling),
         "verify_bundle_grid": ("G", list(range(2, args.grid_max + 1))),
-        "bundle_wang_data": ("g", sorted({*(2 ** i for i in range(2, args.wang_max.bit_length())),
-                                         args.wang_max})),
+        "bundle_wang_data": ("g", doubling_from_4(args.wang_max)),
+        "cli_cold_start": ("g", doubling_from_4(args.cold_max)),
     }
 
 
@@ -107,8 +121,58 @@ def measure(layer: str, size: int, samples: int) -> dict:
     }
 
 
+#: One cold-start sample: prints the exit code, the import and call times
+#: scaled by the mean of the loop times around them, and ru_maxrss.
+_COLD_START_PROBE = """\
+import io, sys, time
+sys.path[:0] = sys.argv[1:3]
+import reference
+before = reference.seconds()
+t0 = time.perf_counter()
+import geographer.cli
+t1 = time.perf_counter()
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = geographer.cli.main(["realize", "0", "4", "4", "--genus", sys.argv[3]])
+t2 = time.perf_counter()
+sys.stdout = stdout
+loop_s = (before + reference.seconds()) / 2
+import resource
+print(code, reference.scale(t1 - t0, loop_s), reference.scale(t2 - t1, loop_s),
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def cold_start_record(size: int, samples: int) -> dict:
+    """One ``cli_cold_start`` record: ``samples`` fresh interpreters."""
+    argv = [sys.executable, "-c", _COLD_START_PROBE, str(ROOT / "src"), str(ROOT / "perfbench"),
+            str(size)]
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # read bytecode as an installed package does
+    imports, calls, rss = [], [], []
+    for i in range(samples + 1):
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        fields = proc.stdout.split()
+        if proc.returncode or fields[:1] != ["0"]:
+            raise RuntimeError(f"cli_cold_start at size {size} failed:\n{proc.stderr}")
+        if i:  # the first run writes the bytecode
+            import_s, call_s, maxrss = map(float, fields[1:])
+            imports.append(import_s)
+            calls.append(call_s)
+            rss.append(maxrss)
+    return {
+        "size": size,
+        "median_s": statistics.median(calls),
+        "import_median_s": statistics.median(imports),
+        "n": samples,
+        "calls_per_sample": 1,
+        "peak_rss_mb": round(max(rss) / 1024, 1),
+    }
+
+
 def run_record(layer: str, size: int, samples: int) -> dict:
     """:func:`measure` in a fresh interpreter."""
+    if layer == "cli_cold_start":
+        return cold_start_record(size, samples)
     argv = [sys.executable, __file__, "--measure", layer, str(size), "--samples", str(samples)]
     proc = subprocess.run(argv, capture_output=True, text=True)
     if proc.returncode:
@@ -142,6 +206,7 @@ def main(argv=None) -> int:
     parser.add_argument("--audit-max", type=int, default=64)
     parser.add_argument("--grid-max", type=int, default=24)
     parser.add_argument("--wang-max", type=int, default=1600)
+    parser.add_argument("--cold-max", type=int, default=4096)
     parser.add_argument("--measure", nargs=2, metavar=("LAYER", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:

@@ -14,15 +14,17 @@ texts look up the terminal width, stdout and stderr only when written.
 
 Each output part is stated once: :func:`_document` heads every JSON
 document, :func:`_certified` writes the certificate block, and
-:func:`_json` and :func:`_tsv` are the only writers. A TSV row is six
-head values, then the certificate record's first fields in order; an
-open problem in TSV is one headerless ``open<TAB>reason`` line.
+:func:`_json` and :func:`_tsv` are the only writers. :func:`_json` is
+the package's own JSON writer and the only one: it writes the bytes of
+``json.dumps(doc, indent=2)`` and a newline, so a CLI start does not
+import :mod:`json`. A TSV row is six head values, then the certificate
+record's first fields in order; an open problem in TSV is one headerless
+``open<TAB>reason`` line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -156,8 +158,71 @@ def invariants_document(label: str, fields: dict, cert: InvariantCertificate) ->
     return _document("computed", manifold={"label": label, **fields}, **_certified(cert))
 
 
+#: The two-character escapes of JSON; every other character outside
+#: printable ASCII is written as ``\uXXXX``.
+_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+}
+
+
+def _json_char(c: str) -> str:
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n > 0xFFFF:  # a UTF-16 surrogate pair
+        n -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
+    return "\\u%04x" % n
+
+
+def _json_string(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_json_char, s)) + '"'
+
+
+def _json_write(x, indent: str, out) -> None:
+    """Pass the text of ``x`` to ``out`` in pieces; ``indent`` is the
+    newline and indentation that close ``x``."""
+    if isinstance(x, str):
+        out(_json_string(x))
+    elif x is None or x is True or x is False:
+        out("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out(int.__repr__(x))
+    elif isinstance(x, (dict, list)):
+        is_dict = isinstance(x, dict)
+        if not x:
+            out("{}" if is_dict else "[]")
+            return
+        inner = indent + "  "
+        sep = ("{" if is_dict else "[") + inner
+        for item in x.items() if is_dict else x:
+            out(sep)
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out(_json_string(key) + ": ")
+            _json_write(item, inner, out)
+            sep = "," + inner
+        out(indent + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``doc`` as ``json.dumps(doc, indent=2)`` writes it, and a newline.
+
+    A document holds str, int, bool, None, lists and dicts with str keys;
+    anything else, a float too, is a ``TypeError``.
+    """
+    parts = []
+    _json_write(doc, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _tsv(rows) -> str:

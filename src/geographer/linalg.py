@@ -37,8 +37,6 @@ does, costs the echelon one scan and no Euclid step.
 from __future__ import annotations
 
 import math
-import numbers
-from array import array
 from itertools import chain, compress
 
 Matrix = list[list[int]]
@@ -68,7 +66,10 @@ def to_matrix(data) -> Matrix:
 
 def _integral(x) -> bool:
     """The rule for every entry from outside the package: an integral
-    number that is not a bool."""
+    number that is not a bool. Only entries that are not exact ints reach
+    it, so ``numbers`` is imported here, not by every CLI start."""
+    import numbers
+
     return not isinstance(x, bool) and isinstance(x, numbers.Integral)
 
 
@@ -122,6 +123,9 @@ class FrozenMatrix:
     __slots__ = ("_flat", "_rows")
 
     def __init__(self, rows):
+        # no CLI path builds one, so a CLI start does not import array
+        from array import array
+
         self._rows = len(rows)
         flat = [x for row in rows for x in row]
         # x fits a signed k-bit int exactly when max(x, ~x) has under k bits

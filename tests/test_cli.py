@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geographer import circle_bundle, cli, linalg
 from geographer.bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
@@ -465,18 +467,81 @@ def test_cli_import_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
-def test_cold_import_loads_no_dataclasses_fractions_or_inspect():
-    # the records are NamedTuples and linalg imports Fraction where it is
-    # used, so a CLI start pays for none of these modules
+def test_cold_import_loads_no_dataclasses_fractions_inspect_json_numbers_or_array():
+    # the records are NamedTuples, cli writes JSON itself, and linalg
+    # imports fractions, numbers and array where they are used, so a CLI
+    # start pays for none of these modules
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import geographer.cli; "
-        "print(sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'fractions', 'inspect', 'json', 'numbers', 'array'}"
+        " & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+#: A fresh interpreter that reaches the integral rule with ``numbers`` not
+#: yet imported, then prints each refusal text and what a registered
+#: non-int Integral class converts to.
+_INTEGRAL_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from geographer import linalg, surfaces
+print('numbers' in sys.modules)
+
+def refusal(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+
+from fractions import Fraction
+for bad in (1.0, True, Fraction(1, 2)):
+    print(refusal(lambda: linalg.to_matrix([[1, bad]])))
+    print(refusal(lambda: surfaces.Twist((1, bad))))
+    print(refusal(lambda: surfaces.Twist((0, 1), bad)))
+
+class Index:
+    def __init__(self, n):
+        self.n = n
+    def __int__(self):
+        return self.n
+    def __repr__(self):
+        return f"Index({self.n})"
+
+print(refusal(lambda: linalg.to_matrix([[Index(5)]])))
+import numbers
+numbers.Integral.register(Index)
+print(linalg.to_matrix([[Index(5), 1]]))
+print(tuple(surfaces.Twist((Index(0), Index(1)), Index(2))))
+"""
+
+
+def test_integral_rule_imports_numbers_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _INTEGRAL_PROBE, str(SRC)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    refusals = [
+        text
+        for bad in ("1.0", "True", "Fraction(1, 2)")
+        for text in (
+            f"non-integer entry {bad} at (0, 1)",
+            f"twist curve: non-integer entry {bad} at index 1",
+            f"twist power: non-integer value {bad}",
+        )
+    ]
+    assert proc.stdout.splitlines() == [
+        "False",
+        *refusals,
+        "non-integer entry Index(5) at (0, 0)",
+        "[[5, 1]]",
+        "((0, 1), 2)",
+    ]
 
 
 def test_cold_import_builds_no_parser():
@@ -566,3 +631,41 @@ BYTE_CONTRACT = [
 def test_stdout_bytes_at_benchmark_sizes(capsys, argv, exit_code, digest):
     code, out, err = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (exit_code, digest, "")
+
+
+#: Characters a JSON writer must escape or pass, each drawn often: the two
+#: escaped ASCII marks, control characters, DEL, non-ASCII, non-BMP and
+#: lone surrogates.
+_json_chars = st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\ud800\udfff\U0001f600\U0010ffff'),
+    st.characters(max_codepoint=0x7F),
+    st.characters(exclude_categories=()),
+    st.characters(min_codepoint=0x10000),
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.text(_json_chars),
+)
+_json_documents = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(_json_chars), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_json_documents)
+def test_json_writer_gives_the_stdlib_bytes(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, {"a": [0.0]}, {1: 2}, {None: 1}, {True: 1}, {"a": {(1,): 2}}, (1, 2), [b"x"]],
+    ids=["float", "nested-float", "int-key", "none-key", "bool-key", "tuple-key", "tuple", "bytes"],
+)
+def test_json_writer_refuses_floats_and_non_str_keys(doc):
+    with pytest.raises(TypeError):
+        cli._json(doc)

@@ -53,18 +53,24 @@ def test_bench_scaling_writes_one_record_per_size_of_each_ladder(tmp_path):
     proc = run_script(
         "bench_scaling.py", "--out", str(out), "--samples", "1",
         "--rank-max", "2", "--audit-max", "4", "--grid-max", "3", "--wang-max", "8",
+        "--cold-max", "8",
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert {"python", "git_rev", "git_dirty", "host", "time_unit", "layers"} <= set(doc)
     sizes = {"rank": ("k", [1, 2]), "audit_bundle": ("g", [2, 4]), "verify_bundle_grid": ("G", [2, 3]),
-             "bundle_wang_data": ("g", [4, 8])}
+             "bundle_wang_data": ("g", [4, 8]), "cli_cold_start": ("g", [4, 8])}
     assert set(doc["layers"]) == set(sizes)
     for name, (parameter, ladder) in sizes.items():
         layer = doc["layers"][name]
         assert layer["size"] == parameter and isinstance(layer["slope"], float)
         assert [record["size"] for record in layer["records"]] == ladder
+        # a cold-start sample is one import and one call, timed apart
+        extra = {"import_median_s"} if name == "cli_cold_start" else set()
         for record in layer["records"]:
-            assert set(record) == {"size", "median_s", "n", "calls_per_sample", "peak_rss_mb"}
+            fields = {"size", "median_s", "n", "calls_per_sample", "peak_rss_mb"}
+            assert set(record) == fields | extra
             assert record["n"] == 1 and record["calls_per_sample"] >= 1
             assert record["median_s"] > 0 and record["peak_rss_mb"] > 0
+            assert all(record[field] > 0 for field in extra)
+    assert all(r["calls_per_sample"] == 1 for r in doc["layers"]["cli_cold_start"]["records"])
