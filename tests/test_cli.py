@@ -484,8 +484,9 @@ def test_cold_import_loads_no_dataclasses_fractions_inspect_json_numbers_or_arra
 
 
 #: A fresh interpreter that reaches the integral rule with ``numbers`` not
-#: yet imported, then prints each refusal text and what a registered
-#: non-int Integral class converts to.
+#: yet imported (``fractions`` imports it, so Fraction comes last), then
+#: prints each refusal text and what a registered non-int Integral class
+#: converts to.
 _INTEGRAL_PROBE = """\
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -498,11 +499,16 @@ def refusal(build):
     except ValueError as exc:
         return str(exc)
 
-from fractions import Fraction
-for bad in (1.0, True, Fraction(1, 2)):
+def refusals(bad):
     print(refusal(lambda: linalg.to_matrix([[1, bad]])))
     print(refusal(lambda: surfaces.Twist((1, bad))))
     print(refusal(lambda: surfaces.Twist((0, 1), bad)))
+
+refusals(1.0)
+print('numbers' in sys.modules)
+refusals(True)
+from fractions import Fraction
+refusals(Fraction(1, 2))
 
 class Index:
     def __init__(self, n):
@@ -526,18 +532,19 @@ def test_integral_rule_imports_numbers_on_first_use():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    refusals = [
-        text
-        for bad in ("1.0", "True", "Fraction(1, 2)")
-        for text in (
+    def refusals(bad):
+        return [
             f"non-integer entry {bad} at (0, 1)",
             f"twist curve: non-integer entry {bad} at index 1",
             f"twist power: non-integer value {bad}",
-        )
-    ]
+        ]
+
     assert proc.stdout.splitlines() == [
         "False",
-        *refusals,
+        *refusals("1.0"),
+        "True",
+        *refusals("True"),
+        *refusals("Fraction(1, 2)"),
         "non-integer entry Index(5) at (0, 0)",
         "[[5, 1]]",
         "((0, 1), 2)",
