@@ -2,20 +2,18 @@
 """Scaling ladders: the time and memory of one layer against its size.
 
 Usage: python scripts/bench_scaling.py [--out FILE] [--samples N]
-           [--rank-max K] [--audit-max G] [--grid-max G] [--wang-max G]
-           [--cold-max G]
+           [--rank-max K] [--audit-max G] [--grid-max G] [--cold-max G]
 
-Times five layers of the package in this checkout's ``src/``:
+Times four layers of the package in this checkout's ``src/``:
 
-* ``rank``: :func:`geographer.linalg.rank` of the pairing of
-  B(0, k, k; 0), a (2k + 2)-square matrix, for k = 1 .. K;
+* ``rank``: :func:`geographer.linalg.rank` of the pairing
+  :func:`geographer.circle_bundle.lefschetz_pairing` builds on the
+  canonical bases of B(0, k, k; 0), both the identity of rank 2k, a
+  (2k + 2)-square matrix, for k = 1 .. K;
 * ``audit_bundle``: :func:`geographer.bundle_manifold.audit_bundle` of
   B(g/2, g, g; 0) with cold caches, for g = 2, 4, 8, .. up to G;
 * ``verify_bundle_grid``: the whole sweep up to G with cold caches, for
   G = 2 .. max;
-* ``bundle_wang_data``: :func:`geographer.mapping_torus.bundle_wang_data`
-  of B(3, 3, g), the weights that ``realize 0 4 4 --genus g`` certifies,
-  with a cold cache, for g = 4, 8, 16, .. and the maximum G;
 * ``cli_cold_start``: a one-shot CLI process, for g = 4, 8, 16, .. and
   the maximum G. Each sample is a fresh interpreter that imports
   ``geographer.cli`` and makes one
@@ -69,7 +67,6 @@ def ladders(args) -> dict:
         "rank": ("k", list(range(1, args.rank_max + 1))),
         "audit_bundle": ("g", doubling),
         "verify_bundle_grid": ("G", list(range(2, args.grid_max + 1))),
-        "bundle_wang_data": ("g", doubling_from_4(args.wang_max)),
         "cli_cold_start": ("g", doubling_from_4(args.cold_max)),
     }
 
@@ -83,10 +80,9 @@ def workload(layer: str, size: int):
         mapping_torus.bundle_wang_data.cache_clear()
 
     if layer == "rank":
-        q = circle_bundle.lefschetz_pairing(mapping_torus.bundle_wang_data(0, size, size), 0)
+        rows = tuple(map(tuple, linalg.identity(2 * size)))
+        q = circle_bundle.lefschetz_pairing(mapping_torus.WangData(rows, rows, ()), 0)
         return lambda: linalg.rank(q)
-    if layer == "bundle_wang_data":
-        return lambda: (cold(), mapping_torus.bundle_wang_data(3, 3, size))
     if layer == "audit_bundle":
         spec = bundle_manifold.BundleManifoldSpec(size // 2, size, size, 0)
         return lambda: (cold(), bundle_manifold.audit_bundle(spec))
@@ -203,9 +199,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--samples", type=int, default=11)
     parser.add_argument("--rank-max", type=int, default=32)
-    parser.add_argument("--audit-max", type=int, default=64)
+    parser.add_argument("--audit-max", type=int, default=4096)
     parser.add_argument("--grid-max", type=int, default=24)
-    parser.add_argument("--wang-max", type=int, default=1600)
     parser.add_argument("--cold-max", type=int, default=4096)
     parser.add_argument("--measure", nargs=2, metavar=("LAYER", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

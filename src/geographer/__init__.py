@@ -47,14 +47,7 @@ from .mapping_torus import (
     bundle_wang_data,
     wang_cohomology,
 )
-from .surfaces import (
-    Twist,
-    TwistWord,
-    a_curve,
-    b_curve,
-    bundle_monodromy_word,
-    compose_word,
-)
+from .surfaces import Twist, TwistWord, compose_word
 from .verify import VerificationReport, verify_bundle_grid
 
 __version__ = "0.1.0"

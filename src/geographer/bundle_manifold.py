@@ -4,10 +4,11 @@ B(d, k, g; e) is the circle bundle with Euler tag e over the mapping torus
 of the standard twist word with weights (d, k, g). The total space carries
 a free circle action, which forces signature and Euler characteristic to
 vanish; the remaining invariants are computed through the Wang and Gysin
-sequences and double-checked against closed formulas before a certificate
-is issued. :func:`audit_bundle` is that computation, one uncached exact
-pass that builds the certificate and records every check as a
-:class:`~geographer.errors.Check`; :func:`construct` raises on the first
+sequences, summed over the handles from the three certified genus-1
+members of the handle kinds, and double-checked against closed formulas
+before a certificate is issued. :func:`audit_bundle` is that
+computation, one uncached exact pass that builds the certificate and
+records every check as a :class:`~geographer.errors.Check`; :func:`construct` raises on the first
 failed check or :meth:`InvariantCertificate.identities` record through
 :func:`geographer.errors.enforce`, which every certificate path shares,
 from the Wang bases of the mapping torus on, and ``verify`` counts them
@@ -177,15 +178,44 @@ class BundleAudit(NamedTuple):
 def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     """Compute B(d, k, g; e) once and compare it with every closed form.
 
-    Pipeline: Wang data on the canonical bases, Gysin first Betti number,
-    assembled pairing and its echelon rank, whose defect is the
-    degeneracy. The result is never cached, and a failed check is
-    recorded, not raised, so a sweep sees every check of every case.
+    The standard word of weights (d, k, g) is the direct sum of
+    n = (d, k - d, g - k) handles of the three kinds of
+    :data:`~geographer.surfaces.HANDLE_KINDS`
+    (:func:`~geographer.surfaces.kind_counts`), and each kind is read off
+    its certified genus-1 member M_j: B(1, 1, 1) twisted, B(0, 1, 1)
+    untouched and B(0, 0, 1) paired, from
+    :func:`~geographer.mapping_torus.bundle_wang_data`.
+
+    Lemma (additivity over handles). The handles are J-orthogonal and
+    phi^* preserves each, so the fixed lattice is the direct sum of the
+    members' fixed lattices, one per handle, and the cup Gram matrix of
+    that basis is block diagonal with the members' blocks. The pairing of
+    :func:`~geographer.circle_bundle.lefschetz_pairing` is that Gram
+    matrix beside the theta/eta block, so with P_j the pairing of M_j at
+    the tag e and r0 the rank of the theta/eta block,
+
+        b1(Y) = 1 + sum_j n_j |invariant basis of M_j|,
+        rank P = r0 + sum_j n_j (rank P_j - r0).
+
+    The paired member fixes no class, so its pairing is the theta/eta
+    block alone and r0 = rank P_paired; likewise b1(Y) of the paired
+    member is 1, and the Gysin b1 adds one eta at e = 0 to both sides.
+    Each quantity is therefore x(paired) + sum_j n_j (x(M_j) - x(paired)),
+    and no row of length 2g is built. The degeneracy is b1 less the rank;
+    the closed forms stay the second route. The result is never cached,
+    and a failed check is recorded, not raised, so a sweep sees every
+    check of every case.
     """
     d, k, g, e = spec.d, spec.k, spec.g, spec.e
-    data = mapping_torus.bundle_wang_data(d, k, g)
-    b1 = circle_bundle.bundle_b1(data, e)
-    rank = linalg.rank(circle_bundle.lefschetz_pairing(data, e))
+    counts = surfaces.kind_counts(d, k, g)
+    members = [mapping_torus.bundle_wang_data(*w) for w in mapping_torus.MEMBER_WEIGHTS]
+
+    def over_handles(values):  # the lemma, from the paired member's value
+        return values[2] + sum(n * (x - values[2]) for n, x in zip(counts, values))
+
+    wang_b1 = over_handles([m.b1 for m in members])
+    b1 = over_handles([circle_bundle.bundle_b1(m, e) for m in members])
+    rank = over_handles([linalg.rank(circle_bundle.lefschetz_pairing(m, e)) for m in members])
     degeneracy = b1 - rank
     nullity = circle_bundle.nullity_closed_form(d, k, e)
     k_dot = canonical_class(g)
@@ -218,7 +248,7 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     # the closed-form nullity against the computed degeneracy and b1
     sigma, chi, k_squared, bounds = cert.identities()
     checks = (
-        Check("wang_b1_matches_formula", circle_bundle.torus_b1_formula(d, k), data.b1),
+        Check("wang_b1_matches_formula", circle_bundle.torus_b1_formula(d, k), wang_b1),
         Check("pairing_rank_even", 0, rank % 2),
         Check(
             "degeneracy_pairing_rank_matches_formula",

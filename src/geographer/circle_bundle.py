@@ -14,14 +14,17 @@ H^1 of the total space is assembled from three exact rules:
         theta to +1 and with everything else to zero; otherwise there is
         no eta class.
 
-The rules come from fiber integration of omega = Omega + theta ^ eta and
-are validated wholesale by the grid equivalence between the rank of the
-assembled matrix and the closed degeneracy formula.
+The rules come from fiber integration of omega = Omega + theta ^ eta.
 
 The pairing reads the invariant basis of the Wang data as it stands, and
 its fiber block is the cup Gram matrix :func:`geographer.surfaces.cup_gram`
-of that basis, with no dense form built. The closed forms refuse weights
-by the rule of :mod:`geographer.surfaces` and tags by the rule here.
+of that basis, with no dense form built. The bundle certificate builds it
+only on the three genus-1 members of the handle kinds and sums their
+ranks over the handles, by the additivity lemma stated in
+:func:`geographer.bundle_manifold.audit_bundle`; the summed degeneracy
+is checked against the closed formula, and the tests compare it with
+this pairing on whole genus-g bases. The closed forms refuse weights by
+the rule of :mod:`geographer.surfaces` and tags by the rule here.
 :func:`geographer.bundle_manifold.audit_bundle` reads b1, the pairing
 and the closed forms from here and compares them; geography inverts
 them by :func:`bundle_weights`.

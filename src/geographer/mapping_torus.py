@@ -20,13 +20,13 @@ generic bases off echelon forms with an identity block appended, or is
 given a pair of preferred bases; either way the bases pass one
 certificate, by pivot counts and pivot products of echelon forms built
 from A. It is the one dense path, for any word, and works on the rows of
-:func:`~geographer.surfaces.compose_word`. The bundle path,
-:func:`bundle_wang_data`, builds no genus-g word: the standard word and
-its canonical rows are lifts of the genus-1 table of three handle kinds,
-:data:`~geographer.surfaces.HANDLE_KINDS`, so phi^* is a direct sum of
-2 x 2 blocks. Its genus-1 members are the three kinds, certified by
-:func:`wang_cohomology`; a larger genus lifts their rows through the
-same cache, so a sweep certifies each kind once per cache fill.
+:func:`~geographer.surfaces.compose_word`. The standard word is a direct
+sum of the three genus-1 handle kinds of
+:data:`~geographer.surfaces.HANDLE_KINDS`, so the bundle path builds no
+genus-g word and no genus-g row: :func:`bundle_wang_data` is the Wang
+data of one kind's genus-1 member, certified by :func:`wang_cohomology`
+once per cache fill, and the bundle certificate sums the members over
+the handles (:func:`~geographer.bundle_manifold.audit_bundle`).
 Every count and index of a certificate is a ``(name, expected,
 observed)`` record raised by :func:`~geographer.errors.enforce` under the
 torus's label, as the certificates built on these bases are. Bases are
@@ -194,34 +194,28 @@ def _shape(rows: linalg.Matrix, n: int) -> tuple[int, int]:
     return len(rows), len(rows[0]) if rows else n
 
 
-@lru_cache(maxsize=None)
-def bundle_wang_data(d: int, k: int, g: int) -> WangData:
-    """Wang data of the standard bundle monodromy, on its canonical bases.
+#: The weights (d, k) of the genus-1 members B(d, k, 1) of the kinds of
+#: :data:`~geographer.surfaces.HANDLE_KINDS`, in its order.
+MEMBER_WEIGHTS = ((1, 1), (0, 1), (0, 0))
 
-    The fixed lattice is spanned by b_1 .. b_d and the untouched handles
-    a_{d+1}, b_{d+1}, .., a_k, b_k; the free cokernel by a_1 .. a_d and the
-    same untouched handles. The word and these rows are lifts of the
-    genus-1 letters and rows of :data:`~geographer.surfaces.HANDLE_KINDS`,
-    so phi^* is the direct sum of the kinds' 2 x 2 actions. At g = 1 the
-    kind is certified by :func:`wang_cohomology` on its genus-1 torus, and
-    ``handle_block_torsion`` records under its label that it is torsion-free;
-    a larger genus lifts the rows of the members of its kinds (d twisted,
-    k - d untouched and g - k paired handles), read through this cache, so
-    a sweep certifies each kind once. No genus-g word is built.
+
+@lru_cache(maxsize=None)
+def bundle_wang_data(d: int, k: int) -> WangData:
+    """Wang data of the genus-1 member B(d, k, 1), on its canonical rows.
+
+    The three members B(1, 1, 1), B(0, 1, 1) and B(0, 0, 1) are the
+    twisted, untouched and paired kinds of
+    :data:`~geographer.surfaces.HANDLE_KINDS`: the fixed lattice of the
+    twisted kind is spanned by b and its free cokernel by a, the untouched
+    kind has a and b for both, and the paired kind has neither. Each is
+    certified by :func:`wang_cohomology` on its genus-1 torus, and
+    ``handle_block_torsion`` records under that torus's label that it is
+    torsion-free. The standard word of any genus is a direct sum of these
+    kinds, so the cache holds at most three entries.
     """
-    surfaces._check_weights(d, k, g)
-    if g == 1:
-        kind = surfaces.handle_kind(1, d, k)
-        block = MappingTorus(TwistWord(1, kind.letters))
-        torsion = wang_cohomology(block, (kind.invariant, kind.mu)).torsion
-        enforce(block, [("handle_block_torsion", (), torsion)])
-        return WangData(kind.invariant, kind.mu, ())
-    # handle i's member is B([i <= d], [i <= k], 1): one per kind present
-    members = {surfaces.handle_kind(i, d, k): bundle_wang_data(int(i <= d), int(i <= k), 1)
-               for i in (1, d + 1, k + 1) if i <= g}
-    rows = [members[surfaces.handle_kind(i, d, k)] for i in range(1, k + 1)]  # paired handles have none
-    # lists, not generators: a tuple built from a generator is resized, not taken
-    # from the tuple free lists, so freed bases would pile up there and RSS creep
-    inv = [surfaces.lift(v, i, g) for i, member in enumerate(rows, 1) for v in member.invariant_basis]
-    mu = [surfaces.lift(v, i, g) for i, member in enumerate(rows, 1) for v in member.mu_basis]
-    return WangData(tuple(inv), tuple(mu), ())
+    surfaces._check_weights(d, k, 1)
+    kind = surfaces.HANDLE_KINDS[surfaces.kind_counts(d, k, 1).index(1)]
+    block = MappingTorus(TwistWord(1, kind.letters))
+    torsion = wang_cohomology(block, (kind.invariant, kind.mu)).torsion
+    enforce(block, [("handle_block_torsion", (), torsion)])
+    return WangData(kind.invariant, kind.mu, ())

@@ -2,21 +2,19 @@
 
 A genus ``g`` surface carries the symplectic basis a1, b1, ..., ag, bg of
 H_1 with a_i . b_i = +1, and the dual basis alpha_1, beta_1, ... of H^1.
-A class is its coefficient vector over that basis, as :func:`a_curve`
-and :func:`b_curve` give it.
+A class is its coefficient vector over that basis.
 A Dehn twist along a simple closed curve acts on these lattices by an
 integral transvection; words of twists compose to integral symplectic
 matrices, returned as immutable tuples of int rows. Each letter is
 applied as a rank-one update that touches only the rows over the support
 of its curve and their partner rows, so a letter whose curve has s
 nonzero coefficients costs O(s g) and a word of L letters at most
-O(L g^2); the unit-vector letters of the bundle monodromies cost O(g).
+O(L g^2); the unit-vector letters of the standard word cost O(g).
 The standard bundle word is spelled once, as the table
 :data:`HANDLE_KINDS` of three handle kinds (twisted, untouched and
 paired), each with its genus-1 letters and canonical rows;
-:func:`handle_kind` gives each handle's kind from the weights, and
-:func:`lift` places a genus-1 vector on a handle, as :func:`a_curve` and
-:func:`b_curve` do.
+:func:`kind_counts` counts the handles of each kind from the weights, the
+one home of the rule that orders them.
 Letters and words are NamedTuple records whose constructors validate
 them: a letter whose curve is already a tuple of exact ints keeps it as
 it is, and bools and non-integral curve entries, powers and genera are
@@ -34,23 +32,6 @@ from typing import NamedTuple
 from . import linalg
 
 IntRows = tuple[tuple[int, ...], ...]
-
-
-def a_curve(i: int, genus: int) -> tuple[int, ...]:
-    """Coefficient vector of the class a_i."""
-    return lift((1, 0), i, genus)
-
-
-def b_curve(i: int, genus: int) -> tuple[int, ...]:
-    """Coefficient vector of the class b_i."""
-    return lift((0, 1), i, genus)
-
-
-def lift(v: tuple[int, ...], i: int, genus: int) -> tuple[int, ...]:
-    """The genus-1 vector ``v`` placed on handle i of a genus ``genus`` surface."""
-    if not 1 <= i <= genus:
-        raise ValueError(f"handle index {i} out of range for genus {genus}")
-    return (0,) * (2 * i - 2) + v + (0,) * (2 * (genus - i))
 
 
 class _TwistFields(NamedTuple):
@@ -202,26 +183,11 @@ HANDLE_KINDS = (
 )
 
 
-def handle_kind(i: int, d: int, k: int) -> HandleKind:
-    """The kind of handle i in the word of weights (d, k, g): twisted up to
-    d, untouched up to k and paired above."""
-    return HANDLE_KINDS[(i > d) + (i > k)]
-
-
-def bundle_monodromy_word(d: int, k: int, g: int) -> TwistWord:
-    """The monodromy word of the bundle family with weights (d, k, g).
-
-    The letters of each handle's kind, lifted to that handle, from handle
-    g down to handle 1: for every handle i above k the pair of a positive
-    twist along b_i and a negative twist along a_i; handles between d+1
-    and k are untouched; handles 1..d get one positive twist along a_i.
-    The letters for distinct handles commute.
-    """
-    _check_weights(d, k, g)
-    return TwistWord(g, tuple(
-        Twist(lift(letter.curve, i, g), letter.power)
-        for i in range(g, 0, -1) for letter in handle_kind(i, d, k).letters
-    ))
+def kind_counts(d: int, k: int, g: int) -> tuple[int, int, int]:
+    """How many handles of each kind of :data:`HANDLE_KINDS` the word of
+    weights (d, k, g) has: handles 1 .. d are twisted, d + 1 .. k untouched
+    and k + 1 .. g paired."""
+    return d, k - d, g - k
 
 
 def _check_weights(d: int, k: int, g: int) -> None:

@@ -8,13 +8,12 @@ Wang and Gysin first Betti numbers against their formulas, the evenness
 of the pairing rank, the nullity bounds, and the signature, Euler and
 Kodaira identities of the certificate. The pass is never served from
 ``construct``'s cache, so every certificate is built and checked afresh;
-its Wang data come from the memoized
-:func:`~geographer.mapping_torus.bundle_wang_data`, so they are computed
-once per (d, k, g), shared across the tags of that case and across
-sweeps in one process, as lifts of three genus-1 members, so a cold
-sweep certifies each handle kind once. Any mismatch is reported with
-the offending weights instead of raising. The sweep tallies first and
-builds its :class:`VerificationReport` once.
+it reads the three genus-1 members of the handle kinds from the memoized
+:func:`~geographer.mapping_torus.bundle_wang_data`, so a cold sweep
+certifies each kind once and the cache holds three entries, however
+large the grid. Any mismatch is reported with the offending weights
+instead of raising. The sweep tallies first and builds its
+:class:`VerificationReport` once.
 """
 
 from __future__ import annotations

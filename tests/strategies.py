@@ -7,10 +7,11 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from geographer import linalg
+from geographer import linalg, surfaces
 from geographer.linalg import Matrix, identity
 from geographer.circle_bundle import VALID_TAGS, bundle_b1_formula, nullity_closed_form, valid_tags
-from geographer.surfaces import Twist, TwistWord, compose_word
+from geographer.mapping_torus import MEMBER_WEIGHTS, WangData, bundle_wang_data
+from geographer.surfaces import HANDLE_KINDS, Twist, TwistWord, compose_word
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -150,6 +151,60 @@ def smith_form(a) -> SmithForm:
         s=[list(col) for col in zip(*s_tr)],
         t_inv=[list(col) for col in zip(*t_inv_tr)],
     )
+
+
+def lift(v, i, genus):
+    """The genus-1 vector ``v`` placed on handle i of a genus ``genus`` surface."""
+    if not 1 <= i <= genus:
+        raise ValueError(f"handle index {i} out of range for genus {genus}")
+    return (0,) * (2 * i - 2) + tuple(v) + (0,) * (2 * (genus - i))
+
+
+def a_curve(i, genus):
+    """Coefficient vector of the class a_i."""
+    return lift((1, 0), i, genus)
+
+
+def b_curve(i, genus):
+    """Coefficient vector of the class b_i."""
+    return lift((0, 1), i, genus)
+
+
+def handle_kinds(d, k, g):
+    """The kind index of handles 1 .. g of the standard word, read off the
+    package's one kind rule, ``surfaces.kind_counts``."""
+    surfaces._check_weights(d, k, g)
+    return [j for j, n in enumerate(surfaces.kind_counts(d, k, g)) for _ in range(n)]
+
+
+def bundle_monodromy_word(d, k, g):
+    """The monodromy word of the bundle family with weights (d, k, g).
+
+    The letters of each handle's kind, lifted to that handle, from handle
+    g down to handle 1: for every handle i above k the pair of a positive
+    twist along b_i and a negative twist along a_i; handles between d+1
+    and k are untouched; handles 1..d get one positive twist along a_i.
+    The letters for distinct handles commute.
+    """
+    kinds = list(enumerate(handle_kinds(d, k, g), 1))
+    return TwistWord(g, tuple(
+        Twist(lift(letter.curve, i, g), letter.power)
+        for i, j in reversed(kinds) for letter in HANDLE_KINDS[j].letters
+    ))
+
+
+def lifted_wang_data(d, k, g):
+    """The whole-basis oracle: the Wang data of B(d, k, g) on its canonical
+    rows of length 2g, each handle's genus-1 member rows lifted to it.
+
+    The package certifies the genus-1 members only and sums them over the
+    handles; this spells the genus-g bases out, for the dense route and
+    the pairing to be checked against.
+    """
+    members = [bundle_wang_data(*MEMBER_WEIGHTS[j]) for j in handle_kinds(d, k, g)]
+    inv = [lift(v, i, g) for i, member in enumerate(members, 1) for v in member.invariant_basis]
+    mu = [lift(v, i, g) for i, member in enumerate(members, 1) for v in member.mu_basis]
+    return WangData(tuple(inv), tuple(mu), ())
 
 
 def minus_identity(matrix):

@@ -32,14 +32,14 @@ from geographer.geography import (
     realize,
     realize_null,
 )
-from geographer.mapping_torus import bundle_wang_data
-from geographer.surfaces import (
-    Twist,
-    TwistWord,
+from geographer.surfaces import Twist, TwistWord, compose_word
+from strategies import (
     bundle_monodromy_word,
-    compose_word,
+    intersection_form,
+    is_symplectic,
+    lifted_wang_data,
+    minus_identity,
 )
-from strategies import intersection_form, is_symplectic, minus_identity
 
 
 def weight_grid(bound):
@@ -73,7 +73,7 @@ def test_realization_grid_down_to_minus_eighty():
 def test_degeneracy_rank_route_equals_closed_form():
     cases = 0
     for d, k, g in weight_grid(8):
-        data = bundle_wang_data(d, k, g)
+        data = lifted_wang_data(d, k, g)
         for tag in tags_for(d, k):
             q = lefschetz_pairing(data, tag)
             b1 = bundle_b1(data, tag)
@@ -86,7 +86,7 @@ def test_degeneracy_rank_route_equals_closed_form():
 def test_gysin_first_betti_grid():
     cases = 0
     for d, k, g in weight_grid(8):
-        data = bundle_wang_data(d, k, g)
+        data = lifted_wang_data(d, k, g)
         for tag in tags_for(d, k):
             expected = 2 * k - d + 2 if tag == 0 else 2 * k - d + 1
             assert bundle_b1(data, tag) == expected, (d, k, g, tag)
@@ -97,7 +97,7 @@ def test_gysin_first_betti_grid():
 def test_pairing_rank_even_and_complements_degeneracy():
     cases = 0
     for d, k, g in weight_grid(8):
-        data = bundle_wang_data(d, k, g)
+        data = lifted_wang_data(d, k, g)
         for tag in tags_for(d, k):
             q = lefschetz_pairing(data, tag)
             rank_q = linalg.rank(q)

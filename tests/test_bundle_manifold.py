@@ -6,20 +6,25 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from geographer import bundle_manifold
+from geographer import bundle_manifold, linalg
 from geographer.bundle_manifold import (
     KODAIRA_NEG_INF,
     BundleAudit,
     BundleManifoldSpec,
+    audit_bundle,
     canonical_class,
     construct,
     kodaira_classify,
 )
+from geographer.circle_bundle import bundle_b1, lefschetz_pairing, valid_tags
 from geographer.errors import ConsistencyError, enforce
 from geographer.fiber_sum import DolgachevSurface, EllipticSurface, FiberSumSpec
-from geographer.mapping_torus import MappingTorus
+from geographer.mapping_torus import MappingTorus, wang_cohomology
 from geographer.surfaces import Twist, TwistWord
+from strategies import bundle_monodromy_word
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geographer"
 
@@ -265,3 +270,29 @@ def test_consistency_error_is_raised_only_by_enforce():
         if functions:
             raisers[path.stem] = set(functions)
     assert raisers == {"errors": {"enforce"}}
+
+
+@st.composite
+def bundle_specs(draw, max_genus=64):
+    """A bundle spec (d, k, g, e) with g <= max_genus and a valid tag."""
+    g = draw(st.integers(1, max_genus))
+    k = draw(st.integers(0, g))
+    d = draw(st.integers(0, k))
+    return BundleManifoldSpec(d, k, g, draw(st.sampled_from(valid_tags(d, k))))
+
+
+@given(bundle_specs())
+@example(BundleManifoldSpec(32, 64, 64, 0))
+@example(BundleManifoldSpec(0, 64, 64, 2))
+@example(BundleManifoldSpec(0, 0, 64, 0))
+@example(BundleManifoldSpec(64, 64, 64, 1))
+def test_kind_sum_matches_the_dense_route_at_cli_sizes(spec):
+    # the audit sums the three genus-1 members over the handles; the dense
+    # route composes the whole genus-g word, computes its generic bases and
+    # ranks the pairing on them
+    d, k, g, e = spec
+    dense = wang_cohomology(MappingTorus(bundle_monodromy_word(d, k, g)))
+    b1 = bundle_b1(dense, e)
+    degeneracy = b1 - linalg.rank(lefschetz_pairing(dense, e))
+    cert = audit_bundle(spec).certificate
+    assert (cert.b1, cert.degeneracy) == (b1, degeneracy), spec

@@ -17,12 +17,14 @@ from geographer.circle_bundle import (
     nullity_closed_form,
     torus_b1_formula,
 )
-from geographer.mapping_torus import MappingTorus, WangData, bundle_wang_data, wang_cohomology
-from geographer.surfaces import a_curve, b_curve
+from geographer.mapping_torus import MappingTorus, WangData, wang_cohomology
 from strategies import (
+    a_curve,
+    b_curve,
     degeneracy_oracle,
     handle_conjugate,
     intersection_form,
+    lifted_wang_data,
     mixed_rows,
     unimodular_matrices,
 )
@@ -41,7 +43,7 @@ def valid_tags(d, k):
 
 def test_gysin_first_betti_number():
     for d, k, g in grid(6):
-        data = bundle_wang_data(d, k, g)
+        data = lifted_wang_data(d, k, g)
         for tag in valid_tags(d, k):
             expected = 2 * k - d + 2 if tag == 0 else 2 * k - d + 1
             assert bundle_b1(data, tag) == expected, (d, k, g, tag)
@@ -57,7 +59,7 @@ def test_bundle_weights_invert_the_b1_and_degeneracy_closed_forms():
 
 
 def test_pairing_frozen_zero_euler_class():
-    data = bundle_wang_data(0, 1, 2)
+    data = lifted_wang_data(0, 1, 2)
     q = lefschetz_pairing(data, 0)
     # rows: theta, the fixed classes a1 and b1, then eta
     assert data.invariant_basis == (a_curve(1, 2), b_curve(1, 2))
@@ -72,7 +74,7 @@ def test_pairing_frozen_zero_euler_class():
 
 
 def test_pairing_frozen_twisted_tag_one():
-    data = bundle_wang_data(1, 1, 2)
+    data = lifted_wang_data(1, 1, 2)
     q = lefschetz_pairing(data, 1)
     # rows: theta and the fixed class b1, no eta
     assert data.invariant_basis == (b_curve(1, 2),)
@@ -147,7 +149,7 @@ def test_torus_b1_formula_refuses_weights_out_of_order():
 
 def test_degeneracy_oracle_equals_closed_form_on_grid():
     for d, k, g in grid(5):
-        data = bundle_wang_data(d, k, g)
+        data = lifted_wang_data(d, k, g)
         for tag in valid_tags(d, k):
             q = lefschetz_pairing(data, tag)
             b1 = bundle_b1(data, tag)
@@ -167,7 +169,7 @@ def test_bareiss_rank_matches_rational_rank_on_every_pairing_up_to_genus_32():
     largest = 0
     for k in range(33):
         for d in range(k + 1):
-            data = bundle_wang_data(d, k, max(k, 1))
+            data = lifted_wang_data(d, k, max(k, 1))
             for tag in valid_tags(d, k):
                 q = lefschetz_pairing(data, tag)
                 assert linalg.rank(q) == linalg.rational_rank(q), (d, k, tag)
@@ -180,7 +182,7 @@ def test_echelon_rank_matches_bareiss_and_rational_rank_on_every_pairing_up_to_g
     # elimination are two independent ranks of the same pairing
     for k in range(33):
         for d in range(k + 1):
-            data = bundle_wang_data(d, k, max(k, 1))
+            data = lifted_wang_data(d, k, max(k, 1))
             for tag in valid_tags(d, k):
                 q = lefschetz_pairing(data, tag)
                 assert linalg.rank(q) == linalg._bareiss(list(q))[0] == linalg.rational_rank(q), (
@@ -240,7 +242,7 @@ def test_pairing_rows_of_an_empty_invariant_basis_are_frozen():
 
 
 def test_pairing_rows_are_fresh_lists():
-    data = bundle_wang_data(1, 3, 4)
+    data = lifted_wang_data(1, 3, 4)
     for tag in valid_tags(1, 3):
         q = lefschetz_pairing(data, tag)
         assert all(type(row) is list for row in q)
@@ -253,7 +255,7 @@ def test_pairing_does_not_depend_on_genus_beyond_k():
     for d, k in [(0, 0), (1, 3), (3, 3), (0, 5)]:
         for tag in valid_tags(d, k):
             pairings = {
-                tuple(map(tuple, lefschetz_pairing(bundle_wang_data(d, k, g), tag)))
+                tuple(map(tuple, lefschetz_pairing(lifted_wang_data(d, k, g), tag)))
                 for g in range(max(k, 1), 12)
             }
             assert len(pairings) == 1, (d, k, tag)
@@ -271,7 +273,7 @@ def test_nullity_bounds_on_grid():
 @given(st.sampled_from([(0, 1, 2), (1, 2, 3), (2, 3, 4)]), st.data())
 def test_pairing_rank_invariant_under_lattice_base_change(weights, data_):
     d, k, g = weights
-    data = bundle_wang_data(d, k, g)
+    data = lifted_wang_data(d, k, g)
     base = data.invariant_basis
     change = data_.draw(unimodular_matrices(len(base)))
     q = lefschetz_pairing(data, 0)
@@ -284,7 +286,7 @@ def test_pairing_rank_invariant_under_lattice_base_change(weights, data_):
 def test_pairing_block_with_a_replaced_basis_matches_products(weights, data_):
     # the cup form is read by the one nonzero of each row of J, never densely
     d, k, g = weights
-    data = bundle_wang_data(d, k, g)
+    data = lifted_wang_data(d, k, g)
     m, n = len(data.invariant_basis), 2 * g
     basis = data_.draw(mixed_rows(n, min_rows=m, max_rows=m))
     replaced = data._replace(invariant_basis=basis)
@@ -295,7 +297,7 @@ def test_pairing_block_with_a_replaced_basis_matches_products(weights, data_):
 
 
 def test_bundle_cohomology_package():
-    data = bundle_wang_data(1, 1, 2)
+    data = lifted_wang_data(1, 1, 2)
     package = audit_bundle(BundleManifoldSpec(1, 1, 2, 1)).certificate
     assert package.b1 == 2
     assert package.degeneracy == 2

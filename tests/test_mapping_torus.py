@@ -10,29 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geographer import linalg, mapping_torus, surfaces
-from geographer.bundle_manifold import BundleManifoldSpec, construct
+from geographer.bundle_manifold import BundleManifoldSpec, audit_bundle, construct
 from geographer.errors import ConsistencyError
 from geographer.mapping_torus import (
+    MEMBER_WEIGHTS,
     MappingTorus,
     bundle_wang_data,
     wang_cohomology,
 )
-from geographer.surfaces import (
-    Twist,
-    TwistWord,
+from geographer.surfaces import Twist, TwistWord, compose_word
+from geographer.verify import bundle_grid, verify_bundle_grid
+from strategies import (
     a_curve,
     b_curve,
     bundle_monodromy_word,
-    compose_word,
-)
-from geographer.verify import verify_bundle_grid
-from strategies import (
     cokernel_free_coordinates,
     conjugated_words,
     dense_words,
     handle_conjugate,
     is_unimodular,
     kernel_coordinates,
+    lifted_wang_data,
     long_words,
     minus_identity,
     rational_inverse,
@@ -60,13 +58,13 @@ def test_first_betti_formula_on_grid():
     for g in range(1, 7):
         for k in range(0, g + 1):
             for d in range(0, k + 1):
-                data = bundle_wang_data(d, k, g)
+                data = lifted_wang_data(d, k, g)
                 assert data.b1 == 2 * k - d + 1, (d, k, g)
                 assert len(data.mu_basis) == data.b1 - 1
 
 
 def test_twisted_block_torus_is_torsion_free():
-    data = bundle_wang_data(1, 1, 2)
+    data = lifted_wang_data(1, 1, 2)
     assert data.b1 == 2
     assert data.torsion == ()
     assert len(data.mu_basis) == 1
@@ -75,13 +73,13 @@ def test_twisted_block_torus_is_torsion_free():
 
 
 def test_fully_twisted_genus_two_has_no_mu_image():
-    data = bundle_wang_data(0, 0, 2)
+    data = lifted_wang_data(0, 0, 2)
     assert data.b1 == 1
     assert data.mu_basis == ()
 
 
 def test_canonical_tags_mixed_weights():
-    data = bundle_wang_data(1, 2, 3)
+    data = lifted_wang_data(1, 2, 3)
     assert data.invariant_basis == (
         b_curve(1, 3),
         a_curve(2, 3),
@@ -101,7 +99,7 @@ def refusal(text):
 
 def test_wrong_preferred_bases_are_rejected():
     torus = MappingTorus(bundle_monodromy_word(1, 1, 2))
-    canonical = bundle_wang_data(1, 1, 2)
+    canonical = lifted_wang_data(1, 1, 2)
     inv, mu = canonical.invariant_basis, canonical.mu_basis
     with refusal("Y(genus 2, 3 letters): invariant_basis_fixed expected 1, observed 0"):
         wang_cohomology(torus, ([a_curve(1, 2)], mu))
@@ -215,7 +213,7 @@ def test_unimodular_change_of_canonical_invariant_basis_is_accepted(weights, dat
     # the rows are another lattice basis of the fixed lattice exactly when
     # they are fixed, independent and span a saturated lattice
     d, k, g = weights
-    canonical = bundle_wang_data(d, k, g)
+    canonical = lifted_wang_data(d, k, g)
     torus = MappingTorus(bundle_monodromy_word(d, k, g))
     change = data_.draw(unimodular_matrices(len(canonical.invariant_basis)))
     rows = linalg.matmul(change, canonical.invariant_basis)
@@ -228,9 +226,9 @@ def test_unimodular_change_of_canonical_invariant_basis_is_accepted(weights, dat
 
 
 def test_canonical_bases_verified_against_generic_route():
-    # bundle_wang_data passes preferred bases through the generic checks
+    # the lifted canonical bases agree with the generic route
     for d, k, g in [(0, 0, 1), (1, 1, 2), (2, 3, 4), (0, 3, 3), (3, 3, 3)]:
-        data = bundle_wang_data(d, k, g)
+        data = lifted_wang_data(d, k, g)
         generic = wang_cohomology(MappingTorus(bundle_monodromy_word(d, k, g)))
         assert data.b1 == generic.b1
         assert data.torsion == generic.torsion
@@ -309,7 +307,7 @@ def cli_size_weights():
 
 @pytest.mark.parametrize("d, k, g", list(cli_size_weights()))
 def test_canonical_bases_at_cli_sizes_match_generic_route(d, k, g):
-    data = bundle_wang_data(d, k, g)
+    data = lifted_wang_data(d, k, g)
     generic = wang_cohomology(MappingTorus(bundle_monodromy_word(d, k, g)))
     assert (data.b1, data.torsion) == (generic.b1, generic.torsion) == (2 * k - d + 1, ())
     assert smith_coordinate_verdict(
@@ -335,23 +333,24 @@ def oracle_weights():
 
 
 def test_handle_blocks_match_dense_route_on_canonical_rows():
-    # the per-handle certificate and the dense one agree on every field
+    # the certified members lifted handle by handle and the dense certificate
+    # agree on every field
     for d, k, g in oracle_weights():
         dense = wang_cohomology(MappingTorus(bundle_monodromy_word(d, k, g)), canonical_rows(d, k, g))
-        assert bundle_wang_data.__wrapped__(d, k, g) == dense, (d, k, g)
+        assert lifted_wang_data(d, k, g) == dense, (d, k, g)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_wrong_row_inside_one_handle_is_refused(monkeypatch, d):
     # 2 b lies on the twisted handle but spans an index-two sublattice; the
-    # certificate of the twisted kind's genus-1 torus refuses it, with one
-    # twisted handle and with two
+    # certificate of the twisted kind's genus-1 torus refuses it, read by
+    # the audit of a bundle with one twisted handle and with two
     twisted, untouched, paired = surfaces.HANDLE_KINDS
     doubled = surfaces.HandleKind(twisted.letters, ((0, 2),), twisted.mu)
     monkeypatch.setattr(surfaces, "HANDLE_KINDS", (doubled, untouched, paired))
     label = MappingTorus(TwistWord(1, [Twist(a_curve(1, 1))])).label
     with refusal(f"{label}: invariant_basis_index expected 1, observed 2"):
-        bundle_wang_data.__wrapped__(d, 2, 3)
+        audit_bundle(BundleManifoldSpec(d, 2, 3, 0))
 
 
 def test_block_with_torsion_is_refused(monkeypatch):
@@ -363,24 +362,27 @@ def test_block_with_torsion_is_refused(monkeypatch):
     monkeypatch.setattr(surfaces, "HANDLE_KINDS", (squared, untouched, paired))
     label = MappingTorus(TwistWord(1, squared.letters)).label
     with refusal(f"{label}: handle_block_torsion expected (), observed (2,)"):
-        bundle_wang_data.__wrapped__(1, 1, 2)
+        construct.__wrapped__(BundleManifoldSpec(1, 1, 2, 0))
 
 
 @pytest.mark.parametrize(
     "weights, text",
     [
-        ((2, 1, 3), "weights must satisfy 0 <= d <= k <= g, got (2, 1, 3)"),
-        ((0, 0, 2**62), f"genus {2**62} is too large: its 2g coordinates cannot be indexed"),
+        ((2, 1), "weights must satisfy 0 <= d <= k <= g, got (2, 1, 1)"),
+        ((0, 2), "weights must satisfy 0 <= d <= k <= g, got (0, 2, 1)"),
+        ((-1, 0), "weights must satisfy 0 <= d <= k <= g, got (-1, 0, 1)"),
     ],
 )
 def test_bundle_wang_data_refuses_bad_weights(weights, text):
+    # only the genus-1 members exist; a genus too large to index is
+    # refused by the bundle spec (test_bundle_manifold)
     with pytest.raises(ValueError) as exc:
         bundle_wang_data.__wrapped__(*weights)
     assert str(exc.value) == text
 
 
 def test_bundle_path_builds_no_genus_g_curve(monkeypatch):
-    # the bundle Wang data is certified on the genus-1 table alone: no
+    # the bundle certificate is read off the genus-1 table alone: no
     # curve of the genus-g word is built, however large g is
     lengths = []
     exact_curve = surfaces._exact_curve
@@ -391,14 +393,26 @@ def test_bundle_path_builds_no_genus_g_curve(monkeypatch):
         return curve
 
     monkeypatch.setattr(surfaces, "_exact_curve", recorded)
-    data = bundle_wang_data.__wrapped__(3, 7, 200)
-    assert data.b1 == 2 * 7 - 3 + 1
-    assert all(n <= 2 for n in lengths), max(lengths)
+    cert = construct(BundleManifoldSpec(3, 7, 200, 0))
+    assert cert.b1 == 2 * 7 - 3 + 2
+    assert all(n <= 2 for n in lengths), max(lengths, default=0)
+
+
+def test_bundle_certificate_at_the_largest_indexable_genus():
+    # no row of length 2g is built on the bundle path: a genus whose rows
+    # would not fit in any memory is certified from the three members, and
+    # the cache holds those three
+    g = sys.maxsize // 2
+    for d, k, e in [(0, 0, 0), (g // 2, g, 0), (g // 3, 2 * g // 3, 1), (1, g, 2)]:
+        cert = construct(BundleManifoldSpec(d, k, g, e))
+        assert (cert.b1, cert.degeneracy) == (2 * k - d + 1 + (e == 0), d + (e != 0))
+        assert cert.k_dot_omega == 2 * g - 2
+    assert bundle_wang_data.cache_info().currsize == 3
 
 
 def test_each_cold_call_certifies_at_most_three_blocks(monkeypatch):
-    # the blocks are deduplicated within a call, and kept only as the
-    # genus-1 members in bundle_wang_data's cache, which is cleared here
+    # a cold audit certifies the three genus-1 members once each, kept in
+    # bundle_wang_data's cache, which is cleared here; a warm one none
     tori = []
     dense = mapping_torus.wang_cohomology
 
@@ -408,23 +422,24 @@ def test_each_cold_call_certifies_at_most_three_blocks(monkeypatch):
 
     monkeypatch.setattr(mapping_torus, "wang_cohomology", recorded)
     for d, k, g in [(2, 5, 9), (0, 0, 6), (3, 3, 3), (0, 7, 7), (4, 4, 40)]:
-        counts = []
-        for _ in range(2):
-            bundle_wang_data.cache_clear()
-            tori.clear()
-            bundle_wang_data(d, k, g)
-            assert tori and all(torus.genus == 1 for torus in tori)
-            counts.append(len(tori))
-        kinds = (d > 0) + (k > d) + (g > k)
-        assert counts == [kinds, kinds] and kinds <= 3, (d, k, g)
+        bundle_wang_data.cache_clear()
+        tori.clear()
+        audit_bundle(BundleManifoldSpec(d, k, g, 0))
+        assert sorted(torus.word.letters for torus in tori) == sorted(
+            kind.letters for kind in surfaces.HANDLE_KINDS), (d, k, g)
+        tori.clear()
+        audit_bundle(BundleManifoldSpec(d, k, g, 0))
+        assert tori == [], (d, k, g)
     bundle_wang_data.cache_clear()
 
 
 def test_genus_one_members_are_the_handle_kinds():
     # B(1, 1, 1), B(0, 1, 1) and B(0, 0, 1) are the twisted, untouched and
     # paired kinds, on their canonical rows
-    for weights, kind in zip([(1, 1), (0, 1), (0, 0)], surfaces.HANDLE_KINDS):
-        assert bundle_wang_data(*weights, 1) == mapping_torus.WangData(kind.invariant, kind.mu, ())
+    assert MEMBER_WEIGHTS == ((1, 1), (0, 1), (0, 0))
+    for j, (weights, kind) in enumerate(zip(MEMBER_WEIGHTS, surfaces.HANDLE_KINDS)):
+        assert surfaces.kind_counts(*weights, 1) == tuple(int(i == j) for i in range(3))
+        assert bundle_wang_data(*weights) == mapping_torus.WangData(kind.invariant, kind.mu, ())
 
 
 def test_cold_sweep_certifies_each_kind_once(monkeypatch):
@@ -454,12 +469,12 @@ def test_bundle_path_computes_no_smith_form(monkeypatch):
         raise AssertionError("generic bases computed on the bundle path")
 
     monkeypatch.setattr(mapping_torus, "_generic_bases", refuse)
-    for g in range(1, 11):
-        for k in range(g + 1):
-            for d in range(k + 1):
-                bundle_wang_data.__wrapped__(d, k, g)
+    for spec in bundle_grid(10):
+        bundle_wang_data.cache_clear()
+        audit_bundle(spec)
     for d, k, g in cli_size_weights():
-        bundle_wang_data.__wrapped__(d, k, g)
+        bundle_wang_data.cache_clear()
+        audit_bundle(BundleManifoldSpec(d, k, g, 0))
 
 
 def test_nonsingular_generic_path_computes_no_smith_form(monkeypatch):
@@ -705,7 +720,8 @@ def test_echelon_intermediates_on_random_words(monkeypatch):
     # given, or A itself for the torsion route, whose second echelon
     # works on the output of the first (measured: largest 41 bits, on an
     # input of 27 bits; a torsion route grew 22 bits of A to 35). On the
-    # unit-vector bases of the bundle path they stay at one bit.
+    # unit-vector bases and the member pairings of the bundle path they
+    # keep the bits of their input: one, or none for a zero pairing.
     rng = random.Random(20261018)
     kernel = linalg._echelon
     torsion = mapping_torus._torsion
@@ -755,8 +771,7 @@ def test_echelon_intermediates_on_random_words(monkeypatch):
     assert calls
     assert all(largest <= 2 * start + 1 for start, largest in calls)
     calls.clear()
-    for g in range(1, 7):
-        for k in range(g + 1):
-            for d in range(k + 1):
-                bundle_wang_data.__wrapped__(d, k, g)
-    assert calls and all(largest == 1 for _, largest in calls)
+    for spec in bundle_grid(6):
+        bundle_wang_data.cache_clear()
+        audit_bundle(spec)
+    assert calls and all(largest == start <= 1 for start, largest in calls), set(calls)

@@ -6,23 +6,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from geographer import linalg
-from geographer.surfaces import (
-    Twist,
-    TwistWord,
-    a_curve,
-    b_curve,
-    bundle_monodromy_word,
-    compose_word,
-    cup_gram,
-)
-from geographer.mapping_torus import bundle_wang_data
+from geographer import linalg, surfaces
+from geographer.surfaces import Twist, TwistWord, compose_word, cup_gram
 from strategies import (
     Small,
+    a_curve,
+    b_curve,
     bareiss_det,
+    bundle_monodromy_word,
     intersection_form,
     invariant_subspace,
     is_symplectic,
+    lifted_wang_data,
     minus_identity,
     mixed_rows,
     primitive_curves,
@@ -57,7 +52,7 @@ def with_bundle_bases(test, max_genus=12):
     for g in range(1, max_genus + 1):
         for k in range(g + 1):
             for d in range(k + 1):
-                basis = bundle_wang_data(d, k, g).invariant_basis
+                basis = lifted_wang_data(d, k, g).invariant_basis
                 if basis:
                     test = example((g, basis))(test)
     return test
@@ -234,6 +229,19 @@ def test_word_followed_by_inverse_is_identity():
     word = TwistWord(2, (Twist(a_curve(1, 2)), Twist(b_curve(2, 2), -1)))
     combined = TwistWord(2, word.letters + word.inverse().letters)
     assert [list(row) for row in compose_word(combined)] == linalg.identity(4)
+
+
+def test_kind_counts_partition_the_handles():
+    # d twisted, k - d untouched and g - k paired handles: every handle has
+    # one kind, and the word spelled from the counts has one letter group
+    # per handle
+    for g in range(1, 9):
+        for k in range(g + 1):
+            for d in range(k + 1):
+                counts = surfaces.kind_counts(d, k, g)
+                assert counts == (d, k - d, g - k) and sum(counts) == g, (d, k, g)
+                letters = sum(n * len(kind.letters) for n, kind in zip(counts, surfaces.HANDLE_KINDS))
+                assert len(bundle_monodromy_word(d, k, g).letters) == letters == d + 2 * (g - k)
 
 
 def test_bundle_word_letters_frozen():

@@ -29,14 +29,24 @@ def test_audit_records_every_certificate_check_once():
 
 
 def test_audit_of_wang_data_with_other_weights_fails_the_wang_b1_check(monkeypatch):
-    # B(2,2,3;0) served the Wang data of weights (1, 2, 3): a mu basis of
-    # rank 3 where the weights (2, 2) demand 2
-    other = mapping_torus.bundle_wang_data(1, 2, 3)
-    monkeypatch.setattr(mapping_torus, "bundle_wang_data", lambda d, k, g: other)
+    # B(2,2,3;0) served the untouched member B(0,1,1) for its twisted
+    # kind: two fixed classes per twisted handle where the weights (2, 2)
+    # demand one, so b1 of the mapping torus reads 5, not 3
+    members = {weights: mapping_torus.bundle_wang_data(*weights) for weights in [(0, 1), (0, 0)]}
+    members[1, 1] = other = members[0, 1]
+    monkeypatch.setattr(mapping_torus, "bundle_wang_data", lambda d, k: members[d, k])
     checks = audit_bundle(BundleManifoldSpec(2, 2, 3, 0)).checks
-    assert len(other.mu_basis) == 3
-    assert checks[0] == Check("wang_b1_matches_formula", 3, 4)
+    assert len(other.invariant_basis) == 2
+    assert checks[0] == Check("wang_b1_matches_formula", 3, 5)
     assert not checks[0].passed
+
+
+def test_a_cold_sweep_leaves_at_most_three_cache_entries():
+    # the sweep reads the three genus-1 members, whatever the grid; no
+    # genus-g Wang data is kept
+    mapping_torus.bundle_wang_data.cache_clear()
+    assert verify_bundle_grid(12).passed
+    assert mapping_torus.bundle_wang_data.cache_info().currsize <= 3
 
 
 def test_report_lines_cover_every_certificate_check_once():
