@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=11)
     parser.add_argument("--rank-max", type=int, default=32)
     parser.add_argument("--audit-max", type=int, default=4096)
-    parser.add_argument("--grid-max", type=int, default=24)
+    parser.add_argument("--grid-max", type=int, default=40)
     parser.add_argument("--cold-max", type=int, default=4096)
     parser.add_argument("--measure", nargs=2, metavar=("LAYER", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -7,8 +7,12 @@ vanish; the remaining invariants are computed through the Wang and Gysin
 sequences, summed over the handles from the three certified genus-1
 members of the handle kinds, and double-checked against closed formulas
 before a certificate is issued. :func:`audit_bundle` is that
-computation, one uncached exact pass that builds the certificate and
-records every check as a :class:`~geographer.errors.Check`; :func:`construct` raises on the first
+computation, one exact pass that builds the certificate afresh and
+records every check as a :class:`~geographer.errors.Check`; the member
+values it sums (Wang b1, Gysin b1 and pairing rank per tag class) are
+read from the members' entries of
+:func:`~geographer.mapping_torus.bundle_wang_data`, computed once per
+fill of that cache. :func:`construct` raises on the first
 failed check or :meth:`InvariantCertificate.identities` record through
 :func:`geographer.errors.enforce`, which every certificate path shares,
 from the Wang bases of the mapping torus on, and ``verify`` counts them
@@ -17,8 +21,6 @@ constructor refuses bad weights and tags, bools and non-integers among
 them, and :meth:`InvariantCertificate.as_dict` builds the plain dict that
 documents serialize.
 """
-
-from __future__ import annotations
 
 from functools import lru_cache
 from typing import NamedTuple
@@ -201,21 +203,23 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     block alone and r0 = rank P_paired; likewise b1(Y) of the paired
     member is 1, and the Gysin b1 adds one eta at e = 0 to both sides.
     Each quantity is therefore x(paired) + sum_j n_j (x(M_j) - x(paired)),
-    and no row of length 2g is built. The degeneracy is b1 less the rank;
-    the closed forms stay the second route. The result is never cached,
-    and a failed check is recorded, not raised, so a sweep sees every
-    check of every case.
+    and no row of length 2g is built; only the paired member and the
+    kinds with a handle are fetched. A member's values depend on nothing but the member and
+    whether e is zero (:func:`_member_values`), so they are read from
+    ``bundle_wang_data``'s cache entry, computed by the first audit after
+    each fill of that cache and again in each grid sweep, which empties
+    them first. The degeneracy is b1 less the rank; the closed forms stay
+    the second route. The certificate is never cached: it is built afresh
+    on each call, and a failed check is recorded, not raised, so a sweep
+    sees every check of every case.
     """
     d, k, g, e = spec.d, spec.k, spec.g, spec.e
     counts = surfaces.kind_counts(d, k, g)
-    members = [mapping_torus.bundle_wang_data(*w) for w in mapping_torus.MEMBER_WEIGHTS]
-
-    def over_handles(values):  # the lemma, from the paired member's value
-        return values[2] + sum(n * (x - values[2]) for n, x in zip(counts, values))
-
-    wang_b1 = over_handles([m.b1 for m in members])
-    b1 = over_handles([circle_bundle.bundle_b1(m, e) for m in members])
-    rank = over_handles([linalg.rank(circle_bundle.lefschetz_pairing(m, e)) for m in members])
+    # the lemma's sums, from the paired member's values; the paired term
+    # vanishes, and a kind with no handle is not fetched
+    base = _member_values(2, e)
+    terms = [(n, _member_values(j, e)) for j, n in enumerate(counts[:2]) if n]
+    wang_b1, b1, rank = (x0 + sum(n * (x[i] - x0) for n, x in terms) for i, x0 in enumerate(base))
     degeneracy = b1 - rank
     nullity = circle_bundle.nullity_closed_form(d, k, e)
     k_dot = canonical_class(g)
@@ -262,6 +266,32 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
         Check(*k_squared),
     )
     return BundleAudit(cert, checks)
+
+
+def _member_values(j: int, tag: int) -> tuple[int, int, int]:
+    """The Wang b1, Gysin b1 and pairing rank of member j at ``tag``.
+
+    Gysin b1 and the pairing change only with whether the tag is zero,
+    so the values are kept per tag class in the member's slot
+    (:class:`~geographer.mapping_torus.BundleMember`) and computed on
+    first use: once per fill of ``bundle_wang_data``'s cache, or after
+    :func:`_forget_member_values`. The rank is that of the assembled
+    pairing, as on the whole genus-g basis.
+    """
+    member = mapping_torus.bundle_wang_data(*mapping_torus.MEMBER_WEIGHTS[j])
+    values = member.audit_values.get(tag != 0)
+    if values is None:
+        rank = linalg.rank(circle_bundle.lefschetz_pairing(member, tag))
+        values = (member.b1, circle_bundle.bundle_b1(member, tag), rank)
+        member.audit_values[tag != 0] = values
+    return values
+
+
+def _forget_member_values() -> None:
+    """Empty every member's slot, so that the next audits rank each
+    member's pairing afresh; the certified Wang data stay cached."""
+    for weights in mapping_torus.MEMBER_WEIGHTS:
+        mapping_torus.bundle_wang_data(*weights).audit_values.clear()
 
 
 @lru_cache(maxsize=None)

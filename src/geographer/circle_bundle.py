@@ -30,8 +30,6 @@ and the closed forms from here and compares them; geography inverts
 them by :func:`bundle_weights`.
 """
 
-from __future__ import annotations
-
 from . import linalg, surfaces
 from .mapping_torus import WangData
 

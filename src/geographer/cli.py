@@ -22,8 +22,6 @@ record's first fields in order; an open problem in TSV is one headerless
 ``open<TAB>reason`` line.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys

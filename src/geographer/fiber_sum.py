@@ -16,8 +16,6 @@ NamedTuple records whose constructors refuse bad parameters, bools and
 non-integers among them, naming the field.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from typing import NamedTuple

@@ -13,8 +13,6 @@ returned as :class:`OpenProblem` values, never errors. Recipes and open
 problems are NamedTuple records.
 """
 
-from __future__ import annotations
-
 from typing import Iterator, NamedTuple, Union
 
 from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct

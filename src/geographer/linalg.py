@@ -34,8 +34,6 @@ the echelon find the nonzeros of a row by a C-level scan
 a row that leads in its own column, as every row of a bundle pairing
 does, costs the echelon one scan and no Euclid step.
 """
-from __future__ import annotations
-
 import math
 from itertools import chain, compress
 

@@ -26,16 +26,16 @@ sum of the three genus-1 handle kinds of
 genus-g word and no genus-g row: :func:`bundle_wang_data` is the Wang
 data of one kind's genus-1 member, certified by :func:`wang_cohomology`
 once per cache fill, and the bundle certificate sums the members over
-the handles (:func:`~geographer.bundle_manifold.audit_bundle`).
+the handles (:func:`~geographer.bundle_manifold.audit_bundle`), reading
+each member's values from the slot of its :class:`BundleMember`.
 Every count and index of a certificate is a ``(name, expected,
 observed)`` record raised by :func:`~geographer.errors.enforce` under the
 torus's label, as the certificates built on these bases are. Bases are
 rows of fiber coordinates, and b1 is read off the invariant basis. The
-torus and its Wang data are slotted NamedTuple records; only a caller
-that keeps the monodromy reads it packed, from ``MappingTorus.monodromy``.
+torus and its Wang data are slotted NamedTuple records (a cached
+:class:`BundleMember` adds one mutable slot); only a caller that keeps
+the monodromy reads it packed, from ``MappingTorus.monodromy``.
 """
-
-from __future__ import annotations
 
 import math
 from functools import lru_cache
@@ -199,8 +199,25 @@ def _shape(rows: linalg.Matrix, n: int) -> tuple[int, int]:
 MEMBER_WEIGHTS = ((1, 1), (0, 1), (0, 0))
 
 
+class BundleMember(WangData):
+    """The Wang data of a genus-1 member, as :func:`bundle_wang_data` keeps it.
+
+    It equals the plain :class:`WangData` of its rows, and carries one
+    slot more: ``audit_values``, empty when the member is made, where
+    :func:`~geographer.bundle_manifold.audit_bundle` keeps what it reads
+    off the member for each tag class. The slot lives and dies with the
+    cache entry, so clearing the cache clears it. A fill writes the value
+    that any other fill would, so concurrent audits may fill it alike.
+    """
+
+    def __new__(cls, invariant_basis, mu_basis, torsion):
+        member = super().__new__(cls, invariant_basis, mu_basis, torsion)
+        member.audit_values = {}
+        return member
+
+
 @lru_cache(maxsize=None)
-def bundle_wang_data(d: int, k: int) -> WangData:
+def bundle_wang_data(d: int, k: int) -> BundleMember:
     """Wang data of the genus-1 member B(d, k, 1), on its canonical rows.
 
     The three members B(1, 1, 1), B(0, 1, 1) and B(0, 0, 1) are the
@@ -211,11 +228,12 @@ def bundle_wang_data(d: int, k: int) -> WangData:
     certified by :func:`wang_cohomology` on its genus-1 torus, and
     ``handle_block_torsion`` records under that torus's label that it is
     torsion-free. The standard word of any genus is a direct sum of these
-    kinds, so the cache holds at most three entries.
+    kinds, so the cache holds at most three entries, each with its
+    :class:`BundleMember` slot.
     """
     surfaces._check_weights(d, k, 1)
     kind = surfaces.HANDLE_KINDS[surfaces.kind_counts(d, k, 1).index(1)]
     block = MappingTorus(TwistWord(1, kind.letters))
     torsion = wang_cohomology(block, (kind.invariant, kind.mu)).torsion
     enforce(block, [("handle_block_torsion", (), torsion)])
-    return WangData(kind.invariant, kind.mu, ())
+    return BundleMember(kind.invariant, kind.mu, ())

@@ -22,8 +22,6 @@ refused with a text that names the field.
 Everything here is a pure function of integer data.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from itertools import compress

@@ -7,20 +7,23 @@ degeneracy from the assembled pairing rank against the closed form, the
 Wang and Gysin first Betti numbers against their formulas, the evenness
 of the pairing rank, the nullity bounds, and the signature, Euler and
 Kodaira identities of the certificate. The pass is never served from
-``construct``'s cache, so every certificate is built and checked afresh;
-it reads the three genus-1 members of the handle kinds from the memoized
-:func:`~geographer.mapping_torus.bundle_wang_data`, so a cold sweep
-certifies each kind once and the cache holds three entries, however
-large the grid. Any mismatch is reported with the offending weights
+``construct``'s cache, so every certificate is built and checked afresh.
+The member values it sums, the Wang b1, Gysin b1 and pairing rank of the
+three genus-1 members of the handle kinds at each tag class, are read
+from the members' entries of the memoized
+:func:`~geographer.mapping_torus.bundle_wang_data`: a cold sweep
+certifies each kind once, and the cache holds three entries, however
+large the grid. The sweep first empties the members' value slots, so it
+ranks each member's pairing afresh, once per tag class, and trusts no
+rank computed before it; a case is then kind-count arithmetic, closed
+forms and records. Any mismatch is reported with the offending weights
 instead of raising. The sweep tallies first and builds its
 :class:`VerificationReport` once.
 """
 
-from __future__ import annotations
-
 from typing import Iterator
 
-from . import circle_bundle
+from . import bundle_manifold, circle_bundle
 from .bundle_manifold import BundleManifoldSpec, audit_bundle
 
 #: Each line of the report counts one kind of check, once per case; a
@@ -66,6 +69,7 @@ def verify_bundle_grid(grid_max: int) -> VerificationReport:
     """Run every check over the full weight grid up to ``grid_max``."""
     if grid_max < 1:
         raise ValueError("grid bound must be at least 1")
+    bundle_manifold._forget_member_values()
     cases = 0
     failures = []
     for cases, spec in enumerate(bundle_grid(grid_max), 1):

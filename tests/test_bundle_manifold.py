@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from geographer import bundle_manifold, linalg
+from geographer import bundle_manifold, circle_bundle, linalg, mapping_torus
 from geographer.bundle_manifold import (
     KODAIRA_NEG_INF,
     BundleAudit,
@@ -296,3 +296,35 @@ def test_kind_sum_matches_the_dense_route_at_cli_sizes(spec):
     degeneracy = b1 - linalg.rank(lefschetz_pairing(dense, e))
     cert = audit_bundle(spec).certificate
     assert (cert.b1, cert.degeneracy) == (b1, degeneracy), spec
+
+
+def test_a_warm_audit_builds_no_pairing_until_the_cache_is_cleared(monkeypatch):
+    # a cold audit certifies each member it fetches and builds and ranks its
+    # pairing once, at most three of each, kept with the member in
+    # bundle_wang_data's entry; a warm one at the same tag class builds and
+    # ranks none, and after cache_clear the next audit is cold again
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(mapping_torus, "wang_cohomology",
+                        recorded("torus", mapping_torus.wang_cohomology))
+    monkeypatch.setattr(circle_bundle, "lefschetz_pairing",
+                        recorded("pairing", circle_bundle.lefschetz_pairing))
+    monkeypatch.setattr(linalg, "rank", recorded("rank", linalg.rank))
+    for d, k, g, e in [(2, 5, 9, 0), (2, 5, 9, 1), (0, 0, 6, 0), (3, 3, 3, 1), (0, 7, 7, 2)]:
+        spec = BundleManifoldSpec(d, k, g, e)
+        for _ in range(2):
+            mapping_torus.bundle_wang_data.cache_clear()
+            calls.clear()
+            cold = audit_bundle(spec)
+            fetched = 1 + sum(1 for n in (d, k - d) if n)
+            assert sorted(calls) == sorted(["torus", "pairing", "rank"] * fetched), spec
+            calls.clear()
+            assert audit_bundle(spec) == cold
+            audit_bundle(BundleManifoldSpec(d, k, g + 1, e))  # the same kinds, one more handle
+            assert calls == [], spec

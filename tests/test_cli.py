@@ -483,6 +483,22 @@ def test_cold_import_loads_no_dataclasses_fractions_inspect_json_numbers_or_arra
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_compiles_no_forward_reference():
+    # the NamedTuple records see evaluated annotations: a postponed one is
+    # compiled into a typing.ForwardRef at class creation, on every start
+    probe = (
+        "import sys, typing; sys.path.insert(0, sys.argv[1]); refs = []; "
+        "init = typing.ForwardRef.__init__; "
+        "typing.ForwardRef.__init__ = lambda self, *a, **kw: (refs.append(a), init(self, *a, **kw))[1]; "
+        "import geographer.cli; print(refs)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 #: A fresh interpreter that reaches the integral rule with ``numbers`` not
 #: yet imported (``fractions`` imports it, so Fraction comes last), then
 #: prints each refusal text and what a registered non-int Integral class

@@ -3,7 +3,7 @@
 import functools
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from geographer import linalg, surfaces
@@ -46,26 +46,28 @@ def test_intersection_form_frozen():
     assert linalg.transpose(j2) == negated(j2)
 
 
-def with_bundle_bases(test, max_genus=12):
-    """``test`` with every nonempty invariant basis of the bundle path up to
-    ``max_genus`` as an explicit example (genus, basis)."""
-    for g in range(1, max_genus + 1):
-        for k in range(g + 1):
-            for d in range(k + 1):
-                basis = lifted_wang_data(d, k, g).invariant_basis
-                if basis:
-                    test = example((g, basis))(test)
-    return test
-
-
-@with_bundle_bases
-@given(st.integers(1, 8).flatmap(lambda g: st.tuples(st.just(g), mixed_rows(2 * g, max_rows=10))))
-def test_gram_through_the_rows_of_j_matches_the_dense_form(genus_and_basis):
-    # the pairing reads J by the one nonzero of each row, never built densely
-    genus, basis = genus_and_basis
+def assert_gram_matches_the_dense_form(genus, basis):
     j = intersection_form(genus)
     dense = linalg.matmul(linalg.matmul(basis, j), linalg.transpose(basis))
     assert cup_gram(basis) == dense
+
+
+@given(st.integers(1, 8).flatmap(lambda g: st.tuples(st.just(g), mixed_rows(2 * g, max_rows=10))))
+def test_gram_through_the_rows_of_j_matches_the_dense_form(genus_and_basis):
+    # the pairing reads J by the one nonzero of each row, never built densely
+    assert_gram_matches_the_dense_form(*genus_and_basis)
+
+
+@pytest.mark.parametrize("genus", range(1, 13))
+def test_gram_of_every_bundle_basis_matches_the_dense_form(genus):
+    # every nonempty invariant basis of the bundle path at this genus; the
+    # bases are built here, in the test, so a faulty member fails these
+    # tests and not the collection of the module
+    for k in range(genus + 1):
+        for d in range(k + 1):
+            basis = lifted_wang_data(d, k, genus).invariant_basis
+            if basis:
+                assert_gram_matches_the_dense_form(genus, basis)
 
 
 def test_intersection_form_rejects_genus_zero():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from geographer import circle_bundle, mapping_torus
+from geographer import circle_bundle, linalg, mapping_torus
 from geographer.bundle_manifold import (
     BUNDLE_CHECKS,
     BundleManifoldSpec,
@@ -10,7 +10,7 @@ from geographer.bundle_manifold import (
     construct,
 )
 from geographer.errors import Check, ConsistencyError
-from geographer.verify import CHECK_NAMES, verify_bundle_grid
+from geographer.verify import CHECK_NAMES, bundle_grid, verify_bundle_grid
 
 
 def test_audit_records_every_certificate_check_once():
@@ -47,6 +47,45 @@ def test_a_cold_sweep_leaves_at_most_three_cache_entries():
     mapping_torus.bundle_wang_data.cache_clear()
     assert verify_bundle_grid(12).passed
     assert mapping_torus.bundle_wang_data.cache_info().currsize <= 3
+
+
+def test_a_warm_sweep_ranks_each_member_pairing_once_per_tag_class(monkeypatch):
+    # the sweep reads each member's values per tag class, zero or nonzero,
+    # from its slot in bundle_wang_data's entry: one pairing per member and
+    # class, not one per case, and afresh in each sweep
+    assert verify_bundle_grid(12).passed
+    built = []
+    original = circle_bundle.lefschetz_pairing
+
+    def recorded(data, tag):
+        built.append((data.invariant_basis, tag != 0))
+        return original(data, tag)
+
+    monkeypatch.setattr(circle_bundle, "lefschetz_pairing", recorded)
+    assert verify_bundle_grid(12).passed
+    members = {mapping_torus.bundle_wang_data(*w).invariant_basis
+               for w in mapping_torus.MEMBER_WEIGHTS}
+    assert sorted(built) == sorted((basis, nonzero) for basis in members for nonzero in (0, 1))
+
+
+def test_verify_catches_a_pairing_corrupted_only_at_nonzero_tags(monkeypatch):
+    # zeroed at e != 0 only, after a clean sweep has filled the members'
+    # slots: the untouched member is the one whose pairing has rank there,
+    # so exactly the cases with a nonzero tag and an untouched handle fail
+    assert verify_bundle_grid(6).passed
+    original = circle_bundle.lefschetz_pairing
+
+    def corrupted(data, tag):
+        q = original(data, tag)
+        return linalg.zeros(len(q), len(q[0])) if tag else q
+
+    monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
+    report = verify_bundle_grid(6)
+    failed = [f.split(")")[0] + ")" for f in report.failures]
+    assert failed == [
+        f"(d={s.d}, k={s.k}, g={s.g}, e={s.e})" for s in bundle_grid(6) if s.e and s.k > s.d
+    ]
+    assert all("degeneracy_pairing_rank_vs_formula" in f for f in report.failures)
 
 
 def test_report_lines_cover_every_certificate_check_once():
