@@ -2,14 +2,15 @@
 """Scaling ladders: the time and memory of one layer against its size.
 
 Usage: python scripts/bench_scaling.py [--out FILE] [--samples N]
-           [--rank-max K] [--audit-max G] [--grid-max G] [--cold-max G]
+           [--dense-max G] [--audit-max G] [--grid-max G] [--cold-max G]
 
 Times four layers of the package in this checkout's ``src/``:
 
-* ``rank``: :func:`geographer.linalg.rank` of the pairing
-  :func:`geographer.circle_bundle.lefschetz_pairing` builds on the
-  canonical bases of B(0, k, k; 0), both the identity of rank 2k, a
-  (2k + 2)-square matrix, for k = 1 .. K;
+* ``wang_cohomology``: :func:`geographer.mapping_torus.wang_cohomology`
+  of one seeded dense twist word of genus g, for g = 2 .. G; it keeps no
+  cache, so every call is cold. The 2g + 4 letters of the word are drawn
+  by the law of perfbench's ``dense_words``: curves with entries in
+  {-1, 0, 1}, powers +-1;
 * ``audit_bundle``: :func:`geographer.bundle_manifold.audit_bundle` of
   B(g/2, g, g; 0) with cold caches, for g = 2, 4, 8, .. up to G;
 * ``verify_bundle_grid``: the whole sweep up to G with cold caches, for
@@ -64,7 +65,7 @@ def ladders(args) -> dict:
         return sorted({*(2 ** i for i in range(2, top.bit_length())), top})
 
     return {
-        "rank": ("k", list(range(1, args.rank_max + 1))),
+        "wang_cohomology": ("g", list(range(2, args.dense_max + 1))),
         "audit_bundle": ("g", doubling),
         "verify_bundle_grid": ("G", list(range(2, args.grid_max + 1))),
         "cli_cold_start": ("g", doubling_from_4(args.cold_max)),
@@ -73,20 +74,36 @@ def ladders(args) -> dict:
 
 def workload(layer: str, size: int):
     """The call timed at one size of a layer, its set-up done."""
-    from geographer import bundle_manifold, circle_bundle, linalg, mapping_torus, verify
+    from geographer import bundle_manifold, mapping_torus, verify
 
     def cold():
         bundle_manifold.construct.cache_clear()
         mapping_torus.bundle_wang_data.cache_clear()
 
-    if layer == "rank":
-        rows = tuple(map(tuple, linalg.identity(2 * size)))
-        q = circle_bundle.lefschetz_pairing(mapping_torus.WangData(rows, rows, ()), 0)
-        return lambda: linalg.rank(q)
+    if layer == "wang_cohomology":
+        torus = mapping_torus.MappingTorus(dense_word(size))
+        return lambda: mapping_torus.wang_cohomology(torus)
     if layer == "audit_bundle":
         spec = bundle_manifold.BundleManifoldSpec(size // 2, size, size, 0)
         return lambda: (cold(), bundle_manifold.audit_bundle(spec))
     return lambda: (cold(), verify.verify_bundle_grid(size))
+
+
+def dense_word(genus: int):
+    """The seeded dense word of ``genus``: 2g + 4 letters whose curves have
+    entries in {-1, 0, 1} and whose powers are +-1, the seed being g."""
+    import random
+
+    from geographer.surfaces import Twist, TwistWord
+
+    rng = random.Random(genus)
+    letters = []
+    for _ in range(2 * genus + 4):
+        curve = (0,) * (2 * genus)
+        while not any(curve):
+            curve = tuple(rng.choice((-1, 0, 1)) for _ in range(2 * genus))
+        letters.append(Twist(curve, rng.choice((1, -1))))
+    return TwistWord(genus, tuple(letters))
 
 
 def measure(layer: str, size: int, samples: int) -> dict:
@@ -198,7 +215,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path)
     parser.add_argument("--samples", type=int, default=11)
-    parser.add_argument("--rank-max", type=int, default=32)
+    parser.add_argument("--dense-max", type=int, default=16)
     parser.add_argument("--audit-max", type=int, default=4096)
     parser.add_argument("--grid-max", type=int, default=40)
     parser.add_argument("--cold-max", type=int, default=4096)

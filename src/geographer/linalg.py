@@ -7,7 +7,7 @@ caller may mutate, except :func:`_echelon`, which may return rows of its
 input. Each operation is one function that trusts its rows to be exact
 ints, as the package builds them, and leaves them intact;
 :func:`to_matrix` validates and copies rows that come from outside the
-package. Ranks and lattice bases come from one family of unimodular
+package. Ranks, lattice bases and torsion come from one family of unimodular
 echelon forms: :func:`_echelon` reduces rows by Euclid row steps to pivot
 rows that lead in distinct columns and span the same lattice. The number
 of pivots is the rank (:func:`rank`), and for a matrix of full column
@@ -16,14 +16,15 @@ certifies a given basis of a kernel or of a free cokernel and, appended
 with an identity block, computes one (:func:`_augmented_echelon`). On
 phi^* - 1 of dense genus-10 conjugated words its bases kept entries of at
 most 18 bits, where Smith transforms reached 76,569 bits. The echelon
-gives no minor below full column rank, so phi^* - 1 gets its rank with a
-rank-size minor (|det A| if A is nonsingular; a minor of 1 proves the
-torsion trivial) from one Bareiss elimination, :func:`_bareiss`. The
-torsion of a nonsingular matrix needs no transforms:
-:func:`elementary_divisors` runs the Smith elimination modulo |det A|,
+is also the one elimination of phi^* - 1: the echelon H of A^T gives
+its rank, and the product of H's pivots, a maximal minor of H, is a
+multiple of the order of the torsion of coker A, so pivots all 1 prove it
+trivial. Torsion needs no transforms: :func:`elementary_divisors` runs
+the Smith elimination of a square echelon block (H itself for a
+nonsingular A) modulo its determinant R, the product of its pivots,
 whose multiples the column lattice contains. Every entry it keeps stays
-below the modulus R = |det A| / (d_1 ... d_i) of its stage, where a full
-Smith form of a dense 24 x 24 matrix grows entries of millions of bits.
+below the modulus R / (d_1 ... d_i) of its stage, where a full Smith
+form of a dense 24 x 24 matrix grows entries of millions of bits.
 :func:`rational_rank` is an independent Fraction-based elimination used
 to cross-check ranks.
 
@@ -153,54 +154,6 @@ class FrozenMatrix:
         return f"FrozenMatrix({tuple(self)!r})"
 
 
-def _bareiss(m: Matrix) -> tuple[int, int, int]:
-    """Fraction-free row echelon elimination of ``m`` in place.
-
-    Returns (rank, sign, last pivot), where sign is that of the row
-    permutation times -1 for every negated row. Every entry stays a minor
-    of the input (Bareiss, Math. Comp. 22, 1968), so each division is
-    exact and intermediate sizes are bounded by Hadamard's inequality.
-    Columns without a pivot are skipped. Rows are replaced, never mutated,
-    so eliminating a shallow copy of the list leaves the input rows intact.
-    The last pivot is, up to sign, a rank-size minor of the input. A
-    negative pivot row is negated:
-    that is elimination of the input with that row negated, whose later
-    minors all contain the row and so only change sign. With positive
-    pivots a row with a zero in the pivot column needs no update whenever
-    the pivot equals the previous one, which on {-1, 0, 1} matrices is
-    the common case.
-    """
-    nrows, ncols = len(m), len(m[0])
-    rank_ = 0
-    sign = 1
-    prev = 1
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank_, nrows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != rank_:
-            m[rank_], m[pivot_row] = m[pivot_row], m[rank_]
-            sign = -sign
-        top = m[rank_]
-        p = top[col]
-        if p < 0:
-            top = m[rank_] = [-x for x in top]
-            p = -p
-            sign = -sign
-        for r in range(rank_ + 1, nrows):
-            row = m[r]
-            x = row[col]
-            if x == 0 and p == prev:
-                continue
-            # Both rows are zero left of col, so the update zeroes row[col].
-            m[r] = [(p * y - x * z) // prev for y, z in zip(row, top)]
-        prev = p
-        rank_ += 1
-        if rank_ == nrows:
-            break
-    return rank_, sign, prev
-
-
 class _Echelon(list):
     """The rows :func:`_echelon` keeps, and their pivots."""
 
@@ -251,11 +204,6 @@ def _echelon(rows) -> _Echelon:
             kept_rows.append(bucket[0])
             kept_rows.pivots.append(abs(bucket[0][col]))
     return kept_rows
-
-
-def _pivots(echelon) -> list[int]:
-    """The pivots of :func:`_echelon`, as its elimination kept them."""
-    return echelon.pivots
 
 
 def _augmented_echelon(m) -> tuple[Matrix, Matrix]:
@@ -314,9 +262,10 @@ def elementary_divisors(rows, modulus: int) -> tuple[int, ...]:
     elimination modulo its determinant.
 
     The diagonal of the Smith form of A, less its ones, with no
-    transforms; the package runs it on a nonsingular phi^* - 1 and, for a
-    singular one, on the nonsingular echelon block that carries the
-    torsion of its cokernel. The columns of A span a lattice L of index
+    transforms. The package runs it only on triangular echelon blocks,
+    modulo the product of their pivots: on the echelon of the transpose
+    of a nonsingular phi^* - 1 and, for a singular one, on the r x r
+    block that carries the torsion of its cokernel. The columns of A span a lattice L of index
     R = |det A| in Z^n, so L contains R Z^n, and an entry may change by a
     multiple of R without changing Z^n / L (Domich, Kannan and Trotter,
     Math. Oper. Res. 12, 1987; Cohen, A Course in Computational Algebraic

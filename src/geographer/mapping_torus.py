@@ -7,15 +7,16 @@ volume class together with lifts of the fixed classes of phi^*, and the
 connecting map mu identifies H^2(Y) modulo the fiber class with the free
 part of the cokernel of A. Degeneracy and nullity downstream are real
 ranks, so all bases here are rational-rank data; the integral torsion of A
-is computed and reported as a diagnostic only. One Bareiss elimination
-gives the rank of A and a rank-size minor. A generic word has a
-nonsingular A, with empty bases and a torsion found by Smith elimination
-modulo det A, which keeps no transforms and no entry as large as det A; a
-singular A gets its torsion the same way from a nonsingular echelon block
-of its image. The bases of a singular A are computed and certified by one
-family of unimodular echelon forms (:func:`~geographer.linalg._echelon`),
-whose rows measured far smaller entries than the transforms of a Smith
-form (see :mod:`~geographer.linalg`). :func:`wang_cohomology` either reads
+is computed and reported as a diagnostic only. Rank, torsion and bases
+come from one family of unimodular echelon forms
+(:func:`~geographer.linalg._echelon`), whose rows measured far smaller
+entries than the transforms of a Smith form (see
+:mod:`~geographer.linalg`). The echelon of A^T gives the rank of A and
+its torsion (:func:`_torsion`). A generic word has a nonsingular A, with
+empty bases and a torsion found by Smith elimination of that echelon
+modulo det A, which keeps no transforms and no entry as large as det A;
+a singular A gets its torsion the same way from a nonsingular echelon
+block of its image. :func:`wang_cohomology` either reads
 generic bases off echelon forms with an identity block appended, or is
 given a pair of preferred bases; either way the bases pass one
 certificate, by pivot counts and pivot products of echelon forms built
@@ -27,14 +28,15 @@ genus-g word and no genus-g row: :func:`bundle_wang_data` is the Wang
 data of one kind's genus-1 member, certified by :func:`wang_cohomology`
 once per cache fill, and the bundle certificate sums the members over
 the handles (:func:`~geographer.bundle_manifold.audit_bundle`), reading
-each member's values from the slot of its :class:`BundleMember`.
+each member's values from its :class:`BundleMember`.
 Every count and index of a certificate is a ``(name, expected,
 observed)`` record raised by :func:`~geographer.errors.enforce` under the
 torus's label, as the certificates built on these bases are. Bases are
 rows of fiber coordinates, and b1 is read off the invariant basis. The
-torus and its Wang data are slotted NamedTuple records (a cached
-:class:`BundleMember` adds one mutable slot); only a caller that keeps
-the monodromy reads it packed, from ``MappingTorus.monodromy``.
+torus and its Wang data are slotted NamedTuple records, but for a cached
+:class:`BundleMember`, whose ``__dict__`` holds one mutable attribute;
+only a caller that keeps the monodromy reads it packed, from
+``MappingTorus.monodromy``.
 """
 
 import math
@@ -99,8 +101,8 @@ def wang_cohomology(torus: MappingTorus, bases=None) -> WangData:
     """Wang-sequence cohomology data of a mapping torus, in two modes.
 
     A = phi^* - 1 is built from the rows of
-    :func:`~geographer.surfaces.compose_word`; one Bareiss elimination
-    gives its rank, and :func:`_torsion` its torsion. With no ``bases``
+    :func:`~geographer.surfaces.compose_word`; the echelon H of A^T gives
+    its rank, and :func:`_torsion` its torsion from H. With no ``bases``
     the generic bases are computed: a nonsingular A, as a generic word
     has, fixes no vector, so they are empty; a singular A gets them from
     :func:`_generic_bases`. With the pair
@@ -129,20 +131,20 @@ def wang_cohomology(torus: MappingTorus, bases=None) -> WangData:
     a = [list(row) for row in surfaces.compose_word(torus.word)]
     for i in range(n):
         a[i][i] -= 1
-    rank, _, minor = linalg._bareiss(list(a))  # replaces rows, leaves those of A intact
-    fixed_rank = n - rank
+    image = linalg.transpose(a)  # row j is A e_j
+    h = linalg._echelon(image)  # a basis of im A
+    fixed_rank = n - len(h)
     if bases is not None:  # a pair of row lists, possibly empty
         inv, mu = (linalg.to_matrix(basis) if len(basis) else [] for basis in bases)
     else:
         inv, mu = _generic_bases(a) if fixed_rank else ([], [])
     enforce(torus, [("invariant_basis_shape", (fixed_rank, n), _shape(inv, n)),
                     ("mu_basis_shape", (fixed_rank, n), _shape(mu, n))])
-    torsion = _torsion(a, rank, minor)
+    torsion = _torsion(h, n)
     if fixed_rank:
-        image = linalg.transpose(a)  # row j is A e_j
         images = linalg.matmul(inv, image)  # row i is A v_i
-        inv_pivots = linalg._pivots(linalg._echelon(linalg.transpose(inv)))
-        mu_pivots = linalg._pivots(linalg._echelon(image + mu))
+        inv_pivots = linalg._echelon(linalg.transpose(inv)).pivots
+        mu_pivots = linalg._echelon(image + mu).pivots
         enforce(torus, [
             ("invariant_basis_fixed", fixed_rank, sum(not any(row) for row in images)),
             ("invariant_basis_rank", fixed_rank, len(inv_pivots)),
@@ -169,24 +171,23 @@ def _generic_bases(a: linalg.Matrix) -> tuple[linalg.Matrix, linalg.Matrix]:
     return invariant, linalg._augmented_echelon(linalg.transpose(w))[0]
 
 
-def _torsion(a: linalg.Matrix, rank: int, minor: int) -> tuple[int, ...]:
+def _torsion(h: linalg._Echelon, n: int) -> tuple[int, ...]:
     """The nontrivial invariant factors of A: the one home of the torsion rule.
 
-    The Bareiss minor is a multiple of the product of the nonzero
-    invariant factors, so a minor of 1 proves them all 1. A nonsingular A
-    has |det A| for that minor, the modulus of the elimination. For a
-    singular A of rank r the rows of H, the echelon of A^T, are a basis
-    of im A; the echelon of H^T, a unimodular change of Z^2g, takes im A
-    onto the column lattice of an r x r block E, so coker A has the
-    torsion of E, whose determinant is the product of its pivots.
+    H, the echelon of A^T, is a basis of im A, and the product of its
+    pivots, a maximal minor of H, is a multiple of the order of the
+    torsion; pivots all 1 (none for A = 0) prove it trivial. Otherwise
+    the Smith elimination runs on a square echelon block with the torsion
+    of coker A, modulo its determinant, the product of its pivots: on H
+    for a nonsingular A, where that is |det A|, and for a singular A of
+    rank r on the r x r echelon E of H^T, a unimodular change of Z^2g
+    that takes im A onto the column lattice of E.
     """
-    if minor == 1:
+    if all(p == 1 for p in h.pivots):
         return ()
-    if rank == len(a):
-        return linalg.elementary_divisors(a, abs(minor))
-    h = linalg._echelon(linalg.transpose(a))
-    e = linalg._echelon(linalg.transpose(h))
-    return linalg.elementary_divisors(e, math.prod(linalg._pivots(e)))
+    if len(h) < n:
+        h = linalg._echelon(linalg.transpose(h))
+    return linalg.elementary_divisors(h, math.prod(h.pivots))
 
 
 def _shape(rows: linalg.Matrix, n: int) -> tuple[int, int]:
@@ -203,11 +204,13 @@ class BundleMember(WangData):
     """The Wang data of a genus-1 member, as :func:`bundle_wang_data` keeps it.
 
     It equals the plain :class:`WangData` of its rows, and carries one
-    slot more: ``audit_values``, empty when the member is made, where
+    attribute more: ``audit_values``, empty when the member is made, where
     :func:`~geographer.bundle_manifold.audit_bundle` keeps what it reads
-    off the member for each tag class. The slot lives and dies with the
-    cache entry, so clearing the cache clears it. A fill writes the value
-    that any other fill would, so concurrent audits may fill it alike.
+    off the member for each tag class. A tuple subclass cannot declare a
+    slot, so the attribute lives in the member's ``__dict__``; it lives
+    and dies with the cache entry, so clearing the cache clears it. A fill
+    writes the value that any other fill would, so concurrent audits may
+    fill it alike.
     """
 
     def __new__(cls, invariant_basis, mu_basis, torsion):
@@ -229,7 +232,7 @@ def bundle_wang_data(d: int, k: int) -> BundleMember:
     ``handle_block_torsion`` records under that torus's label that it is
     torsion-free. The standard word of any genus is a direct sum of these
     kinds, so the cache holds at most three entries, each with its
-    :class:`BundleMember` slot.
+    ``audit_values``.
     """
     surfaces._check_weights(d, k, 1)
     kind = surfaces.HANDLE_KINDS[surfaces.kind_counts(d, k, 1).index(1)]

@@ -290,12 +290,59 @@ def rational_inverse(rows):
     return [[int(x) for x in row] for row in inverse]
 
 
+def bareiss(m):
+    """Fraction-free row echelon elimination of ``m`` in place.
+
+    Returns (rank, sign, last pivot), where sign is that of the row
+    permutation times -1 for every negated row. Every entry stays a minor
+    of the input (Bareiss, Math. Comp. 22, 1968), so each division is
+    exact. Columns without a pivot are skipped. Rows are replaced, never
+    mutated, so eliminating a shallow copy of the list leaves the input
+    rows intact. The last pivot is, up to sign, a rank-size minor of the
+    input. A negative pivot row is negated: that is elimination of the
+    input with that row negated, whose later minors all contain the row
+    and so only change sign. With positive pivots a row with a zero in
+    the pivot column needs no update whenever the pivot equals the
+    previous one. A rank and a determinant independent of the echelon of
+    the package.
+    """
+    nrows, ncols = len(m), len(m[0])
+    rank_ = 0
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank_, nrows) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank_:
+            m[rank_], m[pivot_row] = m[pivot_row], m[rank_]
+            sign = -sign
+        top = m[rank_]
+        p = top[col]
+        if p < 0:
+            top = m[rank_] = [-x for x in top]
+            p = -p
+            sign = -sign
+        for r in range(rank_ + 1, nrows):
+            row = m[r]
+            x = row[col]
+            if x == 0 and p == prev:
+                continue
+            # Both rows are zero left of col, so the update zeroes row[col].
+            m[r] = [(p * y - x * z) // prev for y, z in zip(row, top)]
+        prev = p
+        rank_ += 1
+        if rank_ == nrows:
+            break
+    return rank_, sign, prev
+
+
 def bareiss_det(rows):
     """Determinant by fraction-free elimination: the sign and the last pivot
-    of ``linalg._bareiss``, or 0 for a singular matrix."""
+    of :func:`bareiss`, or 0 for a singular matrix."""
     if len(rows[0]) != len(rows):
         raise ValueError("determinant of a non-square matrix")
-    rank, sign, last = linalg._bareiss(list(rows))
+    rank, sign, last = bareiss(list(rows))
     return sign * last if rank == len(rows) else 0
 
 
@@ -448,11 +495,18 @@ def real_size_matrices():
     for n in (20, 24, 30):
         for seed in (1, 2):
             yield f"skew{n}-{seed}", dense_skew(n, 1000 * n + seed)
+    for label, word in real_size_words():
+        yield label, minus_identity(compose_word(word))
+
+
+def real_size_words():
+    """(label, word) for the dense twist words of :func:`real_size_matrices`:
+    genus 8 to 10, 2g + 4 letters, two of each."""
     for genus in (8, 9, 10):
         # a word of fewer than 2g letters fixes a vector
         words = dense_words(2, genus=genus, letters=2 * genus + 4, seed=genus)
         for i, word in enumerate(words):
-            yield f"genus{genus}-{i}", minus_identity(compose_word(word))
+            yield f"genus{genus}-{i}", word
 
 
 def handle_conjugate(genus, seed=0):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from geographer import linalg
 from strategies import (
+    bareiss,
     bareiss_det,
     cokernel_free_coordinates,
     fraction_det,
@@ -166,12 +167,12 @@ def test_det_of_sparse_sign_matrices_matches_fraction_elimination(rows):
 
 
 def test_det_frozen_values():
-    # _bareiss gives (rank, sign, last pivot); the last pivot is a
+    # bareiss gives (rank, sign, last pivot); the last pivot is a
     # rank-size minor, |det A| for a nonsingular A
-    assert linalg._bareiss([[2, 0], [0, 3]]) == (2, 1, 6)
-    assert linalg._bareiss([[0, 1], [-1, 0]]) == (2, 1, 1)
-    assert linalg._bareiss([[1, 2], [2, 4]]) == (1, 1, 1)
-    assert linalg._bareiss([[2, 4], [1, 2]]) == (1, 1, 2)
+    assert bareiss([[2, 0], [0, 3]]) == (2, 1, 6)
+    assert bareiss([[0, 1], [-1, 0]]) == (2, 1, 1)
+    assert bareiss([[1, 2], [2, 4]]) == (1, 1, 1)
+    assert bareiss([[2, 4], [1, 2]]) == (1, 1, 2)
     assert bareiss_det([[2, 0], [0, 3]]) == 6
     assert bareiss_det([[0, 1], [-1, 0]]) == 1
     assert bareiss_det([[1, 2], [2, 4]]) == 0
@@ -260,9 +261,9 @@ def test_bareiss_negative_pivots_frozen():
     # every pivot of the first is negative; the second needs a swap first.
     # Each negative pivot row is negated, so every pivot is positive and
     # the sign counts the swaps and the negations.
-    assert linalg._bareiss([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]) == (3, -1, 1)
-    assert linalg._bareiss([[0, -1], [-1, 1]]) == (2, -1, 1)
-    assert linalg._bareiss([[-2, 1], [1, -1]]) == (2, 1, 1)
+    assert bareiss([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]) == (3, -1, 1)
+    assert bareiss([[0, -1], [-1, 1]]) == (2, -1, 1)
+    assert bareiss([[-2, 1], [1, -1]]) == (2, 1, 1)
     assert bareiss_det([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]) == -1
     assert bareiss_det([[0, -1], [-1, 1]]) == -1
     assert bareiss_det([[-2, 1], [1, -1]]) == 1
@@ -324,7 +325,7 @@ def maximal_minor_gcd(rows):
 
 
 def echelon_pivots(rows):
-    return linalg._pivots(linalg._echelon(rows))
+    return linalg._echelon(rows).pivots
 
 
 @given(integer_matrices(max_dim=6), st.data())
@@ -366,7 +367,7 @@ def test_echelon_pivots_frozen():
 def test_echelon_pivots_are_the_leading_entries_of_its_rows(rows):
     # the elimination records each pivot as it keeps the row
     echelon = linalg._echelon(rows)
-    assert linalg._pivots(echelon) == [abs(next(filter(None, row))) for row in echelon]
+    assert echelon.pivots == [abs(next(filter(None, row))) for row in echelon]
 
 
 @given(integer_matrices(max_dim=6))

@@ -135,9 +135,12 @@ HANDLE = [a_curve(1, 2), b_curve(1, 2)]
 def test_wrong_shape_basis_is_refused_before_its_rows_are_used(monkeypatch, given, text):
     # the fixed lattice of a1, b1 in genus 2 has rank two
     torus = MappingTorus(bundle_monodromy_word(0, 1, 2))
-    monkeypatch.setattr(linalg, "_echelon", None)  # no row is certified
+    echelon, calls = linalg._echelon, []
+    monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(rows) or echelon(rows))
     with refusal(f"Y(genus 2, 2 letters): {text}"):
         wang_cohomology(torus, given)
+    # only the echelon of A^T ran, so no given row is certified
+    assert calls == [linalg.transpose(minus_identity(compose_word(torus.word)))]
 
 
 @pytest.mark.parametrize(
@@ -715,12 +718,12 @@ def unimodular(rng, r):
 
 
 def test_echelon_intermediates_on_random_words(monkeypatch):
-    # Every row _echelon forms while it computes or certifies the bases of
-    # 150 random words, under every mutation, and while it finds the
-    # torsion of a singular A, is traced. The rows stay within twice the
-    # bits of the input of their route plus one: the rows _echelon is
-    # given, or A itself for the torsion route, whose second echelon
-    # works on the output of the first (measured: largest 41 bits, on an
+    # Every row _echelon forms while it finds the rank and torsion of A
+    # and computes or certifies the bases of 150 random words, under every
+    # mutation, is traced. The rows stay within twice the bits of the
+    # input of their route plus one: the rows _echelon is given, or A
+    # itself for the torsion route of a singular A, whose second echelon
+    # works on the output of the first, the echelon of A^T (measured: largest 41 bits, on an
     # input of 27 bits; a torsion route grew 22 bits of A to 35). On the
     # unit-vector bases and the member pairings of the bundle path they
     # keep the bits of their input: one, or none for a zero pairing.
@@ -730,10 +733,12 @@ def test_echelon_intermediates_on_random_words(monkeypatch):
     torsion_input = []  # the bits of A while the torsion route runs
     calls = []
 
-    def traced_torsion(a, rank, minor):
-        torsion_input.append(bits(a))
+    echelon_input = {}  # the bits of the rows each live echelon came from
+
+    def traced_torsion(h, n):
+        torsion_input.append(echelon_input[id(h)])
         try:
-            return torsion(a, rank, minor)
+            return torsion(h, n)
         finally:
             torsion_input.pop()
 
@@ -750,10 +755,12 @@ def test_echelon_intermediates_on_random_words(monkeypatch):
 
         sys.settrace(lambda frame, event, arg: line if frame.f_code is kernel.__code__ else None)
         try:
-            return kernel(rows)
+            echelon = kernel(rows)
         finally:
             sys.settrace(None)
             calls.append((torsion_input[-1] if torsion_input else bits(rows), largest))
+        echelon_input[id(echelon)] = bits(rows)
+        return echelon
 
     monkeypatch.setattr(mapping_torus, "_torsion", traced_torsion)
     monkeypatch.setattr(linalg, "_echelon", traced)
@@ -777,3 +784,26 @@ def test_echelon_intermediates_on_random_words(monkeypatch):
         bundle_wang_data.cache_clear()
         audit_bundle(spec)
     assert calls and all(largest == start <= 1 for start, largest in calls), set(calls)
+
+
+@pytest.mark.parametrize(
+    "word, second",
+    [
+        *(pytest.param(word, 0, id=f"dense{i}") for i, word in enumerate(dense_words(3))),
+        pytest.param(handle_conjugate(3, 1), 1, id="conjugate"),  # pivots 2 and 23
+        pytest.param(bundle_monodromy_word(0, 1, 2), 0, id="bundle"),  # unit pivots
+    ],
+)
+def test_rank_and_torsion_take_one_echelon_of_a_transpose(monkeypatch, word, second):
+    # the rank and the torsion of A come from H, the one echelon of A^T,
+    # and from one echelon of H^T when A is singular and a pivot of H is
+    # not 1; a nonsingular A runs no other echelon at all
+    image = linalg.transpose(minus_identity(compose_word(word)))
+    h = linalg._echelon(image)
+    echelon, calls = linalg._echelon, []
+    monkeypatch.setattr(linalg, "_echelon", lambda rows: calls.append(rows) or echelon(rows))
+    wang_cohomology(MappingTorus(word))
+    assert calls.count(image) == 1
+    assert calls.count(linalg.transpose(h)) == second
+    if len(h) == len(image):
+        assert calls == [image]

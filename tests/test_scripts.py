@@ -52,13 +52,13 @@ def test_bench_scaling_writes_one_record_per_size_of_each_ladder(tmp_path):
     out = tmp_path / "bench.json"
     proc = run_script(
         "bench_scaling.py", "--out", str(out), "--samples", "1",
-        "--rank-max", "2", "--audit-max", "4", "--grid-max", "3", "--cold-max", "8",
+        "--dense-max", "3", "--audit-max", "4", "--grid-max", "3", "--cold-max", "8",
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert {"python", "git_rev", "git_dirty", "host", "time_unit", "layers"} <= set(doc)
-    sizes = {"rank": ("k", [1, 2]), "audit_bundle": ("g", [2, 4]), "verify_bundle_grid": ("G", [2, 3]),
-             "cli_cold_start": ("g", [4, 8])}
+    sizes = {"wang_cohomology": ("g", [2, 3]), "audit_bundle": ("g", [2, 4]),
+             "verify_bundle_grid": ("G", [2, 3]), "cli_cold_start": ("g", [4, 8])}
     assert set(doc["layers"]) == set(sizes)
     for name, (parameter, ladder) in sizes.items():
         layer = doc["layers"][name]

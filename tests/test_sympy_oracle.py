@@ -1,6 +1,6 @@
 """sympy's Smith normal form as a third, optional oracle for the Smith
 form of the tests, for the elementary divisors found modulo the
-determinant, and for the torsion of a singular phi^* - 1.
+determinant, and for the torsion of phi^* - 1, nonsingular or singular.
 
 sympy is not a dependency of the package; these tests are skipped when it
 is not installed. Its diagonal may carry signs, so absolute values are
@@ -20,6 +20,7 @@ from strategies import (
     integer_matrices,
     minus_identity,
     real_size_matrices,
+    real_size_words,
     smith_form,
     sparse_ints,
     twist_words,
@@ -62,10 +63,26 @@ def test_modular_elementary_divisors_match_sympy_at_real_sizes(label):
     assert divisors == tuple(x for x in sympy_diagonal(a) if x != 1)
 
 
+REAL_SIZE_WORDS = dict(real_size_words())
+
+
+@pytest.mark.parametrize("label", list(REAL_SIZE_WORDS))
+def test_nonsingular_torsion_matches_sympy_on_real_size_words(label):
+    # a nonsingular phi^* - 1 gets its torsion from the echelon of its
+    # transpose, modulo the product of that echelon's pivots
+    word = REAL_SIZE_WORDS[label]
+    a = minus_identity(compose_word(word))
+    assert linalg.rank(a) == len(a)
+    expected = tuple(x for x in sympy_diagonal(a) if x != 1)
+    assert expected
+    assert wang_cohomology(MappingTorus(word)).torsion == expected
+
+
 @pytest.mark.parametrize("genus, seed", [(8, 0), (9, 0), (10, 0), (10, 10)])
 def test_singular_torsion_matches_sympy_on_dense_conjugates(genus, seed):
-    # a singular phi^* - 1 whose Bareiss minor is not 1 gets its torsion
-    # from an echelon block of its image, modulo that block's determinant
+    # a singular phi^* - 1 whose echelon of its transpose has a pivot
+    # other than 1 gets its torsion from an echelon block of its image,
+    # modulo that block's determinant
     word = handle_conjugate(genus, seed)
     a = minus_identity(compose_word(word))
     assert linalg.rank(a) == 2 * genus - 2
