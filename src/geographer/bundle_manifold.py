@@ -272,7 +272,7 @@ def _member_values(j: int, tag: int) -> tuple[int, int, int]:
     """The Wang b1, Gysin b1 and pairing rank of member j at ``tag``.
 
     Gysin b1 and the pairing change only with whether the tag is zero,
-    so the values are kept per tag class in the member's slot
+    so the values are kept per tag class in the member's ``audit_values``
     (:class:`~geographer.mapping_torus.BundleMember`) and computed on
     first use: once per fill of ``bundle_wang_data``'s cache, or after
     :func:`_forget_member_values`. The rank is that of the assembled
@@ -288,8 +288,8 @@ def _member_values(j: int, tag: int) -> tuple[int, int, int]:
 
 
 def _forget_member_values() -> None:
-    """Empty every member's slot, so that the next audits rank each
-    member's pairing afresh; the certified Wang data stay cached."""
+    """Empty every member's ``audit_values``, so that the next audits rank
+    each member's pairing afresh; the certified Wang data stay cached."""
     for weights in mapping_torus.MEMBER_WEIGHTS:
         mapping_torus.bundle_wang_data(*weights).audit_values.clear()
 

@@ -7,13 +7,14 @@ caller may mutate, except :func:`_echelon`, which may return rows of its
 input. Each operation is one function that trusts its rows to be exact
 ints, as the package builds them, and leaves them intact;
 :func:`to_matrix` validates and copies rows that come from outside the
-package. Ranks, lattice bases and torsion come from one family of unimodular
-echelon forms: :func:`_echelon` reduces rows by Euclid row steps to pivot
-rows that lead in distinct columns and span the same lattice. The number
-of pivots is the rank (:func:`rank`), and for a matrix of full column
-rank their product is the gcd of the maximal minors, so the echelon both
-certifies a given basis of a kernel or of a free cokernel and, appended
-with an identity block, computes one (:func:`_augmented_echelon`). On
+package. Ranks, lattice bases and torsion come from one family of
+unimodular echelon forms: :func:`_echelon` reduces rows by Euclid row
+steps to pivot rows that lead in distinct columns and span the same
+lattice. The number of pivots is the rank (:func:`rank`), and for a
+matrix of full column rank their product is the gcd of the maximal
+minors, so the echelon both certifies a given basis of a kernel or of a
+free cokernel and, appended with an identity block, computes one
+(:func:`_augmented_echelon`). On
 phi^* - 1 of dense genus-10 conjugated words its bases kept entries of at
 most 18 bits, where Smith transforms reached 76,569 bits. The echelon
 is also the one elimination of phi^* - 1: the echelon H of A^T gives
@@ -263,25 +264,25 @@ def elementary_divisors(rows, modulus: int) -> tuple[int, ...]:
 
     The diagonal of the Smith form of A, less its ones, with no
     transforms. The package runs it only on triangular echelon blocks,
-    modulo the product of their pivots: on the echelon of the transpose
-    of a nonsingular phi^* - 1 and, for a singular one, on the r x r
-    block that carries the torsion of its cokernel. The columns of A span a lattice L of index
-    R = |det A| in Z^n, so L contains R Z^n, and an entry may change by a
-    multiple of R without changing Z^n / L (Domich, Kannan and Trotter,
-    Math. Oper. Res. 12, 1987; Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 2.4.14). Each stage pivots on the remaining block
-    as the classical Smith elimination does: Euclid row steps clear
-    the pivot column; once it is clear, a column step touches the pivot
-    row alone, so an entry there is reduced modulo the pivot p and, if
-    nonzero, becomes the pivot. A row with an entry p does not divide is
-    added to the pivot row. A row is reduced to residues of least
-    absolute value once one of its entries reaches R. When p divides
+    modulo the product of their pivots: on the echelon of the transpose of
+    a nonsingular phi^* - 1 and, for a singular one, on the r x r block
+    that carries the torsion of its cokernel. The columns of A span a
+    lattice L of index R = |det A| in Z^n, so L contains R Z^n, and an
+    entry may change by a multiple of R without changing Z^n / L (Domich,
+    Kannan and Trotter, Math. Oper. Res. 12, 1987; Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.4.14). Each stage pivots
+    on the remaining block as the classical Smith elimination does: Euclid
+    row steps clear the pivot column; once it is clear, a column step
+    touches the pivot row alone, so an entry there is reduced modulo the
+    pivot p and, if nonzero, becomes the pivot. A row with an entry p does
+    not divide is added to the pivot row. A row is reduced to residues of
+    least absolute value once one of its entries reaches R. When p divides
     every entry of its row and of the block, the stage splits off the
     summand Z/d with d = gcd(p, R); the rest has order R/d, so the next
     stage works modulo R/d, and as p divides every entry left, d divides
-    the next divisor. ``rows`` must have determinant +-``modulus`` and
-    are not mutated; every row kept has entries below the modulus of its
-    stage in absolute value.
+    the next divisor. ``rows`` must have determinant +-``modulus`` and are
+    not mutated; every row kept has entries below the modulus of its stage
+    in absolute value.
     """
     r = modulus
     block = [_centred(list(row), r) for row in rows]

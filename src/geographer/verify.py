@@ -13,9 +13,9 @@ three genus-1 members of the handle kinds at each tag class, are read
 from the members' entries of the memoized
 :func:`~geographer.mapping_torus.bundle_wang_data`: a cold sweep
 certifies each kind once, and the cache holds three entries, however
-large the grid. The sweep first empties the members' value slots, so it
-ranks each member's pairing afresh, once per tag class, and trusts no
-rank computed before it; a case is then kind-count arithmetic, closed
+large the grid. The sweep first empties the members' ``audit_values``,
+so it ranks each member's pairing afresh, once per tag class, and trusts
+no rank computed before it; a case is then kind-count arithmetic, closed
 forms and records. Any mismatch is reported with the offending weights
 instead of raising. The sweep tallies first and builds its
 :class:`VerificationReport` once.
