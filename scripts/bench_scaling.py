@@ -4,8 +4,10 @@
 Usage: python scripts/bench_scaling.py [--out FILE] [--samples N]
            [--dense-max G] [--audit-max G] [--grid-max G] [--cold-max G]
 
-Times four layers of the package in this checkout's ``src/``:
+Times five layers of the package in this checkout's ``src/``:
 
+* ``compose_word``: :func:`geographer.surfaces.compose_word` of the
+  ``wang_cohomology`` ladder's word, at the same sizes;
 * ``wang_cohomology``: :func:`geographer.mapping_torus.wang_cohomology`
   of one seeded dense twist word of genus g, for g = 2 .. G; it keeps no
   cache, so every call is cold. The 2g + 4 letters of the word are drawn
@@ -64,8 +66,10 @@ def ladders(args) -> dict:
     def doubling_from_4(top: int) -> list:
         return sorted({*(2 ** i for i in range(2, top.bit_length())), top})
 
+    dense = list(range(2, args.dense_max + 1))
     return {
-        "wang_cohomology": ("g", list(range(2, args.dense_max + 1))),
+        "compose_word": ("g", dense),
+        "wang_cohomology": ("g", dense),
         "audit_bundle": ("g", doubling),
         "verify_bundle_grid": ("G", list(range(2, args.grid_max + 1))),
         "cli_cold_start": ("g", doubling_from_4(args.cold_max)),
@@ -74,12 +78,15 @@ def ladders(args) -> dict:
 
 def workload(layer: str, size: int):
     """The call timed at one size of a layer, its set-up done."""
-    from geographer import bundle_manifold, mapping_torus, verify
+    from geographer import bundle_manifold, mapping_torus, surfaces, verify
 
     def cold():
         bundle_manifold.construct.cache_clear()
         mapping_torus.bundle_wang_data.cache_clear()
 
+    if layer == "compose_word":
+        word = dense_word(size)
+        return lambda: surfaces.compose_word(word)
     if layer == "wang_cohomology":
         torus = mapping_torus.MappingTorus(dense_word(size))
         return lambda: mapping_torus.wang_cohomology(torus)

@@ -21,9 +21,12 @@ is also the one elimination of phi^* - 1: the echelon H of A^T gives
 its rank, and the product of H's pivots, a maximal minor of H, is a
 multiple of the order of the torsion of coker A, so pivots all 1 prove it
 trivial. Torsion needs no transforms: :func:`elementary_divisors` runs
-the Smith elimination of a square echelon block (H itself for a
-nonsingular A) modulo its determinant R, the product of its pivots,
-whose multiples the column lattice contains. Every entry it keeps stays
+the Smith elimination of the trailing block of a square echelon (H
+itself for a nonsingular A) from its first non-unit pivot on, since the
+leading run of unit pivots splits off as an identity summand, modulo
+that block's determinant R, the product of its pivots, whose multiples
+its column lattice contains; for most dense words the block is the last
+pivot alone, 1 x 1. Every entry it keeps stays
 below the modulus R / (d_1 ... d_i) of its stage, where a full Smith
 form of a dense 24 x 24 matrix grows entries of millions of bits.
 :func:`rational_rank` is an independent Fraction-based elimination used
@@ -264,8 +267,9 @@ def elementary_divisors(rows, modulus: int) -> tuple[int, ...]:
 
     The diagonal of the Smith form of A, less its ones, with no
     transforms. The package runs it only on triangular echelon blocks,
-    modulo the product of their pivots: on the echelon of the transpose of
-    a nonsingular phi^* - 1 and, for a singular one, on the r x r block
+    modulo the product of their pivots: on the trailing block, from the
+    first non-unit pivot on, of the echelon of the transpose of a
+    nonsingular phi^* - 1 or, for a singular one, of the r x r echelon
     that carries the torsion of its cokernel. The columns of A span a
     lattice L of index R = |det A| in Z^n, so L contains R Z^n, and an
     entry may change by a multiple of R without changing Z^n / L (Domich,

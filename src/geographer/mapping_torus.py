@@ -13,10 +13,11 @@ come from one family of unimodular echelon forms
 entries than the transforms of a Smith form (see
 :mod:`~geographer.linalg`). The echelon of A^T gives the rank of A and
 its torsion (:func:`_torsion`). A generic word has a nonsingular A, with
-empty bases and a torsion found by Smith elimination of that echelon
-modulo det A, which keeps no transforms and no entry as large as det A;
-a singular A gets its torsion the same way from a nonsingular echelon
-block of its image. :func:`wang_cohomology` either reads
+empty bases and a torsion found by Smith elimination of that echelon's
+trailing block from its first non-unit pivot on, modulo the product of
+that block's pivots, which keeps no transforms and no entry as large as
+det A; a singular A gets its torsion the same way from a nonsingular
+echelon block of its image. :func:`wang_cohomology` either reads
 generic bases off echelon forms with an identity block appended, or is
 given a pair of preferred bases; either way the bases pass one
 certificate, by pivot counts and pivot products of echelon forms built
@@ -128,16 +129,15 @@ def wang_cohomology(torus: MappingTorus, bases=None) -> WangData:
     torus's label.
     """
     n = 2 * torus.genus
-    a = [list(row) for row in surfaces.compose_word(torus.word)]
-    for i in range(n):
-        a[i][i] -= 1
-    image = linalg.transpose(a)  # row j is A e_j
+    image = linalg.transpose(surfaces.compose_word(torus.word))
+    for j in range(n):
+        image[j][j] -= 1  # row j is A e_j
     h = linalg._echelon(image)  # a basis of im A
     fixed_rank = n - len(h)
     if bases is not None:  # a pair of row lists, possibly empty
         inv, mu = (linalg.to_matrix(basis) if len(basis) else [] for basis in bases)
     else:
-        inv, mu = _generic_bases(a) if fixed_rank else ([], [])
+        inv, mu = _generic_bases(image) if fixed_rank else ([], [])
     enforce(torus, [("invariant_basis_shape", (fixed_rank, n), _shape(inv, n)),
                     ("mu_basis_shape", (fixed_rank, n), _shape(mu, n))])
     torsion = _torsion(h, n)
@@ -155,8 +155,9 @@ def wang_cohomology(torus: MappingTorus, bases=None) -> WangData:
     return WangData(tuple(map(tuple, inv)), tuple(map(tuple, mu)), torsion)
 
 
-def _generic_bases(a: linalg.Matrix) -> tuple[linalg.Matrix, linalg.Matrix]:
-    """Generic bases of a singular A, read off unimodular echelon forms.
+def _generic_bases(image: linalg.Matrix) -> tuple[linalg.Matrix, linalg.Matrix]:
+    """Generic bases of a singular A, given as A^T, read off unimodular
+    echelon forms.
 
     The invariant basis is the saturated kernel of A, from the echelon of
     [A^T | I]. W, a saturated basis of ker A^T, comes likewise from
@@ -166,28 +167,41 @@ def _generic_bases(a: linalg.Matrix) -> tuple[linalg.Matrix, linalg.Matrix]:
     of the echelon of [W^T | I] that leads in its W^T part: its images
     W c are those triangular rows, whose pivots multiply to 1.
     """
-    invariant = linalg._augmented_echelon(linalg.transpose(a))[1]
-    w = linalg._augmented_echelon(a)[1]
+    invariant = linalg._augmented_echelon(image)[1]
+    w = linalg._augmented_echelon(linalg.transpose(image))[1]
     return invariant, linalg._augmented_echelon(linalg.transpose(w))[0]
 
 
 def _torsion(h: linalg._Echelon, n: int) -> tuple[int, ...]:
     """The nontrivial invariant factors of A: the one home of the torsion rule.
 
-    H, the echelon of A^T, is a basis of im A, and the product of its
-    pivots, a maximal minor of H, is a multiple of the order of the
-    torsion; pivots all 1 (none for A = 0) prove it trivial. Otherwise
-    the Smith elimination runs on a square echelon block with the torsion
-    of coker A, modulo its determinant, the product of its pivots: on H
-    for a nonsingular A, where that is |det A|, and for a singular A of
-    rank r on the r x r echelon E of H^T, a unimodular change of Z^2g
-    that takes im A onto the column lattice of E.
+    H, the echelon of A^T, is a basis of im A. For a nonsingular A it is
+    square and its pivots multiply to |det A|; for a singular A of rank r
+    the r x r echelon E of H^T, a unimodular change of Z^2g that takes
+    im A onto the column lattice of E, is the square block, and the
+    pivots of H, a maximal minor of H and so a multiple of the torsion
+    order, are read first: pivots all 1 (none for A = 0) prove the
+    torsion trivial with no second echelon. The Smith elimination then
+    runs only on the trailing block T of the square echelon from its first
+    non-unit pivot on, modulo the product of T's pivots: if the square
+    echelon is [[U, X], [0, T]] with U upper triangular with unit pivots,
+    then U is unimodular, so row steps by U^-1 and column steps that clear
+    X take it to I + T, the direct sum, which has the invariant factors of
+    T and ones. Only the leading run of unit pivots splits off this way:
+    a unit pivot after a non-unit one stays in T.
     """
-    if all(p == 1 for p in h.pivots):
-        return ()
-    if len(h) < n:
+    t = _unit_run(h.pivots)
+    if t < len(h) < n:
         h = linalg._echelon(linalg.transpose(h))
-    return linalg.elementary_divisors(h, math.prod(h.pivots))
+        t = _unit_run(h.pivots)
+    if t == len(h):
+        return ()
+    return linalg.elementary_divisors([row[t:] for row in h[t:]], math.prod(h.pivots[t:]))
+
+
+def _unit_run(pivots: list[int]) -> int:
+    """The length of the leading run of unit pivots."""
+    return next((i for i, p in enumerate(pivots) if p != 1), len(pivots))
 
 
 def _shape(rows: linalg.Matrix, n: int) -> tuple[int, int]:

@@ -7,9 +7,10 @@ A Dehn twist along a simple closed curve acts on these lattices by an
 integral transvection; words of twists compose to integral symplectic
 matrices, returned as immutable tuples of int rows. Each letter is
 applied as a rank-one update that touches only the rows over the support
-of its curve and their partner rows, so a letter whose curve has s
-nonzero coefficients costs O(s g) and a word of L letters at most
-O(L g^2); the unit-vector letters of the standard word cost O(g).
+of its curve and their partner rows, each row packed as one Python int of
+fixed-width digits, so a letter whose curve has s nonzero coefficients
+costs 2s int multiply-adds, each linear in the packed row's size, with no
+list per row; the rows are decoded once, at the end.
 The standard bundle word is spelled once, as the table
 :data:`HANDLE_KINDS` of three handle kinds (twisted, untouched and
 paired), each with its genus-1 letters and canonical rows;
@@ -23,7 +24,9 @@ Everything here is a pure function of integer data.
 """
 
 import math
+import struct
 import sys
+from functools import partial
 from itertools import compress
 from typing import NamedTuple
 
@@ -106,27 +109,6 @@ def _exact_int(x, name: str) -> int:
     return int(x)
 
 
-def _twist_in_place(m: linalg.Matrix, letter: Twist) -> None:
-    """M <- T M for the transvection T = I - p (J c) c^T of one letter.
-
-    T M = M - p (J c)(c^T M): one combination of the rows of M over the
-    support of c, found by a C-level scan, subtracted from the rows where
-    J c is nonzero, which are the partners of that support. Rows are
-    replaced, never mutated, so a unit coefficient uses its row as it is.
-    The sign is pinned by the convention that the twist along a_i sends
-    alpha_i to alpha_i + beta_i and fixes beta_i.
-    """
-    c = letter.curve
-    support = list(compress(range(len(c)), c))
-    scaled = [m[j] if c[j] == 1 else [c[j] * v for v in m[j]] for j in support]
-    combo = scaled[0] if len(scaled) == 1 else [sum(col) for col in zip(*scaled)]
-    for j in support:
-        # (J c) pairs a_i with b_i: (J c)_{2i} = c_{2i+1}, (J c)_{2i+1} = -c_{2i}
-        target = j ^ 1
-        scale = letter.power * (c[j] if j & 1 else -c[j])
-        m[target] = [x - scale * y for x, y in zip(m[target], combo)]
-
-
 def cup_gram(basis) -> linalg.Matrix:
     """B J B^T, the cup pairing of the classes given as the rows of B.
 
@@ -156,11 +138,72 @@ def compose_word(word: TwistWord) -> IntRows:
 
     Pullbacks compose in the opposite order of the diffeomorphisms, so the
     matrix of the leftmost (last applied) letter multiplies from the right.
+    Each letter is the transvection T = I - p (J c) c^T, and
+    T M = M - p (J c)(c^T M): one combination of the rows of M over the
+    support of c, subtracted from the rows where J c is nonzero, which are
+    the partners of that support. The sign is pinned by the convention
+    that the twist along a_i sends alpha_i to alpha_i + beta_i and fixes
+    beta_i.
+
+    Each row x of M is kept packed, as the one int sum_i x_i 2^(w i). The
+    packing is linear, so a row combination is the same combination of
+    packed ints, and a letter costs one int multiply-add per support row
+    (to form c^T M) and one per partner row. A packed int is the exact
+    integer whatever size its digits x_i reach, so no intermediate value
+    needs a bound; only the decoding at the end does. Entry (i, l) of T M
+    is M_il - p (J c)_i sum_j c_j M_jl, and |(J c)_i| <= ||c||_inf, so
+
+        ||T M||_max <= ||M||_max (1 + |p| ||c||_inf ||c||_1),
+
+    and the product of these factors over the letters bounds every entry
+    of the result, as ||I||_max = 1. With w at least bound.bit_length() + 1
+    (a whole number of bytes) every entry is below 2^(w-1) in absolute
+    value, so the digits of least absolute value are the entries: adding
+    2^(w-1) to each digit makes them all nonnegative, and flipping each
+    digit's top bit back leaves each one in two's complement, to be read
+    off the bytes of the row; a genus-1 row, of two digits, is split by
+    one shift instead.
     """
-    m = linalg.identity(2 * word.genus)
-    for letter in word.letters:
-        _twist_in_place(m, letter)
-    return tuple(map(tuple, m))
+    n = 2 * word.genus
+    bound = 1
+    for c, p in word.letters:
+        bound *= 1 + abs(p) * max(map(abs, c)) * sum(map(abs, c))
+    bits = bound.bit_length() + 1  # with the sign
+    k = 1 if bits <= 8 else 2 if bits <= 16 else 4 if bits <= 32 else 8 if bits <= 64 else -(-bits // 8)
+    w = 8 * k
+    rows = list(map((1).__lshift__, range(0, w * n, w)))
+    for c, p in word.letters:
+        support = list(compress(range(n), c))
+        combo = 0
+        for j in support:
+            combo += c[j] * rows[j]
+        for j in support:
+            # (J c) pairs a_i with b_i: (J c)_{2i} = c_{2i+1}, (J c)_{2i+1} = -c_{2i}
+            rows[j ^ 1] -= (p * c[j] if j & 1 else -p * c[j]) * combo
+    out = []
+    if n == 2:  # a genus-1 row is split by one shift
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        for row in rows:
+            low = ((row + half) & mask) - half
+            out.append((low, (row - low) >> w))
+        return tuple(out)
+    tops = int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")  # 2^(w-1) in each digit
+    size = n * k
+    if k <= 8:
+        layout = f"<{n}{_SIGNED[k]}"
+        for row in rows:
+            out.append(struct.unpack(layout, ((row + tops) ^ tops).to_bytes(size, "little")))
+    else:  # each digit's k bytes, converted by int.from_bytes
+        layout = "<" + f"{k}s" * n
+        for row in rows:
+            digits = struct.unpack(layout, ((row + tops) ^ tops).to_bytes(size, "little"))
+            out.append(tuple(map(_from_signed_bytes, digits)))
+    return tuple(out)
+
+
+#: The struct codes of little-endian two's complement ints of 1, 2, 4 and 8 bytes.
+_SIGNED = {1: "b", 2: "h", 4: "i", 8: "q"}
+_from_signed_bytes = partial(int.from_bytes, byteorder="little", signed=True)
 
 
 class HandleKind(NamedTuple):

@@ -1,5 +1,6 @@
 """Wang-sequence data of mapping tori: ranks, tagged bases, torsion."""
 
+import hashlib
 import math
 import random
 import re
@@ -807,3 +808,43 @@ def test_rank_and_torsion_take_one_echelon_of_a_transpose(monkeypatch, word, sec
     assert calls.count(linalg.transpose(h)) == second
     if len(h) == len(image):
         assert calls == [image]
+
+
+def test_torsion_keeps_a_unit_pivot_that_follows_a_non_unit_one():
+    # pivots 2, 1, 2: only the leading run of unit pivots splits off, and
+    # here it is empty, so the whole block is reduced; dropping every unit
+    # pivot would give (2, 2)
+    h = linalg._echelon([[2, 1, 0], [0, 1, 1], [0, 0, 2]])
+    assert h.pivots == [2, 1, 2]
+    assert mapping_torus._torsion(h, 3) == (4,)
+
+
+def test_torsion_of_pivots_one_then_d_reduces_one_entry(monkeypatch):
+    # a dense word whose H has pivots (1, ..., 1, D): the Smith elimination
+    # is handed the 1 x 1 block [D] modulo D, not the whole of H
+    def pivots(word):
+        return linalg._echelon(linalg.transpose(minus_identity(compose_word(word)))).pivots
+
+    word = next(w for w in dense_words(50) if pivots(w)[:-1] == [1] * 11 and pivots(w)[-1] > 1)
+    d = pivots(word)[-1]
+    divisors, blocks = linalg.elementary_divisors, []
+    monkeypatch.setattr(
+        linalg, "elementary_divisors",
+        lambda rows, modulus: blocks.append((rows, modulus)) or divisors(rows, modulus),
+    )
+    assert wang_cohomology(MappingTorus(word)).torsion == (d,)
+    assert len(blocks) == 1
+    (rows, modulus), = blocks
+    assert modulus == d and len(rows) == 1 and len(rows[0]) == 1 and abs(rows[0][0]) == d
+
+
+def test_generic_wang_data_and_monodromy_are_pinned():
+    # the Wang data and monodromy of 500 dense words and of 40 singular
+    # handle conjugates with generic bases, pinned as a digest: a change to
+    # the composition, the echelon or the generic bases that moves any
+    # basis row shows here, to be kept or re-pinned on purpose
+    words = [*dense_words(500), *(handle_conjugate(g, s) for g in range(3, 7) for s in range(10))]
+    tori = [MappingTorus(word) for word in words]
+    text = "\n".join(repr((tuple(wang_cohomology(t)), tuple(t.monodromy))) for t in tori)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "426e1b78fa903a1dacd549482e389a7e07c461f90a6ee2a5479fa8011215d9c6"

@@ -57,7 +57,7 @@ def test_bench_scaling_writes_one_record_per_size_of_each_ladder(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert {"python", "git_rev", "git_dirty", "host", "time_unit", "layers"} <= set(doc)
-    sizes = {"wang_cohomology": ("g", [2, 3]), "audit_bundle": ("g", [2, 4]),
+    sizes = {"compose_word": ("g", [2, 3]), "wang_cohomology": ("g", [2, 3]), "audit_bundle": ("g", [2, 4]),
              "verify_bundle_grid": ("G", [2, 3]), "cli_cold_start": ("g", [4, 8])}
     assert set(doc["layers"]) == set(sizes)
     for name, (parameter, ladder) in sizes.items():

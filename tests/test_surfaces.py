@@ -1,6 +1,8 @@
 """Twist actions on surface cohomology: conventions, composition, fixed ranks."""
 
 import functools
+import math
+import random
 
 import pytest
 from hypothesis import given
@@ -204,6 +206,64 @@ def test_compose_word_with_non_unit_curves_matches_transvection_product(word):
         factors.append(t)
     product = functools.reduce(linalg.matmul, factors, linalg.identity(2 * word.genus))
     assert [list(row) for row in compose_word(word)] == product
+
+
+def transvection_product(word):
+    """The matrix of a word as the product of its transvections, formed
+    entry by entry: the leftmost letter's matrix is the rightmost factor."""
+    factors = [
+        transvection_oracle(letter.curve, word.genus, letter.power)
+        for letter in reversed(word.letters)
+    ]
+    return functools.reduce(linalg.matmul, factors, linalg.identity(2 * word.genus))
+
+
+def product_bound(word):
+    """The product over the letters of 1 + |p| max|c_i| sum|c_i|."""
+    bound = 1
+    for letter in word.letters:
+        norms = [abs(x) for x in letter.curve]
+        bound *= 1 + abs(letter.power) * max(norms) * sum(norms)
+    return bound
+
+
+#: powers whose products cross 2^63 and 2^70, where a packed digit of 8
+#: bytes no longer holds an entry
+huge_powers = (-(2 ** 70), -(2 ** 63) - 1, -5, 3, 2 ** 63, 2 ** 70)
+
+
+@given(twist_words(max_genus=4, max_letters=6, entries=st.integers(-5, 5), powers=huge_powers))
+def test_compose_word_with_huge_powers_matches_transvection_product(word):
+    assert [list(row) for row in compose_word(word)] == transvection_product(word)
+
+
+def test_compose_word_crosses_the_eight_byte_digit():
+    # seeded words whose entries pass 2^63 and 2^70, against the entrywise
+    # product; the largest entry of each is checked to cross
+    rng = random.Random(29)
+    for genus, top in [(2, 2 ** 63), (3, 2 ** 70), (4, 2 ** 140)]:
+        letters = []
+        while len(letters) < 5:
+            curve = tuple(rng.randint(-5, 5) for _ in range(2 * genus))
+            if any(curve) and math.gcd(*curve) == 1:
+                letters.append(Twist(curve, rng.choice(huge_powers)))
+        word = TwistWord(genus, tuple(letters))
+        product = transvection_product(word)
+        assert [list(row) for row in compose_word(word)] == product
+        assert max(abs(x) for row in product for x in row) > top
+
+
+@given(twist_words(max_genus=6, max_letters=10, entries=st.integers(-5, 5),
+                   powers=huge_powers + (-1, 1)))
+def test_compose_word_entries_lie_within_the_product_bound(word):
+    bound = product_bound(word)
+    assert all(abs(x) <= bound for row in compose_word(word) for x in row)
+
+
+@pytest.mark.parametrize("genus", [1, 64])
+def test_empty_word_is_identity_at_every_width(genus):
+    identity = tuple(tuple(int(i == j) for j in range(2 * genus)) for i in range(2 * genus))
+    assert compose_word(TwistWord(genus)) == identity
 
 
 @given(st.integers(1, 3).flatmap(lambda g: st.tuples(st.just(g), primitive_curves(g))),
