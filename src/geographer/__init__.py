@@ -4,9 +4,12 @@ Everything is exact integer arithmetic: twist words acting on the first
 cohomology of a surface, Wang and Gysin rank bookkeeping for circle
 bundles over mapping tori, fiber sums with elliptic surfaces, and a
 realization map from admissible (signature, b1, degeneracy) triples to
-certified constructions. All values are immutable NamedTuple records and
-all operations are pure functions, so everything is safe to share across
-threads.
+certified constructions. Every record is an immutable NamedTuple and
+every operation a pure function, but for two pieces of shared state that
+need a lock to be shared across threads: the mutable
+:class:`~geographer.verify.VerificationReport`, and the ``audit_values``
+dict of each cached member of :func:`~geographer.mapping_torus.bundle_wang_data`,
+filled by the bundle audit on first use and cleared by a sweep.
 """
 
 from .bundle_manifold import (

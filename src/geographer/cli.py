@@ -12,6 +12,10 @@ parser is built on the first call, not at import, and every later call
 reuses it: argparse keeps no parse state on a parser, and help and error
 texts look up the terminal width, stdout and stderr only when written.
 
+Refusals map to exit codes in :func:`main` alone: a ``cmd_*`` function
+only computes and renders, and ``main`` turns what it raises into one
+stderr line and an exit code, 2, 74 or 1.
+
 Each output part is stated once: :func:`_document` heads every JSON
 document, :func:`_certified` writes the certificate block, and
 :func:`_json` and :func:`_tsv` are the only writers. :func:`_json` is
@@ -247,20 +251,12 @@ def recipe_tsv_row(recipe: Recipe) -> str:
     return _tsv_row(head, recipe.certificate)
 
 
-class _OutputError(Exception):
-    """Writing the output failed; the message names the target and the cause."""
-
-
 def _emit(text: str, out_path: str | None) -> None:
-    try:
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        target = out_path or "stdout"
-        raise _OutputError(f"cannot write output to {target}: {exc}") from exc
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 class _GenusFloorError(Exception):
@@ -280,18 +276,8 @@ def _genus_floor(args) -> int | None:
 
 
 def cmd_realize(args) -> int:
-    genus = _genus_floor(args)
-    try:
-        if args.null:
-            result = geography.realize_null(args.a, args.b, args.c, genus=genus)
-        else:
-            result = geography.realize(args.a, args.b, args.c, genus=genus)
-    except InadmissibleError as exc:
-        print(f"inadmissible triple ({args.a}, {args.b}, {args.c}): {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except ValueError as exc:  # a spec the recipe cannot build, such as a huge genus
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    realize = geography.realize_null if args.null else geography.realize
+    result = realize(args.a, args.b, args.c, genus=_genus_floor(args))
     opened = isinstance(result, OpenProblem)
     if args.format == "json":
         text = _json(open_document(result) if opened else recipe_document(result))
@@ -302,19 +288,15 @@ def cmd_realize(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    try:
-        if args.bundle is not None:
-            spec = BundleManifoldSpec(*args.bundle)
-        elif args.fibersum is not None:
-            n, d, k, g = args.fibersum
-            spec = FiberSumSpec(EllipticSurface(n), d, k, g)
-        else:
-            p, q, d, k, g = args.dolgachev
-            spec = FiberSumSpec(DolgachevSurface(p, q), d, k, g)
-        cert = geography.certify(spec)
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    if args.bundle is not None:
+        spec = BundleManifoldSpec(*args.bundle)
+    elif args.fibersum is not None:
+        n, d, k, g = args.fibersum
+        spec = FiberSumSpec(EllipticSurface(n), d, k, g)
+    else:
+        p, q, d, k, g = args.dolgachev
+        spec = FiberSumSpec(DolgachevSurface(p, q), d, k, g)
+    cert = geography.certify(spec)
     if args.format == "json":
         text = _json(invariants_document(spec.label, _spec_fields(spec), cert))
     else:
@@ -325,32 +307,20 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    genus = _genus_floor(args)
     # rows are rendered as the recipes stream in; a bad region, checked by
     # the generator at its first row, or a failing recipe raises before
     # anything is written
-    recipes = geography.enumerate_region(args.sigma_min, args.b1_max, genus=genus)
-    try:
-        if args.format == "json":
-            text = _json([recipe_document(r) for r in recipes])
-        else:
-            text = _tsv(map(recipe_tsv_row, recipes))
-    except InadmissibleError as exc:
-        print(f"invalid region: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    recipes = geography.enumerate_region(args.sigma_min, args.b1_max, genus=_genus_floor(args))
+    if args.format == "json":
+        text = _json([recipe_document(r) for r in recipes])
+    else:
+        text = _tsv(map(recipe_tsv_row, recipes))
     _emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = verify_bundle_grid(args.grid_max)
-    except ValueError as exc:
-        print(f"invalid grid: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    report = verify_bundle_grid(args.grid_max)
     lines = [f"bundle weight grid up to g = {report.grid_max}", f"cases: {report.cases}"]
     for name, count in report.counts.items():
         lines.append(f"{name}: {count} checked")
@@ -409,6 +379,19 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
+#: The stderr head of an :class:`InadmissibleError`, by command, formatted
+#: from the parsed arguments; any other ``ValueError`` is "invalid parameters".
+INADMISSIBLE_HEADS = {
+    "realize": "inadmissible triple ({a}, {b}, {c})",
+    "enumerate": "invalid region",
+    "verify": "invalid grid",
+}
+
+
+def _refuse(message: str, code: int) -> int:
+    print(message, file=sys.stderr)
+    return code
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -419,14 +402,17 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](args)
     except _GenusFloorError as exc:
-        print(f"invalid genus floor: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except _OutputError as exc:
-        print(f"{parser.prog}: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+        return _refuse(f"invalid genus floor: {exc}", EXIT_INADMISSIBLE)
+    except InadmissibleError as exc:
+        head = INADMISSIBLE_HEADS.get(args.command, "invalid parameters").format_map(vars(args))
+        return _refuse(f"{head}: {exc}", EXIT_INADMISSIBLE)
+    except ValueError as exc:  # a spec the recipe cannot build, such as a huge genus
+        return _refuse(f"invalid parameters: {exc}", EXIT_INADMISSIBLE)
+    except OSError as exc:
+        target = args.out or "stdout"
+        return _refuse(f"{parser.prog}: cannot write output to {target}: {exc}", EXIT_IO_ERROR)
     except ConsistencyError as exc:
-        print(f"{parser.prog}: certificate check failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        return _refuse(f"{parser.prog}: certificate check failed: {exc}", EXIT_VERIFY_FAILED)
 
 
 if __name__ == "__main__":

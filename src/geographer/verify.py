@@ -25,6 +25,7 @@ from typing import Iterator
 
 from . import bundle_manifold, circle_bundle
 from .bundle_manifold import BundleManifoldSpec, audit_bundle
+from .errors import InadmissibleError
 
 #: Each line of the report counts one kind of check, once per case; a
 #: case fails a line when any certificate check of that kind fails.
@@ -68,7 +69,7 @@ class VerificationReport:
 def verify_bundle_grid(grid_max: int) -> VerificationReport:
     """Run every check over the full weight grid up to ``grid_max``."""
     if grid_max < 1:
-        raise ValueError("grid bound must be at least 1")
+        raise InadmissibleError("grid bound must be at least 1")
     bundle_manifold._forget_member_values()
     cases = 0
     failures = []
