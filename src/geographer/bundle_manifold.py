@@ -58,6 +58,10 @@ def canonical_class(g: int) -> int:
     torus swept by the circle fibers over a section of the mapping torus.
     """
     surfaces._check_genus(g)
+    return _canonical_class(g)
+
+
+def _canonical_class(g: int) -> int:
     return 2 * g - 2
 
 
@@ -209,20 +213,31 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     ``bundle_wang_data``'s cache entry, computed by the first audit after
     each fill of that cache and again in each grid sweep, which empties
     them first. The degeneracy is b1 less the rank; the closed forms stay
-    the second route. The certificate is never cached: it is built afresh
-    on each call, and a failed check is recorded, not raised, so a sweep
-    sees every check of every case.
+    the second route, read from their private kernels
+    (``circle_bundle._torus_b1``, ``_bundle_b1``, ``_degeneracy``,
+    ``_nullity`` and :func:`_canonical_class`) on the weights and tag the
+    spec has validated, so no rule is checked twice. A case thus costs
+    its records: a plain loop over at most three fetched members, the
+    kernels, one certificate and its eight checks. The certificate is
+    never cached: it is built afresh on each call, and a failed check is
+    recorded, not raised, so a sweep sees every check of every case.
     """
-    d, k, g, e = spec.d, spec.k, spec.g, spec.e
+    d, k, g, e = spec
     counts = surfaces.kind_counts(d, k, g)
     # the lemma's sums, from the paired member's values; the paired term
     # vanishes, and a kind with no handle is not fetched
-    base = _member_values(2, e)
-    terms = [(n, _member_values(j, e)) for j, n in enumerate(counts[:2]) if n]
-    wang_b1, b1, rank = (x0 + sum(n * (x[i] - x0) for n, x in terms) for i, x0 in enumerate(base))
+    w0, b0, r0 = wang_b1, b1, rank = _member_values(2, e)
+    for j in 0, 1:
+        n = counts[j]
+        if n:
+            w, b, r = _member_values(j, e)
+            wang_b1 += n * (w - w0)
+            b1 += n * (b - b0)
+            rank += n * (r - r0)
     degeneracy = b1 - rank
-    nullity = circle_bundle.nullity_closed_form(d, k, e)
-    k_dot = canonical_class(g)
+    # the closed-form kernels, on the weights and tag the spec has checked
+    nullity = circle_bundle._nullity(d, k, e)
+    k_dot = _canonical_class(g)
     kappa = kodaira_classify(0, k_dot)
     # sigma = 0 and chi = 0 are forced by the free circle action; combined
     # they pin b_plus = b_minus = b1 - 1, the Betti numbers the certificate
@@ -252,15 +267,15 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     # the closed-form nullity against the computed degeneracy and b1
     sigma, chi, k_squared, bounds = cert.identities()
     checks = (
-        Check("wang_b1_matches_formula", circle_bundle.torus_b1_formula(d, k), wang_b1),
+        Check("wang_b1_matches_formula", circle_bundle._torus_b1(d, k), wang_b1),
         Check("pairing_rank_even", 0, rank % 2),
         Check(
             "degeneracy_pairing_rank_matches_formula",
-            circle_bundle.degeneracy_closed_form(d, k, e),
+            circle_bundle._degeneracy(d, k, e),
             degeneracy,
         ),
         Check("nullity_within_degeneracy", True, bounds[2]),
-        Check("gysin_b1_matches_formula", circle_bundle.bundle_b1_formula(d, k, e), b1),
+        Check("gysin_b1_matches_formula", circle_bundle._bundle_b1(d, k, e), b1),
         Check("kappa_matches_genus_dichotomy", 0 if g == 1 else 1, kappa),
         Check("sigma_and_chi_vanish_for_free_circle_action", (0, 0), (sigma[2], chi[2])),
         Check(*k_squared),

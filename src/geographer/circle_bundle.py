@@ -23,11 +23,14 @@ only on the three genus-1 members of the handle kinds and sums their
 ranks over the handles, by the additivity lemma stated in
 :func:`geographer.bundle_manifold.audit_bundle`; the summed degeneracy
 is checked against the closed formula, and the tests compare it with
-this pairing on whole genus-g bases. The closed forms refuse weights by
-the rule of :mod:`geographer.surfaces` and tags by the rule here.
+this pairing on whole genus-g bases. Each closed form has one home, a
+private kernel on weights and a tag already checked (``_torus_b1``,
+``_bundle_b1``, ``_degeneracy``, ``_nullity``); its public function
+refuses weights by the rule of :mod:`geographer.surfaces` and tags by the
+rule here, once, then calls the kernel.
 :func:`geographer.bundle_manifold.audit_bundle` reads b1, the pairing
-and the closed forms from here and compares them; geography inverts
-them by :func:`bundle_weights`.
+and the kernels, on the spec's validated weights, from here and compares
+them; geography inverts them by :func:`bundle_weights`.
 """
 
 from . import linalg, surfaces
@@ -66,13 +69,21 @@ def _check_closed_form_arguments(d: int, k: int, tag: int) -> None:
 def torus_b1_formula(d: int, k: int) -> int:
     """Closed form for b1 of the mapping torus of weights (d, k): 2k - d + 1."""
     surfaces._check_weight_order(d, k)
+    return _torus_b1(d, k)
+
+
+def _torus_b1(d: int, k: int) -> int:
     return 2 * k - d + 1
 
 
 def bundle_b1_formula(d: int, k: int, tag: int) -> int:
     """Closed form for b1 of B(d, k, g; tag): the base's, plus eta when e = 0."""
     _check_closed_form_arguments(d, k, tag)
-    return torus_b1_formula(d, k) + (tag == 0)
+    return _bundle_b1(d, k, tag)
+
+
+def _bundle_b1(d: int, k: int, tag: int) -> int:
+    return _torus_b1(d, k) + (tag == 0)
 
 
 def bundle_weights(b1: int, degeneracy: int, tag: int) -> tuple[int, int]:
@@ -111,6 +122,10 @@ def lefschetz_pairing(data: WangData, tag: int) -> linalg.Matrix:
 def degeneracy_closed_form(d: int, k: int, tag: int) -> int:
     """Closed form: d for a zero Euler class, d + 1 otherwise."""
     _check_closed_form_arguments(d, k, tag)
+    return _degeneracy(d, k, tag)
+
+
+def _degeneracy(d: int, k: int, tag: int) -> int:
     return d if tag == 0 else d + 1
 
 
@@ -121,6 +136,10 @@ def nullity_closed_form(d: int, k: int, tag: int) -> int:
     Otherwise d, except d + 1 when the untouched block is empty (d = k).
     """
     _check_closed_form_arguments(d, k, tag)
+    return _nullity(d, k, tag)
+
+
+def _nullity(d: int, k: int, tag: int) -> int:
     if tag == 0:
         return 0
     return d + 1 if d == k else d

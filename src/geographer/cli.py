@@ -253,6 +253,8 @@ def recipe_tsv_row(recipe: Recipe) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
+        if "\0" in out_path:  # open raises ValueError, not OSError, for it
+            raise OSError("embedded null byte")
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:

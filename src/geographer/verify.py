@@ -15,17 +15,19 @@ from the members' entries of the memoized
 certifies each kind once, and the cache holds three entries, however
 large the grid. The sweep first empties the members' ``audit_values``,
 so it ranks each member's pairing afresh, once per tag class, and trusts
-no rank computed before it; a case is then kind-count arithmetic, closed
-forms and records. Any mismatch is reported with the offending weights
-instead of raising. The sweep tallies first and builds its
-:class:`VerificationReport` once.
+no rank computed before it. A case then costs its records alone: the
+spec, which validates its weights and tag once, the audit's kind sums
+and closed-form kernels on them, its certificate and eight checks, and
+an inline ``expected != observed`` scan of those checks. Any mismatch is
+reported with the offending weights instead of raising. The sweep
+tallies first and builds its :class:`VerificationReport` once.
 """
 
 from typing import Iterator
 
 from . import bundle_manifold, circle_bundle
 from .bundle_manifold import BundleManifoldSpec, audit_bundle
-from .errors import InadmissibleError
+from .errors import Check, InadmissibleError
 
 #: Each line of the report counts one kind of check, once per case; a
 #: case fails a line when any certificate check of that kind fails.
@@ -74,7 +76,10 @@ def verify_bundle_grid(grid_max: int) -> VerificationReport:
     cases = 0
     failures = []
     for cases, spec in enumerate(bundle_grid(grid_max), 1):
-        failures.extend(_case_failures(spec))
+        for name, expected, observed in audit_bundle(spec).checks:
+            if expected != observed:
+                case = f"(d={spec.d}, k={spec.k}, g={spec.g}, e={spec.e})"
+                failures.append(f"{case} {_LINE_OF[name]}: {Check(name, expected, observed)}")
     return VerificationReport(grid_max, cases, dict.fromkeys(CHECK_NAMES, cases), failures)
 
 
@@ -86,11 +91,3 @@ def bundle_grid(grid_max: int) -> Iterator[BundleManifoldSpec]:
             for d in range(0, k + 1):
                 for tag in circle_bundle.valid_tags(d, k):
                     yield BundleManifoldSpec(d, k, g, tag)
-
-
-def _case_failures(spec: BundleManifoldSpec) -> Iterator[str]:
-    """One line per failed check of the audit of ``spec``."""
-    for check in audit_bundle(spec).checks:
-        if not check.passed:
-            case = f"(d={spec.d}, k={spec.k}, g={spec.g}, e={spec.e})"
-            yield f"{case} {_LINE_OF[check.name]}: {check}"

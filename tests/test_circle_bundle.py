@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geographer import linalg
-from geographer.bundle_manifold import BundleManifoldSpec, audit_bundle
+from geographer import bundle_manifold, circle_bundle, linalg
+from geographer.bundle_manifold import BundleManifoldSpec, audit_bundle, canonical_class
 from geographer.circle_bundle import (
     bundle_b1,
     bundle_b1_formula,
@@ -18,6 +18,7 @@ from geographer.circle_bundle import (
     torus_b1_formula,
 )
 from geographer.mapping_torus import MappingTorus, WangData, wang_cohomology
+from geographer.verify import bundle_grid
 from strategies import (
     a_curve,
     b_curve,
@@ -146,6 +147,33 @@ def test_torus_b1_formula_refuses_weights_out_of_order():
         text = f"weights must satisfy 0 <= d <= k, got ({d}, {k})"
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             torus_b1_formula(d, k)
+
+
+def test_each_public_closed_form_is_its_kernel_behind_its_checks():
+    # the audit reads the kernels on the spec's validated weights; each
+    # public closed form checks its arguments once, then returns the kernel
+    for d, k, g, e in bundle_grid(12):
+        assert torus_b1_formula(d, k) == circle_bundle._torus_b1(d, k)
+        assert bundle_b1_formula(d, k, e) == circle_bundle._bundle_b1(d, k, e)
+        assert degeneracy_closed_form(d, k, e) == circle_bundle._degeneracy(d, k, e)
+        assert nullity_closed_form(d, k, e) == circle_bundle._nullity(d, k, e)
+        assert canonical_class(g) == bundle_manifold._canonical_class(g)
+    refusals = [
+        ((2, 1, 0), "weights must satisfy 0 <= d <= k, got (2, 1)"),
+        ((-1, 0, 0), "weights must satisfy 0 <= d <= k, got (-1, 0)"),
+        ((0, 2, 3), "Euler tag must be one of (0, 1, 2), got 3"),
+        ((1, 2, -1), "Euler tag must be one of (0, 1, 2), got -1"),
+        ((0, 2, 1), "tag 1 requires d != 0 (no twisted a_i^theta class exists)"),
+        ((2, 2, 2), "tag 2 requires d != k (the untouched block is empty)"),
+    ]
+    for closed_form in (bundle_b1_formula, degeneracy_closed_form, nullity_closed_form):
+        for args, text in refusals:
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                closed_form(*args)
+    with pytest.raises(ValueError, match=r"^weights must satisfy 0 <= d <= k, got \(2, 1\)$"):
+        torus_b1_formula(2, 1)
+    with pytest.raises(ValueError, match="^genus must be positive$"):
+        canonical_class(0)
 
 
 def test_degeneracy_oracle_equals_closed_form_on_grid():

@@ -451,7 +451,8 @@ _NO_DIRECTORY = "[Errno 2] No such file or directory: '{out}'"
 #: line, where the library states the reason and the CLI passes its text
 #: on. Each runs under a genus floor variable (None: unset) and, for exit 1,
 #: with the Lefschetz pairing zeroed. ``{out}`` is a path in a missing
-#: directory.
+#: directory; a path holding a NUL byte, which only an in-process caller
+#: can pass, is an unwritable output too.
 REFUSALS = [
     _refusal(("realize", "0", "3", "2"), EXIT_INADMISSIBLE,
              "inadmissible triple (0, 3, 2): b - c must be even"),
@@ -497,6 +498,8 @@ REFUSALS = [
             ("verify", "--grid-max", "1"),
         ]
     ),
+    _refusal(("realize", "0", "4", "4", "--out", "a\0b"), EXIT_IO_ERROR,
+             "geographer: cannot write output to a\0b: embedded null byte"),
     _refusal(("realize", "0", "4", "0"), EXIT_VERIFY_FAILED,
              "geographer: certificate check failed: B(0,1,2;0): "
              "degeneracy_pairing_rank_matches_formula expected 0, observed 4", corrupt=True),

@@ -1,5 +1,7 @@
 """The grid sweep: one uncached exact pass per case, tallied per check."""
 
+import hashlib
+
 import pytest
 
 from geographer import circle_bundle, linalg, mapping_torus
@@ -88,18 +90,50 @@ def test_verify_catches_a_pairing_corrupted_only_at_nonzero_tags(monkeypatch):
     assert all("degeneracy_pairing_rank_vs_formula" in f for f in report.failures)
 
 
+def test_an_odd_rank_member_pairing_fails_pairing_rank_even_where_it_is_summed_oddly(monkeypatch):
+    # the eta row zeroed in the twisted member's pairing at e = 0: its rank
+    # falls from 2 to 1, one below the paired member's, so the summed rank
+    # is 2 - d there, odd for exactly the cases with e = 0 and an odd d
+    twisted = mapping_torus.bundle_wang_data(*mapping_torus.MEMBER_WEIGHTS[0])
+    original = circle_bundle.lefschetz_pairing
+
+    def odd_rank(data, tag):
+        q = original(data, tag)
+        if data is twisted and tag == 0:
+            q[-1] = [0] * len(q[-1])
+        return q
+
+    monkeypatch.setattr(circle_bundle, "lefschetz_pairing", odd_rank)
+    report = verify_bundle_grid(6)
+    assert [f for f in report.failures if " pairing_rank_even: " in f] == [
+        f"(d={s.d}, k={s.k}, g={s.g}, e=0) pairing_rank_even: "
+        "pairing_rank_even expected 0, observed 1"
+        for s in bundle_grid(6)
+        if s.e == 0 and s.d % 2
+    ]
+
+
+def test_audit_records_on_the_g_le_12_grid_are_pinned():
+    # every certificate and check of every case with g <= 12, pinned as a
+    # digest: a change to the kind sums, the closed-form kernels or the
+    # records that moves any value or order shows here
+    text = "\n".join(repr(audit_bundle(spec)) for spec in bundle_grid(12))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "ae7f801da9784db5ad922d973fb3b0c7bcf83aa0a3bf1ffedb268382982344b7"
+
+
 def test_report_lines_cover_every_certificate_check_once():
     grouped = [name for names in CHECK_NAMES.values() for name in names]
     assert sorted(grouped) == sorted(BUNDLE_CHECKS)
 
 
 def test_off_by_one_closed_form_is_named_for_the_affected_weights(monkeypatch):
-    original = circle_bundle.degeneracy_closed_form
+    original = circle_bundle._degeneracy
 
     def off_by_one_for_tag_two(d, k, tag):
         return original(d, k, tag) + (1 if tag == 2 else 0)
 
-    monkeypatch.setattr(circle_bundle, "degeneracy_closed_form", off_by_one_for_tag_two)
+    monkeypatch.setattr(circle_bundle, "_degeneracy", off_by_one_for_tag_two)
     report = verify_bundle_grid(2)
     # tag 2 has closed form d + 1, so the skewed formula demands d + 2
     assert report.failures == [
@@ -115,25 +149,21 @@ def test_off_by_one_closed_form_is_named_for_the_affected_weights(monkeypatch):
 
 def test_construct_raises_the_first_failed_check(monkeypatch):
     spec = BundleManifoldSpec(0, 1, 1, 2)
-    original = circle_bundle.degeneracy_closed_form
-    monkeypatch.setattr(
-        circle_bundle, "degeneracy_closed_form", lambda d, k, tag: original(d, k, tag) + 1
-    )
+    original = circle_bundle._degeneracy
+    monkeypatch.setattr(circle_bundle, "_degeneracy", lambda d, k, tag: original(d, k, tag) + 1)
     # construct itself, past its cache, so earlier tests cannot hide the fault
     with pytest.raises(
         ConsistencyError,
         match=r"^B\(0,1,1;2\): degeneracy_pairing_rank_matches_formula expected 2, observed 1$",
     ):
         construct.__wrapped__(spec)
-    monkeypatch.setattr(
-        circle_bundle, "bundle_b1_formula", lambda d, k, tag: 2 * k - d + 7
-    )
+    monkeypatch.setattr(circle_bundle, "_bundle_b1", lambda d, k, tag: 2 * k - d + 7)
     with pytest.raises(
         ConsistencyError,
         match=r"^B\(0,1,1;2\): degeneracy_pairing_rank_matches_formula expected 2, observed 1$",
     ):
         construct.__wrapped__(spec)  # recorded before the Gysin check
-    monkeypatch.setattr(circle_bundle, "degeneracy_closed_form", original)
+    monkeypatch.setattr(circle_bundle, "_degeneracy", original)
     with pytest.raises(
         ConsistencyError, match=r"^B\(0,1,1;2\): gysin_b1_matches_formula expected 9, observed 3$"
     ):
@@ -142,10 +172,8 @@ def test_construct_raises_the_first_failed_check(monkeypatch):
 
 def test_verify_and_construct_render_a_failed_check_alike(monkeypatch):
     spec = BundleManifoldSpec(0, 1, 1, 2)
-    original = circle_bundle.degeneracy_closed_form
-    monkeypatch.setattr(
-        circle_bundle, "degeneracy_closed_form", lambda d, k, tag: original(d, k, tag) + 1
-    )
+    original = circle_bundle._degeneracy
+    monkeypatch.setattr(circle_bundle, "_degeneracy", lambda d, k, tag: original(d, k, tag) + 1)
     (check,) = [check for check in audit_bundle(spec).checks if not check.passed]
     failures = [f for f in verify_bundle_grid(1).failures if f.startswith("(d=0, k=1, g=1, e=2)")]
     with pytest.raises(ConsistencyError) as exc:
@@ -156,7 +184,7 @@ def test_verify_and_construct_render_a_failed_check_alike(monkeypatch):
 
 def test_nullity_check_reads_the_certificate_bounds(monkeypatch):
     # a nullity closed form above the degeneracy d + 1 = 2 of B(1,2,3;1)
-    monkeypatch.setattr(circle_bundle, "nullity_closed_form", lambda d, k, tag: d + 2)
+    monkeypatch.setattr(circle_bundle, "_nullity", lambda d, k, tag: d + 2)
     audit = audit_bundle(BundleManifoldSpec(1, 2, 3, 1))
     (failed,) = [check for check in audit.checks if not check.passed]
     assert failed == Check("nullity_within_degeneracy", True, False)
