@@ -16,16 +16,10 @@ from .bundle_manifold import (
     KODAIRA_NEG_INF,
     BundleManifoldSpec,
     InvariantCertificate,
-    canonical_class,
     construct,
     kodaira_classify,
 )
-from .circle_bundle import (
-    bundle_b1,
-    degeneracy_closed_form,
-    lefschetz_pairing,
-    nullity_closed_form,
-)
+from .circle_bundle import bundle_b1, lefschetz_pairing
 from .errors import ConsistencyError, InadmissibleError
 from .fiber_sum import (
     DolgachevSurface,
@@ -39,8 +33,6 @@ from .geography import (
     Recipe,
     default_genus,
     enumerate_region,
-    is_admissible,
-    is_null_admissible,
     realize,
     realize_null,
 )

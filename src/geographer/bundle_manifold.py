@@ -51,17 +51,12 @@ def kodaira_classify(k_squared: int, k_dot_omega: int) -> Kodaira:
     return 2
 
 
-def canonical_class(g: int) -> int:
+def _canonical_class(g: int) -> int:
     """Coefficient of the fiber torus in the Poincare dual of K.
 
     The canonical class of B(d, k, g; e) is (2g - 2) times the square-zero
     torus swept by the circle fibers over a section of the mapping torus.
     """
-    surfaces._check_genus(g)
-    return _canonical_class(g)
-
-
-def _canonical_class(g: int) -> int:
     return 2 * g - 2
 
 
@@ -213,14 +208,14 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     ``bundle_wang_data``'s cache entry, computed by the first audit after
     each fill of that cache and again in each grid sweep, which empties
     them first. The degeneracy is b1 less the rank; the closed forms stay
-    the second route, read from their private kernels
-    (``circle_bundle._torus_b1``, ``_bundle_b1``, ``_degeneracy``,
-    ``_nullity`` and :func:`_canonical_class`) on the weights and tag the
-    spec has validated, so no rule is checked twice. A case thus costs
-    its records: a plain loop over at most three fetched members, the
-    kernels, one certificate and its eight checks. The certificate is
-    never cached: it is built afresh on each call, and a failed check is
-    recorded, not raised, so a sweep sees every check of every case.
+    the second route (``circle_bundle._torus_b1``, ``_bundle_b1``,
+    ``_degeneracy``, ``_nullity`` and :func:`_canonical_class`), read on
+    the weights and tag the spec has validated, so no rule is checked
+    twice. A case thus costs its records: a plain loop over at most three
+    fetched members, the closed forms, one certificate and its eight
+    checks. The certificate is never cached: it is built afresh on each
+    call, and a failed check is recorded, not raised, so a sweep sees
+    every check of every case.
     """
     d, k, g, e = spec
     counts = surfaces.kind_counts(d, k, g)
@@ -235,7 +230,7 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
             b1 += n * (b - b0)
             rank += n * (r - r0)
     degeneracy = b1 - rank
-    # the closed-form kernels, on the weights and tag the spec has checked
+    # the closed forms, on the weights and tag the spec has checked
     nullity = circle_bundle._nullity(d, k, e)
     k_dot = _canonical_class(g)
     kappa = kodaira_classify(0, k_dot)

@@ -23,14 +23,15 @@ only on the three genus-1 members of the handle kinds and sums their
 ranks over the handles, by the additivity lemma stated in
 :func:`geographer.bundle_manifold.audit_bundle`; the summed degeneracy
 is checked against the closed formula, and the tests compare it with
-this pairing on whole genus-g bases. Each closed form has one home, a
-private kernel on weights and a tag already checked (``_torus_b1``,
-``_bundle_b1``, ``_degeneracy``, ``_nullity``); its public function
-refuses weights by the rule of :mod:`geographer.surfaces` and tags by the
-rule here, once, then calls the kernel.
+this pairing on whole genus-g bases. Each closed form is one function
+on weights and a tag already checked (:func:`_torus_b1`,
+:func:`_bundle_b1`, :func:`_degeneracy`, :func:`_nullity`): the spec's
+constructor refuses weights by the rule of :mod:`geographer.surfaces` and
+tags by the rule here, once, so a library caller reads the closed-form
+values off ``construct(BundleManifoldSpec(...))``.
 :func:`geographer.bundle_manifold.audit_bundle` reads b1, the pairing
-and the kernels, on the spec's validated weights, from here and compares
-them; geography inverts them by :func:`bundle_weights`.
+and the closed forms, on the spec's validated weights, from here and
+compares them; geography inverts them by :func:`bundle_weights`.
 """
 
 from . import linalg, surfaces
@@ -61,28 +62,13 @@ def _check_tag(d: int, k: int, tag: int) -> None:
         raise ValueError(_MISSING_BLOCK[tag])
 
 
-def _check_closed_form_arguments(d: int, k: int, tag: int) -> None:
-    surfaces._check_weight_order(d, k)
-    _check_tag(d, k, tag)
-
-
-def torus_b1_formula(d: int, k: int) -> int:
-    """Closed form for b1 of the mapping torus of weights (d, k): 2k - d + 1."""
-    surfaces._check_weight_order(d, k)
-    return _torus_b1(d, k)
-
-
 def _torus_b1(d: int, k: int) -> int:
+    """Closed form for b1 of the mapping torus of weights (d, k): 2k - d + 1."""
     return 2 * k - d + 1
 
 
-def bundle_b1_formula(d: int, k: int, tag: int) -> int:
-    """Closed form for b1 of B(d, k, g; tag): the base's, plus eta when e = 0."""
-    _check_closed_form_arguments(d, k, tag)
-    return _bundle_b1(d, k, tag)
-
-
 def _bundle_b1(d: int, k: int, tag: int) -> int:
+    """Closed form for b1 of B(d, k, g; tag): the base's, plus eta when e = 0."""
     return _torus_b1(d, k) + (tag == 0)
 
 
@@ -119,27 +105,17 @@ def lefschetz_pairing(data: WangData, tag: int) -> linalg.Matrix:
     return [[0] * (1 + m) + [1], *([0, *row, 0] for row in gram), [-1] + [0] * (1 + m)]
 
 
-def degeneracy_closed_form(d: int, k: int, tag: int) -> int:
-    """Closed form: d for a zero Euler class, d + 1 otherwise."""
-    _check_closed_form_arguments(d, k, tag)
-    return _degeneracy(d, k, tag)
-
-
 def _degeneracy(d: int, k: int, tag: int) -> int:
+    """Closed form: d for a zero Euler class, d + 1 otherwise."""
     return d if tag == 0 else d + 1
 
 
-def nullity_closed_form(d: int, k: int, tag: int) -> int:
+def _nullity(d: int, k: int, tag: int) -> int:
     """Closed form for the dimension of the cup-trivial part of H^1.
 
     Zero Euler class: 0 (the product with a circle kills the kernel).
     Otherwise d, except d + 1 when the untouched block is empty (d = k).
     """
-    _check_closed_form_arguments(d, k, tag)
-    return _nullity(d, k, tag)
-
-
-def _nullity(d: int, k: int, tag: int) -> int:
     if tag == 0:
         return 0
     return d + 1 if d == k else d

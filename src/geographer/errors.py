@@ -24,10 +24,6 @@ class Check(NamedTuple):
     expected: object
     observed: object
 
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.observed
-
     def __str__(self) -> str:
         return f"{self.name} expected {self.expected}, observed {self.observed}"
 

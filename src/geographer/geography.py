@@ -37,20 +37,6 @@ def _all_ints(*values) -> bool:
     return set(map(type, values)) <= {int}
 
 
-def is_admissible(a: int, b: int, c: int) -> bool:
-    """Exact admissibility predicate for degeneracy triples."""
-    return _admissibility_failure(a, b, c) is None
-
-
-def is_null_admissible(a: int, b: int, c: int) -> bool:
-    """Nullity variant: no parity constraint, but c = b - 1 is impossible.
-
-    A manifold with nullity b1 - 1 would leave a single cup-nontrivial
-    line in H^1, contradicting skewness of the cup square.
-    """
-    return _null_admissibility_failure(a, b, c) is None
-
-
 class Recipe(NamedTuple):
     """A construction together with its certified triple.
 
@@ -182,7 +168,12 @@ def _admissibility_failure(a: int, b: int, c: int) -> str | None:
 
 
 def _null_admissibility_failure(a: int, b: int, c: int) -> str | None:
-    """The first rule (a, b, c) breaks as a nullity triple, or None."""
+    """The first rule (a, b, c) breaks as a nullity triple, or None.
+
+    The nullity variant has no parity constraint, but c = b - 1 is
+    impossible: a manifold with nullity b1 - 1 would leave a single
+    cup-nontrivial line in H^1, contradicting skewness of the cup square.
+    """
     if not _all_ints(a, b, c):
         return _NON_INTEGER_FAILURE
     if c == b - 1 and 0 <= c <= b:

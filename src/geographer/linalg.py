@@ -76,17 +76,6 @@ def _integral(x) -> bool:
     return not isinstance(x, bool) and isinstance(x, numbers.Integral)
 
 
-def zeros(m: int, n: int) -> Matrix:
-    return [[0] * n for _ in range(m)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = 1
-    return out
-
-
 def transpose(a) -> Matrix:
     return [list(col) for col in zip(*a)]
 
@@ -119,8 +108,8 @@ class FrozenMatrix:
     into one array of the narrowest signed machine int (1 to 8 bytes) that
     holds them all, against 28 or more bytes for a Python int object, and
     are kept as one flat tuple of Python ints when they do not fit in 64
-    bits. It equals any sequence of rows with the same entries. The rows
-    are packed as given, exact ints as the package builds them.
+    bits. The rows are packed as given, exact ints as the package builds
+    them. It has no equality of its own: compare its ``tuple``.
     """
 
     __slots__ = ("_flat", "_rows")
@@ -147,15 +136,6 @@ class FrozenMatrix:
     def __iter__(self):
         for i in range(len(self)):
             yield self[i]
-
-    def __eq__(self, other) -> bool:
-        try:
-            return tuple(self) == tuple(map(tuple, other))
-        except TypeError:
-            return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"FrozenMatrix({tuple(self)!r})"
 
 
 class _Echelon(list):

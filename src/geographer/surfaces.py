@@ -54,9 +54,6 @@ class Twist(_TwistFields):
             raise ValueError(f"twist curve {curve} is not primitive")
         return super().__new__(cls, curve, power)
 
-    def inverse(self) -> "Twist":
-        return Twist(self.curve, -self.power)
-
 
 class _TwistWordFields(NamedTuple):
     genus: int
@@ -76,9 +73,6 @@ class TwistWord(_TwistWordFields):
             if len(letter.curve) != 2 * genus:
                 raise ValueError(f"curve of length {len(letter.curve)} in a genus {genus} word")
         return super().__new__(cls, genus, letters)
-
-    def inverse(self) -> "TwistWord":
-        return TwistWord(self.genus, tuple(l.inverse() for l in reversed(self.letters)))
 
 
 def _exact_curve(curve) -> tuple[int, ...]:
@@ -237,16 +231,15 @@ def _check_weights(d: int, k: int, g: int) -> None:
 
 
 def _check_genus(g: int) -> None:
-    """The genus rule g >= 1, of words, weights and canonical classes; a
-    genus whose 2g coordinates no sequence can index is refused too."""
+    """The genus rule g >= 1, of words and weights; a genus whose 2g
+    coordinates no sequence can index is refused too."""
     if g < 1:
         raise ValueError("genus must be positive")
     if 2 * g > sys.maxsize:
         raise ValueError(f"genus {g} is too large: its 2g coordinates cannot be indexed")
 
 
-def _check_weight_order(*weights: int) -> None:
-    """The weight rule 0 <= d <= k <= g, on (d, k, g) or on (d, k) alone."""
-    if not 0 <= weights[0] <= weights[1] <= weights[-1]:
-        rule = " <= ".join(("0", "d", "k", "g")[:len(weights) + 1])
-        raise ValueError(f"weights must satisfy {rule}, got {weights}")
+def _check_weight_order(d: int, k: int, g: int) -> None:
+    """The weight rule 0 <= d <= k <= g."""
+    if not 0 <= d <= k <= g:
+        raise ValueError(f"weights must satisfy 0 <= d <= k <= g, got {(d, k, g)}")

@@ -17,7 +17,7 @@ large the grid. The sweep first empties the members' ``audit_values``,
 so it ranks each member's pairing afresh, once per tag class, and trusts
 no rank computed before it. A case then costs its records alone: the
 spec, which validates its weights and tag once, the audit's kind sums
-and closed-form kernels on them, its certificate and eight checks, and
+and closed forms on them, its certificate and eight checks, and
 an inline ``expected != observed`` scan of those checks. Any mismatch is
 reported with the offending weights instead of raising. The sweep
 tallies first and builds its :class:`VerificationReport` once.
@@ -25,7 +25,7 @@ tallies first and builds its :class:`VerificationReport` once.
 
 from typing import Iterator
 
-from . import bundle_manifold, circle_bundle
+from . import bundle_manifold, circle_bundle, geography
 from .bundle_manifold import BundleManifoldSpec, audit_bundle
 from .errors import Check, InadmissibleError
 
@@ -69,7 +69,10 @@ class VerificationReport:
 
 
 def verify_bundle_grid(grid_max: int) -> VerificationReport:
-    """Run every check over the full weight grid up to ``grid_max``."""
+    """Run every check over the full weight grid up to ``grid_max``, an
+    int of at least 1; any other bound is an :class:`InadmissibleError`."""
+    if not geography._all_ints(grid_max):
+        raise InadmissibleError("grid bound must be an integer (int, not bool or float)")
     if grid_max < 1:
         raise InadmissibleError("grid bound must be at least 1")
     bundle_manifold._forget_member_values()

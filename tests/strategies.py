@@ -7,9 +7,9 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from geographer import linalg, surfaces
-from geographer.linalg import Matrix, identity
-from geographer.circle_bundle import VALID_TAGS, bundle_b1_formula, nullity_closed_form, valid_tags
+from geographer import circle_bundle, linalg, surfaces
+from geographer.linalg import Matrix
+from geographer.circle_bundle import VALID_TAGS, valid_tags
 from geographer.mapping_torus import MEMBER_WEIGHTS, WangData, bundle_wang_data
 from geographer.surfaces import HANDLE_KINDS, Twist, TwistWord, compose_word
 
@@ -21,6 +21,22 @@ sparse_ints = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
 
 class Small(int):
     """An int subclass; the package stores such values as plain ints."""
+
+
+def zeros(m: int, n: int) -> Matrix:
+    return [[0] * n for _ in range(m)]
+
+
+def identity(n: int) -> Matrix:
+    out = zeros(n, n)
+    for i in range(n):
+        out[i][i] = 1
+    return out
+
+
+def inverse(word: TwistWord) -> TwistWord:
+    """The inverse word: the letters reversed, each with its power negated."""
+    return TwistWord(word.genus, tuple(Twist(c, -p) for c, p in reversed(word.letters)))
 
 
 def shape(matrix, width=None):
@@ -226,7 +242,7 @@ def intersection_form(genus):
     """
     if genus < 1:
         raise ValueError("genus must be positive")
-    j = linalg.zeros(2 * genus, 2 * genus)
+    j = zeros(2 * genus, 2 * genus)
     for i in range(0, 2 * genus, 2):
         j[i][i + 1] = 1
         j[i + 1][i] = -1
@@ -443,7 +459,7 @@ def conjugated_words(draw, max_genus=4, max_letters=6, powers=(-2, -1, 1, 2)):
     fixes a lattice of rank 2g - 1, so phi^* - 1 is singular."""
     word = draw(twist_words(max_genus, max_letters, powers=powers))
     twist = Twist(draw(primitive_curves(word.genus)), draw(st.sampled_from(powers)))
-    return TwistWord(word.genus, word.letters + (twist,) + word.inverse().letters)
+    return TwistWord(word.genus, word.letters + (twist,) + inverse(word).letters)
 
 
 @st.composite
@@ -480,7 +496,7 @@ def dense_skew(n, seed, entries=9):
     """A seeded dense skew-symmetric n x n matrix with entries up to
     +-``entries``; nonsingular for even n, as a rule."""
     rng = random.Random(seed)
-    a = linalg.zeros(n, n)
+    a = zeros(n, n)
     for i in range(n):
         for j in range(i + 1, n):
             a[i][j] = rng.randint(-entries, entries)
@@ -518,30 +534,30 @@ def handle_conjugate(genus, seed=0):
     inner = next(dense_words(1, genus=genus - 1, letters=2 * genus + 2, seed=seed))
     outer = next(dense_words(1, genus=genus, letters=genus, seed=seed + 1))
     padded = tuple(Twist(letter.curve + (0, 0), letter.power) for letter in inner.letters)
-    return TwistWord(genus, outer.letters + padded + outer.inverse().letters)
+    return TwistWord(genus, outer.letters + padded + inverse(outer).letters)
 
 
 def brute_force_bundle_nullity(b):
     """The first bundle weights (d, k, tag) with b1 = b, for each nullity.
 
     Scans every (tag, k, d) with d <= k <= b, in tag order, then k, then
-    d, through the validating closed forms of the package, and keeps the
-    first hit for each nullity c.
+    d, through the closed forms of the package, and keeps the first hit
+    for each nullity c.
     """
     first = {}
     for tag in VALID_TAGS:
         for k in range(0, b + 1):
             for d in range(0, k + 1):
-                if tag not in valid_tags(d, k) or bundle_b1_formula(d, k, tag) != b:
+                if tag not in valid_tags(d, k) or circle_bundle._bundle_b1(d, k, tag) != b:
                     continue
-                first.setdefault(nullity_closed_form(d, k, tag), (d, k, tag))
+                first.setdefault(circle_bundle._nullity(d, k, tag), (d, k, tag))
     return first
 
 
 @st.composite
 def unimodular_matrices(draw, n, max_ops=8):
     """Products of elementary row operations, so det is always +-1."""
-    mat = linalg.identity(n)
+    mat = identity(n)
     for _ in range(draw(st.integers(0, max_ops))):
         kind = draw(st.sampled_from(("add", "swap", "negate")))
         i = draw(st.integers(0, n - 1))

@@ -8,14 +8,9 @@ import json
 import math
 import random
 
-from geographer import linalg
+from geographer import circle_bundle, linalg
 from geographer.bundle_manifold import BundleManifoldSpec, construct
-from geographer.circle_bundle import (
-    bundle_b1,
-    degeneracy_closed_form,
-    lefschetz_pairing,
-    nullity_closed_form,
-)
+from geographer.circle_bundle import bundle_b1, lefschetz_pairing
 from geographer.cli import recipe_document
 from geographer.fiber_sum import (
     DolgachevSurface,
@@ -26,15 +21,16 @@ from geographer.fiber_sum import (
 )
 from geographer.geography import (
     OpenProblem,
+    _admissibility_failure,
+    _null_admissibility_failure,
     enumerate_region,
-    is_admissible,
-    is_null_admissible,
     realize,
     realize_null,
 )
 from geographer.surfaces import Twist, TwistWord, compose_word
 from strategies import (
     bundle_monodromy_word,
+    identity,
     intersection_form,
     is_symplectic,
     lifted_wang_data,
@@ -58,7 +54,7 @@ def test_realization_grid_down_to_minus_eighty():
     for a in range(0, -81, -8):
         for b in range(0, 13):
             for c in range(0, b + 1):
-                if not is_admissible(a, b, c):
+                if _admissibility_failure(a, b, c) is not None:
                     continue
                 recipe = realize(a, b, c)
                 cert = recipe.certificate
@@ -77,7 +73,7 @@ def test_degeneracy_rank_route_equals_closed_form():
         for tag in tags_for(d, k):
             q = lefschetz_pairing(data, tag)
             b1 = bundle_b1(data, tag)
-            assert b1 - linalg.rank(q) == degeneracy_closed_form(d, k, tag), (d, k, g, tag)
+            assert b1 - linalg.rank(q) == circle_bundle._degeneracy(d, k, tag), (d, k, g, tag)
             cases += 1
     assert cases == 404
     print(f"\nACCEPTANCE degeneracy oracle equivalence: PASS ({cases} cases, exact)")
@@ -103,7 +99,7 @@ def test_pairing_rank_even_and_complements_degeneracy():
             rank_q = linalg.rank(q)
             b1 = bundle_b1(data, tag)
             assert rank_q % 2 == 0, (d, k, g, tag)
-            assert rank_q == b1 - degeneracy_closed_form(d, k, tag), (d, k, g, tag)
+            assert rank_q == b1 - circle_bundle._degeneracy(d, k, tag), (d, k, g, tag)
             cases += 1
     print(f"\nACCEPTANCE pairing rank even and rank = b1 - d: PASS ({cases} cases)")
 
@@ -112,7 +108,7 @@ def test_monodromy_fixed_blocks_and_ranks():
     cases = 0
     for d, k, g in weight_grid(8):
         m = compose_word(bundle_monodromy_word(d, k, g))
-        eye2 = linalg.identity(2)
+        eye2 = identity(2)
         for i in range(1, g + 1):
             block = [list(row[2 * i - 2:2 * i]) for row in m[2 * i - 2:2 * i]]
             if i <= d:
@@ -167,11 +163,11 @@ def test_fiber_sum_invariant_grid():
 
 
 def test_nullity_data_points_and_open_case():
-    assert nullity_closed_form(0, 0, 0) == 0
-    assert nullity_closed_form(1, 1, 1) == 2
-    assert nullity_closed_form(1, 1, 0) == 0
-    assert nullity_closed_form(2, 2, 1) == 3
-    assert not is_null_admissible(0, 2, 1)
+    assert circle_bundle._nullity(0, 0, 0) == 0
+    assert circle_bundle._nullity(1, 1, 1) == 2
+    assert circle_bundle._nullity(1, 1, 0) == 0
+    assert circle_bundle._nullity(2, 2, 1) == 3
+    assert _null_admissibility_failure(0, 2, 1) is not None
     result = realize_null(0, 3, 1)
     assert isinstance(result, OpenProblem)
     assert realize_null(0, 3, 0).label == "B(1,1,2;0)"

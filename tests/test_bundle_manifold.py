@@ -15,7 +15,6 @@ from geographer.bundle_manifold import (
     BundleAudit,
     BundleManifoldSpec,
     audit_bundle,
-    canonical_class,
     construct,
     kodaira_classify,
 )
@@ -44,11 +43,9 @@ def test_kodaira_outside_table():
 
 
 def test_canonical_class_coefficients():
-    assert canonical_class(1) == 0
-    assert canonical_class(2) == 2
-    assert canonical_class(5) == 8
-    with pytest.raises(ValueError):
-        canonical_class(0)
+    assert bundle_manifold._canonical_class(1) == 0
+    assert bundle_manifold._canonical_class(2) == 2
+    assert bundle_manifold._canonical_class(5) == 8
 
 
 def test_spec_validation():

@@ -1,22 +1,12 @@
 """Euler tag checks, Gysin ranks, and the assembled skew pairing."""
 
-import re
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from geographer import bundle_manifold, circle_bundle, linalg
-from geographer.bundle_manifold import BundleManifoldSpec, audit_bundle, canonical_class
-from geographer.circle_bundle import (
-    bundle_b1,
-    bundle_b1_formula,
-    bundle_weights,
-    degeneracy_closed_form,
-    lefschetz_pairing,
-    nullity_closed_form,
-    torus_b1_formula,
-)
+from geographer.bundle_manifold import BundleManifoldSpec, audit_bundle, construct
+from geographer.circle_bundle import bundle_b1, bundle_weights, lefschetz_pairing
 from geographer.mapping_torus import MappingTorus, WangData, wang_cohomology
 from geographer.verify import bundle_grid
 from strategies import (
@@ -55,8 +45,8 @@ def test_bundle_weights_invert_the_b1_and_degeneracy_closed_forms():
     for k in range(0, 41):
         for d in range(0, k + 1):
             for tag in valid_tags(d, k):
-                b1 = bundle_b1_formula(d, k, tag)
-                degeneracy = degeneracy_closed_form(d, k, tag)
+                b1 = circle_bundle._bundle_b1(d, k, tag)
+                degeneracy = circle_bundle._degeneracy(d, k, tag)
                 assert bundle_weights(b1, degeneracy, tag) == (d, k), (d, k, tag)
 
 
@@ -114,66 +104,30 @@ def test_degeneracy_oracle_refuses_malformed_pairings(q, message):
 
 
 def test_degeneracy_closed_form_values():
-    assert degeneracy_closed_form(1, 1, 1) == 2
-    assert degeneracy_closed_form(2, 3, 0) == 2
-    assert degeneracy_closed_form(0, 2, 2) == 1
-    with pytest.raises(ValueError):
-        degeneracy_closed_form(0, 2, 1)
-    with pytest.raises(ValueError):
-        degeneracy_closed_form(2, 2, 2)
+    assert circle_bundle._degeneracy(1, 1, 1) == 2
+    assert circle_bundle._degeneracy(2, 3, 0) == 2
+    assert circle_bundle._degeneracy(0, 2, 2) == 1
 
 
 def test_nullity_closed_form_values():
-    assert nullity_closed_form(1, 1, 0) == 0
-    assert nullity_closed_form(2, 2, 1) == 3
-    assert nullity_closed_form(1, 2, 1) == 1
-    assert nullity_closed_form(1, 2, 2) == 1
-    assert nullity_closed_form(1, 1, 1) == 2
+    assert circle_bundle._nullity(1, 1, 0) == 0
+    assert circle_bundle._nullity(2, 2, 1) == 3
+    assert circle_bundle._nullity(1, 2, 1) == 1
+    assert circle_bundle._nullity(1, 2, 2) == 1
+    assert circle_bundle._nullity(1, 1, 1) == 2
 
 
-@pytest.mark.parametrize(
-    "closed_form", [bundle_b1_formula, degeneracy_closed_form, nullity_closed_form]
-)
-@pytest.mark.parametrize("d, k", [(2, 1), (1, 0), (-1, 0), (-1, 2)])
-def test_closed_forms_refuse_weights_out_of_order(closed_form, d, k):
-    # tag 0 is valid for any weights, so only the weight rule refuses these
-    text = f"weights must satisfy 0 <= d <= k, got ({d}, {k})"
-    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-        closed_form(d, k, 0)
-
-
-def test_torus_b1_formula_refuses_weights_out_of_order():
-    for d, k in [(2, 1), (1, 0), (-1, 0), (-1, 2)]:
-        text = f"weights must satisfy 0 <= d <= k, got ({d}, {k})"
-        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-            torus_b1_formula(d, k)
-
-
-def test_each_public_closed_form_is_its_kernel_behind_its_checks():
-    # the audit reads the kernels on the spec's validated weights; each
-    # public closed form checks its arguments once, then returns the kernel
-    for d, k, g, e in bundle_grid(12):
-        assert torus_b1_formula(d, k) == circle_bundle._torus_b1(d, k)
-        assert bundle_b1_formula(d, k, e) == circle_bundle._bundle_b1(d, k, e)
-        assert degeneracy_closed_form(d, k, e) == circle_bundle._degeneracy(d, k, e)
-        assert nullity_closed_form(d, k, e) == circle_bundle._nullity(d, k, e)
-        assert canonical_class(g) == bundle_manifold._canonical_class(g)
-    refusals = [
-        ((2, 1, 0), "weights must satisfy 0 <= d <= k, got (2, 1)"),
-        ((-1, 0, 0), "weights must satisfy 0 <= d <= k, got (-1, 0)"),
-        ((0, 2, 3), "Euler tag must be one of (0, 1, 2), got 3"),
-        ((1, 2, -1), "Euler tag must be one of (0, 1, 2), got -1"),
-        ((0, 2, 1), "tag 1 requires d != 0 (no twisted a_i^theta class exists)"),
-        ((2, 2, 2), "tag 2 requires d != k (the untouched block is empty)"),
-    ]
-    for closed_form in (bundle_b1_formula, degeneracy_closed_form, nullity_closed_form):
-        for args, text in refusals:
-            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-                closed_form(*args)
-    with pytest.raises(ValueError, match=r"^weights must satisfy 0 <= d <= k, got \(2, 1\)$"):
-        torus_b1_formula(2, 1)
-    with pytest.raises(ValueError, match="^genus must be positive$"):
-        canonical_class(0)
+def test_each_closed_form_is_read_off_the_certificate():
+    # a library caller reads the closed forms off construct, whose spec
+    # has refused bad weights and tags (test_spec_refusal_text)
+    for spec in bundle_grid(12):
+        d, k, g, e = spec
+        cert = construct(spec)
+        assert cert.b1 - (e == 0) == circle_bundle._torus_b1(d, k)
+        assert cert.b1 == circle_bundle._bundle_b1(d, k, e)
+        assert cert.degeneracy == circle_bundle._degeneracy(d, k, e)
+        assert cert.nullity == circle_bundle._nullity(d, k, e)
+        assert cert.k_dot_omega == bundle_manifold._canonical_class(g)
 
 
 def test_degeneracy_oracle_equals_closed_form_on_grid():
@@ -182,7 +136,7 @@ def test_degeneracy_oracle_equals_closed_form_on_grid():
         for tag in valid_tags(d, k):
             q = lefschetz_pairing(data, tag)
             b1 = bundle_b1(data, tag)
-            assert degeneracy_oracle(q, b1) == degeneracy_closed_form(d, k, tag), (
+            assert degeneracy_oracle(q, b1) == circle_bundle._degeneracy(d, k, tag), (
                 d,
                 k,
                 g,
@@ -293,8 +247,8 @@ def test_pairing_does_not_depend_on_genus_beyond_k():
 def test_nullity_bounds_on_grid():
     for d, k, g in grid(8):
         for tag in valid_tags(d, k):
-            nullity = nullity_closed_form(d, k, tag)
-            assert 0 <= nullity <= degeneracy_closed_form(d, k, tag)
+            nullity = circle_bundle._nullity(d, k, tag)
+            assert 0 <= nullity <= circle_bundle._degeneracy(d, k, tag)
             if tag == 0:
                 assert nullity == 0
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geographer import circle_bundle, cli, linalg
+from geographer import circle_bundle, cli
 from geographer.bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
 from geographer.cli import (
     EXIT_INADMISSIBLE,
@@ -28,6 +28,7 @@ from geographer.cli import (
     certificate_checks,
     main,
 )
+from strategies import zeros
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -178,7 +179,7 @@ def test_verify_catches_injected_pairing_fault(capsys, monkeypatch):
 
     def corrupted(data, tag):
         q = original(data, tag)
-        return linalg.zeros(len(q), len(q[0]))  # kill the pairing entirely
+        return zeros(len(q), len(q[0]))  # kill the pairing entirely
 
     monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
     code, out, _ = run(capsys, "verify", "--grid-max", "2")
@@ -198,7 +199,7 @@ def test_verify_catches_pairing_fault_after_construct_has_run(capsys, monkeypatc
 
     def corrupted(data, tag):
         q = original(data, tag)
-        return linalg.zeros(len(q), len(q[0]))
+        return zeros(len(q), len(q[0]))
 
     monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
     code, out, _ = run(capsys, "verify", "--grid-max", "2")
@@ -212,7 +213,7 @@ def test_failed_certificate_check_exits_1_without_traceback(capsys, monkeypatch)
 
     def corrupted(data, tag):
         q = original(data, tag)
-        return linalg.zeros(len(q), len(q[0]))
+        return zeros(len(q), len(q[0]))
 
     monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
     construct.cache_clear()  # B(0,1,2;0) is built afresh, with the zeroed pairing
@@ -520,7 +521,7 @@ def test_each_refusal_is_one_stderr_line_and_its_exit_code(
 
         def corrupted(data, tag):
             q = original(data, tag)
-            return linalg.zeros(len(q), len(q[0]))
+            return zeros(len(q), len(q[0]))
 
         monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
     argv = [arg.format(out=out) for arg in argv]

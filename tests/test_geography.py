@@ -21,12 +21,18 @@ from geographer.geography import (
     certify,
     default_genus,
     enumerate_region,
-    is_admissible,
-    is_null_admissible,
     realize,
     realize_null,
 )
 from strategies import brute_force_bundle_nullity
+
+
+def admissible(a, b, c):
+    return geography._admissibility_failure(a, b, c) is None
+
+
+def null_admissible(a, b, c):
+    return geography._null_admissibility_failure(a, b, c) is None
 
 
 def brute_force_admissible(a, b, c):
@@ -39,26 +45,26 @@ def brute_force_admissible(a, b, c):
 
 
 def test_admissibility_frozen_cases():
-    assert is_admissible(-8, 0, 0)
-    assert is_admissible(0, 2, 0)
-    assert is_admissible(-16, 2, 0)
-    assert not is_admissible(0, 3, 2)  # parity
-    assert not is_admissible(8, 2, 0)  # positive signature
-    assert not is_admissible(0, 1, 1)  # b >= 2 when a = 0
-    assert not is_admissible(0, 0, 0)
-    assert not is_admissible(-4, 0, 0)  # not a multiple of 8
-    assert not is_admissible(-8, 2, 3)  # c > b
+    assert admissible(-8, 0, 0)
+    assert admissible(0, 2, 0)
+    assert admissible(-16, 2, 0)
+    assert not admissible(0, 3, 2)  # parity
+    assert not admissible(8, 2, 0)  # positive signature
+    assert not admissible(0, 1, 1)  # b >= 2 when a = 0
+    assert not admissible(0, 0, 0)
+    assert not admissible(-4, 0, 0)  # not a multiple of 8
+    assert not admissible(-8, 2, 3)  # c > b
 
 
 def test_null_admissibility_frozen_cases():
-    assert not is_null_admissible(0, 2, 1)  # c = b - 1
-    assert is_null_admissible(0, 3, 1)
-    assert is_null_admissible(0, 3, 3)
-    assert is_null_admissible(0, 2, 2)
-    assert not is_null_admissible(-8, 1, 0)  # c = b - 1 again
-    assert is_null_admissible(-8, 1, 1)
-    assert is_null_admissible(-8, 0, 0)
-    assert not is_null_admissible(0, 1, 1)  # bound b >= 2
+    assert not null_admissible(0, 2, 1)  # c = b - 1
+    assert null_admissible(0, 3, 1)
+    assert null_admissible(0, 3, 3)
+    assert null_admissible(0, 2, 2)
+    assert not null_admissible(-8, 1, 0)  # c = b - 1 again
+    assert null_admissible(-8, 1, 1)
+    assert null_admissible(-8, 0, 0)
+    assert not null_admissible(0, 1, 1)  # bound b >= 2
 
 
 @given(
@@ -67,7 +73,7 @@ def test_null_admissibility_frozen_cases():
     st.integers(-1, 9),
 )
 def test_admissibility_against_brute_force(a, b, c):
-    assert is_admissible(a, b, c) == brute_force_admissible(a, b, c)
+    assert admissible(a, b, c) == brute_force_admissible(a, b, c)
 
 
 def test_realize_frozen_recipes():
@@ -142,8 +148,10 @@ def test_refusal_text_of_every_rule(fn, triple, text):
     with pytest.raises(InadmissibleError) as exc:
         fn(*triple)
     assert str(exc.value) == text
-    predicate = is_admissible if fn is realize else is_null_admissible
-    assert not predicate(*triple)
+    failure = (
+        geography._admissibility_failure if fn is realize else geography._null_admissibility_failure
+    )
+    assert failure(*triple) == text
 
 
 NON_INTEGER_TRIPLES = [
@@ -158,8 +166,8 @@ NON_INTEGER_TRIPLES = [
 
 @pytest.mark.parametrize("triple", NON_INTEGER_TRIPLES)
 def test_non_integer_triples_are_inadmissible(triple):
-    assert not is_admissible(*triple)
-    assert not is_null_admissible(*triple)
+    assert not admissible(*triple)
+    assert not null_admissible(*triple)
     with pytest.raises(InadmissibleError, match="integers"):
         realize(*triple)
     with pytest.raises(InadmissibleError, match="integers"):
@@ -176,7 +184,7 @@ def test_realize_soundness_region():
     for a in range(0, -25, -8):
         for b in range(0, 7):
             for c in range(0, b + 1):
-                if not is_admissible(a, b, c):
+                if not admissible(a, b, c):
                     continue
                 recipe = realize(a, b, c)
                 cert = recipe.certificate
@@ -232,7 +240,7 @@ def test_realize_null_data_points():
 def test_realize_null_respects_verified_triples():
     for b in range(2, 7):
         for c in range(0, b + 1):
-            if not is_null_admissible(0, b, c):
+            if not null_admissible(0, b, c):
                 continue
             result = realize_null(0, b, c)
             if isinstance(result, OpenProblem):

@@ -18,6 +18,7 @@ from strategies import (
     bareiss_det,
     cokernel_free_coordinates,
     fraction_det,
+    identity,
     integer_matrices,
     is_unimodular,
     kernel_coordinates,
@@ -29,6 +30,7 @@ from strategies import (
     sparse_ints,
     sparse_sign_matrices,
     unimodular_matrices,
+    zeros,
 )
 
 
@@ -105,8 +107,8 @@ def test_frozen_matrix_keeps_entries_exactly(rows):
     assert len(frozen) == 2
     assert list(frozen) == [tuple(row) for row in rows]
     assert frozen[-1] == tuple(rows[-1])
-    assert frozen == rows and rows == frozen
-    assert frozen != [[x + 1 for x in row] for row in rows]
+    assert tuple(frozen) == tuple(map(tuple, rows))
+    assert tuple(frozen) != tuple(tuple(x + 1 for x in row) for row in rows)
     assert all(type(x) is int for row in frozen for x in row)
 
 
@@ -119,26 +121,28 @@ def test_frozen_matrix_packs_tuple_rows_as_it_packs_lists(rows):
     assert type(as_tuples._flat) is type(as_lists._flat)
     assert getattr(as_tuples._flat, "typecode", None) == getattr(as_lists._flat, "typecode", None)
     assert list(as_tuples._flat) == list(as_lists._flat)
-    assert as_tuples == as_lists == rows and len(as_tuples) == len(rows)
+    assert tuple(as_tuples) == tuple(as_lists) == tuple(map(tuple, rows))
+    assert len(as_tuples) == len(rows)
 
 
 @pytest.mark.parametrize("rows", FROZEN_EDGE_ROWS)
 def test_frozen_matrix_packs_package_rows_as_the_validating_constructor(rows):
     # FrozenMatrix has one constructor: rows the package computed (here a
     # product with the identity) pack exactly as the rows it was given
-    built = linalg.FrozenMatrix(linalg.matmul(rows, linalg.identity(len(rows[0]))))
+    built = linalg.FrozenMatrix(linalg.matmul(rows, identity(len(rows[0]))))
     given = linalg.FrozenMatrix(rows)
     assert type(built._flat) is type(given._flat)
     assert getattr(built._flat, "typecode", None) == getattr(given._flat, "typecode", None)
     assert list(built._flat) == list(given._flat)
-    assert built == given == rows and len(built) == len(given)
+    assert tuple(built) == tuple(given) == tuple(map(tuple, rows))
+    assert len(built) == len(given)
 
 
 def test_identity_and_zeros_hold_python_ints():
-    eye = linalg.identity(3)
+    eye = identity(3)
     assert all(type(x) is int for row in eye for x in row)
     assert linalg.matmul(eye, eye) == eye
-    assert shape(linalg.zeros(2, 3)) == (2, 3)
+    assert shape(zeros(2, 3)) == (2, 3)
 
 
 @given(integer_matrices(square=True))
@@ -276,7 +280,7 @@ def test_kernel_is_saturated_and_annihilates(rows):
     kernel = smith_form(a).kernel_basis()
     assert shape(kernel, len(a[0])) == (len(a[0]) - linalg.rank(a), len(a[0]))
     if kernel:
-        assert linalg.matmul(a, linalg.transpose(kernel)) == linalg.zeros(len(a), len(kernel))
+        assert linalg.matmul(a, linalg.transpose(kernel)) == zeros(len(a), len(kernel))
         # a saturated basis has unit invariant factors and primitive rows
         assert smith_form(kernel).elementary_divisors == ()
         assert all(math.gcd(*row) == 1 for row in kernel)
@@ -305,7 +309,7 @@ def test_kernel_coordinates_recover_a_change_of_kernel_basis(rows, data):
     basis = sf.kernel_basis()
     if basis:
         change = data.draw(unimodular_matrices(len(basis)))
-        assert kernel_coordinates(sf, basis) == linalg.identity(len(basis))
+        assert kernel_coordinates(sf, basis) == identity(len(basis))
         assert kernel_coordinates(sf, linalg.matmul(change, basis)) == change
     else:
         assert kernel_coordinates(sf, [[0] * len(rows[0])]) == []
@@ -497,8 +501,8 @@ def test_modular_elementary_divisors_stay_below_the_determinant(label):
 @given(st.integers(1, 6).flatmap(unimodular_matrices))
 def test_rational_inverse_round_trip(a):
     inv = rational_inverse(a)
-    assert linalg.matmul(a, inv) == linalg.identity(len(a))
-    assert linalg.matmul(inv, a) == linalg.identity(len(a))
+    assert linalg.matmul(a, inv) == identity(len(a))
+    assert linalg.matmul(inv, a) == identity(len(a))
 
 
 def test_rational_inverse_refuses_singular_and_non_integral_inverses():

@@ -29,6 +29,8 @@ from strategies import (
     conjugated_words,
     dense_words,
     handle_conjugate,
+    identity,
+    inverse,
     is_unimodular,
     kernel_coordinates,
     lifted_wang_data,
@@ -200,7 +202,7 @@ def test_generic_bases_that_drop_a_row_trip_the_shape_record(monkeypatch):
     # so an invariant basis that lost a row is refused by its shape
     word = next(iter(dense_words(1)))
     double = Twist(word.letters[0].curve, 2)
-    torus = MappingTorus(TwistWord(word.genus, word.letters + (double,) + word.inverse().letters))
+    torus = MappingTorus(TwistWord(word.genus, word.letters + (double,) + inverse(word).letters))
     generic_bases = mapping_torus._generic_bases
 
     def dropped(a):
@@ -267,7 +269,7 @@ def test_generic_route_matches_smith_form(word):
     # be Smith's: WangData promises the lattices, not a choice of rows.
     torus = MappingTorus(word)
     data = wang_cohomology(torus)
-    assert torus.monodromy == compose_word(word)
+    assert tuple(torus.monodromy) == compose_word(word)
     a = minus_identity(torus.monodromy)
     sf = smith_form(a)
     assert data.torsion == sf.elementary_divisors
@@ -502,7 +504,7 @@ def test_nonsingular_generic_path_computes_no_smith_form(monkeypatch):
     assert calls == []
     # a conjugate around a double twist is singular and gets generic bases
     double = Twist(word.letters[0].curve, 2)
-    conjugate = TwistWord(word.genus, word.letters + (double,) + word.inverse().letters)
+    conjugate = TwistWord(word.genus, word.letters + (double,) + inverse(word).letters)
     data = wang_cohomology(MappingTorus(conjugate))
     assert calls == [12]
     assert len(data.invariant_basis) == len(data.mu_basis) == 11
@@ -541,13 +543,13 @@ def test_compute_path_packs_no_monodromy(monkeypatch):
     assert report.cases and not report.failures
     word = next(iter(dense_words(1, genus=4)))
     double = Twist(word.letters[0].curve, 2)
-    conjugate = TwistWord(word.genus, word.letters + (double,) + word.inverse().letters)
+    conjugate = TwistWord(word.genus, word.letters + (double,) + inverse(word).letters)
     assert wang_cohomology(MappingTorus(word)).b1 == 1
     assert wang_cohomology(MappingTorus(conjugate)).b1 > 1  # singular: echelon bases
     monkeypatch.undo()
     torus = MappingTorus(word)
     assert type(torus.monodromy) is linalg.FrozenMatrix
-    assert torus.monodromy == compose_word(word)
+    assert tuple(torus.monodromy) == compose_word(word)
     assert not hasattr(torus, "__dict__")
 
 
@@ -662,7 +664,7 @@ def test_certificate_accepts_smith_bases_of_dense_genus_six_words():
     # bases and the generic ones alike.
     for word in dense_words(20):
         double = Twist(word.letters[0].curve, 2)
-        conjugate = TwistWord(word.genus, word.letters + (double,) + word.inverse().letters)
+        conjugate = TwistWord(word.genus, word.letters + (double,) + inverse(word).letters)
         for w in (word, conjugate):
             torus = MappingTorus(w)
             a = minus_identity(torus.monodromy)
@@ -709,7 +711,7 @@ def random_word(rng):
 
 
 def unimodular(rng, r):
-    mat = linalg.identity(r)
+    mat = identity(r)
     for _ in range(8):
         i, j = rng.randrange(r), rng.randrange(r)
         if i != j:

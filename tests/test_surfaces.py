@@ -16,8 +16,10 @@ from strategies import (
     b_curve,
     bareiss_det,
     bundle_monodromy_word,
+    identity,
     intersection_form,
     invariant_subspace,
+    inverse,
     is_symplectic,
     lifted_wang_data,
     minus_identity,
@@ -27,6 +29,7 @@ from strategies import (
     sparse_ints,
     twist_transvection,
     twist_words,
+    zeros,
 )
 
 
@@ -43,7 +46,7 @@ def test_intersection_form_frozen():
         [0, 0, 0, 1],
         [0, 0, -1, 0],
     ]
-    assert linalg.matmul(j2, j2) == negated(linalg.identity(4))
+    assert linalg.matmul(j2, j2) == negated(identity(4))
     assert bareiss_det(j2) == 1
     assert linalg.transpose(j2) == negated(j2)
 
@@ -93,7 +96,7 @@ def test_twist_along_b2_genus_two():
     )
     assert is_symplectic(m)
     # the first handle block is fixed pointwise
-    assert [list(row[:2]) for row in m[:2]] == linalg.identity(2)
+    assert [list(row[:2]) for row in m[:2]] == identity(2)
     assert all(x == 0 for row in m[:2] for x in row[2:])
     assert all(x == 0 for row in m[2:] for x in row[:2])
 
@@ -204,7 +207,7 @@ def test_compose_word_with_non_unit_curves_matches_transvection_product(word):
             letter.curve, word.genus, letter.power
         )
         factors.append(t)
-    product = functools.reduce(linalg.matmul, factors, linalg.identity(2 * word.genus))
+    product = functools.reduce(linalg.matmul, factors, identity(2 * word.genus))
     assert [list(row) for row in compose_word(word)] == product
 
 
@@ -215,7 +218,7 @@ def transvection_product(word):
         transvection_oracle(letter.curve, word.genus, letter.power)
         for letter in reversed(word.letters)
     ]
-    return functools.reduce(linalg.matmul, factors, linalg.identity(2 * word.genus))
+    return functools.reduce(linalg.matmul, factors, identity(2 * word.genus))
 
 
 def product_bound(word):
@@ -272,7 +275,7 @@ def test_twist_inverse_law(genus_curve, power):
     genus, curve = genus_curve
     m = twist_transvection(curve, genus, power)
     m_inverse = twist_transvection(curve, genus, -power)
-    assert linalg.matmul(m, m_inverse) == linalg.identity(2 * genus)
+    assert linalg.matmul(m, m_inverse) == identity(2 * genus)
 
 
 def test_disjoint_handle_twists_commute():
@@ -284,13 +287,13 @@ def test_disjoint_handle_twists_commute():
 
 
 def test_empty_word_is_identity():
-    assert [list(row) for row in compose_word(TwistWord(2))] == linalg.identity(4)
+    assert [list(row) for row in compose_word(TwistWord(2))] == identity(4)
 
 
 def test_word_followed_by_inverse_is_identity():
     word = TwistWord(2, (Twist(a_curve(1, 2)), Twist(b_curve(2, 2), -1)))
-    combined = TwistWord(2, word.letters + word.inverse().letters)
-    assert [list(row) for row in compose_word(combined)] == linalg.identity(4)
+    combined = TwistWord(2, word.letters + inverse(word).letters)
+    assert [list(row) for row in compose_word(combined)] == identity(4)
 
 
 def test_kind_counts_partition_the_handles():
@@ -344,7 +347,7 @@ def test_bundle_monodromy_frozen_matrix():
 
 
 def test_fixed_subspace_of_identity():
-    assert len(invariant_subspace(linalg.identity(4))) == 4
+    assert len(invariant_subspace(identity(4))) == 4
 
 
 def test_untwisted_pair_block_has_no_fixed_vector():
@@ -373,7 +376,7 @@ def test_fixed_subspace_spans_expected_classes():
     a = minus_identity(m)
     for vec in expected:
         column = linalg.transpose([vec])
-        assert linalg.matmul(a, column) == linalg.zeros(2 * g, 1)
+        assert linalg.matmul(a, column) == zeros(2 * g, 1)
     assert len(invariant_subspace(m)) == len(expected)
     assert smith_form(expected).elementary_divisors == ()
 
@@ -392,7 +395,7 @@ def test_compose_word_matches_product_of_transvections(word):
         twist_transvection(letter.curve, word.genus, letter.power)
         for letter in reversed(word.letters)
     ]
-    product = functools.reduce(linalg.matmul, factors, linalg.identity(2 * word.genus))
+    product = functools.reduce(linalg.matmul, factors, identity(2 * word.genus))
     assert [list(row) for row in compose_word(word)] == product
 
 

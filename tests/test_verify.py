@@ -4,15 +4,16 @@ import hashlib
 
 import pytest
 
-from geographer import circle_bundle, linalg, mapping_torus
+from geographer import circle_bundle, mapping_torus
 from geographer.bundle_manifold import (
     BUNDLE_CHECKS,
     BundleManifoldSpec,
     audit_bundle,
     construct,
 )
-from geographer.errors import Check, ConsistencyError
+from geographer.errors import Check, ConsistencyError, InadmissibleError
 from geographer.verify import CHECK_NAMES, bundle_grid, verify_bundle_grid
+from strategies import zeros
 
 
 def test_audit_records_every_certificate_check_once():
@@ -24,7 +25,7 @@ def test_audit_records_every_certificate_check_once():
     ]:
         audit = audit_bundle(spec)
         assert sorted(check.name for check in audit.checks) == sorted(BUNDLE_CHECKS)
-        assert all(check.passed for check in audit.checks)
+        assert all(check.expected == check.observed for check in audit.checks)
         cert = construct(spec)
         assert cert.checks == BUNDLE_CHECKS
         assert audit.certificate == cert
@@ -40,7 +41,7 @@ def test_audit_of_wang_data_with_other_weights_fails_the_wang_b1_check(monkeypat
     checks = audit_bundle(BundleManifoldSpec(2, 2, 3, 0)).checks
     assert len(other.invariant_basis) == 2
     assert checks[0] == Check("wang_b1_matches_formula", 3, 5)
-    assert not checks[0].passed
+    assert checks[0].expected != checks[0].observed
 
 
 def test_a_cold_sweep_leaves_at_most_three_cache_entries():
@@ -79,7 +80,7 @@ def test_verify_catches_a_pairing_corrupted_only_at_nonzero_tags(monkeypatch):
 
     def corrupted(data, tag):
         q = original(data, tag)
-        return linalg.zeros(len(q), len(q[0])) if tag else q
+        return zeros(len(q), len(q[0])) if tag else q
 
     monkeypatch.setattr(circle_bundle, "lefschetz_pairing", corrupted)
     report = verify_bundle_grid(6)
@@ -174,7 +175,7 @@ def test_verify_and_construct_render_a_failed_check_alike(monkeypatch):
     spec = BundleManifoldSpec(0, 1, 1, 2)
     original = circle_bundle._degeneracy
     monkeypatch.setattr(circle_bundle, "_degeneracy", lambda d, k, tag: original(d, k, tag) + 1)
-    (check,) = [check for check in audit_bundle(spec).checks if not check.passed]
+    (check,) = [check for check in audit_bundle(spec).checks if check.expected != check.observed]
     failures = [f for f in verify_bundle_grid(1).failures if f.startswith("(d=0, k=1, g=1, e=2)")]
     with pytest.raises(ConsistencyError) as exc:
         construct.__wrapped__(spec)
@@ -186,6 +187,24 @@ def test_nullity_check_reads_the_certificate_bounds(monkeypatch):
     # a nullity closed form above the degeneracy d + 1 = 2 of B(1,2,3;1)
     monkeypatch.setattr(circle_bundle, "_nullity", lambda d, k, tag: d + 2)
     audit = audit_bundle(BundleManifoldSpec(1, 2, 3, 1))
-    (failed,) = [check for check in audit.checks if not check.passed]
+    (failed,) = [check for check in audit.checks if check.expected != check.observed]
     assert failed == Check("nullity_within_degeneracy", True, False)
     assert failed[1:] == audit.certificate.identities()[3][1:]
+
+
+@pytest.mark.parametrize(
+    "bound, text",
+    [
+        (0, "grid bound must be at least 1"),
+        (-5, "grid bound must be at least 1"),
+        (True, "grid bound must be an integer (int, not bool or float)"),
+        (2.5, "grid bound must be an integer (int, not bool or float)"),
+        ("3", "grid bound must be an integer (int, not bool or float)"),
+    ],
+)
+def test_verify_refuses_a_bound_that_is_not_a_positive_int(bound, text):
+    # the CLI's --grid-max is typed by argparse; a library caller's bound is
+    # refused as enumerate_region refuses its region bounds
+    with pytest.raises(InadmissibleError) as exc:
+        verify_bundle_grid(bound)
+    assert str(exc.value) == text
