@@ -3,8 +3,9 @@
 
 Usage: python scripts/bench_scaling.py [--out FILE] [--samples N]
            [--dense-max G] [--audit-max G] [--grid-max G] [--cold-max G]
+           [--enumerate-max S]
 
-Times five layers of the package in this checkout's ``src/``:
+Times six layers of the package in this checkout's ``src/``:
 
 * ``compose_word``: :func:`geographer.surfaces.compose_word` of the
   ``wang_cohomology`` ladder's word, at the same sizes;
@@ -17,19 +18,26 @@ Times five layers of the package in this checkout's ``src/``:
   B(g/2, g, g; 0) with cold caches, for g = 2, 4, 8, .. up to G;
 * ``verify_bundle_grid``: the whole sweep up to G with cold caches, for
   G = 2 .. max;
+* ``enumerate``: one ``main(["enumerate", "--sigma-min", -S, "--b1-max",
+  "24"])`` call with cold caches and its stdout captured, for S = max/8,
+  max/4, max/2 and max. At b1 <= 24, the bound of perfbench's ``atlas``
+  region, the region grows linearly in S, and the default S = 960 is four
+  times that region's S = 240. It is the one command whose output, and
+  so whose memory, grows with its region;
 * ``cli_cold_start``: a one-shot CLI process, for g = 4, 8, 16, .. and
   the maximum G. Each sample is a fresh interpreter that imports
   ``geographer.cli`` and makes one
   ``main(["realize", "0", "4", "4", "--genus", g])`` call.
 
-Cold means that the caches of ``construct`` and ``bundle_wang_data`` are
-cleared before each call, as ``perfbench`` does. Each size runs in a
-fresh interpreter, so its peak RSS (``ru_maxrss``) is its own. A sample
-times as many calls as fill about 20 ms, at least one, and runs the loop
-of ``perfbench/reference.py`` just before and just after them; the time
-per call is scaled by ``REFERENCE_S`` over the mean of the two loop
-times, so it is given in seconds at that file's reference host speed and
-the drift of a shared host cancels. A record holds the median of N
+Cold means that the caches of ``construct``, ``bundle_wang_data`` and
+``elliptic_invariants`` are cleared before each call, as ``perfbench``
+does. Each size runs in a fresh interpreter, so its peak RSS
+(``ru_maxrss``) is its own. A sample times as many calls as fill about
+20 ms, at least one, and runs the loop of ``perfbench/reference.py``
+just before and just after them; the time per call is scaled by
+``REFERENCE_S`` over the mean of the two loop times, so it is given in
+seconds at that file's reference host speed and the drift of a shared
+host cancels. A record holds the median of N
 samples, N, the calls per sample and the peak RSS in MB. A
 ``cli_cold_start`` sample times the import and the call apart, each
 scaled by the loop run just before the import and just after the call;
@@ -57,6 +65,8 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_S = 0.02
+#: The b1 bound of the ``enumerate`` ladder: that of perfbench's atlas region.
+ENUMERATE_B1_MAX = 24
 
 
 def ladders(args) -> dict:
@@ -73,16 +83,18 @@ def ladders(args) -> dict:
         "audit_bundle": ("g", doubling),
         "verify_bundle_grid": ("G", list(range(2, args.grid_max + 1))),
         "cli_cold_start": ("g", doubling_from_4(args.cold_max)),
+        "enumerate": ("-sigma_min", sorted({args.enumerate_max >> i for i in range(4)} - {0})),
     }
 
 
 def workload(layer: str, size: int):
     """The call timed at one size of a layer, its set-up done."""
-    from geographer import bundle_manifold, mapping_torus, surfaces, verify
+    from geographer import bundle_manifold, fiber_sum, mapping_torus, surfaces, verify
 
     def cold():
         bundle_manifold.construct.cache_clear()
         mapping_torus.bundle_wang_data.cache_clear()
+        fiber_sum.elliptic_invariants.cache_clear()
 
     if layer == "compose_word":
         word = dense_word(size)
@@ -93,7 +105,24 @@ def workload(layer: str, size: int):
     if layer == "audit_bundle":
         spec = bundle_manifold.BundleManifoldSpec(size // 2, size, size, 0)
         return lambda: (cold(), bundle_manifold.audit_bundle(spec))
+    if layer == "enumerate":
+        return lambda: (cold(), run_enumerate(size))
     return lambda: (cold(), verify.verify_bundle_grid(size))
+
+
+def run_enumerate(size: int) -> None:
+    """One in-process ``enumerate`` call down to sigma = -size at b1 <=
+    :data:`ENUMERATE_B1_MAX`, its stdout captured and dropped."""
+    import contextlib
+    import io
+
+    from geographer import cli
+
+    argv = ["enumerate", "--sigma-min", str(-size), "--b1-max", str(ENUMERATE_B1_MAX)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code:
+        raise RuntimeError(f"enumerate at size {size} exited {code}")
 
 
 def dense_word(genus: int):
@@ -226,6 +255,7 @@ def main(argv=None) -> int:
     parser.add_argument("--audit-max", type=int, default=4096)
     parser.add_argument("--grid-max", type=int, default=40)
     parser.add_argument("--cold-max", type=int, default=4096)
+    parser.add_argument("--enumerate-max", type=int, default=960)
     parser.add_argument("--measure", nargs=2, metavar=("LAYER", "SIZE"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:

@@ -8,9 +8,9 @@ sequences, summed over the handles from the three certified genus-1
 members of the handle kinds, and double-checked against closed formulas
 before a certificate is issued. :func:`audit_bundle` is that
 computation, one exact pass that builds the certificate afresh and
-records every check as a :class:`~geographer.errors.Check`; the member
-values it sums (Wang b1, Gysin b1 and pairing rank per tag class) are
-read from the members' entries of
+records every check as a plain ``(name, expected, observed)`` triple;
+the member values it sums (Wang b1, Gysin b1 and pairing rank per tag
+class) are read from the members' entries of
 :func:`~geographer.mapping_torus.bundle_wang_data`, computed once per
 fill of that cache. :func:`construct` raises on the first
 failed check or :meth:`InvariantCertificate.identities` record through
@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import circle_bundle, linalg, mapping_torus, surfaces
-from .errors import Check, enforce
+from .errors import enforce
 
 #: Sentinel for Kodaira dimension minus infinity (kept JSON-serializable).
 KODAIRA_NEG_INF = "-inf"
@@ -168,12 +168,12 @@ class BundleAudit(NamedTuple):
     """One exact pass over B(d, k, g; e): its unenforced certificate and
     every check.
 
-    ``checks`` holds one record per name of :data:`BUNDLE_CHECKS`, in the
-    order :func:`construct` enforces them.
+    ``checks`` holds one ``(name, expected, observed)`` triple per name of
+    :data:`BUNDLE_CHECKS`, in the order :func:`construct` enforces them.
     """
 
     certificate: InvariantCertificate
-    checks: tuple[Check, ...]
+    checks: tuple[tuple[str, object, object], ...]
 
 
 def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
@@ -213,9 +213,9 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     the weights and tag the spec has validated, so no rule is checked
     twice. A case thus costs its records: a plain loop over at most three
     fetched members, the closed forms, one certificate and its eight
-    checks. The certificate is never cached: it is built afresh on each
-    call, and a failed check is recorded, not raised, so a sweep sees
-    every check of every case.
+    check triples, the last the certificate's own ``K_squared`` record.
+    The certificate is never cached: it is built afresh on each call, and
+    a failed check is recorded, not raised, so a sweep sees every check.
     """
     d, k, g, e = spec
     counts = surfaces.kind_counts(d, k, g)
@@ -262,18 +262,18 @@ def audit_bundle(spec: BundleManifoldSpec) -> BundleAudit:
     # the closed-form nullity against the computed degeneracy and b1
     sigma, chi, k_squared, bounds = cert.identities()
     checks = (
-        Check("wang_b1_matches_formula", circle_bundle._torus_b1(d, k), wang_b1),
-        Check("pairing_rank_even", 0, rank % 2),
-        Check(
+        ("wang_b1_matches_formula", circle_bundle._torus_b1(d, k), wang_b1),
+        ("pairing_rank_even", 0, rank % 2),
+        (
             "degeneracy_pairing_rank_matches_formula",
             circle_bundle._degeneracy(d, k, e),
             degeneracy,
         ),
-        Check("nullity_within_degeneracy", True, bounds[2]),
-        Check("gysin_b1_matches_formula", circle_bundle._bundle_b1(d, k, e), b1),
-        Check("kappa_matches_genus_dichotomy", 0 if g == 1 else 1, kappa),
-        Check("sigma_and_chi_vanish_for_free_circle_action", (0, 0), (sigma[2], chi[2])),
-        Check(*k_squared),
+        ("nullity_within_degeneracy", True, bounds[2]),
+        ("gysin_b1_matches_formula", circle_bundle._bundle_b1(d, k, e), b1),
+        ("kappa_matches_genus_dichotomy", 0 if g == 1 else 1, kappa),
+        ("sigma_and_chi_vanish_for_free_circle_action", (0, 0), (sigma[2], chi[2])),
+        k_squared,
     )
     return BundleAudit(cert, checks)
 

@@ -1,6 +1,7 @@
-"""Shared error types, and the one function that raises ConsistencyError."""
+"""Shared error types, the text of a failed ``(name, expected, observed)``
+check, and the one function that raises ConsistencyError."""
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 
 class ConsistencyError(RuntimeError):
@@ -16,16 +17,9 @@ class InadmissibleError(ValueError):
     """A requested triple fails the admissibility predicate."""
 
 
-class Check(NamedTuple):
-    """One named identity: the value a formula or theorem demands, and the
-    value computed."""
-
-    name: str
-    expected: object
-    observed: object
-
-    def __str__(self) -> str:
-        return f"{self.name} expected {self.expected}, observed {self.observed}"
+def mismatch(name: str, expected: object, observed: object) -> str:
+    """The text of a failed check: ``<name> expected <x>, observed <y>``."""
+    return f"{name} expected {expected}, observed {observed}"
 
 
 def enforce(subject, checks: Iterable[tuple[str, object, object]]) -> None:
@@ -38,4 +32,4 @@ def enforce(subject, checks: Iterable[tuple[str, object, object]]) -> None:
     """
     for name, expected, observed in checks:
         if expected != observed:
-            raise ConsistencyError(f"{subject.label}: {Check(name, expected, observed)}")
+            raise ConsistencyError(f"{subject.label}: {mismatch(name, expected, observed)}")

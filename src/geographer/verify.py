@@ -17,17 +17,17 @@ large the grid. The sweep first empties the members' ``audit_values``,
 so it ranks each member's pairing afresh, once per tag class, and trusts
 no rank computed before it. A case then costs its records alone: the
 spec, which validates its weights and tag once, the audit's kind sums
-and closed forms on them, its certificate and eight checks, and
-an inline ``expected != observed`` scan of those checks. Any mismatch is
-reported with the offending weights instead of raising. The sweep
-tallies first and builds its :class:`VerificationReport` once.
+and closed forms on them, its certificate and eight check triples, and
+an inline ``expected != observed`` scan of them. A mismatch is reported
+with the offending weights, in the text of ``errors.mismatch``, instead
+of raising. The sweep tallies first and builds its report once.
 """
 
 from typing import Iterator
 
 from . import bundle_manifold, circle_bundle, geography
 from .bundle_manifold import BundleManifoldSpec, audit_bundle
-from .errors import Check, InadmissibleError
+from .errors import InadmissibleError, mismatch
 
 #: Each line of the report counts one kind of check, once per case; a
 #: case fails a line when any certificate check of that kind fails.
@@ -82,7 +82,7 @@ def verify_bundle_grid(grid_max: int) -> VerificationReport:
         for name, expected, observed in audit_bundle(spec).checks:
             if expected != observed:
                 case = f"(d={spec.d}, k={spec.k}, g={spec.g}, e={spec.e})"
-                failures.append(f"{case} {_LINE_OF[name]}: {Check(name, expected, observed)}")
+                failures.append(f"{case} {_LINE_OF[name]}: {mismatch(name, expected, observed)}")
     return VerificationReport(grid_max, cases, dict.fromkeys(CHECK_NAMES, cases), failures)
 
 

@@ -84,7 +84,7 @@ ALLOWLIST = {
     "mapping_torus._generic_bases": DENSE,
     "cli._json_char": "cli._json on a string that needs escapes, which no document holds",
     "linalg._integral": "library callers whose entries are not exact ints",
-    "errors.Check.__str__": FAILURE,
+    "errors.mismatch": FAILURE,
     "fiber_sum.EllipticSurface.label": FAILURE,
     "mapping_torus.MappingTorus.label": FAILURE,
 }

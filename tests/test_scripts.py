@@ -53,12 +53,14 @@ def test_bench_scaling_writes_one_record_per_size_of_each_ladder(tmp_path):
     proc = run_script(
         "bench_scaling.py", "--out", str(out), "--samples", "1",
         "--dense-max", "3", "--audit-max", "4", "--grid-max", "3", "--cold-max", "8",
+        "--enumerate-max", "16",
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert {"python", "git_rev", "git_dirty", "host", "time_unit", "layers"} <= set(doc)
     sizes = {"compose_word": ("g", [2, 3]), "wang_cohomology": ("g", [2, 3]), "audit_bundle": ("g", [2, 4]),
-             "verify_bundle_grid": ("G", [2, 3]), "cli_cold_start": ("g", [4, 8])}
+             "verify_bundle_grid": ("G", [2, 3]), "cli_cold_start": ("g", [4, 8]),
+             "enumerate": ("-sigma_min", [2, 4, 8, 16])}
     assert set(doc["layers"]) == set(sizes)
     for name, (parameter, ladder) in sizes.items():
         layer = doc["layers"][name]

@@ -8,10 +8,11 @@ from geographer import circle_bundle, mapping_torus
 from geographer.bundle_manifold import (
     BUNDLE_CHECKS,
     BundleManifoldSpec,
+    InvariantCertificate,
     audit_bundle,
     construct,
 )
-from geographer.errors import Check, ConsistencyError, InadmissibleError
+from geographer.errors import ConsistencyError, InadmissibleError, mismatch
 from geographer.verify import CHECK_NAMES, bundle_grid, verify_bundle_grid
 from strategies import zeros
 
@@ -24,8 +25,8 @@ def test_audit_records_every_certificate_check_once():
         BundleManifoldSpec(3, 3, 4, 0),
     ]:
         audit = audit_bundle(spec)
-        assert sorted(check.name for check in audit.checks) == sorted(BUNDLE_CHECKS)
-        assert all(check.expected == check.observed for check in audit.checks)
+        assert sorted(name for name, _, _ in audit.checks) == sorted(BUNDLE_CHECKS)
+        assert all(expected == observed for _, expected, observed in audit.checks)
         cert = construct(spec)
         assert cert.checks == BUNDLE_CHECKS
         assert audit.certificate == cert
@@ -40,8 +41,7 @@ def test_audit_of_wang_data_with_other_weights_fails_the_wang_b1_check(monkeypat
     monkeypatch.setattr(mapping_torus, "bundle_wang_data", lambda d, k: members[d, k])
     checks = audit_bundle(BundleManifoldSpec(2, 2, 3, 0)).checks
     assert len(other.invariant_basis) == 2
-    assert checks[0] == Check("wang_b1_matches_formula", 3, 5)
-    assert checks[0].expected != checks[0].observed
+    assert checks[0] == ("wang_b1_matches_formula", 3, 5)
 
 
 def test_a_cold_sweep_leaves_at_most_three_cache_entries():
@@ -116,11 +116,15 @@ def test_an_odd_rank_member_pairing_fails_pairing_rank_even_where_it_is_summed_o
 
 def test_audit_records_on_the_g_le_12_grid_are_pinned():
     # every certificate and check of every case with g <= 12, pinned as a
-    # digest: a change to the kind sums, the closed-form kernels or the
-    # records that moves any value or order shows here
-    text = "\n".join(repr(audit_bundle(spec)) for spec in bundle_grid(12))
+    # digest of their plain values: a change to the kind sums, the
+    # closed-form kernels or the records that moves any value or order
+    # shows here, whatever type spells a record
+    text = "\n".join(
+        repr((tuple(audit.certificate), tuple(map(tuple, audit.checks))))
+        for audit in map(audit_bundle, bundle_grid(12))
+    )
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "ae7f801da9784db5ad922d973fb3b0c7bcf83aa0a3bf1ffedb268382982344b7"
+    assert digest == "0f7ea4ed497bc228b33cad1e737fcee36518e86ebfcf700c02b2d40217f95ed8"
 
 
 def test_report_lines_cover_every_certificate_check_once():
@@ -175,20 +179,44 @@ def test_verify_and_construct_render_a_failed_check_alike(monkeypatch):
     spec = BundleManifoldSpec(0, 1, 1, 2)
     original = circle_bundle._degeneracy
     monkeypatch.setattr(circle_bundle, "_degeneracy", lambda d, k, tag: original(d, k, tag) + 1)
-    (check,) = [check for check in audit_bundle(spec).checks if check.expected != check.observed]
+    (check,) = [check for check in audit_bundle(spec).checks if check[1] != check[2]]
     failures = [f for f in verify_bundle_grid(1).failures if f.startswith("(d=0, k=1, g=1, e=2)")]
     with pytest.raises(ConsistencyError) as exc:
         construct.__wrapped__(spec)
-    assert failures == [f"(d=0, k=1, g=1, e=2) degeneracy_pairing_rank_vs_formula: {check}"]
-    assert str(exc.value) == f"{spec.label}: {check}"
+    text = mismatch(*check)
+    assert text == "degeneracy_pairing_rank_matches_formula expected 2, observed 1"
+    assert failures == [f"(d=0, k=1, g=1, e=2) degeneracy_pairing_rank_vs_formula: {text}"]
+    assert str(exc.value) == f"{spec.label}: {text}"
+
+
+def test_verify_and_construct_render_a_failed_tuple_valued_check_alike(monkeypatch):
+    # sigma read back off the Betti numbers as 2 on every certificate: the
+    # free-circle-action check compares the pair (sigma, chi) with (0, 0),
+    # and both paths render the tuples the same way
+    original = InvariantCertificate.identities
+
+    def skewed(cert):
+        (name, expected, observed), *rest = original(cert)
+        return ((name, expected, observed + 2), *rest)
+
+    monkeypatch.setattr(InvariantCertificate, "identities", skewed)
+    spec = BundleManifoldSpec(0, 1, 1, 2)
+    text = "sigma_and_chi_vanish_for_free_circle_action expected (0, 0), observed (2, 0)"
+    with pytest.raises(ConsistencyError) as exc:
+        construct.__wrapped__(spec)
+    assert str(exc.value) == f"{spec.label}: {text}"
+    report = verify_bundle_grid(1)
+    assert report.failures == [
+        f"(d={s.d}, k={s.k}, g=1, e={s.e}) signature_identity: {text}" for s in bundle_grid(1)
+    ]
 
 
 def test_nullity_check_reads_the_certificate_bounds(monkeypatch):
     # a nullity closed form above the degeneracy d + 1 = 2 of B(1,2,3;1)
     monkeypatch.setattr(circle_bundle, "_nullity", lambda d, k, tag: d + 2)
     audit = audit_bundle(BundleManifoldSpec(1, 2, 3, 1))
-    (failed,) = [check for check in audit.checks if check.expected != check.observed]
-    assert failed == Check("nullity_within_degeneracy", True, False)
+    (failed,) = [check for check in audit.checks if check[1] != check[2]]
+    assert failed == ("nullity_within_degeneracy", True, False)
     assert failed[1:] == audit.certificate.identities()[3][1:]
 
 
