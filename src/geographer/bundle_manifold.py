@@ -12,11 +12,11 @@ records every check as a plain ``(name, expected, observed)`` triple;
 the member values it sums (Wang b1, Gysin b1 and pairing rank per tag
 class) are read from the members' entries of
 :func:`~geographer.mapping_torus.bundle_wang_data`, computed once per
-fill of that cache. :func:`construct` raises on the first
-failed check or :meth:`InvariantCertificate.identities` record through
+fill of that cache; its checks carry every certificate identity.
+:func:`construct` raises on the first failed check through
 :func:`geographer.errors.enforce`, which every certificate path shares,
-from the Wang bases of the mapping torus on, and ``verify`` counts them
-all. Specs, certificates and audits are NamedTuple records; a spec's
+from the Wang bases of the mapping torus on, and ``verify`` counts them.
+Specs, certificates and audits are NamedTuple records; a spec's
 constructor refuses bad weights and tags, bools and non-integers among
 them, and :meth:`InvariantCertificate.as_dict` builds the plain dict that
 documents serialize.
@@ -309,9 +309,10 @@ def construct(spec: BundleManifoldSpec) -> InvariantCertificate:
     """Build and fully cross-check the certificate of B(d, k, g; e).
 
     The certificate and its checks come from :func:`audit_bundle`; the
-    first failed check or certificate identity raises
-    :class:`ConsistencyError` instead of emitting.
+    first failed check raises :class:`ConsistencyError` instead of
+    emitting. The checks carry the certificate's identities (sigma and chi
+    as one pair, the ``K_squared`` record itself, the bounds).
     """
     cert, checks = audit_bundle(spec)
-    enforce(spec, checks + cert.identities())
+    enforce(spec, checks)
     return cert

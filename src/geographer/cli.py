@@ -21,9 +21,10 @@ document, :func:`_certified` writes the certificate block, and
 :func:`_json` and :func:`_tsv` are the only writers. :func:`_json` is
 the package's own JSON writer and the only one: it writes the bytes of
 ``json.dumps(doc, indent=2)`` and a newline, so a CLI start does not
-import :mod:`json`. A TSV row is six head values, then the certificate
-record's first fields in order; an open problem in TSV is one headerless
-``open<TAB>reason`` line.
+import :mod:`json`; only a string that needs escapes is passed to it. A
+TSV row is six head values, then the certificate record's first fields
+in order; an open problem in TSV is one headerless ``open<TAB>reason``
+line.
 """
 
 import argparse
@@ -160,29 +161,12 @@ def invariants_document(label: str, fields: dict, cert: InvariantCertificate) ->
     return _document("computed", manifold={"label": label, **fields}, **_certified(cert))
 
 
-#: The two-character escapes of JSON; every other character outside
-#: printable ASCII is written as ``\uXXXX``.
-_ESCAPES = {
-    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-}
-
-
-def _json_char(c: str) -> str:
-    if c in _ESCAPES:
-        return _ESCAPES[c]
-    if " " <= c <= "~":
-        return c
-    n = ord(c)
-    if n > 0xFFFF:  # a UTF-16 surrogate pair
-        n -= 0x10000
-        return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
-    return "\\u%04x" % n
-
-
 def _json_string(s: str) -> str:
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    return '"' + "".join(map(_json_char, s)) + '"'
+    import json
+
+    return json.dumps(s)
 
 
 def _json_write(x, indent: str, out) -> None:

@@ -15,6 +15,7 @@ problems are NamedTuple records.
 
 from typing import Iterator, NamedTuple, Union
 
+from . import surfaces
 from .bundle_manifold import BundleManifoldSpec, InvariantCertificate, construct
 from .circle_bundle import bundle_weights
 from .errors import InadmissibleError, enforce
@@ -30,11 +31,6 @@ RecipeSpec = Union[BundleManifoldSpec, FiberSumSpec]
 
 #: Default Dolgachev multiplicities: the smallest coprime pair >= 2.
 DEFAULT_DOLGACHEV = (2, 3)
-
-
-def _all_ints(*values) -> bool:
-    """Exactly ``int``: floats, bools and other number types are refused."""
-    return set(map(type, values)) <= {int}
 
 
 class Recipe(NamedTuple):
@@ -76,6 +72,20 @@ def default_genus(k: int, floor: int | None = None) -> int:
     return max(k, 2, floor or 0)
 
 
+def _int_argument(x, refusal: str) -> int:
+    """An argument of a public function, converted by the one integer rule
+    of :func:`surfaces._exact_int`, or ``InadmissibleError(refusal)``."""
+    try:
+        return surfaces._exact_int(x, refusal)
+    except ValueError:
+        raise InadmissibleError(refusal) from None
+
+
+def _genus_argument(genus) -> int | None:
+    """The genus floor as given: None, or an integer by the same rule."""
+    return None if genus is None else _int_argument(genus, _GENUS_FAILURE)
+
+
 def certify(spec: RecipeSpec) -> InvariantCertificate:
     """The enforced certificate of a bundle or of a fiber sum."""
     if isinstance(spec, BundleManifoldSpec):
@@ -112,10 +122,11 @@ def realize(a: int, b: int, c: int, genus: int | None = None) -> Recipe:
     fiber sum with E(-a/8) of weight d = c, k = (b + c) / 2. a = -8: the
     same sum with a Dolgachev surface. ``genus`` raises the genus floor.
     """
+    a, b, c = [_int_argument(x, _NON_INTEGER_FAILURE) for x in (a, b, c)]
     failure = _admissibility_failure(a, b, c)
     if failure is not None:
         raise InadmissibleError(failure)
-    return _realize_admissible(a, b, c, genus)
+    return _realize_admissible(a, b, c, _genus_argument(genus))
 
 
 def _realize_admissible(a: int, b: int, c: int, genus: int | None) -> Recipe:
@@ -151,13 +162,12 @@ def _elliptic_base(a: int) -> EllipticBase:
 
 
 _NON_INTEGER_FAILURE = "triple entries must be integers (int, not bool or float)"
+_GENUS_FAILURE = "genus floor must be None or an integer (int, not bool or float)"
 _SIGNATURE_FAILURE = "signature must be a non-positive multiple of 8"
 
 
 def _admissibility_failure(a: int, b: int, c: int) -> str | None:
-    """The first rule (a, b, c) breaks as a degeneracy triple, or None."""
-    if not _all_ints(a, b, c):
-        return _NON_INTEGER_FAILURE
+    """The first rule the ints (a, b, c) break as a degeneracy triple, or None."""
     if not _signature_allowed(a):
         return _SIGNATURE_FAILURE
     if not 0 <= c <= b:
@@ -168,14 +178,12 @@ def _admissibility_failure(a: int, b: int, c: int) -> str | None:
 
 
 def _null_admissibility_failure(a: int, b: int, c: int) -> str | None:
-    """The first rule (a, b, c) breaks as a nullity triple, or None.
+    """The first rule the ints (a, b, c) break as a nullity triple, or None.
 
     The nullity variant has no parity constraint, but c = b - 1 is
     impossible: a manifold with nullity b1 - 1 would leave a single
     cup-nontrivial line in H^1, contradicting skewness of the cup square.
     """
-    if not _all_ints(a, b, c):
-        return _NON_INTEGER_FAILURE
     if c == b - 1 and 0 <= c <= b:
         return "nullity b - 1 is impossible: one class would have a nonzero cup square"
     if not _signature_allowed(a):
@@ -208,9 +216,11 @@ def realize_null(a: int, b: int, c: int, genus: int | None = None) -> Recipe | O
     constructions certify is 0 via b1 = 0, so b = c = 0 triples get the
     fiber-sum recipe of the same signature and everything else is open.
     """
+    a, b, c = [_int_argument(x, _NON_INTEGER_FAILURE) for x in (a, b, c)]
     failure = _null_admissibility_failure(a, b, c)
     if failure is not None:
         raise InadmissibleError(failure)
+    genus = _genus_argument(genus)
     if a == 0:
         choice = _bundle_nullity_choice(b, c)
         if choice is not None:
@@ -263,12 +273,13 @@ def enumerate_region(
     Deterministic order: a descending from 0, then b ascending, then c
     ascending; every yielded recipe is certificate-checked.
     """
-    if not _all_ints(sigma_min, b1_max):
-        raise InadmissibleError("region bounds must be integers (int, not bool or float)")
+    refusal = "region bounds must be integers (int, not bool or float)"
+    sigma_min, b1_max = _int_argument(sigma_min, refusal), _int_argument(b1_max, refusal)
     if sigma_min > 0:
         raise InadmissibleError("sigma lower bound must be non-positive")
     if b1_max < 0:
         raise InadmissibleError("b1 bound must be non-negative")
+    genus = _genus_argument(genus)
     for a in range(0, sigma_min - 1, -8):
         for b in range(0, b1_max + 1):
             for c in range(0, b + 1):

@@ -68,9 +68,9 @@ def to_matrix(data) -> Matrix:
 
 
 def _integral(x) -> bool:
-    """The rule for every entry from outside the package: an integral
-    number that is not a bool. Only entries that are not exact ints reach
-    it, so ``numbers`` is imported here, not by every CLI start."""
+    """The rule for every integer from outside the package, an entry or an
+    argument: an integral number that is not a bool. Only values that are
+    not exact ints reach it, so ``numbers`` is imported here, not at start."""
     import numbers
 
     return not isinstance(x, bool) and isinstance(x, numbers.Integral)

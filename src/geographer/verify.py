@@ -70,9 +70,9 @@ class VerificationReport:
 
 def verify_bundle_grid(grid_max: int) -> VerificationReport:
     """Run every check over the full weight grid up to ``grid_max``, an
-    int of at least 1; any other bound is an :class:`InadmissibleError`."""
-    if not geography._all_ints(grid_max):
-        raise InadmissibleError("grid bound must be an integer (int, not bool or float)")
+    integer of at least 1; any other bound is an :class:`InadmissibleError`."""
+    refusal = "grid bound must be an integer (int, not bool or float)"
+    grid_max = geography._int_argument(grid_max, refusal)
     if grid_max < 1:
         raise InadmissibleError("grid bound must be at least 1")
     bundle_manifold._forget_member_values()

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from geographer import bundle_manifold, circle_bundle, linalg, mapping_torus
 from geographer.bundle_manifold import (
     KODAIRA_NEG_INF,
-    BundleAudit,
     BundleManifoldSpec,
+    InvariantCertificate,
     audit_bundle,
     construct,
     kodaira_classify,
 )
 from geographer.circle_bundle import bundle_b1, lefschetz_pairing, valid_tags
-from geographer.errors import ConsistencyError, enforce
+from geographer.errors import ConsistencyError, enforce, mismatch
 from geographer.fiber_sum import DolgachevSurface, EllipticSurface, FiberSumSpec
 from geographer.mapping_torus import MappingTorus, wang_cohomology
 from geographer.surfaces import Twist, TwistWord
@@ -210,17 +210,45 @@ BUNDLE_IDENTITY_SKEWS = [
 ]
 
 
+#: The audit check that carries each identity of :data:`BUNDLE_IDENTITY_SKEWS`,
+#: as it fails on that skew: sigma and chi as one pair, the K^2 record
+#: itself, and the bounds.
+CARRYING_CHECKS = [
+    "sigma_and_chi_vanish_for_free_circle_action expected (0, 0), observed (2, 0)",
+    "sigma_and_chi_vanish_for_free_circle_action expected (0, 0), observed (0, -2)",
+    "two_chi_plus_three_sigma_equals_K_squared expected 4, observed 0",
+    "nullity_within_degeneracy expected True, observed False",
+]
+
+
 @pytest.mark.parametrize("changes, text", BUNDLE_IDENTITY_SKEWS)
 def test_construct_enforces_the_certificate_identities(monkeypatch, changes, text):
-    original = bundle_manifold.audit_bundle
+    # construct enforces the audit's checks alone, and they carry every
+    # identity: a certificate skewed where the audit builds it breaks the
+    # identity ``text`` alone, and construct refuses it at the check that
+    # carries that identity
+    certificate = bundle_manifold.InvariantCertificate
+    monkeypatch.setattr(
+        bundle_manifold,
+        "InvariantCertificate",
+        lambda **fields: certificate(**fields)._replace(**changes),
+    )
+    spec = BundleManifoldSpec(1, 1, 2, 1)
+    cert = audit_bundle(spec).certificate
+    assert [mismatch(*c) for c in cert.identities() if c[1] != c[2]] == [text]
+    carrying = CARRYING_CHECKS[BUNDLE_IDENTITY_SKEWS.index((changes, text))]
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(f'B(1,1,2;1): {carrying}')}$"):
+        construct.__wrapped__(spec)
 
-    def skewed(spec):
-        cert, checks = original(spec)
-        return BundleAudit(cert._replace(**changes), checks)
 
-    monkeypatch.setattr(bundle_manifold, "audit_bundle", skewed)
-    with pytest.raises(ConsistencyError, match=f"^{re.escape(f'B(1,1,2;1): {text}')}$"):
-        construct.__wrapped__(BundleManifoldSpec(1, 1, 2, 1))
+def test_a_cold_construct_computes_the_identities_once(monkeypatch):
+    calls = []
+    identities = InvariantCertificate.identities
+    monkeypatch.setattr(
+        InvariantCertificate, "identities", lambda cert: calls.append(cert) or identities(cert)
+    )
+    cert = construct.__wrapped__(BundleManifoldSpec(1, 2, 3, 1))
+    assert calls == [cert]
 
 
 class _CountedLabel:

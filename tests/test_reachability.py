@@ -82,8 +82,10 @@ ALLOWLIST = {
     "linalg._centred": DENSE,
     "mapping_torus.MappingTorus.monodromy": DENSE,
     "mapping_torus._generic_bases": DENSE,
-    "cli._json_char": "cli._json on a string that needs escapes, which no document holds",
-    "linalg._integral": "library callers whose entries are not exact ints",
+    "linalg._integral": (
+        "library callers whose arguments are not exact ints: the specs, Twist and "
+        "TwistWord, to_matrix, and geography's and verify's public entry points"
+    ),
     "errors.mismatch": FAILURE,
     "fiber_sum.EllipticSurface.label": FAILURE,
     "mapping_torus.MappingTorus.label": FAILURE,
